@@ -380,7 +380,3 @@ def is_marking(chain: PieriChain, marks: frozenset) -> bool:
             break
     return True
 
-
-def chains_with_markings(w: Permutation, k: int, p: int) -> list[tuple[PieriChain, list[Marking]]]:
-    """Chains from w paired with their (possibly empty) lists of p-markings."""
-    return [(c, enumerate_markings(c, p)) for c in enumerate_pieri_chains(w, k)]

@@ -13,16 +13,17 @@ divided differences,
 independent of the descent sequence and of the ambient size.  Setting
 every Q variable to zero in a chain expansion keeps exactly the chains
 with no quantum edge, so the product and divisor formulas specialize to
-polynomial identities that are checked here by exact expansion.
+polynomial identities.  The checks here take the Q = 0 part of
+`pieri_expand` and `monk_lhs_expand` themselves and compare it with the
+exact polynomial product, so they test the expansion engine directly.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
-from .chains import enumerate_markings, enumerate_monk_chains, enumerate_pieri_chains
+from .expansion import monk_lhs_expand, pieri_expand
 from .permutations import Permutation, cyclic_permutation
-from .qbg import EdgeKind
 
 
 class XPolynomial:
@@ -183,60 +184,35 @@ def grothendieck_poly(w: Permutation, n: int) -> XPolynomial:
     raise AssertionError("unreachable: non-longest element has an ascent")
 
 
-def q_free_pieri_terms(w: Permutation, k: int, p: int) -> dict[Permutation, int]:
-    """Integer coefficients of the Q = 0 specialization of the chain expansion."""
-    out: dict[Permutation, int] = {}
-    for chain in enumerate_pieri_chains(w, k):
-        if any(kind is EdgeKind.QUANTUM for kind in chain.path.kinds):
-            continue
-        count = len(enumerate_markings(chain, p))
-        if not count:
-            continue
-        sign = -1 if (len(chain) - p) % 2 else 1
-        out[chain.end] = out.get(chain.end, 0) + sign * count
-    return {u: c for u, c in out.items() if c}
+def _grothendieck_sum(terms: dict[Permutation, int], n: int) -> XPolynomial:
+    """Sum of c * G_u over the terms, computed inside S_n."""
+    out = XPolynomial.zero()
+    for u, c in terms.items():
+        out = out + grothendieck_poly(u, n).scaled(c)
+    return out
 
 
 def verify_pieri_at_q0(w: Permutation, k: int, p: int) -> bool:
     """
     Exact polynomial identity at Q = 0:
-    G_w * G_{c[k,p]} = sum over quantum-free chains of signed counted G_end.
+    G_w * G_{c[k,p]} = the Q = 0 part of pieri_expand(w, k, p).
     """
-    terms = q_free_pieri_terms(w, k, p)
-    supports = [w.support, cyclic_permutation(k, p).support]
-    supports += [u.support for u in terms]
-    n = max(supports) + 1
-    lhs = grothendieck_poly(w, n) * grothendieck_poly(cyclic_permutation(k, p), n)
-    rhs = XPolynomial.zero()
-    for u, c in terms.items():
-        rhs = rhs + grothendieck_poly(u, n).scaled(c)
-    return lhs == rhs
+    terms = pieri_expand(w, k, p).at_q0()
+    factor = cyclic_permutation(k, p)
+    n = max([w.support, factor.support] + [u.support for u in terms]) + 1
+    lhs = grothendieck_poly(w, n) * grothendieck_poly(factor, n)
+    return lhs == _grothendieck_sum(terms, n)
 
 
 def verify_monk_at_q0(x: Permutation, k: int) -> bool:
     """
     Exact polynomial identity at Q = 0:
-    (1 - x_k) G_x = sum over quantum-free Monk chains of signed G_end.
+    (1 - x_k) G_x = the Q = 0 part of monk_lhs_expand(x, k).
     """
-    terms: dict[Permutation, int] = {}
-    quantum_free = []
-    for m in enumerate_monk_chains(x, k):
-        if any(kind is EdgeKind.QUANTUM for kind in m.path.kinds):
-            continue
-        quantum_free.append(m)
-        sign = -1 if m.t % 2 else 1
-        terms[m.end] = terms.get(m.end, 0) + sign
-    terms = {u: c for u, c in terms.items() if c}
+    terms = monk_lhs_expand(x, k).at_q0()
     n = max([x.support, k] + [u.support for u in terms]) + 1
     gx = grothendieck_poly(x, n)
-    lhs = gx - XPolynomial.variable(k) * gx
-    # consistency guard: x_k * G_x != 0 needs a nonempty quantum-free chain
-    if len(quantum_free) <= 1 and not (XPolynomial.variable(k) * gx).is_zero():
-        return False
-    rhs = XPolynomial.zero()
-    for u, c in terms.items():
-        rhs = rhs + grothendieck_poly(u, n).scaled(c)
-    return lhs == rhs
+    return gx - XPolynomial.variable(k) * gx == _grothendieck_sum(terms, n)
 
 
 def verify_recurrence_at_q0(k: int, p: int, n: int | None = None) -> bool:
@@ -248,7 +224,8 @@ def verify_recurrence_at_q0(k: int, p: int, n: int | None = None) -> bool:
         raise ValueError(f"k must be >= 2, got {k}")
     if not 1 <= p <= k:
         raise ValueError(f"p must be in 1..k, got {p}")
-    n = n or (k + 2)
+    if n is None:
+        n = k + 2
 
     def g(kk: int, pp: int) -> XPolynomial:
         if kk >= 1 and pp == 0:

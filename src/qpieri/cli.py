@@ -23,13 +23,6 @@ from .render import chains_table, markings_table
 from .verify import SUITES, run_suite
 
 
-def _parse_perm(text: str) -> Permutation:
-    try:
-        return Permutation.from_one_line(text)
-    except ValueError as exc:
-        raise SystemExit(f"error: bad permutation {text!r}: {exc}")
-
-
 def _emit(text: str, out_path: str | None) -> None:
     if out_path:
         with open(out_path, "w") as fh:
@@ -45,31 +38,26 @@ def _expansion_output(expansion: Expansion, fmt: str) -> str:
 
 
 def cmd_expand(args) -> int:
-    w = _parse_perm(args.w)
-    if not 0 <= args.p <= args.k:
-        raise SystemExit(f"error: need 0 <= p <= k, got p={args.p}, k={args.k}")
-    expansion = pieri_expand(w, args.k, args.p)
-    if args.filter_sn:
+    expansion = pieri_expand(args.w, args.k, args.p)
+    if args.filter_sn is not None:
         expansion = expansion.filter_s_n(args.filter_sn)
     _emit(_expansion_output(expansion, args.format), args.out)
     return 0
 
 
 def cmd_monk(args) -> int:
-    x = _parse_perm(args.x)
-    expansion = monk_lhs_expand(x, args.k)
-    if args.filter_sn:
+    expansion = monk_lhs_expand(args.x, args.k)
+    if args.filter_sn is not None:
         expansion = expansion.filter_s_n(args.filter_sn)
     _emit(_expansion_output(expansion, args.format), args.out)
     return 0
 
 
 def cmd_chains(args) -> int:
-    w = _parse_perm(args.w)
     p = args.p if args.p is not None else args.k
     if args.format == "json":
         records = []
-        for chain in enumerate_pieri_chains(w, args.k):
+        for chain in enumerate_pieri_chains(args.w, args.k):
             record = chain.path.to_record()
             record["markings"] = [
                 [list(lab) for lab in chain.labels if lab in m]
@@ -78,13 +66,12 @@ def cmd_chains(args) -> int:
             records.append(record)
         _emit(json.dumps(records) + "\n", args.out)
     else:
-        _emit(chains_table(w, args.k, p), args.out)
+        _emit(chains_table(args.w, args.k, p), args.out)
     return 0
 
 
 def cmd_markings(args) -> int:
-    w = _parse_perm(args.w)
-    _emit(markings_table(w, args.k, args.p), args.out)
+    _emit(markings_table(args.w, args.k, args.p), args.out)
     return 0
 
 
@@ -150,8 +137,34 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _validate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
+    """
+    Check every input before any computation; a bad one is a usage error
+    (exit 2).  Permutation flags are replaced by the parsed permutation.
+    """
+    for flag in ("w", "x"):
+        text = getattr(args, flag, None)
+        if text is not None:
+            try:
+                setattr(args, flag, Permutation.from_one_line(text))
+            except ValueError as exc:
+                parser.error(f"bad permutation --{flag} {text!r}: {exc}")
+    k = getattr(args, "k", None)
+    if k is not None and k < 1:
+        parser.error(f"--k must be >= 1, got {k}")
+    p = getattr(args, "p", None)
+    if p is not None and not 0 <= p <= k:
+        parser.error(f"--p must be in 0..{k}, got {p}")
+    for flag in ("filter_sn", "max_n"):
+        value = getattr(args, flag, None)
+        if value is not None and value < 1:
+            parser.error(f"--{flag.replace('_', '-')} must be >= 1, got {value}")
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    _validate(parser, args)
     return args.func(args)
 
 

@@ -16,7 +16,10 @@ and the divisor-type product satisfies
 
 Coefficient arithmetic is exact integer throughout; an Expansion is a
 finite map from basis permutations to Z[Q]-polynomials with no zero
-entries, so equality of expansions is structural equality.
+entries, so equality of expansions is structural equality.  Expansions
+and Z[Q]-polynomials are immutable values: `terms` is a read-only view and
+every operation returns a new value.  Every sum of terms, from a chain
+expansion to a product or a parsed text, goes through one accumulator.
 
 Text form: "G[4312] - Q1*Q2*G[1342] + 2*Q3*G[431625]", terms ordered by
 (length, window) of the basis permutation.  Machine form (JSON):
@@ -25,24 +28,32 @@ Text form: "G[4312] - Q1*Q2*G[1342] + 2*Q3*G[431625]", terms ordered by
 
 from __future__ import annotations
 
+import itertools
 import json
 import re
+from collections.abc import Iterable, Iterator, Mapping
 from functools import lru_cache
+from types import MappingProxyType
 
-from .chains import enumerate_markings, enumerate_monk_chains, enumerate_pieri_chains
-from .permutations import Permutation, cyclic_permutation
+from .chains import enumerate_monk_chains, enumerate_pieri_chains, marking_count
+from .permutations import Permutation
 from .qbg import QMonomial, q_weight
 
 
 class QPolynomial:
-    """Sparse polynomial in Q_1, Q_2, ... with exact integer coefficients."""
+    """Immutable sparse polynomial in Q_1, Q_2, ... with exact integer coefficients."""
 
-    __slots__ = ("terms",)
+    __slots__ = ("_terms",)
 
-    def __init__(self, terms: dict[QMonomial, int] | None = None):
-        self.terms: dict[QMonomial, int] = {
+    def __init__(self, terms: Mapping[QMonomial, int] | None = None):
+        self._terms: dict[QMonomial, int] = {
             m: c for m, c in (terms or {}).items() if c != 0
         }
+
+    @property
+    def terms(self) -> Mapping[QMonomial, int]:
+        """Read-only view of the nonzero coefficients."""
+        return MappingProxyType(self._terms)
 
     @classmethod
     def zero(cls) -> QPolynomial:
@@ -57,11 +68,11 @@ class QPolynomial:
         return cls({mono: c})
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._terms
 
     def __add__(self, other: QPolynomial) -> QPolynomial:
-        out = dict(self.terms)
-        for m, c in other.terms.items():
+        out = dict(self._terms)
+        for m, c in other._terms.items():
             out[m] = out.get(m, 0) + c
         return QPolynomial(out)
 
@@ -70,33 +81,33 @@ class QPolynomial:
 
     def __mul__(self, other: QPolynomial) -> QPolynomial:
         out: dict[QMonomial, int] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
+        for m1, c1 in self._terms.items():
+            for m2, c2 in other._terms.items():
                 m = m1 * m2
                 out[m] = out.get(m, 0) + c1 * c2
         return QPolynomial(out)
 
     def scaled(self, c: int) -> QPolynomial:
-        return QPolynomial({m: c * v for m, v in self.terms.items()})
+        return QPolynomial({m: c * v for m, v in self._terms.items()})
 
     def times_monomial(self, mono: QMonomial) -> QPolynomial:
-        return QPolynomial({m * mono: c for m, c in self.terms.items()})
+        return QPolynomial({m * mono: c for m, c in self._terms.items()})
 
     def at_q0(self) -> int:
         """Constant term (all Q variables set to 0)."""
-        return self.terms.get(QMonomial.one(), 0)
+        return self._terms.get(QMonomial.one(), 0)
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, QPolynomial) and self.terms == other.terms
+        return isinstance(other, QPolynomial) and self._terms == other._terms
 
     def __hash__(self) -> int:
-        return hash(frozenset(self.terms.items()))
+        return hash(frozenset(self._terms.items()))
 
     def sorted_terms(self) -> list[tuple[QMonomial, int]]:
-        return sorted(self.terms.items(), key=lambda mc: mc[0].sort_key())
+        return sorted(self._terms.items(), key=lambda mc: mc[0].sort_key())
 
     def render(self) -> str:
-        if not self.terms:
+        if not self._terms:
             return "0"
         parts = []
         for m, c in self.sorted_terms():
@@ -111,15 +122,23 @@ class QPolynomial:
         return f"QPolynomial({self.render()})"
 
 
+_Triple = tuple[Permutation, QMonomial, int]
+
+
 class Expansion:
-    """A finite Z[Q]-linear combination of basis symbols G[u]."""
+    """An immutable finite Z[Q]-linear combination of basis symbols G[u]."""
 
-    __slots__ = ("terms",)
+    __slots__ = ("_terms",)
 
-    def __init__(self, terms: dict[Permutation, QPolynomial] | None = None):
-        self.terms: dict[Permutation, QPolynomial] = {
+    def __init__(self, terms: Mapping[Permutation, QPolynomial] | None = None):
+        self._terms: dict[Permutation, QPolynomial] = {
             u: c for u, c in (terms or {}).items() if not c.is_zero()
         }
+
+    @property
+    def terms(self) -> Mapping[Permutation, QPolynomial]:
+        """Read-only view of the nonzero coefficients."""
+        return MappingProxyType(self._terms)
 
     @classmethod
     def zero(cls) -> Expansion:
@@ -129,61 +148,66 @@ class Expansion:
     def basis(cls, u: Permutation) -> Expansion:
         return cls({u: QPolynomial.from_int(1)})
 
+    def _triples(self) -> Iterator[_Triple]:
+        for u, poly in self._terms.items():
+            for m, c in poly._terms.items():
+                yield u, m, c
+
     def __add__(self, other: Expansion) -> Expansion:
-        out = dict(self.terms)
-        for u, c in other.terms.items():
-            out[u] = out.get(u, QPolynomial.zero()) + c
-        return Expansion(out)
+        return _accumulate(itertools.chain(self._triples(), other._triples()))
 
     def __sub__(self, other: Expansion) -> Expansion:
-        return self + other.scaled_int(-1)
+        negated = ((u, m, -c) for u, m, c in other._triples())
+        return _accumulate(itertools.chain(self._triples(), negated))
 
     def scaled_int(self, c: int) -> Expansion:
-        return Expansion({u: poly.scaled(c) for u, poly in self.terms.items()})
+        return _accumulate((u, m, c * v) for u, m, v in self._triples())
 
     def scaled(self, poly: QPolynomial) -> Expansion:
-        return Expansion({u: coeff * poly for u, coeff in self.terms.items()})
+        return _accumulate(
+            (u, m1 * m2, c1 * c2)
+            for u, m1, c1 in self._triples()
+            for m2, c2 in poly._terms.items()
+        )
 
     def times_monomial(self, mono: QMonomial) -> Expansion:
-        return Expansion({u: c.times_monomial(mono) for u, c in self.terms.items()})
+        return _accumulate((u, m * mono, c) for u, m, c in self._triples())
 
-    def add_term(self, u: Permutation, sign: int, mono: QMonomial, mult: int = 1) -> None:
-        cur = self.terms.get(u, QPolynomial.zero())
-        new = cur + QPolynomial.monomial(mono, sign * mult)
-        if new.is_zero():
-            self.terms.pop(u, None)
-        else:
-            self.terms[u] = new
+    def add_term(self, u: Permutation, sign: int, mono: QMonomial, mult: int = 1) -> Expansion:
+        """This expansion plus sign * mult * mono * G[u], as a new value."""
+        return _accumulate(itertools.chain(self._triples(), [(u, mono, sign * mult)]))
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._terms
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, Expansion) and self.terms == other.terms
+        return isinstance(other, Expansion) and self._terms == other._terms
 
     def __len__(self) -> int:
-        return len(self.terms)
+        return len(self._terms)
 
     def filter_s_n(self, n: int) -> Expansion:
         """Quotient-ring reduction: drop basis terms outside S_n."""
-        return Expansion({u: c for u, c in self.terms.items() if u.in_s_n(n)})
+        return Expansion({u: c for u, c in self._terms.items() if u.in_s_n(n)})
 
     def at_q0(self) -> dict[Permutation, int]:
-        out = {u: c.at_q0() for u, c in self.terms.items()}
+        out = {u: c.at_q0() for u, c in self._terms.items()}
         return {u: c for u, c in out.items() if c != 0}
 
     def sorted_terms(self) -> list[tuple[Permutation, QPolynomial]]:
-        return sorted(self.terms.items(), key=lambda uc: uc[0].sort_key())
+        return sorted(self._terms.items(), key=lambda uc: uc[0].sort_key())
 
     def map_basis(self, fn) -> Expansion:
         """Replace every G[u] by fn(u) (an Expansion), keeping coefficients."""
-        out = Expansion.zero()
-        for u, coeff in self.terms.items():
-            out = out + fn(u).scaled(coeff)
-        return out
+        return _accumulate(
+            (v, m1 * m2, c1 * c2)
+            for u, coeff in self._terms.items()
+            for v, m2, c2 in fn(u)._triples()
+            for m1, c1 in coeff._terms.items()
+        )
 
     def render(self) -> str:
-        if not self.terms:
+        if not self._terms:
             return "0"
         parts = []
         for u, poly in self.sorted_terms():
@@ -213,15 +237,14 @@ class Expansion:
 
     @classmethod
     def from_json_obj(cls, obj: list[dict]) -> Expansion:
-        terms: dict[Permutation, QPolynomial] = {}
-        for rec in obj:
-            u = Permutation.from_one_line(rec["perm"])
-            poly: dict[QMonomial, int] = {}
-            for tr in rec["terms"]:
-                mono = QMonomial.from_dict({int(v): int(e) for v, e in tr["q"]})
-                poly[mono] = poly.get(mono, 0) + int(tr["c"])
-            terms[u] = QPolynomial(poly)
-        return cls(terms)
+        def triples() -> Iterator[_Triple]:
+            for rec in obj:
+                u = Permutation.from_one_line(rec["perm"])
+                for tr in rec["terms"]:
+                    mono = QMonomial.from_dict({int(v): int(e) for v, e in tr["q"]})
+                    yield u, mono, int(tr["c"])
+
+        return _accumulate(triples())
 
     @classmethod
     def from_json(cls, text: str) -> Expansion:
@@ -233,28 +256,44 @@ class Expansion:
         text = text.strip()
         if text == "0":
             return cls.zero()
-        out = cls.zero()
-        for sign, body in _split_signed_terms(text):
-            mult = 1
-            mono = QMonomial.one()
-            perm: Permutation | None = None
-            for factor in body.split("*"):
-                factor = factor.strip()
-                if re.fullmatch(r"\d+", factor):
-                    mult *= int(factor)
-                elif m := re.fullmatch(r"Q(\d+)(?:\^(\d+))?", factor):
-                    mono = mono * QMonomial.variable(int(m.group(1)), int(m.group(2) or 1))
-                elif m := re.fullmatch(r"G\[([0-9,]+)\]", factor):
-                    perm = Permutation.from_one_line(m.group(1))
-                else:
-                    raise ValueError(f"cannot parse factor {factor!r}")
-            if perm is None:
-                raise ValueError(f"term without basis symbol: {body!r}")
-            out.add_term(perm, sign, mono, mult)
-        return out
+        return _accumulate(_parse_term(sign, body) for sign, body in _split_signed_terms(text))
 
     def __repr__(self) -> str:
         return f"Expansion({self.render()})"
+
+
+def _accumulate(triples: Iterable[_Triple]) -> Expansion:
+    """
+    The sum of c * mono * G[u] over (u, mono, c) triples, in one dict pass
+    with zero coefficients dropped.  Every Expansion that sums terms is
+    built here.
+    """
+    acc: dict[Permutation, dict[QMonomial, int]] = {}
+    for u, mono, c in triples:
+        poly = acc.get(u)
+        if poly is None:
+            poly = acc[u] = {}
+        poly[mono] = poly.get(mono, 0) + c
+    return Expansion({u: QPolynomial(poly) for u, poly in acc.items()})
+
+
+def _parse_term(sign: int, body: str) -> _Triple:
+    mult = 1
+    mono = QMonomial.one()
+    perm: Permutation | None = None
+    for factor in body.split("*"):
+        factor = factor.strip()
+        if re.fullmatch(r"\d+", factor):
+            mult *= int(factor)
+        elif m := re.fullmatch(r"Q(\d+)(?:\^(\d+))?", factor):
+            mono = mono * QMonomial.variable(int(m.group(1)), int(m.group(2) or 1))
+        elif m := re.fullmatch(r"G\[([0-9,]+)\]", factor):
+            perm = Permutation.from_one_line(m.group(1))
+        else:
+            raise ValueError(f"cannot parse factor {factor!r}")
+    if perm is None:
+        raise ValueError(f"term without basis symbol: {body!r}")
+    return perm, mono, sign * mult
 
 
 def _split_signed_terms(text: str) -> list[tuple[int, str]]:
@@ -281,24 +320,19 @@ def pieri_expand(w: Permutation, k: int, p: int) -> Expansion:
         raise ValueError(f"k must be >= 1, got {k}")
     if not 0 <= p <= k:
         raise ValueError(f"p must be in 0..{k}, got {p}")
-    out = Expansion.zero()
-    for chain in enumerate_pieri_chains(w, k):
-        markings = enumerate_markings(chain, p)
-        if not markings:
-            continue
-        sign = -1 if (len(chain) - p) % 2 else 1
-        out.add_term(chain.end, sign, q_weight(chain.path), len(markings))
-    return out
+    return _accumulate(
+        (chain.end, q_weight(chain.path), (-1) ** (len(chain) - p) * count)
+        for chain in enumerate_pieri_chains(w, k)
+        if (count := marking_count(chain, p))
+    )
 
 
 @lru_cache(maxsize=None)
 def monk_lhs_expand(x: Permutation, k: int) -> Expansion:
     """Expand (1 - Q_k)(1 - x_k) G[x] via k-Monk chains from x."""
-    out = Expansion.zero()
-    for m in enumerate_monk_chains(x, k):
-        sign = -1 if m.t % 2 else 1
-        out.add_term(m.end, sign, q_weight(m.path))
-    return out
+    return _accumulate(
+        (m.end, q_weight(m.path), (-1) ** m.t) for m in enumerate_monk_chains(x, k)
+    )
 
 
 def expand_product_chain(w: Permutation, factors: list[tuple[int, int]]) -> Expansion:
@@ -312,7 +346,3 @@ def expand_product_chain(w: Permutation, factors: list[tuple[int, int]]) -> Expa
         out = out.map_basis(lambda u, k=k, p=p: pieri_expand(u, k, p))
     return out
 
-
-def pieri_factor_index(k: int, p: int) -> Permutation:
-    """Basis index of the degree-p column-k factor (a cyclic permutation)."""
-    return cyclic_permutation(k, p)

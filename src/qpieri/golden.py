@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .expansion import Expansion
+from .expansion import Expansion, _accumulate
 from .permutations import Permutation
 from .qbg import QMonomial
 
@@ -157,11 +157,10 @@ EX1_UNLISTED_CHAINS = (((2, 4),), ((2, 4), (2, 3)))
 
 
 def expected_expansion(ex: WorkedExample) -> Expansion:
-    out = Expansion.zero()
-    for coeff, qexp, perm in ex.terms:
-        mono = QMonomial.from_dict(dict(qexp))
-        out.add_term(Permutation.from_one_line(perm), 1, mono, coeff)
-    return out
+    return _accumulate(
+        (Permutation.from_one_line(perm), QMonomial.from_dict(dict(qexp)), coeff)
+        for coeff, qexp, perm in ex.terms
+    )
 
 
 def expected_table(ex: WorkedExample) -> str:

@@ -167,9 +167,3 @@ def label_sort_key(label: Label) -> tuple[int, int]:
     a, b = label
     return (-b, a)
 
-
-def check_label(label: Label) -> Label:
-    a, b = label
-    if not (isinstance(a, int) and isinstance(b, int) and 1 <= a < b):
-        raise ValueError(f"bad label {label}")
-    return label

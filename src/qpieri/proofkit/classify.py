@@ -274,16 +274,3 @@ def classify(q: PairedChain, level: int, k: int) -> tuple:
         raise ValueError("stage-3 tags apply to level-k marked chains or class F")
     raise ValueError(f"level must be 1..3, got {level}")
 
-
-def check_partition(universe, tag_fn, expected_tags) -> dict:
-    """
-    Tag every element; verify each lands in exactly one expected class.
-    Returns {tag: [elements]} raising on an unexpected tag.
-    """
-    buckets: dict = {t: [] for t in expected_tags}
-    for q in universe:
-        tag = tag_fn(q)
-        if tag not in buckets:
-            raise AssertionError(f"unexpected tag {tag} for {q}")
-        buckets[tag].append(q)
-    return buckets

@@ -27,7 +27,7 @@ from ..chains import (
     enumerate_pieri_chains,
     is_marking,
 )
-from ..expansion import Expansion
+from ..expansion import Expansion, _accumulate
 from ..permutations import Permutation
 from ..qbg import QMonomial, q_weight
 
@@ -78,11 +78,6 @@ class WeightTerm:
     qmono: QMonomial
     basis: Permutation
 
-    def to_expansion(self) -> Expansion:
-        out = Expansion.zero()
-        out.add_term(self.basis, self.sign, self.qmono)
-        return out
-
 
 def weight(q: PairedChain, g: int) -> WeightTerm:
     """F at level (h, g); h is implicit in the chain."""
@@ -98,20 +93,16 @@ def marked_weight(mc: MarkedChain, g: int) -> WeightTerm:
     return WeightTerm(sign, q_weight(mc.chain.path), mc.end)
 
 
+def _sum_terms(terms) -> Expansion:
+    return _accumulate((t.basis, t.qmono, t.sign) for t in terms)
+
+
 def sum_weights(elements, g: int) -> Expansion:
-    out = Expansion.zero()
-    for q in elements:
-        term = weight(q, g)
-        out.add_term(term.basis, term.sign, term.qmono)
-    return out
+    return _sum_terms(weight(q, g) for q in elements)
 
 
 def sum_marked_weights(elements, g: int) -> Expansion:
-    out = Expansion.zero()
-    for mc in elements:
-        term = marked_weight(mc, g)
-        out.add_term(term.basis, term.sign, term.qmono)
-    return out
+    return _sum_terms(marked_weight(mc, g) for mc in elements)
 
 
 @lru_cache(maxsize=None)
@@ -139,10 +130,3 @@ def enumerate_paired(w: Permutation, h: int, g: int, k: int) -> tuple[PairedChai
         for monk in monk_chains_from(mc.end, k):
             out.append(PairedChain(mc, monk))
     return tuple(out)
-
-
-def embed_marked(mc: MarkedChain, k: int) -> PairedChain:
-    """Identify a marked chain with the paired chain having empty Monk part."""
-    from ..qbg import DirectedPath
-
-    return PairedChain(mc, MonkChain(DirectedPath.empty(mc.end), k, 0, 0))

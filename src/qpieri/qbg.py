@@ -153,12 +153,6 @@ class DirectedPath:
             self.end.apply(label),
         )
 
-    def vertices(self) -> list[Permutation]:
-        out = [self.start]
-        for label in self.labels:
-            out.append(out[-1].apply(label))
-        return out
-
     def render(self) -> str:
         """Display text: '(321 ; (1,4)_B, (2,3)_Q)'."""
         if not self.labels:

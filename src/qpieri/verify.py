@@ -201,7 +201,7 @@ def _suite_monk(max_n: int | None) -> SuiteReport:
 
 
 def _suite_commutativity(max_n: int | None) -> SuiteReport:
-    kmax = max_n or 3
+    kmax = 3 if max_n is None else max_n
     report = SuiteReport(
         "commutativity", f"w in S_3, factor pairs with columns <= {kmax}"
     )
@@ -227,7 +227,7 @@ def _brute_force_marking_count(chain, p: int) -> int:
 
 
 def _suite_markings(max_n: int | None) -> SuiteReport:
-    n = max_n or 4
+    n = 4 if max_n is None else max_n
     report = SuiteReport("markings", f"all chains over S_{n}, columns <= 3")
     for w in all_permutations(n):
         for k in (1, 2, 3):
@@ -518,7 +518,7 @@ def _suite_bijections(max_n: int | None) -> SuiteReport:
 
 
 def _suite_lemmas(max_n: int | None) -> SuiteReport:
-    n = max_n or 5
+    n = 5 if max_n is None else max_n
     report = SuiteReport("lemmas", f"forbidden patterns inside S_{n}")
     for scan in all_scans(n=n):
         report.checked += scan.checked
@@ -565,7 +565,7 @@ def enumerate_surgery_paths(w: Permutation, k: int, bound: int):
 
 
 def _suite_insertion(max_n: int | None) -> SuiteReport:
-    n = max_n or 4
+    n = 4 if max_n is None else max_n
     bound = 5
     report = SuiteReport(
         "insertion", f"paths from S_{n} starts, columns <= {bound}, k <= 3"
@@ -635,7 +635,7 @@ def _suite_ledger(max_n: int | None) -> SuiteReport:
 
 
 def _suite_edges(max_n: int | None) -> SuiteReport:
-    n = max_n or 6
+    n = 6 if max_n is None else max_n
     report = SuiteReport("edges", f"x in S_{n}, labels with column <= {n + 1}")
     for x in all_permutations(n):
         for a in range(1, n + 1):

@@ -7,6 +7,7 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qpieri import classical
 from qpieri.classical import (
     XPolynomial,
     divided_difference,
@@ -16,6 +17,7 @@ from qpieri.classical import (
     verify_pieri_at_q0,
     verify_recurrence_at_q0,
 )
+from qpieri.expansion import Expansion, pieri_expand
 from qpieri.permutations import Permutation, all_permutations
 
 P = Permutation.from_one_line
@@ -110,6 +112,29 @@ def test_monk_identity_at_q0():
     for x in all_permutations(3):
         for k in (1, 2):
             assert verify_monk_at_q0(x, k)
+
+
+def test_pieri_oracle_detects_a_dropped_term(monkeypatch):
+    # removing one Q = 0 term of a correct expansion breaks the identity,
+    # since the Grothendieck polynomials are linearly independent
+    def drop_one(w, k, p):
+        full = pieri_expand(w, k, p)
+        gone = min(full.at_q0(), key=Permutation.sort_key)
+        return Expansion({u: c for u, c in full.terms.items() if u != gone})
+
+    monkeypatch.setattr(classical, "pieri_expand", drop_one)
+    for w in all_permutations(3):
+        for k in (1, 2, 3):
+            for p in range(0, k + 1):
+                assert not verify_pieri_at_q0(w, k, p), (w.one_line(), k, p)
+
+
+def test_monk_oracle_rejects_the_bare_input_symbol(monkeypatch):
+    # x_k * G_x != 0, so (1 - x_k) G_x is never G_x alone
+    monkeypatch.setattr(classical, "monk_lhs_expand", lambda x, k: Expansion.basis(x))
+    for x in all_permutations(3):
+        for k in (1, 2):
+            assert not verify_monk_at_q0(x, k), (x.one_line(), k)
 
 
 def test_recurrence_at_q0():

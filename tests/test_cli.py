@@ -49,8 +49,43 @@ def test_expand_degree_zero(capsys):
 
 
 def test_expand_rejects_bad_degree(capsys):
-    with pytest.raises(SystemExit):
+    with pytest.raises(SystemExit) as exc:
         main(["expand", "--w", "321", "--k", "2", "--p", "3"])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["expand", "--w", "321", "--k", "0", "--p", "0"],
+        ["monk", "--x", "321", "--k", "0"],
+        ["expand", "--w", "3x1", "--k", "2", "--p", "1"],
+        ["expand", "--w", "331", "--k", "2", "--p", "1"],
+        ["monk", "--x", "0", "--k", "1"],
+        ["chains", "--w", "321", "--k", "2", "--p", "5"],
+        ["markings", "--w", "321", "--k", "2", "--p", "-1"],
+        ["expand", "--w", "321", "--k", "2", "--p", "2", "--filter-sn", "0"],
+        ["verify", "--suite", "edges", "--max-n", "0"],
+    ],
+)
+def test_bad_input_is_a_usage_error(args, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(args)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error:" in captured.err
+
+
+def test_bad_permutation_exits_2_without_traceback():
+    result = subprocess.run(
+        [sys.executable, "-m", "qpieri.cli", "expand", "--w", "3x1", "--k", "2", "--p", "1"],
+        capture_output=True,
+        text=True,
+    )
+    assert result.returncode == 2
+    assert "Traceback" not in result.stderr
+    assert "bad permutation" in result.stderr
 
 
 def test_chains_minimal(capsys):
@@ -103,6 +138,10 @@ def test_filter_sn(capsys):
         ["expand", "--w", "321", "--k", "2", "--p", "2", "--filter-sn", "3"], capsys
     )
     assert out.strip() == "Q1*Q2*G[132]"
+    code, out = run_cli(
+        ["expand", "--w", "321", "--k", "2", "--p", "2", "--filter-sn", "1"], capsys
+    )
+    assert code == 0 and out == "0\n"
 
 
 def test_verify_suite_pass(capsys):

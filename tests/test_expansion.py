@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pathlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,6 +21,7 @@ from qpieri.permutations import Permutation, all_permutations
 from qpieri.qbg import EdgeKind, QMonomial
 
 P = Permutation.from_one_line
+DATA = pathlib.Path(__file__).parent / "data"
 
 
 def test_ex1_expansion_terms():
@@ -65,7 +68,7 @@ def test_pair_sum_equals_counted_sum():
                 for chain in enumerate_pieri_chains(w, k):
                     for _ in enumerate_markings(chain, p):
                         sign = -1 if (len(chain) - p) % 2 else 1
-                        by_pairs.add_term(chain.end, sign, q_weight(chain.path))
+                        by_pairs = by_pairs.add_term(chain.end, sign, q_weight(chain.path))
                 assert by_pairs == pieri_expand(w, k, p)
 
 
@@ -77,15 +80,17 @@ def _oracle_monk_expansion(x, k):
         for lab, kind in zip(m.labels, m.path.kinds):
             if kind is EdgeKind.QUANTUM:
                 mono = mono * QMonomial.q_range(*lab)
-        out.add_term(m.end, sign, mono)
+        out = out.add_term(m.end, sign, mono)
     return out
 
 
 def test_monk_expansion_identity_case():
     got = monk_lhs_expand(Permutation.identity(), 1)
-    want = Expansion.zero()
-    want.add_term(Permutation.identity(), 1, QMonomial.one())
-    want.add_term(P("21"), -1, QMonomial.one())
+    want = (
+        Expansion.zero()
+        .add_term(Permutation.identity(), 1, QMonomial.one())
+        .add_term(P("21"), -1, QMonomial.one())
+    )
     assert got == want
 
 
@@ -214,6 +219,28 @@ def test_expansion_module_axioms(e1, e2):
     assert e1 + e2 == e2 + e1
     assert (e1 - e1).is_zero()
     assert e1 + Expansion.zero() == e1
+
+
+def test_cached_expansion_cannot_be_mutated():
+    got = pieri_expand(P("321"), 2, 2)
+    with pytest.raises(TypeError):
+        got.terms[P("21")] = QPolynomial.from_int(1)
+    with pytest.raises(TypeError):
+        got.terms[P("4312")].terms[QMonomial.one()] = 5
+    bigger = got.add_term(P("21"), 1, QMonomial.one())
+    assert bigger is not got
+    assert len(bigger) == len(got) + 1
+    assert pieri_expand(P("321"), 2, 2).render() + "\n" == (DATA / "ex1_expand.txt").read_text()
+
+
+@given(expansions())
+@settings(max_examples=40, deadline=None)
+def test_map_basis_is_the_linear_extension(e):
+    fn = lambda u: pieri_expand(u, 2, 1)
+    folded = Expansion.zero()
+    for u, coeff in e.terms.items():
+        folded = folded + fn(u).scaled(coeff)
+    assert e.map_basis(fn) == folded
 
 
 def test_filter_sn():

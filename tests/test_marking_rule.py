@@ -96,7 +96,7 @@ def _expand_with(w, k, p, count_fn):
         count = count_fn(chain, p)
         if count:
             sign = -1 if (len(chain) - p) % 2 else 1
-            out.add_term(chain.end, sign, q_weight(chain.path), count)
+            out = out.add_term(chain.end, sign, q_weight(chain.path), count)
     return out
 
 

@@ -26,8 +26,14 @@ rows, which gives the closed-form count
 
   #markings = C(m0 - m, p - m),
 
-m0 = number of distinct rows, m = number of forced labels (0 if a forced
-label is not a first occurrence: then no marking exists).
+m0 = number of distinct rows, m = number of forced labels.  Every forced
+label is a first occurrence: the labels forced by (3) form an initial run
+with strictly decreasing rows, and by (P2) a non-final label whose row
+repeats precedes its successor, so (2) never forces it.
+
+`pieri_degree_rows` sums these counts for every p in one walk over the
+chains, building no chain objects; `enumerate_pieri_chains` and the
+marking functions stay as its reference.
 
 All enumeration runs inside the ambient bound N = max(support, k) + 1: no
 QBG edge usable by these chains has column beyond N, which is re-asserted
@@ -380,3 +386,115 @@ def is_marking(chain: PieriChain, marks: frozenset) -> bool:
             break
     return True
 
+
+
+# --- every degree in one walk ---------------------------------------------
+
+# (padded end window, Q-exponents (e_1, ..., e_{N-1})) -> coefficient per p
+DegreeRows = dict[tuple[tuple[int, ...], tuple[int, ...]], list[int]]
+
+
+def pieri_degree_rows(w: Permutation, k: int) -> DegreeRows:
+    """
+    Every degree p = 0..k of G[w] * G^k_p from one depth-first walk over
+    the k-Pieri chains from w, with the label pool, label order and pruning
+    of `enumerate_pieri_chains` but no chain objects: the walk swaps window
+    entries and adds the Q-exponents of quantum edges on the way down and
+    undoes both on return.
+
+    A chain of length r with m0 distinct rows and m forced labels adds
+    (-1)^(r-p) * C(m0 - m, p - m) to row[p] for every p in m..m0, under the
+    key (end window padded to N = max(support(w), k) + 1, exponents of
+    Q_1..Q_{N-1}).  Both counts grow along a path: m0 when a row is used
+    for the first time, and m when a label is forced.  The first label is
+    forced by condition (3).  Every later label (a,b) that follows (c,b)
+    with c > a forces one more: the new label if the initial run is still
+    unbroken (condition (3)), otherwise (c,b) itself (condition (2)); a
+    label that does not descend this way follows its predecessor in the
+    label order and forces nothing.  Forced labels are first occurrences
+    (module docstring), so no chain needs a feasibility check.
+
+    >>> rows = pieri_degree_rows(Permutation.from_one_line("321"), 2)
+    >>> for (window, exps), row in sorted(rows.items()):
+    ...     if row[2]:
+    ...         print(Permutation(window).one_line(), exps, row[2])
+    132 (1, 1, 0) 1
+    1342 (1, 1, 0) -1
+    1423 (1, 1, 0) -1
+    1432 (1, 1, 0) 1
+    4123 (0, 1, 0) 1
+    4132 (0, 1, 0) -1
+    4312 (0, 0, 0) 1
+    """
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    bound = max(w.support, k) + 1
+    _assert_root_bound(w, k, bound)
+    pool = sorted(
+        ((a, b) for a in range(1, k + 1) for b in range(k + 1, bound + 1)),
+        key=label_sort_key,
+    )
+    # by (P1) a chain ending in column b continues with the pool from column b on
+    tail_from = {b: [lab for lab in pool if lab[1] <= b] for b in range(k + 1, bound + 1)}
+    # (p, (-1)^p * C(m0 - m, p - m)) for every p a chain with counts m0, m reaches
+    weights = [
+        [[(p, (-1) ** p * comb(m0 - m, p - m)) for p in range(m, m0 + 1)] for m in range(m0 + 1)]
+        for m0 in range(k + 1)
+    ]
+    window = list(w.extended(bound))
+    exps = [0] * (bound - 1)
+    row_uses = [0] * (k + 1)
+    used: set[Label] = set()
+    rows: DegreeRows = {}
+
+    def visit(candidates: list[Label], last: Label, r: int, m0: int, m: int) -> None:
+        key = (tuple(window), tuple(exps))
+        row = rows.get(key)
+        if row is None:
+            row = rows[key] = [0] * (k + 1)
+        sign = -1 if r % 2 else 1
+        for p, c in weights[m0][m]:
+            row[p] += sign * c
+        last_a, last_b = last
+        for label in candidates:
+            if label in used:
+                continue
+            a, b = label
+            descends = b == last_b and a < last_a
+            # (P2): a non-final label whose row repeats precedes its successor
+            if descends and row_uses[last_a] > 1:
+                continue
+            # the window criterion of `edge_kind`, on the list in place
+            xa, xb = window[a - 1], window[b - 1]
+            between = window[a : b - 1]
+            if xa < xb:
+                quantum = False
+                if any(xa < x < xb for x in between):
+                    continue
+            else:
+                quantum = True
+                if not all(xb < x < xa for x in between):
+                    continue
+            window[a - 1], window[b - 1] = xb, xa
+            if quantum:
+                for v in range(a - 1, b - 1):
+                    exps[v] += 1
+            used.add(label)
+            row_uses[a] += 1
+            visit(
+                tail_from[b],
+                label,
+                r + 1,
+                m0 + (row_uses[a] == 1),
+                m + (descends or r == 0),
+            )
+            row_uses[a] -= 1
+            used.discard(label)
+            if quantum:
+                for v in range(a - 1, b - 1):
+                    exps[v] -= 1
+            window[a - 1], window[b - 1] = xa, xb
+
+    # the root's sentinel last label (0, N) neither descends nor repeats a row
+    visit(pool, (0, bound), 0, 0, 0)
+    return rows

@@ -20,7 +20,7 @@ from .chains import enumerate_markings, enumerate_pieri_chains
 from .expansion import Expansion, monk_lhs_expand, pieri_expand
 from .permutations import Permutation
 from .render import chains_table, markings_table
-from .verify import SUITES, run_suite
+from .verify import SIZED_SUITES, SUITES, run_suite
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -130,7 +130,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run a verification suite")
     p_verify.add_argument("--suite", required=True, choices=SUITES)
     p_verify.add_argument("--max-n", type=int, default=None,
-                          help="override the default universe bound")
+                          help="override the default universe bound of a sized suite "
+                               f"({', '.join(sorted(SIZED_SUITES))})")
     p_verify.add_argument("--format", choices=("text", "json"), default="text")
     p_verify.add_argument("--out", default=None)
     p_verify.set_defaults(func=cmd_verify)
@@ -159,6 +160,8 @@ def _validate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None
         value = getattr(args, flag, None)
         if value is not None and value < 1:
             parser.error(f"--{flag.replace('_', '-')} must be >= 1, got {value}")
+    if getattr(args, "max_n", None) is not None and args.suite not in SIZED_SUITES:
+        parser.error(f"suite {args.suite} has a fixed universe and takes no --max-n")
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -14,6 +14,10 @@ and the divisor-type product satisfies
       = sum over k-Monk chains m from x of
         (-1)^(length of the (k,*)-segment) * Q(m) * G[end(m)].
 
+One walk over the k-Pieri chains from w gives every degree p = 0..k of
+the first product at once; its terms are cached per (w, k), and
+`pieri_expand(w, k, p)` sums the degree-p coefficients.
+
 Coefficient arithmetic is exact integer throughout; an Expansion is a
 finite map from basis permutations to Z[Q]-polynomials with no zero
 entries, so equality of expansions is structural equality.  Expansions
@@ -35,7 +39,7 @@ from collections.abc import Iterable, Iterator, Mapping
 from functools import lru_cache
 from types import MappingProxyType
 
-from .chains import enumerate_monk_chains, enumerate_pieri_chains, marking_count
+from .chains import enumerate_monk_chains, pieri_degree_rows
 from .permutations import Permutation
 from .qbg import QMonomial, q_weight
 
@@ -311,6 +315,27 @@ def _split_signed_terms(text: str) -> list[tuple[int, str]]:
 
 
 @lru_cache(maxsize=None)
+def _pieri_rows(w: Permutation, k: int) -> tuple[tuple[Permutation, QMonomial, tuple[int, ...]], ...]:
+    """
+    (end, Q-weight, coefficient of each degree p = 0..k) for every term of
+    G[w] * G^k_p, from one walk over the k-Pieri chains.  Each distinct end
+    and monomial is built once and shared by its terms and by every degree.
+    """
+    perms: dict[tuple[int, ...], Permutation] = {}
+    monos: dict[tuple[int, ...], QMonomial] = {}
+    out = []
+    for (window, exps), row in pieri_degree_rows(w, k).items():
+        if not any(row):
+            continue
+        if window not in perms:
+            perms[window] = Permutation(window)
+        if exps not in monos:
+            monos[exps] = QMonomial(tuple((v, e) for v, e in enumerate(exps, 1) if e))
+        out.append((perms[window], monos[exps], tuple(row)))
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
 def pieri_expand(w: Permutation, k: int, p: int) -> Expansion:
     """
     Expand G[w] * G^k_p in the formal basis: the signed, marking-counted,
@@ -320,11 +345,7 @@ def pieri_expand(w: Permutation, k: int, p: int) -> Expansion:
         raise ValueError(f"k must be >= 1, got {k}")
     if not 0 <= p <= k:
         raise ValueError(f"p must be in 0..{k}, got {p}")
-    return _accumulate(
-        (chain.end, q_weight(chain.path), (-1) ** (len(chain) - p) * count)
-        for chain in enumerate_pieri_chains(w, k)
-        if (count := marking_count(chain, p))
-    )
+    return _accumulate((u, mono, row[p]) for u, mono, row in _pieri_rows(w, k) if row[p])
 
 
 @lru_cache(maxsize=None)

@@ -100,18 +100,24 @@ SUITES = (
     "ledger",
     "edges",
 )
+# suites whose universe has a size; the others check a fixed universe
+SIZED_SUITES = frozenset({"commutativity", "markings", "lemmas", "insertion", "edges"})
 
 
 def run_suite(name: str, max_n: int | None = None) -> SuiteReport:
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITES)}")
-    return _RUNNERS[name](max_n)
+    if name in SIZED_SUITES:
+        return _RUNNERS[name](max_n)
+    if max_n is not None:
+        raise ValueError(f"suite {name!r} has a fixed universe and takes no max_n")
+    return _RUNNERS[name]()
 
 
 # --- appendix-c -------------------------------------------------------------
 
 
-def _suite_appendix_c(max_n: int | None) -> SuiteReport:
+def _suite_appendix_c() -> SuiteReport:
     report = SuiteReport("appendix-c", "the two bundled worked examples")
     for ex in (EX1, EX2):
         w = Permutation.from_one_line(ex.w)
@@ -135,7 +141,7 @@ def _suite_appendix_c(max_n: int | None) -> SuiteReport:
 # --- classical --------------------------------------------------------------
 
 
-def _suite_classical(max_n: int | None) -> SuiteReport:
+def _suite_classical() -> SuiteReport:
     report = SuiteReport(
         "classical",
         "products over S_3 at columns 1..3, one S_5 spot check, divisor checks "
@@ -171,7 +177,7 @@ def _suite_classical(max_n: int | None) -> SuiteReport:
 # --- monk -------------------------------------------------------------------
 
 
-def _suite_monk(max_n: int | None) -> SuiteReport:
+def _suite_monk() -> SuiteReport:
     report = SuiteReport("monk", "Monk chains over S_3, columns 1..2")
     e = Permutation.identity()
     report.check(
@@ -503,7 +509,7 @@ def _check_split_bijection(report, name, domain, cod_marked, cod_paired,
     )
 
 
-def _suite_bijections(max_n: int | None) -> SuiteReport:
+def _suite_bijections() -> SuiteReport:
     report = SuiteReport(
         "bijections", "w in S_3, columns 2..3, all marking levels"
     )
@@ -604,7 +610,7 @@ def _suite_insertion(max_n: int | None) -> SuiteReport:
 # --- ledger -----------------------------------------------------------------
 
 
-def _suite_ledger(max_n: int | None) -> SuiteReport:
+def _suite_ledger() -> SuiteReport:
     report = SuiteReport(
         "ledger", "assembled identities for w in S_3 at column 2"
     )

@@ -11,6 +11,7 @@ import pytest
 
 from qpieri.cli import main
 from qpieri.expansion import Expansion
+from qpieri.verify import SIZED_SUITES, SUITES, run_suite
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -75,6 +76,22 @@ def test_bad_input_is_a_usage_error(args, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "error:" in captured.err
+
+
+UNSIZED_SUITES = ["appendix-c", "classical", "monk", "bijections", "ledger"]
+
+
+@pytest.mark.parametrize("suite", UNSIZED_SUITES)
+def test_max_n_on_a_fixed_universe_suite_is_a_usage_error(suite, capsys):
+    assert set(SUITES) - SIZED_SUITES == set(UNSIZED_SUITES)
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--suite", suite, "--max-n", "3"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "takes no --max-n" in captured.err and "Traceback" not in captured.err
+    with pytest.raises(ValueError, match="takes no max_n"):
+        run_suite(suite, max_n=3)
 
 
 def test_bad_permutation_exits_2_without_traceback():

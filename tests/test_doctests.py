@@ -1,0 +1,16 @@
+"""The `>>>` examples in the module docstrings run and hold."""
+
+from __future__ import annotations
+
+import doctest
+
+import pytest
+
+from qpieri import chains, permutations, qbg
+
+
+@pytest.mark.parametrize("module", [permutations, qbg, chains], ids=lambda m: m.__name__)
+def test_module_examples(module):
+    result = doctest.testmod(module)
+    assert result.attempted > 0
+    assert result.failed == 0

@@ -33,7 +33,10 @@ repeats precedes its successor, so (2) never forces it.
 
 `pieri_degree_rows` sums these counts for every p in one walk over the
 chains, building no chain objects; `enumerate_pieri_chains` and the
-marking functions stay as its reference.
+marking functions stay as its reference.  Each QBG edge fixes the change
+in length (+1 for a Bruhat edge, -2(b-a)+1 for a quantum edge (a,b)), so
+the walk carries the length of the current end down the search and hands
+it to every end it reports, which is then never recounted.
 
 All enumeration runs inside the ambient bound N = max(support, k) + 1: no
 QBG edge usable by these chains has column beyond N, which is re-asserted
@@ -392,9 +395,11 @@ def is_marking(chain: PieriChain, marks: frozenset) -> bool:
 
 # (padded end window, Q-exponents (e_1, ..., e_{N-1})) -> coefficient per p
 DegreeRows = dict[tuple[tuple[int, ...], tuple[int, ...]], list[int]]
+# padded end window -> its length, carried along the walk
+EndLengths = dict[tuple[int, ...], int]
 
 
-def pieri_degree_rows(w: Permutation, k: int) -> DegreeRows:
+def pieri_degree_rows(w: Permutation, k: int) -> tuple[DegreeRows, EndLengths]:
     """
     Every degree p = 0..k of G[w] * G^k_p from one depth-first walk over
     the k-Pieri chains from w, with the label pool, label order and pruning
@@ -414,7 +419,11 @@ def pieri_degree_rows(w: Permutation, k: int) -> DegreeRows:
     label order and forces nothing.  Forced labels are first occurrences
     (module docstring), so no chain needs a feasibility check.
 
-    >>> rows = pieri_degree_rows(Permutation.from_one_line("321"), 2)
+    The walk also carries the length of the current end: each edge fixes
+    its change, +1 for a Bruhat edge and -2(b-a)+1 for a quantum edge
+    (a,b).  The second mapping returned holds the length of every end.
+
+    >>> rows, lengths = pieri_degree_rows(Permutation.from_one_line("321"), 2)
     >>> for (window, exps), row in sorted(rows.items()):
     ...     if row[2]:
     ...         print(Permutation(window).one_line(), exps, row[2])
@@ -425,6 +434,8 @@ def pieri_degree_rows(w: Permutation, k: int) -> DegreeRows:
     4123 (0, 1, 0) 1
     4132 (0, 1, 0) -1
     4312 (0, 0, 0) 1
+    >>> lengths[(4, 3, 1, 2)], lengths[(1, 3, 2, 4)]
+    (5, 1)
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -446,12 +457,15 @@ def pieri_degree_rows(w: Permutation, k: int) -> DegreeRows:
     row_uses = [0] * (k + 1)
     used: set[Label] = set()
     rows: DegreeRows = {}
+    lengths: EndLengths = {}
 
-    def visit(candidates: list[Label], last: Label, r: int, m0: int, m: int) -> None:
-        key = (tuple(window), tuple(exps))
+    def visit(candidates: list[Label], last: Label, r: int, m0: int, m: int, ell: int) -> None:
+        end = tuple(window)
+        key = (end, tuple(exps))
         row = rows.get(key)
         if row is None:
             row = rows[key] = [0] * (k + 1)
+            lengths[end] = ell
         sign = -1 if r % 2 else 1
         for p, c in weights[m0][m]:
             row[p] += sign * c
@@ -464,37 +478,37 @@ def pieri_degree_rows(w: Permutation, k: int) -> DegreeRows:
             # (P2): a non-final label whose row repeats precedes its successor
             if descends and row_uses[last_a] > 1:
                 continue
-            # the window criterion of `edge_kind`, on the list in place
+            # the window criterion of `edge_kind`, on the list in place: the
+            # positions strictly between a and b hold no value in (lo, hi)
+            # for a Bruhat edge, and only such values for a quantum edge
             xa, xb = window[a - 1], window[b - 1]
-            between = window[a : b - 1]
-            if xa < xb:
-                quantum = False
-                if any(xa < x < xb for x in between):
-                    continue
+            quantum = xa > xb
+            lo, hi = (xb, xa) if quantum else (xa, xb)
+            for c in range(a, b - 1):
+                if (lo < window[c] < hi) is not quantum:
+                    break
             else:
-                quantum = True
-                if not all(xb < x < xa for x in between):
-                    continue
-            window[a - 1], window[b - 1] = xb, xa
-            if quantum:
-                for v in range(a - 1, b - 1):
-                    exps[v] += 1
-            used.add(label)
-            row_uses[a] += 1
-            visit(
-                tail_from[b],
-                label,
-                r + 1,
-                m0 + (row_uses[a] == 1),
-                m + (descends or r == 0),
-            )
-            row_uses[a] -= 1
-            used.discard(label)
-            if quantum:
-                for v in range(a - 1, b - 1):
-                    exps[v] -= 1
-            window[a - 1], window[b - 1] = xa, xb
+                window[a - 1], window[b - 1] = xb, xa
+                if quantum:
+                    for v in range(a - 1, b - 1):
+                        exps[v] += 1
+                used.add(label)
+                row_uses[a] += 1
+                visit(
+                    tail_from[b],
+                    label,
+                    r + 1,
+                    m0 + (row_uses[a] == 1),
+                    m + (descends or r == 0),
+                    ell + (2 * (a - b) + 1 if quantum else 1),
+                )
+                row_uses[a] -= 1
+                used.discard(label)
+                if quantum:
+                    for v in range(a - 1, b - 1):
+                        exps[v] -= 1
+                window[a - 1], window[b - 1] = xa, xb
 
     # the root's sentinel last label (0, N) neither descends nor repeats a row
-    visit(pool, (0, bound), 0, 0, 0)
-    return rows
+    visit(pool, (0, bound), 0, 0, 0, w.length())
+    return rows, lengths

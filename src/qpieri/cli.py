@@ -13,6 +13,7 @@ Exit codes: 0 success, 1 verification failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -94,6 +95,12 @@ def cmd_verify(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """A fresh parser of the whole command line."""
+    return _build_parsers()[0]
+
+
+def _build_parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and each subcommand's own parser, by name."""
     parser = argparse.ArgumentParser(
         prog="qpieri",
         description="Quantum Pieri products via chains in the quantum Bruhat graph",
@@ -135,13 +142,20 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--format", choices=("text", "json"), default="text")
     p_verify.add_argument("--out", default=None)
     p_verify.set_defaults(func=cmd_verify)
-    return parser
+    return parser, sub.choices
+
+
+@functools.cache
+def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The parsers `main` uses, built on its first call and kept for the process."""
+    return _build_parsers()
 
 
 def _validate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
     """
     Check every input before any computation; a bad one is a usage error
-    (exit 2).  Permutation flags are replaced by the parsed permutation.
+    (exit 2), reported through `parser`, the subcommand's own parser.
+    Permutation flags are replaced by the parsed permutation.
     """
     for flag in ("w", "x"):
         text = getattr(args, flag, None)
@@ -165,9 +179,9 @@ def _validate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    parser, commands = _parsers()
     args = parser.parse_args(argv)
-    _validate(parser, args)
+    _validate(commands[args.command], args)
     return args.func(args)
 
 

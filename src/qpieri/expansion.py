@@ -319,16 +319,19 @@ def _pieri_rows(w: Permutation, k: int) -> tuple[tuple[Permutation, QMonomial, t
     """
     (end, Q-weight, coefficient of each degree p = 0..k) for every term of
     G[w] * G^k_p, from one walk over the k-Pieri chains.  Each distinct end
-    and monomial is built once and shared by its terms and by every degree.
+    and monomial is built once and shared by its terms and by every degree;
+    an end is a swap of w's window, so it is not re-validated, and it keeps
+    the length the walk carried to it.
     """
+    rows, lengths = pieri_degree_rows(w, k)
     perms: dict[tuple[int, ...], Permutation] = {}
     monos: dict[tuple[int, ...], QMonomial] = {}
     out = []
-    for (window, exps), row in pieri_degree_rows(w, k).items():
+    for (window, exps), row in rows.items():
         if not any(row):
             continue
         if window not in perms:
-            perms[window] = Permutation(window)
+            perms[window] = Permutation._from_swapped(window, lengths[window])
         if exps not in monos:
             monos[exps] = QMonomial(tuple((v, e) for v, e in enumerate(exps, 1) if e))
         out.append((perms[window], monos[exps], tuple(row)))

@@ -7,6 +7,12 @@ w(i) = a_i for i <= n and w(j) = j for j > n.  Windows are kept canonical:
 trailing fixed points are trimmed, so structural equality of windows is
 equality in S_oo.
 
+An element is an immutable value with slots and no `__dict__`.  Its
+length (number of inversions) is computed on first use and kept on the
+instance; a window made by swapping two entries of a permutation (`apply`,
+the ends of the chain walk) is built without re-validation and may bring
+its length along.
+
 Transpositions (a, b) with a < b act on the right by swapping positions,
 i.e. (w * (a,b))(a) = w(b).  They double as edge labels of the quantum
 Bruhat graph; `label_precedes` is the total order used by the chain
@@ -24,18 +30,21 @@ conditions: (a,b) comes before (c,d) iff b > d, or b = d and a < c.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from functools import lru_cache
+from bisect import bisect_left, insort
+from collections.abc import Sequence
+from dataclasses import dataclass, field
 
 # A transposition (a, b) with 1 <= a < b, used as a QBG edge label.
 Label = tuple[int, int]
 
 
-@dataclass(frozen=True, order=False)
+@dataclass(frozen=True, slots=True)
 class Permutation:
     """A permutation of {1, 2, ...} fixing all but finitely many points."""
 
     window: tuple[int, ...]
+    # the number of inversions, filled on first use (or by `_from_swapped`)
+    _length: int | None = field(default=None, init=False, compare=False, hash=False, repr=False)
 
     def __post_init__(self) -> None:
         win = tuple(self.window)
@@ -45,6 +54,21 @@ class Permutation:
         while win and win[-1] == len(win):
             win = win[:-1]
         object.__setattr__(self, "window", win)
+
+    @classmethod
+    def _from_swapped(cls, values: Sequence[int], length: int | None = None) -> Permutation:
+        """
+        The element with window `values`, trimmed but not validated: the
+        caller made `values` by swapping entries of a permutation window,
+        and `length`, if given, is its number of inversions.
+        """
+        n = len(values)
+        while n and values[n - 1] == n:
+            n -= 1
+        self = object.__new__(cls)
+        object.__setattr__(self, "window", tuple(values[:n]))
+        object.__setattr__(self, "_length", length)
+        return self
 
     @classmethod
     def identity(cls) -> Permutation:
@@ -65,9 +89,7 @@ class Permutation:
     def one_line(self) -> str:
         """One-line text form; identity prints as '1'."""
         win = self.window or (1,)
-        if len(win) <= 9:
-            return "".join(str(v) for v in win)
-        return ",".join(str(v) for v in win)
+        return ("" if len(win) <= 9 else ",").join(map(str, win))
 
     def __call__(self, i: int) -> int:
         if i <= 0:
@@ -83,16 +105,27 @@ class Permutation:
         return not self.window
 
     def length(self) -> int:
-        return _length(self.window)
+        """Number of inversions, counted on the first call only."""
+        ell = self._length
+        if ell is None:
+            # each entry, read from the right, adds the smaller ones after it
+            ell = 0
+            seen: list[int] = []
+            for v in reversed(self.window):
+                ell += bisect_left(seen, v)
+                insort(seen, v)
+            object.__setattr__(self, "_length", ell)
+        return ell
 
     def apply(self, label: Label) -> Permutation:
         """Right action: self * (a,b), swapping the values at positions a, b."""
         a, b = label
         if not 1 <= a < b:
             raise ValueError(f"bad transposition {label}")
-        values = list(self.window) + list(range(len(self.window) + 1, b + 1))
+        values = list(self.window)
+        values.extend(range(len(values) + 1, b + 1))
         values[a - 1], values[b - 1] = values[b - 1], values[a - 1]
-        return Permutation(tuple(values))
+        return Permutation._from_swapped(values)
 
     def extended(self, n: int) -> tuple[int, ...]:
         """The window padded with fixed points up to length n."""
@@ -107,15 +140,6 @@ class Permutation:
 
     def __repr__(self) -> str:
         return f"Permutation({self.one_line()})"
-
-
-@lru_cache(maxsize=None)
-def _length(window: tuple[int, ...]) -> int:
-    return sum(
-        1
-        for i, j in itertools.combinations(range(len(window)), 2)
-        if window[i] > window[j]
-    )
 
 
 def all_permutations(n: int) -> list[Permutation]:

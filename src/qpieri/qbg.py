@@ -19,7 +19,7 @@ to the weight of a path; Bruhat edges contribute 1.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .permutations import Label, Permutation
 
@@ -44,14 +44,19 @@ def edge_kind(x: Permutation, label: Label) -> EdgeKind | None:
     'B'
     """
     a, b = label
-    xa, xb = x(a), x(b)
+    if not 1 <= a < b:
+        raise ValueError(f"bad transposition {label}")
+    win = x.window
+    if b > len(win):
+        win = x.extended(b)
+    xa, xb = win[a - 1], win[b - 1]
     if xa < xb:
-        for c in range(a + 1, b):
-            if xa <= x(c) <= xb:
+        for c in range(a, b - 1):
+            if xa < win[c] < xb:
                 return None
         return EdgeKind.BRUHAT
-    for c in range(a + 1, b):
-        if not xb <= x(c) <= xa:
+    for c in range(a, b - 1):
+        if not xb < win[c] < xa:
             return None
     return EdgeKind.QUANTUM
 
@@ -68,11 +73,13 @@ def edge_kind_by_length(x: Permutation, label: Label) -> EdgeKind | None:
     return None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class QMonomial:
     """A monomial in Q_1, Q_2, ...; exponents stored sparsely, no zeros."""
 
     exponents: tuple[tuple[int, int], ...] = ()
+    # the total degree, filled on first use
+    _degree: int | None = field(default=None, init=False, compare=False, hash=False, repr=False)
 
     @classmethod
     def one(cls) -> QMonomial:
@@ -104,7 +111,11 @@ class QMonomial:
         return not self.exponents
 
     def degree(self) -> int:
-        return sum(e for _, e in self.exponents)
+        d = self._degree
+        if d is None:
+            d = sum(e for _, e in self.exponents)
+            object.__setattr__(self, "_degree", d)
+        return d
 
     def sort_key(self) -> tuple[int, tuple[tuple[int, int], ...]]:
         return (self.degree(), self.exponents)

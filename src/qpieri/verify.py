@@ -9,6 +9,7 @@ failure list means the guarantee is violated at the named instance.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from .chains import (
@@ -70,10 +71,14 @@ class SuiteReport:
     def fail(self, message: str) -> None:
         self.failures.append(message)
 
-    def check(self, condition: bool, message: str) -> None:
+    def check(self, condition: bool, message: str | Callable[[], str]) -> None:
+        """
+        Count one check.  A message that formats values is passed as a
+        callable, which is called only if the check fails.
+        """
         self.checked += 1
         if not condition:
-            self.failures.append(message)
+            self.failures.append(message if isinstance(message, str) else message())
 
     @property
     def passed(self) -> bool:
@@ -124,16 +129,16 @@ def _suite_appendix_c() -> SuiteReport:
         got_table = chains_table(w, ex.k, ex.p)
         report.check(
             got_table == expected_table(ex),
-            f"{ex.name}: chain table differs from the reference snapshot",
+            lambda: f"{ex.name}: chain table differs from the reference snapshot",
         )
         got = pieri_expand(w, ex.k, ex.p)
         report.check(
             got == expected_expansion(ex),
-            f"{ex.name}: expansion differs from the reference",
+            lambda: f"{ex.name}: expansion differs from the reference",
         )
         report.check(
             got.render() == ex.expansion_text,
-            f"{ex.name}: rendered expansion differs byte-wise",
+            lambda: f"{ex.name}: rendered expansion differs byte-wise",
         )
     return report
 
@@ -152,7 +157,7 @@ def _suite_classical() -> SuiteReport:
             for p in range(0, k + 1):
                 report.check(
                     verify_pieri_at_q0(w, k, p),
-                    f"product identity fails at Q=0 for w={w.one_line()}, k={k}, p={p}",
+                    lambda: f"product identity fails at Q=0 for w={w.one_line()}, k={k}, p={p}",
                 )
     w = Permutation.from_one_line("32514")
     report.check(
@@ -163,13 +168,13 @@ def _suite_classical() -> SuiteReport:
         for k in (1, 2):
             report.check(
                 verify_monk_at_q0(x, k),
-                f"divisor identity fails at Q=0 for x={x.one_line()}, k={k}",
+                lambda: f"divisor identity fails at Q=0 for x={x.one_line()}, k={k}",
             )
     for k in (2, 3, 4):
         for p in range(1, k + 1):
             report.check(
                 verify_recurrence_at_q0(k, p),
-                f"column recurrence fails at Q=0 for k={k}, p={p}",
+                lambda: f"column recurrence fails at Q=0 for k={k}, p={p}",
             )
     return report
 
@@ -194,11 +199,11 @@ def _suite_monk() -> SuiteReport:
             for m in enumerate_monk_chains(x, k):
                 report.check(
                     validate_path(m.start, m.labels) is not None,
-                    f"Monk chain fails path validation: {m!r}",
+                    lambda: f"Monk chain fails path validation: {m!r}",
                 )
             report.check(
                 verify_monk_at_q0(x, k),
-                f"divisor identity fails at Q=0 for x={x.one_line()}, k={k}",
+                lambda: f"divisor identity fails at Q=0 for x={x.one_line()}, k={k}",
             )
     return report
 
@@ -216,7 +221,7 @@ def _suite_commutativity(max_n: int | None) -> SuiteReport:
         for f1, f2 in itertools.product(factors, repeat=2):
             report.check(
                 expand_product_chain(w, [f1, f2]) == expand_product_chain(w, [f2, f1]),
-                f"factor order changes the expansion: w={w.one_line()}, {f1} vs {f2}",
+                lambda: f"factor order changes the expansion: w={w.one_line()}, {f1} vs {f2}",
             )
     return report
 
@@ -244,12 +249,12 @@ def _suite_markings(max_n: int | None) -> SuiteReport:
                     listed = enumerate_markings(chain, p)
                     report.check(
                         closed == brute,
-                        f"closed form {closed} != brute force {brute} "
+                        lambda: f"closed form {closed} != brute force {brute} "
                         f"for {chain!r}, p={p}",
                     )
                     report.check(
                         len(listed) == brute and all(is_marking(chain, M) for M in listed),
-                        f"enumerated markings disagree with brute force for {chain!r}, p={p}",
+                        lambda: f"enumerated markings disagree with brute force for {chain!r}, p={p}",
                     )
     return report
 
@@ -313,25 +318,25 @@ def _check_bijection(report, name, domain, codomain, forward, inverse, k, sign, 
         except Exception as exc:  # guaranteed constructions must not fail
             report.fail(f"{name}: forward map raised on {q}: {exc}")
             return
-        report.check(img in codomain, f"{name}: image outside codomain for {q}")
+        report.check(img in codomain, lambda: f"{name}: image outside codomain for {q}")
         report.check(
             _weight_matches(q, img, k, sign, qk_power),
-            f"{name}: weight law fails for {q}",
+            lambda: f"{name}: weight law fails for {q}",
         )
         try:
             back = inverse(img)
         except Exception as exc:
             report.fail(f"{name}: inverse raised on image of {q}: {exc}")
             return
-        report.check(back == q, f"{name}: inverse does not return {q}")
+        report.check(back == q, lambda: f"{name}: inverse does not return {q}")
         images.add(img)
     report.check(
         len(images) == len(domain),
-        f"{name}: forward map is not injective ({len(images)} images, {len(domain)} inputs)",
+        lambda: f"{name}: forward map is not injective ({len(images)} images, {len(domain)} inputs)",
     )
     report.check(
         images == set(codomain),
-        f"{name}: image set differs from codomain "
+        lambda: f"{name}: image set differs from codomain "
         f"({len(images)} images vs {len(codomain)} targets)",
     )
     for q in sorted(codomain, key=repr):
@@ -340,7 +345,7 @@ def _check_bijection(report, name, domain, codomain, forward, inverse, k, sign, 
         except Exception as exc:
             report.fail(f"{name}: inverse raised on {q}: {exc}")
             return
-        report.check(forward(back) == q, f"{name}: forward(inverse) misses {q}")
+        report.check(forward(back) == q, lambda: f"{name}: forward(inverse) misses {q}")
 
 
 def _check_involution(report, name, domain, mapping, k):
@@ -350,11 +355,11 @@ def _check_involution(report, name, domain, mapping, k):
         except Exception as exc:
             report.fail(f"{name}: raised on {q}: {exc}")
             return
-        report.check(img in domain, f"{name}: image leaves the class for {q}")
+        report.check(img in domain, lambda: f"{name}: image leaves the class for {q}")
         report.check(
-            _weight_matches(q, img, k, -1, 0), f"{name}: weight law fails for {q}"
+            _weight_matches(q, img, k, -1, 0), lambda: f"{name}: weight law fails for {q}"
         )
-        report.check(mapping(img) == q, f"{name}: not an involution at {q}")
+        report.check(mapping(img) == q, lambda: f"{name}: not an involution at {q}")
 
 
 def check_bijections_grid(report: SuiteReport, w: Permutation, k: int, p: int) -> None:
@@ -483,29 +488,29 @@ def _check_split_bijection(report, name, domain, cod_marked, cod_paired,
             report.fail(f"{name}: forward map raised on {q}: {exc}")
             return
         if isinstance(img, MarkedChain):
-            report.check(img in cod_marked, f"{name}: image outside level-k codomain for {q}")
+            report.check(img in cod_marked, lambda: f"{name}: image outside level-k codomain for {q}")
             report.check(
                 _weight_matches(q, img, k, sign_marked, 0),
-                f"{name}: weight law fails (level-k branch) for {q}",
+                lambda: f"{name}: weight law fails (level-k branch) for {q}",
             )
         else:
-            report.check(img in cod_paired, f"{name}: image outside chase codomain for {q}")
+            report.check(img in cod_paired, lambda: f"{name}: image outside chase codomain for {q}")
             report.check(
                 _weight_matches(q, img, k, sign_paired, 0),
-                f"{name}: weight law fails (chase branch) for {q}",
+                lambda: f"{name}: weight law fails (chase branch) for {q}",
             )
         try:
             back = inverse(img)
         except Exception as exc:
             report.fail(f"{name}: inverse raised on image of {q}: {exc}")
             return
-        report.check(back == q, f"{name}: inverse does not return {q}")
+        report.check(back == q, lambda: f"{name}: inverse does not return {q}")
         images.add(img)
     targets = set(cod_marked) | set(cod_paired)
-    report.check(len(images) == len(domain), f"{name}: not injective")
+    report.check(len(images) == len(domain), lambda: f"{name}: not injective")
     report.check(
         images == targets,
-        f"{name}: image set differs from codomain ({len(images)} vs {len(targets)})",
+        lambda: f"{name}: image set differs from codomain ({len(images)} vs {len(targets)})",
     )
 
 
@@ -587,12 +592,12 @@ def _suite_insertion(max_n: int | None) -> SuiteReport:
                     if not step.commuted:
                         report.check(
                             all(a != k for a, _ in step.path.labels),
-                            f"absorbed insert kept a column label: {path!r} <- ({k},{d})",
+                            lambda: f"absorbed insert kept a column label: {path!r} <- ({k},{d})",
                         )
                     back, dd = delete(step.path, k)
                     report.check(
                         back == path and dd == d,
-                        f"delete(insert) misses: {path!r} <- ({k},{d})",
+                        lambda: f"delete(insert) misses: {path!r} <- ({k},{d})",
                     )
                 try:
                     check_p_conditions(path, k, require_p3=True)
@@ -602,7 +607,7 @@ def _suite_insertion(max_n: int | None) -> SuiteReport:
                 step = insert(removed, k, d)
                 report.check(
                     step.path == path,
-                    f"insert(delete) misses on {path!r}",
+                    lambda: f"insert(delete) misses on {path!r}",
                 )
     return report
 
@@ -620,19 +625,19 @@ def _suite_ledger() -> SuiteReport:
             for h, g in ((k - 1, p - 1), (k - 1, p), (k - 2, p - 1), (k - 2, p - 2)):
                 report.check(
                     check_divisor_compatibility(w, h, g, k),
-                    f"divisor compatibility fails: w={w.one_line()}, level ({h},{g})",
+                    lambda: f"divisor compatibility fails: w={w.one_line()}, level ({h},{g})",
                 )
             report.check(
                 check_stage1_identity(w, k, p),
-                f"stage-1 identity fails: w={w.one_line()}, k={k}, p={p}",
+                lambda: f"stage-1 identity fails: w={w.one_line()}, k={k}, p={p}",
             )
             report.check(
                 check_stage2_identity(w, k, p),
-                f"stage-2 identity fails: w={w.one_line()}, k={k}, p={p}",
+                lambda: f"stage-2 identity fails: w={w.one_line()}, k={k}, p={p}",
             )
             report.check(
                 check_grand_cancellation(w, k, p),
-                f"grand cancellation fails: w={w.one_line()}, k={k}, p={p}",
+                lambda: f"grand cancellation fails: w={w.one_line()}, k={k}, p={p}",
             )
     return report
 
@@ -648,7 +653,7 @@ def _suite_edges(max_n: int | None) -> SuiteReport:
             for b in range(a + 1, n + 2):
                 report.check(
                     edge_kind(x, (a, b)) == edge_kind_by_length(x, (a, b)),
-                    f"edge criteria disagree at x={x.one_line()}, label ({a},{b})",
+                    lambda: f"edge criteria disagree at x={x.one_line()}, label ({a},{b})",
                 )
     return report
 

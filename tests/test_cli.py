@@ -209,3 +209,46 @@ def test_usage_error_exit_code():
         text=True,
     )
     assert result.returncode == 2
+
+
+def test_usage_errors_name_the_subcommand(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--suite", "ledger", "--max-n", "3"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.startswith("usage: qpieri verify")
+    with pytest.raises(SystemExit) as exc:
+        main(["expand", "--w", "331", "--k", "2", "--p", "1"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.startswith("usage: qpieri expand")
+
+
+def test_repeated_calls_in_one_process_are_independent(capsys):
+    plain = ["expand", "--w", "32514", "--k", "3", "--p", "2"]
+    first = run_cli(plain, capsys)
+    assert first == run_cli(plain, capsys)
+    # flags given to one call do not carry over to the next
+    filtered = run_cli(plain + ["--filter-sn", "3"], capsys)
+    as_json = run_cli(plain + ["--format", "json"], capsys)
+    assert filtered != first and as_json != first
+    assert run_cli(plain, capsys) == first
+    with pytest.raises(SystemExit):
+        main(["expand", "--w", "3x1", "--k", "2", "--p", "1"])
+    capsys.readouterr()
+    assert run_cli(plain, capsys) == first
+    assert run_cli(plain + ["--format", "json"], capsys) == as_json
+
+
+def test_the_parser_is_built_on_first_use_and_kept():
+    result = subprocess.run(
+        [sys.executable, "-c",
+         "import qpieri, qpieri.cli as cli; print(cli._parsers.cache_info().currsize)"],
+        capture_output=True,
+        text=True,
+    )
+    assert result.returncode == 0 and result.stdout == "0\n"
+    from qpieri import cli
+
+    assert cli.build_parser() is not cli.build_parser()
+    main(["verify", "--suite", "appendix-c", "--format", "json"])
+    assert cli._parsers()[0] is cli._parsers()[0]
+    assert cli.build_parser() is not cli._parsers()[0]

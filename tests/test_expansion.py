@@ -249,3 +249,24 @@ def test_filter_sn():
     assert set(reduced.terms) == {u for u in e.terms if u.support <= 3}
     assert P("132") in reduced.terms
     assert P("4312") not in reduced.terms
+
+
+@st.composite
+def comma_form_expansions(draw):
+    """Expansions on S_10-S_12 windows (comma form), plus a short one."""
+    long_windows = st.integers(10, 12).flatmap(
+        lambda n: st.permutations(list(range(1, n + 1))).filter(lambda win: win[-1] != n)
+    )
+    windows = draw(st.lists(long_windows.map(tuple), min_size=1, max_size=4, unique=True))
+    terms = {Permutation(win): draw(qpolynomials().filter(lambda f: not f.is_zero())) for win in windows}
+    short = draw(qpolynomials())
+    if not short.is_zero():
+        terms[Permutation((2, 1))] = short
+    return Expansion(terms)
+
+
+@given(comma_form_expansions())
+@settings(max_examples=40, deadline=None)
+def test_comma_form_expansion_round_trips(e):
+    assert Expansion.parse(e.render()) == e
+    assert Expansion.from_json(e.to_json()) == e

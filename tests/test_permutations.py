@@ -126,3 +126,18 @@ def test_canonicalization_trims_identity_tail():
 def test_all_permutations_count():
     assert len(all_permutations(4)) == 24
     assert len({w for w in all_permutations(4)}) == 24
+
+
+def comma_form_windows():
+    """Windows of S_10-S_12 that do not trim below ten entries."""
+    return st.integers(10, 12).flatmap(
+        lambda n: st.permutations(list(range(1, n + 1))).filter(lambda win: win[-1] != n)
+    )
+
+
+@given(comma_form_windows())
+def test_comma_form_round_trip(window):
+    w = Permutation(tuple(window))
+    text = w.one_line()
+    assert text == ",".join(map(str, window))
+    assert Permutation.from_one_line(text) == w

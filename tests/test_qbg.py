@@ -213,3 +213,18 @@ def test_algorithm_ambiguity_scan():
         ambiguous.extend(out.ambiguous_steps)
     # the dichotomy is exclusive on this universe; pin it so a change is visible
     assert ambiguous == []
+
+
+def test_edge_kind_matches_length_form_past_the_window():
+    # labels reach three positions past S_n, where edge_kind reads fixed points
+    for n in range(0, 6):
+        for x in all_permutations(n):
+            for b in range(2, n + 4):
+                for a in range(1, b):
+                    assert edge_kind(x, (a, b)) == edge_kind_by_length(x, (a, b)), (x, a, b)
+
+
+@pytest.mark.parametrize("label", [(0, 2), (2, 2), (3, 1)])
+def test_edge_kind_rejects_a_bad_label(label):
+    with pytest.raises(ValueError, match="bad transposition"):
+        edge_kind(P("321"), label)

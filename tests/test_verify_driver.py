@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from qpieri.verify import SUITES, run_suite
+from qpieri.verify import SUITES, SuiteReport, run_suite
 
 
 def test_unknown_suite_rejected():
@@ -39,3 +39,20 @@ def test_known_failure_suites_report_them():
     assert not bij.passed
     ledger = run_suite("ledger")
     assert not ledger.passed and all("p=1" in f for f in ledger.failures)
+
+
+def test_a_lazy_message_is_built_only_on_failure():
+    built = []
+
+    def message() -> str:
+        built.append(1)
+        return "the check failed"
+
+    report = SuiteReport("probe", "two checks")
+    report.check(True, message)
+    assert built == [] and report.passed
+    report.check(False, message)
+    report.check(False, "a plain message")
+    assert built == [1]
+    assert report.checked == 3
+    assert report.failures == ["the check failed", "a plain message"]

@@ -50,7 +50,7 @@ from dataclasses import dataclass
 from math import comb
 
 from .permutations import Label, Permutation, label_precedes, label_sort_key
-from .qbg import DirectedPath, edge_kind
+from .qbg import DirectedPath, QMonomial, edge_kind, pack_monomial
 
 
 @dataclass(frozen=True)
@@ -393,8 +393,8 @@ def is_marking(chain: PieriChain, marks: frozenset) -> bool:
 
 # --- every degree in one walk ---------------------------------------------
 
-# (padded end window, Q-exponents (e_1, ..., e_{N-1})) -> coefficient per p
-DegreeRows = dict[tuple[tuple[int, ...], tuple[int, ...]], list[int]]
+# (padded end window, Q-weight packed as by qbg.pack_monomial) -> coefficient per p
+DegreeRows = dict[tuple[tuple[int, ...], int], list[int]]
 # padded end window -> its length, carried along the walk
 EndLengths = dict[tuple[int, ...], int]
 
@@ -404,13 +404,15 @@ def pieri_degree_rows(w: Permutation, k: int) -> tuple[DegreeRows, EndLengths]:
     Every degree p = 0..k of G[w] * G^k_p from one depth-first walk over
     the k-Pieri chains from w, with the label pool, label order and pruning
     of `enumerate_pieri_chains` but no chain objects: the walk swaps window
-    entries and adds the Q-exponents of quantum edges on the way down and
-    undoes both on return.
+    entries on the way down and back on return, and passes down the packed
+    Q-weight of the path, adding the precomputed weight of each quantum
+    edge (one int addition per edge, `qbg.pack_monomial`).
 
     A chain of length r with m0 distinct rows and m forced labels adds
     (-1)^(r-p) * C(m0 - m, p - m) to row[p] for every p in m..m0, under the
-    key (end window padded to N = max(support(w), k) + 1, exponents of
-    Q_1..Q_{N-1}).  Both counts grow along a path: m0 when a row is used
+    key (end window padded to N = max(support(w), k) + 1, packed Q-weight).
+    No exponent of a chain exceeds its length, so the packed fields never
+    carry.  Both counts grow along a path: m0 when a row is used
     for the first time, and m when a label is forced.  The first label is
     forced by condition (3).  Every later label (a,b) that follows (c,b)
     with c > a forces one more: the new label if the initial run is still
@@ -423,17 +425,18 @@ def pieri_degree_rows(w: Permutation, k: int) -> tuple[DegreeRows, EndLengths]:
     its change, +1 for a Bruhat edge and -2(b-a)+1 for a quantum edge
     (a,b).  The second mapping returned holds the length of every end.
 
+    >>> from qpieri.qbg import unpack_monomial
     >>> rows, lengths = pieri_degree_rows(Permutation.from_one_line("321"), 2)
-    >>> for (window, exps), row in sorted(rows.items()):
+    >>> for (window, q), row in sorted(rows.items()):
     ...     if row[2]:
-    ...         print(Permutation(window).one_line(), exps, row[2])
-    132 (1, 1, 0) 1
-    1342 (1, 1, 0) -1
-    1423 (1, 1, 0) -1
-    1432 (1, 1, 0) 1
-    4123 (0, 1, 0) 1
-    4132 (0, 1, 0) -1
-    4312 (0, 0, 0) 1
+    ...         print(Permutation(window).one_line(), unpack_monomial(q).render(), row[2])
+    132 Q1*Q2 1
+    1342 Q1*Q2 -1
+    1423 Q1*Q2 -1
+    1432 Q1*Q2 1
+    4123 Q2 1
+    4132 Q2 -1
+    4312 1 1
     >>> lengths[(4, 3, 1, 2)], lengths[(1, 3, 2, 4)]
     (5, 1)
     """
@@ -452,16 +455,17 @@ def pieri_degree_rows(w: Permutation, k: int) -> tuple[DegreeRows, EndLengths]:
         [[(p, (-1) ** p * comb(m0 - m, p - m)) for p in range(m, m0 + 1)] for m in range(m0 + 1)]
         for m0 in range(k + 1)
     ]
+    # the packed Q-weight of each label, added when it is a quantum edge
+    qstep = {lab: pack_monomial(QMonomial.q_range(*lab)) for lab in pool}
     window = list(w.extended(bound))
-    exps = [0] * (bound - 1)
     row_uses = [0] * (k + 1)
     used: set[Label] = set()
     rows: DegreeRows = {}
     lengths: EndLengths = {}
 
-    def visit(candidates: list[Label], last: Label, r: int, m0: int, m: int, ell: int) -> None:
+    def visit(candidates: list[Label], last: Label, r: int, m0: int, m: int, ell: int, q: int) -> None:
         end = tuple(window)
-        key = (end, tuple(exps))
+        key = (end, q)
         row = rows.get(key)
         if row is None:
             row = rows[key] = [0] * (k + 1)
@@ -489,9 +493,6 @@ def pieri_degree_rows(w: Permutation, k: int) -> tuple[DegreeRows, EndLengths]:
                     break
             else:
                 window[a - 1], window[b - 1] = xb, xa
-                if quantum:
-                    for v in range(a - 1, b - 1):
-                        exps[v] += 1
                 used.add(label)
                 row_uses[a] += 1
                 visit(
@@ -501,14 +502,12 @@ def pieri_degree_rows(w: Permutation, k: int) -> tuple[DegreeRows, EndLengths]:
                     m0 + (row_uses[a] == 1),
                     m + (descends or r == 0),
                     ell + (2 * (a - b) + 1 if quantum else 1),
+                    q + qstep[label] if quantum else q,
                 )
                 row_uses[a] -= 1
                 used.discard(label)
-                if quantum:
-                    for v in range(a - 1, b - 1):
-                        exps[v] -= 1
                 window[a - 1], window[b - 1] = xa, xb
 
     # the root's sentinel last label (0, N) neither descends nor repeats a row
-    visit(pool, (0, bound), 0, 0, 0, w.length())
+    visit(pool, (0, bound), 0, 0, 0, w.length(), 0)
     return rows, lengths

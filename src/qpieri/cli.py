@@ -20,6 +20,7 @@ import sys
 from .chains import enumerate_markings, enumerate_pieri_chains
 from .expansion import Expansion, monk_lhs_expand, pieri_expand
 from .permutations import Permutation
+from .qbg import Q_VARIABLES
 from .render import chains_table, markings_table
 from .verify import SIZED_SUITES, SUITES, run_suite
 
@@ -167,6 +168,10 @@ def _validate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None
     k = getattr(args, "k", None)
     if k is not None and k < 1:
         parser.error(f"--k must be >= 1, got {k}")
+    # a product reaches Q_max(support, k); the engine packs Q_1 .. Q_1024 only
+    perm = getattr(args, "w", None) or getattr(args, "x", None)
+    if args.command in ("expand", "monk") and max(perm.support, k) > Q_VARIABLES:
+        parser.error(f"--k and the permutation's size must be at most {Q_VARIABLES}")
     p = getattr(args, "p", None)
     if p is not None and not 0 <= p <= k:
         parser.error(f"--p must be in 0..{k}, got {p}")

@@ -22,8 +22,26 @@ Coefficient arithmetic is exact integer throughout; an Expansion is a
 finite map from basis permutations to Z[Q]-polynomials with no zero
 entries, so equality of expansions is structural equality.  Expansions
 and Z[Q]-polynomials are immutable values: `terms` is a read-only view and
-every operation returns a new value.  Every sum of terms, from a chain
-expansion to a product or a parsed text, goes through one accumulator.
+every operation returns a new value.
+
+Representation.  Inside `Expansion` and `QPolynomial` a Z[Q]-polynomial is
+a dict from packed monomials to nonzero ints: the exponent of Q_v sits in
+bits S(v-1) .. Sv-1 of one int, S = `qbg.Q_STRIDE` = 32, so the product of
+two monomials is one integer addition and the monomial 1 is the key 0.
+The chain walk hands its Q-weights over already packed.  `QMonomial` is
+the type of the public boundary: the constructors, `terms`,
+`sorted_terms`, the text and JSON forms pack or unpack there.  Every sum
+of single terms goes through one accumulator (`_accumulate`), and every
+sum of coefficient products through one fold (`_fold`).
+
+Overflow guard.  Packing accepts Q_1 .. Q_1024 only, with exponents below
+2^(S-1) (`qbg.pack_monomial`, ValueError otherwise).  Invariant: every
+field of every stored key is below 2^(S-1).  Then each field of the sum of
+two keys is below 2^S, so no carry crosses a field boundary, and the sum
+is the product monomial exactly when no field has reached 2^(S-1), that is
+when `key & qbg.Q_HIGH_BITS` is 0.  Every product site tests this and
+raises OverflowError otherwise, so a carried monomial is never returned
+and the invariant holds for the next product.
 
 Text form: "G[4312] - Q1*Q2*G[1342] + 2*Q3*G[431625]", terms ordered by
 (length, window) of the basis permutation.  Machine form (JSON):
@@ -32,16 +50,19 @@ Text form: "G[4312] - Q1*Q2*G[1342] + 2*Q3*G[431625]", terms ordered by
 
 from __future__ import annotations
 
-import itertools
 import json
 import re
-from collections.abc import Iterable, Iterator, Mapping
+from collections.abc import Callable, Iterable, Mapping
 from functools import lru_cache
 from types import MappingProxyType
 
 from .chains import enumerate_monk_chains, pieri_degree_rows
 from .permutations import Permutation
-from .qbg import QMonomial, q_weight
+from .qbg import Q_HIGH_BITS, QMonomial, pack_monomial, q_weight, unpack_monomial
+
+# a Z[Q]-polynomial as packed monomial -> nonzero coefficient
+_Packed = dict[int, int]
+_UNIT: _Packed = {0: 1}
 
 
 class QPolynomial:
@@ -50,22 +71,27 @@ class QPolynomial:
     __slots__ = ("_terms",)
 
     def __init__(self, terms: Mapping[QMonomial, int] | None = None):
-        self._terms: dict[QMonomial, int] = {
-            m: c for m, c in (terms or {}).items() if c != 0
-        }
+        self._terms: _Packed = {pack_monomial(m): c for m, c in (terms or {}).items() if c != 0}
+
+    @classmethod
+    def _of(cls, packed: _Packed) -> QPolynomial:
+        """Wrap packed coefficients (no zeros; shared, never mutated)."""
+        poly = cls.__new__(cls)
+        poly._terms = packed
+        return poly
 
     @property
     def terms(self) -> Mapping[QMonomial, int]:
         """Read-only view of the nonzero coefficients."""
-        return MappingProxyType(self._terms)
+        return MappingProxyType({unpack_monomial(key): c for key, c in self._terms.items()})
 
     @classmethod
     def zero(cls) -> QPolynomial:
-        return cls()
+        return cls._of({})
 
     @classmethod
     def from_int(cls, c: int) -> QPolynomial:
-        return cls({QMonomial.one(): c})
+        return cls._of({0: c} if c else {})
 
     @classmethod
     def monomial(cls, mono: QMonomial, c: int = 1) -> QPolynomial:
@@ -76,30 +102,26 @@ class QPolynomial:
 
     def __add__(self, other: QPolynomial) -> QPolynomial:
         out = dict(self._terms)
-        for m, c in other._terms.items():
-            out[m] = out.get(m, 0) + c
-        return QPolynomial(out)
+        _add_product(out, other._terms, _UNIT)
+        return QPolynomial._of(_drop_zeros(out))
 
     def __sub__(self, other: QPolynomial) -> QPolynomial:
         return self + other.scaled(-1)
 
     def __mul__(self, other: QPolynomial) -> QPolynomial:
-        out: dict[QMonomial, int] = {}
-        for m1, c1 in self._terms.items():
-            for m2, c2 in other._terms.items():
-                m = m1 * m2
-                out[m] = out.get(m, 0) + c1 * c2
-        return QPolynomial(out)
+        out: _Packed = {}
+        _add_product(out, self._terms, other._terms)
+        return QPolynomial._of(_drop_zeros(out))
 
     def scaled(self, c: int) -> QPolynomial:
-        return QPolynomial({m: c * v for m, v in self._terms.items()})
+        return QPolynomial._of({key: c * v for key, v in self._terms.items()} if c else {})
 
     def times_monomial(self, mono: QMonomial) -> QPolynomial:
-        return QPolynomial({m * mono: c for m, c in self._terms.items()})
+        return self * QPolynomial.monomial(mono)
 
     def at_q0(self) -> int:
         """Constant term (all Q variables set to 0)."""
-        return self._terms.get(QMonomial.one(), 0)
+        return self._terms.get(0, 0)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, QPolynomial) and self._terms == other._terms
@@ -108,7 +130,7 @@ class QPolynomial:
         return hash(frozenset(self._terms.items()))
 
     def sorted_terms(self) -> list[tuple[QMonomial, int]]:
-        return sorted(self._terms.items(), key=lambda mc: mc[0].sort_key())
+        return sorted(self.terms.items(), key=lambda mc: mc[0].sort_key())
 
     def render(self) -> str:
         if not self._terms:
@@ -126,7 +148,8 @@ class QPolynomial:
         return f"QPolynomial({self.render()})"
 
 
-_Triple = tuple[Permutation, QMonomial, int]
+# (basis, packed monomial, coefficient)
+_Triple = tuple[Permutation, int, int]
 
 
 class Expansion:
@@ -135,51 +158,55 @@ class Expansion:
     __slots__ = ("_terms",)
 
     def __init__(self, terms: Mapping[Permutation, QPolynomial] | None = None):
-        self._terms: dict[Permutation, QPolynomial] = {
-            u: c for u, c in (terms or {}).items() if not c.is_zero()
+        self._terms: dict[Permutation, _Packed] = {
+            u: c._terms for u, c in (terms or {}).items() if c._terms
         }
+
+    @classmethod
+    def _of(cls, packed: dict[Permutation, _Packed]) -> Expansion:
+        """Wrap packed coefficients (no zeros; shared, never mutated)."""
+        out = cls.__new__(cls)
+        out._terms = packed
+        return out
 
     @property
     def terms(self) -> Mapping[Permutation, QPolynomial]:
         """Read-only view of the nonzero coefficients."""
-        return MappingProxyType(self._terms)
+        return MappingProxyType({u: QPolynomial._of(poly) for u, poly in self._terms.items()})
 
     @classmethod
     def zero(cls) -> Expansion:
-        return cls()
+        return cls._of({})
 
     @classmethod
     def basis(cls, u: Permutation) -> Expansion:
-        return cls({u: QPolynomial.from_int(1)})
+        return cls._of({u: _UNIT})
 
-    def _triples(self) -> Iterator[_Triple]:
-        for u, poly in self._terms.items():
-            for m, c in poly._terms.items():
-                yield u, m, c
+    def _times(self, factor: _Packed) -> Expansion:
+        return _fold((u, coeff, factor) for u, coeff in self._terms.items())
 
     def __add__(self, other: Expansion) -> Expansion:
-        return _accumulate(itertools.chain(self._triples(), other._triples()))
-
-    def __sub__(self, other: Expansion) -> Expansion:
-        negated = ((u, m, -c) for u, m, c in other._triples())
-        return _accumulate(itertools.chain(self._triples(), negated))
-
-    def scaled_int(self, c: int) -> Expansion:
-        return _accumulate((u, m, c * v) for u, m, v in self._triples())
-
-    def scaled(self, poly: QPolynomial) -> Expansion:
-        return _accumulate(
-            (u, m1 * m2, c1 * c2)
-            for u, m1, c1 in self._triples()
-            for m2, c2 in poly._terms.items()
+        return _fold(
+            (u, coeff, _UNIT)
+            for terms in (self._terms, other._terms)
+            for u, coeff in terms.items()
         )
 
+    def __sub__(self, other: Expansion) -> Expansion:
+        return self + other.scaled_int(-1)
+
+    def scaled_int(self, c: int) -> Expansion:
+        return self._times({0: c} if c else {})
+
+    def scaled(self, poly: QPolynomial) -> Expansion:
+        return self._times(poly._terms)
+
     def times_monomial(self, mono: QMonomial) -> Expansion:
-        return _accumulate((u, m * mono, c) for u, m, c in self._triples())
+        return self._times({pack_monomial(mono): 1})
 
     def add_term(self, u: Permutation, sign: int, mono: QMonomial, mult: int = 1) -> Expansion:
         """This expansion plus sign * mult * mono * G[u], as a new value."""
-        return _accumulate(itertools.chain(self._triples(), [(u, mono, sign * mult)]))
+        return self + _accumulate([(u, pack_monomial(mono), sign * mult)])
 
     def is_zero(self) -> bool:
         return not self._terms
@@ -192,61 +219,76 @@ class Expansion:
 
     def filter_s_n(self, n: int) -> Expansion:
         """Quotient-ring reduction: drop basis terms outside S_n."""
-        return Expansion({u: c for u, c in self._terms.items() if u.in_s_n(n)})
+        return Expansion._of({u: c for u, c in self._terms.items() if u.in_s_n(n)})
 
     def at_q0(self) -> dict[Permutation, int]:
-        out = {u: c.at_q0() for u, c in self._terms.items()}
+        out = {u: c.get(0, 0) for u, c in self._terms.items()}
         return {u: c for u, c in out.items() if c != 0}
 
     def sorted_terms(self) -> list[tuple[Permutation, QPolynomial]]:
-        return sorted(self._terms.items(), key=lambda uc: uc[0].sort_key())
+        return sorted(self.terms.items(), key=lambda uc: uc[0].sort_key())
 
     def map_basis(self, fn) -> Expansion:
         """Replace every G[u] by fn(u) (an Expansion), keeping coefficients."""
-        return _accumulate(
-            (v, m1 * m2, c1 * c2)
+        return _fold(
+            (v, image, coeff)
             for u, coeff in self._terms.items()
-            for v, m2, c2 in fn(u)._triples()
-            for m1, c1 in coeff._terms.items()
+            for v, image in fn(u)._terms.items()
         )
+
+    def _sorted_rows(self, text: Callable[[QMonomial], str]) -> list[tuple[Permutation, list[tuple[str, int]]]]:
+        """
+        (u, [(text(monomial), c), ...]) in output order: basis terms by
+        (length, window), monomials by (degree, exponents).  Each distinct
+        packed key is unpacked and formatted once per call.
+        """
+        memo: dict[int, tuple] = {}
+        out = []
+        for u, poly in sorted(self._terms.items(), key=lambda uc: uc[0].sort_key()):
+            terms = []
+            for key, c in poly.items():
+                entry = memo.get(key)
+                if entry is None:
+                    mono = unpack_monomial(key)
+                    entry = memo[key] = (mono.sort_key(), text(mono))
+                terms.append((entry, c))
+            if len(terms) > 1:
+                # distinct keys have distinct sort keys, so c is never compared
+                terms.sort()
+            out.append((u, [(mono_text, c) for (_, mono_text), c in terms]))
+        return out
 
     def render(self) -> str:
         if not self._terms:
             return "0"
         parts = []
-        for u, poly in self.sorted_terms():
-            for m, c in poly.sorted_terms():
-                factors = []
-                if abs(c) != 1:
-                    factors.append(str(abs(c)))
-                if not m.is_one():
-                    factors.append(m.render())
-                factors.append(f"G[{u.one_line()}]")
-                parts.append(("- " if c < 0 else "+ ") + "*".join(factors))
+        for u, terms in self._sorted_rows(_render_factor):
+            basis = f"G[{u.one_line()}]"
+            for mono_text, c in terms:
+                mult = "" if c in (1, -1) else f"{abs(c)}*"
+                parts.append(f"{'- ' if c < 0 else '+ '}{mult}{mono_text}{basis}")
         text = " ".join(parts)
         return text[2:] if text.startswith("+ ") else text[0] + text[2:]
 
-    def to_json_obj(self) -> list[dict]:
-        out = []
-        for u, poly in self.sorted_terms():
-            terms = [
-                {"q": [[v, e] for v, e in m.exponents], "c": c}
-                for m, c in poly.sorted_terms()
-            ]
-            out.append({"perm": u.one_line(), "terms": terms})
-        return out
-
     def to_json(self) -> str:
-        return json.dumps(self.to_json_obj())
+        """The JSON text, as `json.dumps` writes the machine form."""
+        records = []
+        for u, terms in self._sorted_rows(_json_exponents):
+            body = ", ".join(f'{{"q": {q}, "c": {c}}}' for q, c in terms)
+            records.append(f'{{"perm": "{u.one_line()}", "terms": [{body}]}}')
+        return f"[{', '.join(records)}]"
+
+    def to_json_obj(self) -> list[dict]:
+        return json.loads(self.to_json())
 
     @classmethod
     def from_json_obj(cls, obj: list[dict]) -> Expansion:
-        def triples() -> Iterator[_Triple]:
+        def triples() -> Iterable[_Triple]:
             for rec in obj:
                 u = Permutation.from_one_line(rec["perm"])
                 for tr in rec["terms"]:
                     mono = QMonomial.from_dict({int(v): int(e) for v, e in tr["q"]})
-                    yield u, mono, int(tr["c"])
+                    yield u, pack_monomial(mono), int(tr["c"])
 
         return _accumulate(triples())
 
@@ -266,19 +308,78 @@ class Expansion:
         return f"Expansion({self.render()})"
 
 
+def _render_factor(mono: QMonomial) -> str:
+    return "" if mono.is_one() else mono.render() + "*"
+
+
+def _json_exponents(mono: QMonomial) -> str:
+    return "[" + ", ".join(f"[{v}, {e}]" for v, e in mono.exponents) + "]"
+
+
+def _drop_zeros(poly: _Packed) -> _Packed:
+    return {key: c for key, c in poly.items() if c} if 0 in poly.values() else poly
+
+
+def _nonzero(acc: dict[Permutation, _Packed]) -> Expansion:
+    """The Expansion of accumulated coefficients, zero entries dropped in place."""
+    for u in [u for u, poly in acc.items() if not poly or 0 in poly.values()]:
+        poly = _drop_zeros(acc[u])
+        if poly:
+            acc[u] = poly
+        else:
+            del acc[u]
+    return Expansion._of(acc)
+
+
 def _accumulate(triples: Iterable[_Triple]) -> Expansion:
     """
-    The sum of c * mono * G[u] over (u, mono, c) triples, in one dict pass
-    with zero coefficients dropped.  Every Expansion that sums terms is
-    built here.
+    The sum of c * Q^key * G[u] over (u, packed key, c) triples, in one
+    dict pass with zero coefficients dropped.  Every Expansion that sums
+    single terms is built here.
     """
-    acc: dict[Permutation, dict[QMonomial, int]] = {}
-    for u, mono, c in triples:
+    acc: dict[Permutation, _Packed] = {}
+    for u, key, c in triples:
         poly = acc.get(u)
         if poly is None:
             poly = acc[u] = {}
-        poly[mono] = poly.get(mono, 0) + c
-    return Expansion({u: QPolynomial(poly) for u, poly in acc.items()})
+        poly[key] = poly.get(key, 0) + c
+    return _nonzero(acc)
+
+
+def _add_product(poly: _Packed, f: _Packed, g: _Packed) -> None:
+    """
+    poly += f * g, in place.  A unit g adds f as it is; otherwise each
+    product of monomials is one integer addition, checked by the overflow
+    guard before it is stored.
+    """
+    if g == _UNIT:
+        for key, c in f.items():
+            poly[key] = poly.get(key, 0) + c
+        return
+    for k2, c2 in g.items():
+        for k1, c1 in f.items():
+            key = k1 + k2
+            if key & Q_HIGH_BITS:
+                # no field carried, so the key still unpacks to the true product
+                raise OverflowError(f"exponent past the packed range in {unpack_monomial(key).render()}")
+            poly[key] = poly.get(key, 0) + c1 * c2
+
+
+def _fold(blocks: Iterable[tuple[Permutation, _Packed, _Packed]]) -> Expansion:
+    """
+    The sum of f * g * G[u] over (u, f, g) blocks of packed coefficients,
+    in one dict pass.  Every sum and product of expansions is built here.
+    """
+    acc: dict[Permutation, _Packed] = {}
+    for u, f, g in blocks:
+        poly = acc.get(u)
+        if poly is None:
+            if g == _UNIT:
+                acc[u] = dict(f)
+                continue
+            poly = acc[u] = {}
+        _add_product(poly, f, g)
+    return _nonzero(acc)
 
 
 def _parse_term(sign: int, body: str) -> _Triple:
@@ -297,7 +398,7 @@ def _parse_term(sign: int, body: str) -> _Triple:
             raise ValueError(f"cannot parse factor {factor!r}")
     if perm is None:
         raise ValueError(f"term without basis symbol: {body!r}")
-    return perm, mono, sign * mult
+    return perm, pack_monomial(mono), sign * mult
 
 
 def _split_signed_terms(text: str) -> list[tuple[int, str]]:
@@ -315,26 +416,23 @@ def _split_signed_terms(text: str) -> list[tuple[int, str]]:
 
 
 @lru_cache(maxsize=None)
-def _pieri_rows(w: Permutation, k: int) -> tuple[tuple[Permutation, QMonomial, tuple[int, ...]], ...]:
+def _pieri_rows(w: Permutation, k: int) -> tuple[tuple[Permutation, int, tuple[int, ...]], ...]:
     """
-    (end, Q-weight, coefficient of each degree p = 0..k) for every term of
-    G[w] * G^k_p, from one walk over the k-Pieri chains.  Each distinct end
-    and monomial is built once and shared by its terms and by every degree;
+    (end, packed Q-weight, coefficient of each degree p = 0..k) for every
+    term of G[w] * G^k_p, from one walk over the k-Pieri chains.  Each
+    distinct end is built once and shared by its terms and by every degree;
     an end is a swap of w's window, so it is not re-validated, and it keeps
     the length the walk carried to it.
     """
     rows, lengths = pieri_degree_rows(w, k)
     perms: dict[tuple[int, ...], Permutation] = {}
-    monos: dict[tuple[int, ...], QMonomial] = {}
     out = []
-    for (window, exps), row in rows.items():
+    for (window, q), row in rows.items():
         if not any(row):
             continue
         if window not in perms:
             perms[window] = Permutation._from_swapped(window, lengths[window])
-        if exps not in monos:
-            monos[exps] = QMonomial(tuple((v, e) for v, e in enumerate(exps, 1) if e))
-        out.append((perms[window], monos[exps], tuple(row)))
+        out.append((perms[window], q, tuple(row)))
     return tuple(out)
 
 
@@ -348,14 +446,14 @@ def pieri_expand(w: Permutation, k: int, p: int) -> Expansion:
         raise ValueError(f"k must be >= 1, got {k}")
     if not 0 <= p <= k:
         raise ValueError(f"p must be in 0..{k}, got {p}")
-    return _accumulate((u, mono, row[p]) for u, mono, row in _pieri_rows(w, k) if row[p])
+    return _accumulate((u, q, row[p]) for u, q, row in _pieri_rows(w, k) if row[p])
 
 
 @lru_cache(maxsize=None)
 def monk_lhs_expand(x: Permutation, k: int) -> Expansion:
     """Expand (1 - Q_k)(1 - x_k) G[x] via k-Monk chains from x."""
     return _accumulate(
-        (m.end, q_weight(m.path), (-1) ** m.t) for m in enumerate_monk_chains(x, k)
+        (m.end, pack_monomial(q_weight(m.path)), (-1) ** m.t) for m in enumerate_monk_chains(x, k)
     )
 
 

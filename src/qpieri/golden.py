@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from .expansion import Expansion, _accumulate
 from .permutations import Permutation
-from .qbg import QMonomial
+from .qbg import QMonomial, pack_monomial
 
 
 @dataclass(frozen=True)
@@ -158,7 +158,7 @@ EX1_UNLISTED_CHAINS = (((2, 4),), ((2, 4), (2, 3)))
 
 def expected_expansion(ex: WorkedExample) -> Expansion:
     return _accumulate(
-        (Permutation.from_one_line(perm), QMonomial.from_dict(dict(qexp)), coeff)
+        (Permutation.from_one_line(perm), pack_monomial(QMonomial.from_dict(dict(qexp))), coeff)
         for coeff, qexp, perm in ex.terms
     )
 

@@ -29,7 +29,7 @@ from ..chains import (
 )
 from ..expansion import Expansion, _accumulate
 from ..permutations import Permutation
-from ..qbg import QMonomial, q_weight
+from ..qbg import QMonomial, pack_monomial, q_weight
 
 
 @dataclass(frozen=True)
@@ -94,7 +94,7 @@ def marked_weight(mc: MarkedChain, g: int) -> WeightTerm:
 
 
 def _sum_terms(terms) -> Expansion:
-    return _accumulate((t.basis, t.qmono, t.sign) for t in terms)
+    return _accumulate((t.basis, pack_monomial(t.qmono), t.sign) for t in terms)
 
 
 def sum_weights(elements, g: int) -> Expansion:

@@ -102,10 +102,15 @@ class QMonomial:
         return cls.from_dict({i: power})
 
     def __mul__(self, other: QMonomial) -> QMonomial:
+        # both factors are valid, so the merged exponents need no re-check
+        if not other.exponents:
+            return self
+        if not self.exponents:
+            return other
         exps = dict(self.exponents)
         for v, e in other.exponents:
             exps[v] = exps.get(v, 0) + e
-        return QMonomial.from_dict(exps)
+        return QMonomial(tuple(sorted(exps.items())))
 
     def is_one(self) -> bool:
         return not self.exponents
@@ -130,6 +135,53 @@ class QMonomial:
 
     def __repr__(self) -> str:
         return f"QMonomial({self.render()})"
+
+
+# --- packed monomials -----------------------------------------------------
+#
+# Inside the product engine a monomial is one int: the exponent of Q_v sits
+# in bits Q_STRIDE*(v-1) .. Q_STRIDE*v - 1, so multiplying monomials adds
+# ints.  Packing accepts Q_1 .. Q_{Q_VARIABLES} and exponents below
+# 2^(Q_STRIDE-1); `Q_HIGH_BITS` holds the top bit of every field, the bit a
+# product sets when an exponent outgrows that bound (`expansion` docstring).
+
+Q_STRIDE = 32
+Q_VARIABLES = 1024
+Q_EXPONENT_LIMIT = 1 << (Q_STRIDE - 1)
+_FIELD = (1 << Q_STRIDE) - 1
+Q_HIGH_BITS = ((1 << (Q_STRIDE * Q_VARIABLES)) - 1) // _FIELD * Q_EXPONENT_LIMIT
+
+
+def pack_monomial(mono: QMonomial) -> int:
+    """
+    The packed int of a monomial; 0 is the monomial 1.
+
+    >>> pack_monomial(QMonomial.from_dict({1: 2, 3: 1})) == 2 + (1 << 64)
+    True
+    """
+    key = 0
+    last = 0
+    for v, e in mono.exponents:
+        if not last < v <= Q_VARIABLES:
+            raise ValueError(f"cannot pack {mono!r}: variables must increase within Q1..Q{Q_VARIABLES}")
+        if not 0 < e < Q_EXPONENT_LIMIT:
+            raise ValueError(f"cannot pack {mono!r}: exponents must lie in 1..{Q_EXPONENT_LIMIT - 1}")
+        key |= e << (Q_STRIDE * (v - 1))
+        last = v
+    return key
+
+
+def unpack_monomial(key: int) -> QMonomial:
+    """The monomial of a packed int; inverse of `pack_monomial`."""
+    exps = []
+    v = 1
+    while key:
+        e = key & _FIELD
+        if e:
+            exps.append((v, e))
+        key >>= Q_STRIDE
+        v += 1
+    return QMonomial(tuple(exps))
 
 
 @dataclass(frozen=True)
@@ -212,11 +264,12 @@ def first_invalid_index(start: Permutation, labels: list[Label] | tuple[Label, .
 
 def q_weight(path: DirectedPath) -> QMonomial:
     """Product of Q_a...Q_{b-1} over the quantum edges (a,b) of the path."""
-    mono = QMonomial.one()
-    for label, kind in zip(path.labels, path.kinds):
+    exps: dict[int, int] = {}
+    for (a, b), kind in zip(path.labels, path.kinds):
         if kind is EdgeKind.QUANTUM:
-            mono = mono * QMonomial.q_range(*label)
-    return mono
+            for v in range(a, b):
+                exps[v] = exps.get(v, 0) + 1
+    return QMonomial(tuple(sorted(exps.items())))
 
 
 def _two_step_valid(v: Permutation, s: Label, t: Label) -> bool:

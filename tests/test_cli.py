@@ -78,6 +78,25 @@ def test_bad_input_is_a_usage_error(args, capsys):
     assert "error:" in captured.err
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["expand", "--w", "21", "--k", "1025", "--p", "0"],
+        ["monk", "--x", "21", "--k", "1025"],
+        ["expand", "--w", ",".join(map(str, [*range(2, 1027), 1])), "--k", "1", "--p", "1"],
+    ],
+    ids=["expand-k", "monk-k", "expand-size"],
+)
+def test_products_past_the_packed_variables_are_a_usage_error(args, capsys):
+    # the engine packs Q1..Q1024; a product reaching past them is refused up front
+    with pytest.raises(SystemExit) as exc:
+        main(args)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "at most 1024" in captured.err and "Traceback" not in captured.err
+
+
 UNSIZED_SUITES = ["appendix-c", "classical", "monk", "bijections", "ledger"]
 
 

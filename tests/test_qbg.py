@@ -6,6 +6,8 @@ import doctest
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qpieri.qbg
 from qpieri.permutations import Permutation, all_permutations
@@ -75,6 +77,45 @@ def test_q_weight_multiplicative_over_concatenation():
         head = validate_path(w, labels[:cut])
         tail = validate_path(head.end, labels[cut:])
         assert q_weight(head) * q_weight(tail) == q_weight(whole)
+
+
+def summed(*monomials: QMonomial) -> dict[int, int]:
+    out: dict[int, int] = {}
+    for mono in monomials:
+        for v, e in mono.exponents:
+            out[v] = out.get(v, 0) + e
+    return out
+
+
+small_monomials = st.dictionaries(st.integers(1, 8), st.integers(1, 5), max_size=5).map(QMonomial.from_dict)
+
+
+@given(small_monomials, small_monomials)
+@settings(max_examples=150, deadline=None)
+def test_monomial_product_equals_from_dict_of_the_summed_exponents(m1, m2):
+    got = m1 * m2
+    want = QMonomial.from_dict(summed(m1, m2))
+    assert got == want and hash(got) == hash(want)
+    assert got.exponents == want.exponents
+    # a unit factor returns the other factor itself
+    if m2.is_one():
+        assert got is m1
+    elif m1.is_one():
+        assert got is m2
+
+
+@given(
+    st.permutations(list(range(1, 6))),
+    st.lists(st.tuples(st.integers(1, 6), st.integers(1, 6)).filter(lambda ab: ab[0] < ab[1]), max_size=8),
+)
+@settings(max_examples=150, deadline=None)
+def test_q_weight_equals_from_dict_of_the_summed_edge_weights(window, labels):
+    path = DirectedPath.empty(Permutation(tuple(window)))
+    for label in labels:
+        path = path.extend(label) or path
+    quantum = [QMonomial.q_range(*lab) for lab, kind in zip(path.labels, path.kinds) if kind is EdgeKind.QUANTUM]
+    want = QMonomial.from_dict(summed(*quantum))
+    assert q_weight(path) == want and q_weight(path).exponents == want.exponents
 
 
 def test_path_render():

@@ -138,8 +138,10 @@ def _build_parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argume
     p_verify = sub.add_parser("verify", help="run a verification suite")
     p_verify.add_argument("--suite", required=True, choices=SUITES)
     p_verify.add_argument("--max-n", type=int, default=None,
-                          help="override the default universe bound of a sized suite "
-                               f"({', '.join(sorted(SIZED_SUITES))})")
+                          help="override the default bound of a sized suite: the n of "
+                               "S_n for markings (4), lemmas (5), insertion (4) and "
+                               "edges (6); the largest factor column for commutativity "
+                               "(3; w stays in S_3)")
     p_verify.add_argument("--format", choices=("text", "json"), default="text")
     p_verify.add_argument("--out", default=None)
     p_verify.set_defaults(func=cmd_verify)

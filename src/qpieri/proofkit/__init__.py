@@ -1,12 +1,12 @@
 """
-Executable verification kit: decomposition tags, the eighteen matchings,
-insertion/deletion surgery, assembled identities, and the forbidden-pattern
-scanners.
+Executable verification kit: decomposition tags, the registry of the
+eighteen matchings (`MATCHINGS`), insertion/deletion surgery, assembled
+identities, and the forbidden-pattern scanners.
 """
 
 from __future__ import annotations
 
-from . import bijections as _bij
+from .bijections import MATCHINGS
 from .classify import classify, kappa_double_prime, kappa_prime
 from .scanners import all_scans
 from .surgery import delete, insert
@@ -22,6 +22,7 @@ from .universe import (
 )
 
 __all__ = [
+    "MATCHINGS",
     "MarkedChain",
     "PairedChain",
     "all_scans",
@@ -39,42 +40,15 @@ __all__ = [
     "weight",
 ]
 
-_SIMPLE = {
-    "pi1": (_bij.pi1, _bij.pi1_inv),
-    "pi2": (_bij.pi2, _bij.pi2_inv),
-    "pi3": (_bij.pi3, _bij.pi3_inv),
-    "pi4": (_bij.pi4, _bij.pi4_inv),
-    "pi5": (_bij.pi5, _bij.pi5_inv),
-    "pi6": (_bij.pi6, _bij.pi6_inv),
-    "pi7": (_bij.pi7, _bij.pi7_inv),
-    "pi8": (_bij.pi8, _bij.pi8_inv),
-    "theta4": (_bij.theta4, _bij.theta4_inv),
-    "chi1": (_bij.chi1, _bij.chi1_inv),
-    "chi2": (_bij.chi2, _bij.chi2_inv),
-    "chi3": (_bij.chi3, _bij.chi3_inv),
-    "chi4": (_bij.chi4, _bij.chi4_inv),
-    "chi5": (_bij.chi5, _bij.chi5_inv),
-    "chi6": (_bij.chi6, _bij.chi6_inv),
-}
-
-
 def apply_bijection(name: str, q, k: int, inverse: bool = False):
     """
-    Apply one of the named matchings (pi1..pi8, theta1..theta4,
-    chi1..chi6, or an '-inv' suffix / inverse=True for the inverse
-    direction) to an element whose tag lies in the map's domain.
+    Apply one of the matchings of `bijections.MATCHINGS` (pi1..pi8,
+    theta1..theta4, chi1..chi6; an '-inv' suffix or inverse=True for the
+    inverse direction) to an element whose tag lies in the map's domain.
     """
-    from .classify import dec2_base, monk_refinement
-
     if name.endswith("-inv"):
         name, inverse = name[:-4], True
-    if name in _SIMPLE:
-        fwd, inv = _SIMPLE[name]
-        return (inv if inverse else fwd)(q, k)
-    if name == "theta1":
-        return _bij.theta1(q, k, dec2_base(q, k))
-    if name == "theta2":
-        return _bij.theta2(q, k, dec2_base(q, k))
-    if name == "theta3":
-        return _bij.theta3(q, k, dec2_base(q, k), monk_refinement(q, k) == "Y3")
-    raise ValueError(f"unknown matching {name!r}")
+    matching = MATCHINGS.get(name)
+    if matching is None:
+        raise ValueError(f"unknown matching {name!r}")
+    return (matching.inverse if inverse else matching.forward)(q, k)

@@ -11,22 +11,34 @@ insertion/deletion.  Every map is an explicit construction; intermediate
 paths guaranteed by the local rewrite rules are re-validated and failures
 raise (they indicate bugs, never data conditions).
 
-Each map records its weight law as (sign, e): F(image) = sign * Q_{k-1}^e
-* F(input), with F taken at each element's own level.  The chi maps carry
-sign only (e = 0).
+`MATCHINGS` at the end of this module is the one place where each map's
+domain, codomain, check shape and weight law live.  A weight law is a pair
+(sign, e): F(image) = sign * Q_{k-1}^e * F(input), with F taken at each
+element's own level.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from typing import Union
 
 from ..chains import MonkChain, PieriChain
 from ..permutations import Label, Permutation
 from ..qbg import DirectedPath, validate_path
-from .classify import kappa_double_prime, kappa_prime, run_dec_algorithm
+from .classify import (
+    dec2_base,
+    f_refinement,
+    in_class_e,
+    in_class_f,
+    in_class_g,
+    kappa_double_prime,
+    kappa_prime,
+    monk_refinement,
+    run_dec_algorithm,
+)
 from .surgery import delete, insert
-from .universe import MarkedChain, PairedChain
+from .universe import MarkedChain, PairedChain, enumerate_marked, enumerate_paired
 
 Element = Union[PairedChain, MarkedChain]
 
@@ -210,16 +222,20 @@ def _phi_d12(marking, moved, k: int):
     return {(lab[0], k - 1) if lab in moved else lab for lab in marking}
 
 
-def _psi_d2(chain: PieriChain, k: int) -> tuple[tuple[Label, ...], set[Label]]:
-    """Undo the absorbing rewrite: raise the (*,k-1)-tail from position t(p) to column k."""
+def _absorbed(chain: PieriChain, k: int):
+    """(prefix, (*,k)-segment, (*,k-1)-segment, t(p)) of an absorbing-class chain."""
     cls = run_dec_algorithm(chain, k)
     if cls.outcome != "D2":
         raise ValueError("chain is not in the absorbing class")
-    t_p = cls.t_of_p
     seg_k = chain.segment_labels(k)
     seg_k1 = chain.segment_labels(k - 1)
-    pos = len(chain.labels) - len(seg_k1) - len(seg_k)
-    prefix = chain.labels[:pos]
+    prefix = chain.labels[: len(chain.labels) - len(seg_k1) - len(seg_k)]
+    return prefix, seg_k, seg_k1, cls.t_of_p
+
+
+def _psi_d2(chain: PieriChain, k: int) -> tuple[tuple[Label, ...], set[Label]]:
+    """Undo the absorbing rewrite: raise the (*,k-1)-tail from position t(p) to column k."""
+    prefix, seg_k, seg_k1, t_p = _absorbed(chain, k)
     new_labels = (
         prefix
         + tuple(seg_k)
@@ -314,15 +330,7 @@ def theta3(q: PairedChain, k: int, base: str, y3: bool) -> PairedChain:
 
 def theta4(q: PairedChain, k: int) -> PairedChain:
     """D2Y (level k-2) -> the intersecting border part of BnsY3 (level k-1)."""
-    chain = q.chain
-    cls = run_dec_algorithm(chain, k)
-    if cls.outcome != "D2":
-        raise ValueError("chain is not in the absorbing class")
-    t_p = cls.t_of_p
-    seg_k = chain.segment_labels(k)
-    seg_k1 = chain.segment_labels(k - 1)
-    pos = len(chain.labels) - len(seg_k1) - len(seg_k)
-    prefix = chain.labels[:pos]
+    prefix, seg_k, seg_k1, t_p = _absorbed(q.chain, k)
     j_t = seg_k1[t_p - 1][0]
     # raised form ending (k-1,k),(j_1,k),...,(j_{t(p)},k), minus its final label;
     # every (*,k-1) label changes column, so every mark on one follows it
@@ -379,21 +387,22 @@ def _as_level(chain: PieriChain, level: int, marking) -> MarkedChain:
     return _marked(chain.start, chain.labels, marking, level)
 
 
-def chi1(q: PairedChain, k: int) -> MarkedChain:
-    """A1Y2 (level k-1, g = p) -> S2 (level k): insert the Monk columns."""
+def _inserted(q: PairedChain, k: int, marking) -> MarkedChain:
+    """The level-k chain made by inserting every Monk column into the chain."""
     path = q.chain.path
     for d in _monk_columns(q):
         path = insert(path, k, d).path
-    return _marked(path.start, path.labels, q.marking, k)
+    return _marked(path.start, path.labels, marking, k)
+
+
+def chi1(q: PairedChain, k: int) -> MarkedChain:
+    """A1Y2 (level k-1, g = p) -> S2 (level k): insert the Monk columns."""
+    return _inserted(q, k, q.marking)
 
 
 def chi5(q: PairedChain, k: int) -> MarkedChain:
     """A1Y2 (level k-1, g = p-1) -> S11 (level k): also mark the top column."""
-    cols = _monk_columns(q)
-    path = q.chain.path
-    for d in cols:
-        path = insert(path, k, d).path
-    return _marked(path.start, path.labels, set(q.marking) | {(k, cols[0])}, k)
+    return _inserted(q, k, set(q.marking) | {(k, _monk_columns(q)[0])})
 
 
 def _delete_columns(chain: PieriChain, k: int, expected: list[int]) -> DirectedPath:
@@ -405,18 +414,20 @@ def _delete_columns(chain: PieriChain, k: int, expected: list[int]) -> DirectedP
     return path
 
 
+def _lowered(path: DirectedPath, marking, k: int, columns: list[int]) -> PairedChain:
+    """A level-(k-1) chain along `path` whose Monk chain adds back `columns` (increasing)."""
+    new = _marked(path.start, path.labels, marking, k - 1)
+    return PairedChain(new, _monk(new.end, tuple((k, d) for d in reversed(columns)), k))
+
+
 def chi1_inv(mc: MarkedChain, k: int) -> PairedChain:
     ds = sorted(b for a, b in mc.chain.labels if a == k)
-    path = _delete_columns(mc.chain, k, ds)
-    new = _marked(path.start, path.labels, mc.marking, k - 1)
-    return PairedChain(new, _monk(new.end, tuple((k, d) for d in reversed(ds)), k))
+    return _lowered(_delete_columns(mc.chain, k, ds), mc.marking, k, ds)
 
 
 def chi5_inv(mc: MarkedChain, k: int) -> PairedChain:
     ds = sorted(b for a, b in mc.chain.labels if a == k)
-    path = _delete_columns(mc.chain, k, ds)
-    new = _marked(path.start, path.labels, mc.marking - {(k, ds[-1])}, k - 1)
-    return PairedChain(new, _monk(new.end, tuple((k, d) for d in reversed(ds)), k))
+    return _lowered(_delete_columns(mc.chain, k, ds), mc.marking - {(k, ds[-1])}, k, ds)
 
 
 def _chi_insert(q: PairedChain, k: int):
@@ -537,7 +548,7 @@ def chi2_inv(x: Element, k: int) -> PairedChain:
     else:  # F22 side
         path, marking, kappa_xi, columns = _f_side_delete(x, k)
         marking = marking | {kappa_xi}
-    return _rebuild_e(path, marking, k, columns)
+    return _lowered(path, marking, k, columns)
 
 
 def chi6_inv(x: Element, k: int) -> PairedChain:
@@ -546,7 +557,7 @@ def chi6_inv(x: Element, k: int) -> PairedChain:
     else:  # F21 side: the chase-end mark returns to the final label
         path, marking, kappa_xi, columns = _f_side_delete(x, k)
         marking = marking | {kappa_xi}
-    return _rebuild_e(path, marking, k, columns)
+    return _lowered(path, marking, k, columns)
 
 
 def _s_side_delete(mc: MarkedChain, k: int):
@@ -571,11 +582,6 @@ def _f_side_delete(q: PairedChain, k: int):
         chain, marking - {kp}, k, columns, 0, new_only=True
     )
     return path, new_marking, kappa_xi, columns
-
-
-def _rebuild_e(path: DirectedPath, marking, k: int, columns: list[int]) -> PairedChain:
-    new = _marked(path.start, path.labels, marking, k - 1)
-    return PairedChain(new, _monk(new.end, tuple((k, d) for d in reversed(columns)), k))
 
 
 def chi3(q: PairedChain, k: int) -> MarkedChain:
@@ -603,3 +609,150 @@ def chi4_inv(q: PairedChain, k: int) -> PairedChain:
         q.chain.start, q.chain.labels, set(q.marking) | {q.chain.final_label()}, k - 1
     )
     return PairedChain(new, _monk(new.end, (), k))
+
+
+# --- the registry -------------------------------------------------------------
+
+# check shapes: a bijection is also walked from its codomain; a split
+# bijection lands in two codomains (level k, then the chase); an involution
+# maps its domain onto itself with the weight law (-1, 0)
+BIJECTION = "bijection"
+SPLIT = "split bijection"
+INVOLUTION = "involution"
+
+
+@dataclass(frozen=True)
+class Universe:
+    """
+    A universe selector for the grid point (w, k, p): the chains at level
+    k + `level` carrying anchor + `marks` marks, where the anchor is the
+    marking level g in {p-1, p} when `per_g` and p otherwise.  Below level k
+    each chain carries a k-Monk continuation; `stage` is the `classify`
+    level that tags the elements.
+    """
+
+    level: int
+    marks: int
+    per_g: bool
+    stage: int
+
+    def elements(self, w: Permutation, k: int, anchor: int):
+        h, g = k + self.level, anchor + self.marks
+        return enumerate_marked(w, h, g) if h == k else enumerate_paired(w, h, g, k)
+
+
+TOP_G = Universe(-1, 0, True, 2)  # level k-1 at g
+LOW_G = Universe(-2, -1, True, 1)  # level k-2 at g-1
+TOP_P = Universe(-1, 0, False, 2)  # level k-1 at p
+TOP_P1 = Universe(-1, -1, False, 2)  # level k-1 at p-1
+MARKED_P = Universe(0, 0, False, 3)  # the level-k marked chains at p
+
+
+@dataclass(frozen=True)
+class Side:
+    """
+    A domain or codomain: the elements x of `universe` whose `classify` tag
+    satisfies `tags` and, where it is given, test(x, k).
+    """
+
+    universe: Universe
+    tags: Callable[[tuple], bool]
+    test: Callable[[Element, int], bool] | None = None
+
+
+@dataclass(frozen=True)
+class Matching:
+    """
+    One matching and its weight law: F(forward(x)) = sign * Q_{k-1}^power
+    * F(x) for x in the domain, with the sign of the codomain side that
+    holds the image.
+    """
+
+    name: str
+    shape: str
+    domain: Side
+    codomain: tuple[Side, ...]  # one side per branch of the check shape
+    sign: tuple[int, ...]  # one per codomain side
+    power: int  # of Q_{k-1}, shared by every branch
+    forward: Callable[[Element, int], Element]
+    inverse: Callable[[Element, int], Element]
+
+
+def _late(name: str) -> Callable[[Element, int], Element]:
+    """
+    The map `name` of this module, looked up at each call, so that a
+    rebinding of the module attribute (the benchmark's layer tracer) is seen.
+    """
+    return lambda x, k: globals()[name](x, k)
+
+
+def _bijection(name: str, domain: Side, codomain: Side, sign: int, power: int) -> Matching:
+    return Matching(name, BIJECTION, domain, (codomain,), (sign,), power,
+                    _late(name), _late(name + "_inv"))
+
+
+def _split(name: str, domain: Side, level_k: Side, chase: Side, signs: tuple[int, int]) -> Matching:
+    return Matching(name, SPLIT, domain, (level_k, chase), signs, 0,
+                    _late(name), _late(name + "_inv"))
+
+
+def _involution(name: str, domain: Side, mapping: Callable[[Element, int], Element]) -> Matching:
+    return Matching(name, INVOLUTION, domain, (domain,), (-1,), 0, mapping, mapping)
+
+
+def _f_part(part: str) -> Side:
+    return Side(TOP_P1, lambda t: t[1] == "empty",
+                lambda x, k: in_class_f(x, k) and f_refinement(x, k) == part)
+
+
+_A = ("A1", "A2", "A3")
+
+MATCHINGS: dict[str, Matching] = {m.name: m for m in (
+    _bijection("pi1", Side(TOP_G, lambda t: t[0] in _A and t[1] == "X"),
+               Side(TOP_G, lambda t: t[0] == "B1" and t[1] != "X"), -1, 0),
+    _bijection("pi2", Side(TOP_G, lambda t: t[0] in _A and t[1] != "X"),
+               Side(TOP_G, lambda t: t[0] == "B1" and t[1] == "X"), -1, 1),
+    _bijection("pi3", Side(TOP_G, lambda t: t[0] == "Bns1" and t[1] == "X"),
+               Side(LOW_G, lambda t: t == ("C", "Y")), 1, -1),
+    _bijection("pi4", Side(TOP_G, lambda t: t[0] == "Bns1" and t[1] != "X"),
+               Side(LOW_G, lambda t: t == ("C", "X")), 1, 0),
+    _bijection("pi5", Side(TOP_G, lambda t: t[0] in ("Bns2", "Bns3") and t[1] == "X"),
+               Side(LOW_G, lambda t: t == ("D11", "Y")), 1, -1),
+    _bijection("pi6", Side(TOP_G, lambda t: t[0] in ("Bns2", "Bns3") and t[1] != "X"),
+               Side(LOW_G, lambda t: t == ("D11", "X")), 1, 0),
+    _bijection("pi7", Side(LOW_G, lambda t: t == ("D12", "X")),
+               Side(LOW_G, lambda t: t == ("D2", "Y")), -1, -1),
+    _bijection("pi8", Side(LOW_G, lambda t: t == ("D12", "Y")),
+               Side(LOW_G, lambda t: t == ("D2", "X")), -1, 0),
+    _involution(
+        "theta1",
+        Side(TOP_G, lambda t: (t[0] in ("A1", "A3") and t[1] == "Y3")
+              or (t[0] == "A2" and t[1] in ("empty", "Y2", "Y3"))),
+        lambda x, k: theta1(x, k, dec2_base(x, k)),
+    ),
+    _involution(
+        "theta2",
+        Side(TOP_G, lambda t: len(t) == 4 and t[1] == "Y3" and t[3] == "c2"),
+        lambda x, k: theta2(x, k, dec2_base(x, k)),
+    ),
+    _involution(
+        "theta3",
+        Side(TOP_G, lambda t: (t[0] == "Bns2" and t[1] in ("empty", "Y2"))
+              or (t[0].startswith("Bns") and len(t) >= 3 and t[2] == "(2)")),
+        lambda x, k: theta3(x, k, dec2_base(x, k), monk_refinement(x, k) == "Y3"),
+    ),
+    _bijection("theta4", Side(LOW_G, lambda t: t == ("D2", "Y")),
+               Side(TOP_G, lambda t: len(t) == 4 and t[1] == "Y3" and t[3] == "c1"), 1, 1),
+    _bijection("chi1", Side(TOP_P, lambda t: t == ("A1", "Y2")),
+               Side(MARKED_P, lambda t: t == ("S2",)), 1, 0),
+    _split("chi2", Side(TOP_P, lambda t: t[1] == "Y2", lambda x, k: in_class_e(x, k)),
+           Side(MARKED_P, lambda t: t == ("S12b",)), _f_part("F22"), (1, -1)),
+    _bijection("chi3", Side(TOP_P, lambda t: t == ("A1", "empty")),
+               Side(MARKED_P, lambda t: t == ("R",)), 1, 0),
+    _bijection("chi4", Side(TOP_P, lambda t: t[1] == "empty", lambda x, k: in_class_g(x, k)),
+               _f_part("F1"), -1, 0),
+    _bijection("chi5", Side(TOP_P1, lambda t: t == ("A1", "Y2")),
+               Side(MARKED_P, lambda t: t == ("S11",)), -1, 0),
+    _split("chi6", Side(TOP_P1, lambda t: t[1] == "Y2", lambda x, k: in_class_e(x, k)),
+           Side(MARKED_P, lambda t: t == ("S12a",)), _f_part("F21"), (-1, 1)),
+)}

@@ -240,12 +240,13 @@ def s_refinement(mc: MarkedChain, k: int) -> str:
 # --- full tags and partition checks ----------------------------------------
 
 
-def classify(q: PairedChain, level: int, k: int) -> tuple:
+def classify(q: PairedChain | MarkedChain, level: int, k: int) -> tuple:
     """
     The element's tag in the requested decomposition:
       level 1 (stage-1 split): ('A'|'B1'|'B2'|'B3'|'C'|'D11'|'D12'|'D2', 'X'|'Y')
       level 2 (stage-2 split of the level-(k-1) universe): see dec2 docs
-      level 3 (stage-3 split of level-k marked chains / class F): string tag
+      level 3 (stage-3 split of level-k marked chains, bare or with an
+               empty Monk part, and of class F): ('R'|'S11'|...|'F22',)
     """
     if level == 1:
         if q.chain.k == k - 1:
@@ -267,9 +268,10 @@ def classify(q: PairedChain, level: int, k: int) -> tuple:
             return (base, "Y3", detail)
         return (base, "Y3", detail, y3_circle(q, k))
     if level == 3:
-        if q.chain.k == k and q.monk.is_empty():
-            return (s_refinement(q.marked, k),)
-        if q.chain.k == k - 1 and in_class_f(q, k):
+        bare = isinstance(q, MarkedChain)
+        if q.chain.k == k and (bare or q.monk.is_empty()):
+            return (s_refinement(q if bare else q.marked, k),)
+        if not bare and q.chain.k == k - 1 and in_class_f(q, k):
             return (f_refinement(q, k),)
         raise ValueError("stage-3 tags apply to level-k marked chains or class F")
     raise ValueError(f"level must be 1..3, got {level}")

@@ -104,24 +104,22 @@ def _stage2_pieces(w: Permutation, k: int, g: int) -> dict[str, Expansion]:
     return {name: sum_weights(elems, g) for name, elems in buckets.items()}
 
 
-def check_stage2_identity(w: Permutation, k: int, p: int) -> bool:
+def _stage2_rhs(w: Permutation, k: int, p: int) -> Expansion:
     hi = _stage2_pieces(w, k, p)
     lo = _stage2_pieces(w, k, p - 1)
-    rhs = (
+    return (
         hi["A1Y2"] + hi["E"] + hi["A1empty"] + hi["G"]
         - lo["A1Y2"] - lo["E"] + lo["F"]
     )
-    return pieri_expand(w, k, p) == rhs
+
+
+def check_stage2_identity(w: Permutation, k: int, p: int) -> bool:
+    return pieri_expand(w, k, p) == _stage2_rhs(w, k, p)
 
 
 def check_grand_cancellation(w: Permutation, k: int, p: int) -> bool:
     """Stage-2 right-hand side minus the split level-k weight sum is zero."""
-    hi = _stage2_pieces(w, k, p)
-    lo = _stage2_pieces(w, k, p - 1)
-    rhs = (
-        hi["A1Y2"] + hi["E"] + hi["A1empty"] + hi["G"]
-        - lo["A1Y2"] - lo["E"] + lo["F"]
-    )
+    rhs = _stage2_rhs(w, k, p)
     level_k = enumerate_marked(w, k, p)
     split: dict[str, list] = {"R": [], "S11": [], "S12a": [], "S12b": [], "S2": []}
     for mc in level_k:

@@ -27,20 +27,15 @@ from .classical import (
 from .expansion import expand_product_chain, pieri_expand
 from .golden import EX1, EX2, expected_expansion, expected_table
 from .permutations import Permutation, all_permutations
-from .proofkit import bijections as bij
-from .proofkit.classify import (
-    dec1_base_low,
-    dec2_base,
-    in_class_e,
-    in_class_f,
-    in_class_g,
-    f_refinement,
-    monk_refinement,
-    monk_side,
-    s_refinement,
-    y3_circle,
-    y3_detail,
+from .proofkit.bijections import (
+    BIJECTION,
+    INVOLUTION,
+    MATCHINGS,
+    SPLIT,
+    Matching,
+    Side,
 )
+from .proofkit.classify import classify
 from .proofkit.identities import (
     check_divisor_compatibility,
     check_grand_cancellation,
@@ -49,14 +44,7 @@ from .proofkit.identities import (
 )
 from .proofkit.scanners import all_scans
 from .proofkit.surgery import SurgeryError, check_p_conditions, delete, insert
-from .proofkit.universe import (
-    MarkedChain,
-    PairedChain,
-    enumerate_marked,
-    enumerate_paired,
-    marked_weight,
-    weight,
-)
+from .proofkit.universe import MarkedChain, PairedChain, marked_weight, weight
 from .qbg import QMonomial, edge_kind, edge_kind_by_length, validate_path
 from .render import chains_table
 
@@ -278,240 +266,119 @@ def _weight_matches(inp, out, k: int, sign: int, qk_power: int) -> bool:
     return left == right
 
 
-def _full_tag(q: PairedChain, k: int):
-    """Complete stage-1+2 tag used to bucket a paired element."""
-    level = q.chain.k
-    if level == k - 1:
-        base = dec2_base(q, k)
-        if monk_side(q, k) == "X":
-            return (base, "X")
-        ref = monk_refinement(q, k)
-        if ref != "Y3":
-            return (base, ref)
-        detail = y3_detail(q, k)
-        if base.startswith("Bns") and detail == "(1)":
-            return (base, "Y3", detail, y3_circle(q, k))
-        return (base, "Y3", detail)
-    return (dec1_base_low(q, k), monk_side(q, k))
-
-
-def _bucket(universe, k: int):
-    out: dict[tuple, set] = {}
-    for q in universe:
-        out.setdefault(_full_tag(q, k), set()).add(q)
-    return out
-
-
-def _collect(buckets, pred) -> set:
-    out = set()
-    for tag, elems in buckets.items():
-        if pred(tag):
-            out |= elems
-    return out
-
-
-def _check_bijection(report, name, domain, codomain, forward, inverse, k, sign, qk_power):
+def _forward_pass(report, name, m: Matching, domain, codomains, k, branches) -> set | None:
+    """
+    Map each domain element forward: the image lies in its branch's codomain
+    (a split bijection's level-k branch takes the marked chains, its chase
+    branch the rest), obeys that branch's weight law and maps back.  Returns
+    the images, or None once a map has raised.
+    """
     images = set()
     for q in sorted(domain, key=repr):
         try:
-            img = forward(q)
+            img = m.forward(q, k)
         except Exception as exc:  # guaranteed constructions must not fail
             report.fail(f"{name}: forward map raised on {q}: {exc}")
-            return
-        report.check(img in codomain, lambda: f"{name}: image outside codomain for {q}")
+            return None
+        b = 1 if len(codomains) == 2 and not isinstance(img, MarkedChain) else 0
+        where, law = branches[b]
+        report.check(img in codomains[b], lambda: f"{name}: image outside {where} for {q}")
         report.check(
-            _weight_matches(q, img, k, sign, qk_power),
-            lambda: f"{name}: weight law fails for {q}",
+            _weight_matches(q, img, k, m.sign[b], m.power),
+            lambda: f"{name}: weight law fails{law} for {q}",
         )
         try:
-            back = inverse(img)
+            back = m.inverse(img, k)
         except Exception as exc:
             report.fail(f"{name}: inverse raised on image of {q}: {exc}")
-            return
+            return None
         report.check(back == q, lambda: f"{name}: inverse does not return {q}")
         images.add(img)
+    return images
+
+
+def _check_bijection(report, name, m: Matching, domain, codomains, k):
+    (codomain,) = codomains
+    images = _forward_pass(report, name, m, domain, codomains, k, [("codomain", "")])
+    if images is None:
+        return
     report.check(
         len(images) == len(domain),
         lambda: f"{name}: forward map is not injective ({len(images)} images, {len(domain)} inputs)",
     )
     report.check(
-        images == set(codomain),
+        images == codomain,
         lambda: f"{name}: image set differs from codomain "
         f"({len(images)} images vs {len(codomain)} targets)",
     )
     for q in sorted(codomain, key=repr):
         try:
-            back = inverse(q)
+            back = m.inverse(q, k)
         except Exception as exc:
             report.fail(f"{name}: inverse raised on {q}: {exc}")
             return
-        report.check(forward(back) == q, lambda: f"{name}: forward(inverse) misses {q}")
+        report.check(m.forward(back, k) == q, lambda: f"{name}: forward(inverse) misses {q}")
 
 
-def _check_involution(report, name, domain, mapping, k):
-    for q in sorted(domain, key=repr):
-        try:
-            img = mapping(q)
-        except Exception as exc:
-            report.fail(f"{name}: raised on {q}: {exc}")
-            return
-        report.check(img in domain, lambda: f"{name}: image leaves the class for {q}")
-        report.check(
-            _weight_matches(q, img, k, -1, 0), lambda: f"{name}: weight law fails for {q}"
-        )
-        report.check(mapping(img) == q, lambda: f"{name}: not an involution at {q}")
-
-
-def check_bijections_grid(report: SuiteReport, w: Permutation, k: int, p: int) -> None:
-    """All eighteen matchings on (w, k, p), both marking levels."""
-    for g in (p - 1, p):
-        top = _bucket(enumerate_paired(w, k - 1, g, k), k)
-        low = _bucket(enumerate_paired(w, k - 2, g - 1, k), k)
-
-        def a_tags(t):
-            return t[0] in ("A1", "A2", "A3")
-
-        pairs = [
-            ("pi1", _collect(top, lambda t: a_tags(t) and t[1] == "X"),
-             _collect(top, lambda t: t[0] == "B1" and t[1] != "X"),
-             bij.pi1, bij.pi1_inv, -1, 0),
-            ("pi2", _collect(top, lambda t: a_tags(t) and t[1] != "X"),
-             _collect(top, lambda t: t[0] == "B1" and t[1] == "X"),
-             bij.pi2, bij.pi2_inv, -1, 1),
-            ("pi3", _collect(top, lambda t: t[0] == "Bns1" and t[1] == "X"),
-             _collect(low, lambda t: t[0] == "C" and t[1] == "Y"),
-             bij.pi3, bij.pi3_inv, 1, -1),
-            ("pi4", _collect(top, lambda t: t[0] == "Bns1" and t[1] != "X"),
-             _collect(low, lambda t: t[0] == "C" and t[1] == "X"),
-             bij.pi4, bij.pi4_inv, 1, 0),
-            ("pi5", _collect(top, lambda t: t[0] in ("Bns2", "Bns3") and t[1] == "X"),
-             _collect(low, lambda t: t[0] == "D11" and t[1] == "Y"),
-             bij.pi5, bij.pi5_inv, 1, -1),
-            ("pi6", _collect(top, lambda t: t[0] in ("Bns2", "Bns3") and t[1] != "X"),
-             _collect(low, lambda t: t[0] == "D11" and t[1] == "X"),
-             bij.pi6, bij.pi6_inv, 1, 0),
-            ("pi7", _collect(low, lambda t: t[0] == "D12" and t[1] == "X"),
-             _collect(low, lambda t: t[0] == "D2" and t[1] == "Y"),
-             bij.pi7, bij.pi7_inv, -1, -1),
-            ("pi8", _collect(low, lambda t: t[0] == "D12" and t[1] == "Y"),
-             _collect(low, lambda t: t[0] == "D2" and t[1] == "X"),
-             bij.pi8, bij.pi8_inv, -1, 0),
-        ]
-        for name, dom, cod, fwd, inv, sign, power in pairs:
-            _check_bijection(
-                report, f"{name}[w={w.one_line()},k={k},g={g}]",
-                dom, cod, lambda q, f=fwd: f(q, k), lambda q, f=inv: f(q, k),
-                k, sign, power,
-            )
-
-        cls_a = _collect(
-            top,
-            lambda t: (t[0] == "A1" and t[1] == "Y3")
-            or (t[0] == "A2" and t[1] in ("empty", "Y2", "Y3"))
-            or (t[0] == "A3" and t[1] == "Y3"),
-        )
-        _check_involution(
-            report, f"theta1[w={w.one_line()},k={k},g={g}]", cls_a,
-            lambda q: bij.theta1(q, k, dec2_base(q, k)), k,
-        )
-        circ2 = _collect(
-            top, lambda t: len(t) == 4 and t[1] == "Y3" and t[3] == "c2"
-        )
-        _check_involution(
-            report, f"theta2[w={w.one_line()},k={k},g={g}]", circ2,
-            lambda q: bij.theta2(q, k, dec2_base(q, k)), k,
-        )
-        cls_b = _collect(
-            top,
-            lambda t: (t[0] == "Bns2" and t[1] in ("empty", "Y2"))
-            or (t[0].startswith("Bns") and len(t) >= 3 and t[2] == "(2)"),
-        )
-        _check_involution(
-            report, f"theta3[w={w.one_line()},k={k},g={g}]", cls_b,
-            lambda q: bij.theta3(q, k, dec2_base(q, k), monk_refinement(q, k) == "Y3"),
-            k,
-        )
-        circ1 = _collect(
-            top, lambda t: len(t) == 4 and t[1] == "Y3" and t[3] == "c1"
-        )
-        d2y = _collect(low, lambda t: t[0] == "D2" and t[1] == "Y")
-        _check_bijection(
-            report, f"theta4[w={w.one_line()},k={k},g={g}]",
-            d2y, circ1, lambda q: bij.theta4(q, k), lambda q: bij.theta4_inv(q, k),
-            k, 1, 1,
-        )
-
-    # chi maps: fixed marking levels tied to p
-    top_p = _bucket(enumerate_paired(w, k - 1, p, k), k)
-    top_p1 = _bucket(enumerate_paired(w, k - 1, p - 1, k), k)
-    level_k: dict[str, set] = {"R": set(), "S11": set(), "S12a": set(), "S12b": set(), "S2": set()}
-    for mc in enumerate_marked(w, k, p):
-        level_k[s_refinement(mc, k)].add(mc)
-    f_split: dict[str, set] = {"F1": set(), "F21": set(), "F22": set()}
-    for q in itertools.chain.from_iterable(top_p1.values()):
-        if in_class_f(q, k):
-            f_split[f_refinement(q, k)].add(q)
-
-    a1y2_p = _collect(top_p, lambda t: t[0] == "A1" and t[1] == "Y2")
-    a1y2_p1 = _collect(top_p1, lambda t: t[0] == "A1" and t[1] == "Y2")
-    a1e_p = _collect(top_p, lambda t: t[0] == "A1" and t[1] == "empty")
-    e_p = {q for q in itertools.chain.from_iterable(top_p.values()) if in_class_e(q, k)}
-    e_p1 = {q for q in itertools.chain.from_iterable(top_p1.values()) if in_class_e(q, k)}
-    g_p = {q for q in itertools.chain.from_iterable(top_p.values()) if in_class_g(q, k)}
-
-    tag = f"[w={w.one_line()},k={k},p={p}]"
-    _check_bijection(report, "chi1" + tag, a1y2_p, level_k["S2"],
-                     lambda q: bij.chi1(q, k), lambda x: bij.chi1_inv(x, k), k, 1, 0)
-    _check_bijection(report, "chi5" + tag, a1y2_p1, level_k["S11"],
-                     lambda q: bij.chi5(q, k), lambda x: bij.chi5_inv(x, k), k, -1, 0)
-    _check_bijection(report, "chi3" + tag, a1e_p, level_k["R"],
-                     lambda q: bij.chi3(q, k), lambda x: bij.chi3_inv(x, k), k, 1, 0)
-    _check_bijection(report, "chi4" + tag, g_p, f_split["F1"],
-                     lambda q: bij.chi4(q, k), lambda x: bij.chi4_inv(x, k), k, -1, 0)
-    _check_split_bijection(
-        report, "chi2" + tag, e_p, level_k["S12b"], f_split["F22"],
-        lambda q: bij.chi2(q, k), lambda x: bij.chi2_inv(x, k), k, 1, -1,
-    )
-    _check_split_bijection(
-        report, "chi6" + tag, e_p1, level_k["S12a"], f_split["F21"],
-        lambda q: bij.chi6(q, k), lambda x: bij.chi6_inv(x, k), k, -1, 1,
-    )
-
-
-def _check_split_bijection(report, name, domain, cod_marked, cod_paired,
-                           forward, inverse, k, sign_marked, sign_paired):
-    images = set()
-    for q in sorted(domain, key=repr):
-        try:
-            img = forward(q)
-        except Exception as exc:
-            report.fail(f"{name}: forward map raised on {q}: {exc}")
-            return
-        if isinstance(img, MarkedChain):
-            report.check(img in cod_marked, lambda: f"{name}: image outside level-k codomain for {q}")
-            report.check(
-                _weight_matches(q, img, k, sign_marked, 0),
-                lambda: f"{name}: weight law fails (level-k branch) for {q}",
-            )
-        else:
-            report.check(img in cod_paired, lambda: f"{name}: image outside chase codomain for {q}")
-            report.check(
-                _weight_matches(q, img, k, sign_paired, 0),
-                lambda: f"{name}: weight law fails (chase branch) for {q}",
-            )
-        try:
-            back = inverse(img)
-        except Exception as exc:
-            report.fail(f"{name}: inverse raised on image of {q}: {exc}")
-            return
-        report.check(back == q, lambda: f"{name}: inverse does not return {q}")
-        images.add(img)
-    targets = set(cod_marked) | set(cod_paired)
+def _check_split_bijection(report, name, m: Matching, domain, codomains, k):
+    branches = [("level-k codomain", " (level-k branch)"), ("chase codomain", " (chase branch)")]
+    images = _forward_pass(report, name, m, domain, codomains, k, branches)
+    if images is None:
+        return
+    targets = codomains[0] | codomains[1]
     report.check(len(images) == len(domain), lambda: f"{name}: not injective")
     report.check(
         images == targets,
         lambda: f"{name}: image set differs from codomain ({len(images)} vs {len(targets)})",
     )
+
+
+def _check_involution(report, name, m: Matching, domain, codomains, k):
+    for q in sorted(domain, key=repr):
+        try:
+            img = m.forward(q, k)
+        except Exception as exc:
+            report.fail(f"{name}: raised on {q}: {exc}")
+            return
+        report.check(img in domain, lambda: f"{name}: image leaves the class for {q}")
+        report.check(
+            _weight_matches(q, img, k, m.sign[0], m.power),
+            lambda: f"{name}: weight law fails for {q}",
+        )
+        report.check(m.forward(img, k) == q, lambda: f"{name}: not an involution at {q}")
+
+
+_CHECKS = {
+    BIJECTION: _check_bijection,
+    SPLIT: _check_split_bijection,
+    INVOLUTION: _check_involution,
+}
+
+
+def check_bijections_grid(report: SuiteReport, w: Permutation, k: int, p: int) -> None:
+    """Every matching of `MATCHINGS` on (w, k, p), at g = p-1 and g = p where it runs per g."""
+    buckets: dict[tuple[int, int], dict[tuple, set]] = {}  # (level, marks) -> tag -> elements
+
+    def members(side: Side, anchor: int) -> set:
+        u = side.universe
+        key = (k + u.level, anchor + u.marks)
+        if key not in buckets:
+            buckets[key] = {}
+            for x in u.elements(w, k, anchor):
+                buckets[key].setdefault(classify(x, u.stage, k), set()).add(x)
+        out = set()
+        for tag, elems in buckets[key].items():
+            if side.tags(tag):
+                out |= elems if side.test is None else {x for x in elems if side.test(x, k)}
+        return out
+
+    runs = [(m, "g", g) for g in (p - 1, p) for m in MATCHINGS.values() if m.domain.universe.per_g]
+    runs += [(m, "p", p) for m in MATCHINGS.values() if not m.domain.universe.per_g]
+    for m, axis, anchor in runs:
+        _CHECKS[m.shape](
+            report, f"{m.name}[w={w.one_line()},k={k},{axis}={anchor}]", m,
+            members(m.domain, anchor), [members(c, anchor) for c in m.codomain], k,
+        )
 
 
 def _suite_bijections() -> SuiteReport:

@@ -18,18 +18,13 @@ their tests fail honestly rather than weakening the check:
 
 from __future__ import annotations
 
-import itertools
+import collections
 import time
 
 import pytest
 
 from qpieri.chains import enumerate_pieri_chains
-from qpieri.classical import (
-    verify_monk_at_q0,
-    verify_pieri_at_q0,
-    verify_recurrence_at_q0,
-)
-from qpieri.expansion import expand_product_chain, pieri_expand
+from qpieri.expansion import pieri_expand
 from qpieri.golden import EX1, EX2, expected_expansion, expected_table
 from qpieri.permutations import Permutation, all_permutations
 from qpieri.proofkit.identities import (
@@ -37,16 +32,9 @@ from qpieri.proofkit.identities import (
     check_stage1_identity,
     check_stage2_identity,
 )
-from qpieri.proofkit.scanners import all_scans
-from qpieri.proofkit.surgery import SurgeryError, check_p_conditions, delete, insert
-from qpieri.qbg import QMonomial, edge_kind, edge_kind_by_length
+from qpieri.qbg import QMonomial
 from qpieri.render import chains_table
-from qpieri.verify import (
-    SuiteReport,
-    check_bijections_grid,
-    enumerate_surgery_paths,
-    run_suite,
-)
+from qpieri.verify import run_suite
 
 P = Permutation.from_one_line
 
@@ -121,29 +109,16 @@ def test_criterion_02_second_example_reproduction():
 
 def test_criterion_03_classical_oracle():
     t0 = time.time()
-    for w in all_permutations(3):
-        for k in (1, 2, 3):
-            for p in range(0, k + 1):
-                assert verify_pieri_at_q0(w, k, p), (w, k, p)
-    assert verify_pieri_at_q0(P("32514"), 3, 2)
-    for x in all_permutations(3):
-        for k in (1, 2):
-            assert verify_monk_at_q0(x, k), (x, k)
-    for k in (2, 3, 4):
-        for p in range(1, k + 1):
-            assert verify_recurrence_at_q0(k, p), (k, p)
-    _finish(3, "polynomial identities at Q=0", True, 60.0, time.time() - t0)
+    report = run_suite("classical")
+    _finish(3, "polynomial identities at Q=0", report.passed, 60.0, time.time() - t0,
+            detail="; ".join(report.failures[:3]))
 
 
 def test_criterion_04_commutativity():
     t0 = time.time()
-    factors = [(k, p) for k in (1, 2, 3) for p in range(0, k + 1)]
-    for w in all_permutations(3):
-        for f1, f2 in itertools.product(factors, repeat=2):
-            assert expand_product_chain(w, [f1, f2]) == expand_product_chain(w, [f2, f1]), (
-                w, f1, f2,
-            )
-    _finish(4, "factor-order independence of double expansions", True, 120.0, time.time() - t0)
+    report = run_suite("commutativity")
+    _finish(4, "factor-order independence of double expansions", report.passed, 120.0,
+            time.time() - t0, detail="; ".join(report.failures[:3]))
 
 
 def test_criterion_05_marking_count_formula():
@@ -161,13 +136,7 @@ def test_criterion_05_marking_count_formula():
 
 def test_criterion_06_matchings():
     t0 = time.time()
-    report = SuiteReport("bijections", "acceptance grid")
-    for w in all_permutations(3):
-        for k in (2, 3):
-            for p in range(1, k + 1):
-                check_bijections_grid(report, w, k, p)
-    import collections
-
+    report = run_suite("bijections")
     kinds = collections.Counter(f.split("[")[0] for f in report.failures)
     _finish(
         6,
@@ -215,20 +184,14 @@ def test_criterion_07_assembled_identities():
 
 def test_criterion_08_forbidden_pattern_scans():
     t0 = time.time()
-    problems = []
-    for scan in all_scans(5, 5, 2):
-        if scan.name.endswith("-weakened"):
-            if scan.clean:
-                problems.append(f"{scan.name} found nothing (no sensitivity)")
-        elif not scan.clean:
-            problems.append(f"{scan.name}: {scan.counterexamples[0]}")
+    report = run_suite("lemmas")
     _finish(
         8,
         "non-existence scans clean on S_5; weakened twins all fire",
-        not problems,
+        report.passed,
         120.0,
         time.time() - t0,
-        detail="; ".join(problems[:3]),
+        detail="; ".join(report.failures[:3]),
     )
 
 
@@ -236,36 +199,14 @@ def test_criterion_09_insertion_deletion_round_trips():
     # every admissible path stays inside S_5: starts range over S_5 and
     # columns are capped at 5
     t0 = time.time()
-    checked = 0
-    for w in all_permutations(5):
-        for k in (1, 2, 3):
-            for path in enumerate_surgery_paths(w, k, 5):
-                for d in range(k + 1, 6):
-                    try:
-                        step = insert(path, k, d)
-                    except SurgeryError:
-                        continue
-                    checked += 1
-                    if not step.commuted:
-                        assert all(a != k for a, _ in step.path.labels)
-                    assert delete(step.path, k) == (path, d)
-                try:
-                    check_p_conditions(path, k, require_p3=True)
-                except SurgeryError:
-                    continue
-                removed, d = delete(path, k)
-                checked += 1
-                assert insert(removed, k, d).path == path
-    assert checked > 1000
-    _finish(9, "insertion/deletion round trips on all admissible inputs", True, 60.0,
-            time.time() - t0)
+    report = run_suite("insertion", 5)
+    assert report.checked > 1000
+    _finish(9, "insertion/deletion round trips on all admissible inputs", report.passed, 60.0,
+            time.time() - t0, detail="; ".join(report.failures[:3]))
 
 
 def test_criterion_10_edge_criterion_equivalence():
     t0 = time.time()
-    for x in all_permutations(6):
-        for a in range(1, 7):
-            for b in range(a + 1, 8):
-                assert edge_kind(x, (a, b)) == edge_kind_by_length(x, (a, b)), (x, a, b)
-    _finish(10, "window criterion equals length-delta definition on S_6", True, 30.0,
-            time.time() - t0)
+    report = run_suite("edges")
+    _finish(10, "window criterion equals length-delta definition on S_6", report.passed, 30.0,
+            time.time() - t0, detail="; ".join(report.failures[:3]))

@@ -23,8 +23,9 @@ import pytest
 
 from qpieri.chains import PieriChain, is_marking
 from qpieri.permutations import Permutation, all_permutations
-from qpieri.proofkit import apply_bijection
+from qpieri.proofkit import MATCHINGS, apply_bijection
 from qpieri.proofkit import bijections as bij
+from qpieri.proofkit.classify import classify
 from qpieri.proofkit.universe import MarkedChain, PairedChain, enumerate_paired
 from qpieri.qbg import validate_path
 from qpieri.verify import SuiteReport, check_bijections_grid
@@ -185,19 +186,64 @@ def test_level_raising_swap_transports_head_marks():
     assert bij.theta4_inv(img, 4) == q
 
 
-def test_apply_bijection_dispatcher():
-    w = P("321")
-    k = 2
-    from qpieri.proofkit.classify import dec1_base_top, monk_side
+NAMES = (
+    [f"pi{i}" for i in range(1, 9)]
+    + [f"theta{i}" for i in range(1, 5)]
+    + [f"chi{i}" for i in range(1, 7)]
+)
+# the S_3 grid of the bijections suite, plus the column-4 start that
+# populates the second border swap's domain
+GRID = [(w, k, p) for w in all_permutations(3) for k in (2, 3) for p in range(1, k + 1)]
+GRID += [(P("1342"), 4, p) for p in (2, 3, 4)]
 
-    for q in enumerate_paired(w, 1, 1, 2):
-        base, side = dec1_base_top(q, k), monk_side(q, k)
-        if base == "A" and side == "X":
-            img = apply_bijection("pi1", q, k)
-            assert apply_bijection("pi1-inv", img, k) == q
-            assert apply_bijection("pi1", img, k, inverse=True) == q
-    with pytest.raises(ValueError):
-        apply_bijection("pi9", None, 2)
+
+def _round_trip_element(m):
+    """(k, x, image) for the first domain element on the grid that `m` maps back."""
+    side = m.domain
+    u = side.universe
+    for w, k, p in GRID:
+        for anchor in ((p - 1, p) if u.per_g else (p,)):
+            for x in u.elements(w, k, anchor):
+                if not side.tags(classify(x, u.stage, k)):
+                    continue
+                if side.test is not None and not side.test(x, k):
+                    continue
+                try:
+                    img = m.forward(x, k)
+                    if m.inverse(img, k) == x:
+                        return k, x, img
+                except (ValueError, RuntimeError):
+                    continue
+    raise AssertionError(f"{m.name}: no round-tripping domain element on the grid")
+
+
+def test_registry_names_the_eighteen_matchings():
+    assert list(MATCHINGS) == NAMES
+    for name, m in MATCHINGS.items():
+        assert m.name == name
+        assert len(m.codomain) == len(m.sign) == (2 if m.shape == bij.SPLIT else 1)
+        if m.shape == bij.INVOLUTION:
+            assert m.codomain == (m.domain,) and m.inverse is m.forward
+
+
+def test_apply_bijection_dispatcher():
+    """
+    Every name and its '-inv' form dispatch to the registry entry the
+    suite checks, on one grid element of the map's domain.
+    """
+    for name in NAMES:
+        m = MATCHINGS[name]
+        k, x, img = _round_trip_element(m)
+        assert apply_bijection(name, x, k) == img, name
+        assert apply_bijection(name + "-inv", img, k) == x, name
+        assert apply_bijection(name, img, k, inverse=True) == x, name
+        if name not in ("theta1", "theta2", "theta3"):
+            # the plain maps take (element, k): the registry adds nothing to them
+            assert getattr(bij, name)(x, k) == img, name
+            assert getattr(bij, name + "_inv")(img, k) == x, name
+    for bad in ("pi9", "pi9-inv", "theta", "chi0"):
+        with pytest.raises(ValueError, match="unknown matching"):
+            apply_bijection(bad, None, 2)
 
 
 def test_theta_involutions_on_clean_grid():

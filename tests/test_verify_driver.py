@@ -2,9 +2,40 @@
 
 from __future__ import annotations
 
+import importlib.util
+import pathlib
+
 import pytest
 
 from qpieri.verify import SUITES, SuiteReport, run_suite
+
+
+WORKLOADS = pathlib.Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
+
+
+def _default_inventory() -> dict[str, tuple[int, int]]:
+    """
+    The benchmark's pinned (checked, failures) per suite at its default
+    universe, read from bench/workloads.py without editing it.
+    """
+    spec = importlib.util.spec_from_file_location("bench_workloads", WORKLOADS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    inventory = module.VerifySuites.INVENTORY
+    return {suite: want for (suite, max_n), want in inventory.items() if max_n is None}
+
+
+DEFAULT_INVENTORY = _default_inventory()
+
+
+def test_inventory_covers_every_suite():
+    assert sorted(DEFAULT_INVENTORY) == sorted(SUITES)
+
+
+@pytest.mark.parametrize("suite", SUITES)
+def test_default_universe_inventory(suite):
+    report = run_suite(suite)
+    assert (report.checked, len(report.failures)) == DEFAULT_INVENTORY[suite]
 
 
 def test_unknown_suite_rejected():

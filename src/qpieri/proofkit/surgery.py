@@ -24,9 +24,12 @@ Insertion of (k,d) requires
         row of its final label occurs in no (*,l)-segment with k < l <= d.
 
 The insertion runs the rewrite pass on the (*,k)-segment against (k,d) and
-then relocates the rewritten block next to the (*,d)-segment; all
-intermediate relocations are re-validated, since the local rewrite rules
-guarantee them (a failure here is a bug, not a data condition).
+then relocates the rewritten block next to the (*,d)-segment.  The input
+is a `DirectedPath`, so nothing it already holds is walked again: (C1) is
+one edge test from its end, and the pass reads the vertices before the
+run positions from one walk back along the path.  Each relocated result
+is walked once from the start; the local rewrite rules guarantee it, so
+a failure there is a bug, not a data condition.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..permutations import Label, label_precedes
-from ..qbg import DirectedPath, algorithm_skd, validate_path
+from ..qbg import DirectedPath, algorithm_skd, edge_kind, validate_path
 
 
 class SurgeryError(ValueError):
@@ -87,7 +90,7 @@ def check_insert_conditions(path: DirectedPath, k: int, d: int) -> None:
     labels = path.labels
     if d <= k:
         raise SurgeryError("C1", f"need d > k, got {d}")
-    if validate_path(path.start, labels + ((k, d),)) is None:
+    if edge_kind(path.end, (k, d)) is None:
         raise SurgeryError("C1", f"appending ({k},{d}) is not a directed path")
     cols = [b for (a, b) in labels if a == k]
     if cols and d >= min(cols):

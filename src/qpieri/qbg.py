@@ -14,11 +14,18 @@ decided by the window criterion
 which is O(b-a); the length-delta form is kept alongside as an
 independent oracle.  A quantum edge (a,b) contributes Q_a Q_{a+1} ... Q_{b-1}
 to the weight of a path; Bruhat edges contribute 1.
+
+A label sequence is checked by walking it on one window list: each label
+is tested against the list and its two entries are swapped in place, and
+only the end vertex is built as a `Permutation` (`validate_path`,
+`first_invalid_index`, `DirectedPath.extend`).  `edge_kind` and the walk
+share the one test of the criterion above.
 """
 
 from __future__ import annotations
 
 import enum
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 
 from .permutations import Label, Permutation
@@ -49,6 +56,11 @@ def edge_kind(x: Permutation, label: Label) -> EdgeKind | None:
     win = x.window
     if b > len(win):
         win = x.extended(b)
+    return _window_kind(win, a, b)
+
+
+def _window_kind(win: Sequence[int], a: int, b: int) -> EdgeKind | None:
+    """The window criterion for the edge (a,b), 1 <= a < b <= len(win)."""
     xa, xb = win[a - 1], win[b - 1]
     if xa < xb:
         for c in range(a, b - 1):
@@ -59,6 +71,28 @@ def edge_kind(x: Permutation, label: Label) -> EdgeKind | None:
         if not xb < win[c] < xa:
             return None
     return EdgeKind.QUANTUM
+
+
+def _walk(win: list[int], labels: Iterable[Label], kinds: list[EdgeKind]) -> int | None:
+    """
+    Walk `labels` from the vertex whose window is `win`, in place: pad
+    `win` with fixed points as far as each label needs, append the label's
+    edge kind to `kinds` and swap its two entries.  Returns the index of
+    the first label that is not an edge (`win` then holds the vertex
+    before it), or None.  A bad label raises ValueError when reached.
+    """
+    for i, label in enumerate(labels):
+        a, b = label
+        if not 1 <= a < b:
+            raise ValueError(f"bad transposition {label}")
+        if b > len(win):
+            win.extend(range(len(win) + 1, b + 1))
+        kind = _window_kind(win, a, b)
+        if kind is None:
+            return i
+        kinds.append(kind)
+        win[a - 1], win[b - 1] = win[b - 1], win[a - 1]
+    return None
 
 
 def edge_kind_by_length(x: Permutation, label: Label) -> EdgeKind | None:
@@ -206,14 +240,22 @@ class DirectedPath:
 
     def extend(self, label: Label) -> DirectedPath | None:
         """The path with one more edge, or None if the step is not an edge."""
-        kind = edge_kind(self.end, label)
+        # one step of `_walk`, written out: the chain searches call this per node
+        a, b = label
+        if not 1 <= a < b:
+            raise ValueError(f"bad transposition {label}")
+        win = list(self.end.window)
+        if b > len(win):
+            win.extend(range(len(win) + 1, b + 1))
+        kind = _window_kind(win, a, b)
         if kind is None:
             return None
+        win[a - 1], win[b - 1] = win[b - 1], win[a - 1]
         return DirectedPath(
             self.start,
             self.labels + (label,),
             self.kinds + (kind,),
-            self.end.apply(label),
+            Permutation._from_swapped(win),
         )
 
     def render(self) -> str:
@@ -243,23 +285,17 @@ class DirectedPath:
 
 def validate_path(start: Permutation, labels: list[Label] | tuple[Label, ...]) -> DirectedPath | None:
     """The DirectedPath with the given data, or None at the first non-edge."""
-    path = DirectedPath.empty(start)
-    for label in labels:
-        nxt = path.extend(label)
-        if nxt is None:
-            return None
-        path = nxt
-    return path
+    labels = tuple(labels)
+    win = list(start.window)
+    kinds: list[EdgeKind] = []
+    if _walk(win, labels, kinds) is not None:
+        return None
+    return DirectedPath(start, labels, tuple(kinds), Permutation._from_swapped(win))
 
 
 def first_invalid_index(start: Permutation, labels: list[Label] | tuple[Label, ...]) -> int | None:
     """Index (0-based) of the first step that is not an edge, or None."""
-    x = start
-    for i, label in enumerate(labels):
-        if edge_kind(x, label) is None:
-            return i
-        x = x.apply(label)
-    return None
+    return _walk(list(start.window), labels, [])
 
 
 def q_weight(path: DirectedPath) -> QMonomial:
@@ -272,11 +308,9 @@ def q_weight(path: DirectedPath) -> QMonomial:
     return QMonomial(tuple(sorted(exps.items())))
 
 
-def _two_step_valid(v: Permutation, s: Label, t: Label) -> bool:
-    kind = edge_kind(v, s)
-    if kind is None:
-        return False
-    return edge_kind(v.apply(s), t) is not None
+def _two_step_valid(win: list[int], s: Label, t: Label) -> bool:
+    """Whether (s, t) is a directed path from the vertex with window `win` (left as it is)."""
+    return _walk(win.copy(), (s, t), []) is None
 
 
 def local_transform(v: Permutation, case: int, s: Label, t: Label) -> list[tuple[Label, Label]]:
@@ -293,10 +327,11 @@ def local_transform(v: Permutation, case: int, s: Label, t: Label) -> list[tuple
     with a < b < c throughout.  Cases 1-3 guarantee their single
     replacement; case 4 guarantees at least one of its two.
     """
-    if not _two_step_valid(v, s, t):
+    win = list(v.window)
+    if not _two_step_valid(win, s, t):
         raise ValueError(f"({v!r}; {s}, {t}) is not a directed path")
     candidates = _transform_candidates(case, s, t)
-    valid = [pair for pair in candidates if _two_step_valid(v, *pair)]
+    valid = [pair for pair in candidates if _two_step_valid(win, *pair)]
     if not valid:
         raise RuntimeError(
             f"local transform case {case} failed on ({v!r}; {s}, {t}): "
@@ -377,23 +412,25 @@ def algorithm_skd(prefix_path: DirectedPath, segment_start: int, k: int, d: int)
     if any(b != k for _, b in segment):
         raise ValueError(f"labels from index {segment_start} must all be (*,{k})")
     t = len(segment)
-    extended = validate_path(prefix_path.start, labels + [(k, d)])
-    if extended is None:
+    if edge_kind(prefix_path.end, (k, d)) is None:
         raise ValueError("appending (k,d) does not give a directed path")
 
     work = labels + [(k, d)]
+    # the vertex before run position u, read by undoing labels from the end:
+    # the pass rewrites only positions pos, pos+1 while moving left, so
+    # work[:pos] stays labels[:pos]
+    v = list(prefix_path.end.extended(d))
     ambiguous: list[int] = []
     u = t
     while u > 0:
         # window (j_u,k),(k,d) sits at positions pos, pos+1
         pos = segment_start + u - 1
-        j_u = work[pos][0]
-        prefix = validate_path(prefix_path.start, work[:pos])
-        assert prefix is not None
+        j_u = labels[pos][0]
+        v[j_u - 1], v[k - 1] = v[k - 1], v[j_u - 1]
         commuting = ((k, d), (j_u, d))
         absorbing = ((j_u, d), (j_u, k))
-        can_commute = _two_step_valid(prefix.end, *commuting)
-        can_absorb = _two_step_valid(prefix.end, *absorbing)
+        can_commute = _two_step_valid(v, *commuting)
+        can_absorb = _two_step_valid(v, *absorbing)
         if can_commute and can_absorb:
             ambiguous.append(u)
         if can_commute:
@@ -406,9 +443,15 @@ def algorithm_skd(prefix_path: DirectedPath, segment_start: int, k: int, d: int)
                 "one alternative is guaranteed to validate, so this indicates a bug"
             )
         work[pos], work[pos + 1] = absorbing
-        final = validate_path(prefix_path.start, work)
-        assert final is not None
-        return SkdOutcome("IIB", u, final, tuple(ambiguous))
-    final = validate_path(prefix_path.start, work)
-    assert final is not None
-    return SkdOutcome("IIA", 0, final, tuple(ambiguous))
+        return SkdOutcome("IIB", u, _rewritten(prefix_path.start, work), tuple(ambiguous))
+    return SkdOutcome("IIA", 0, _rewritten(prefix_path.start, work), tuple(ambiguous))
+
+
+def _rewritten(start: Permutation, work: list[Label]) -> DirectedPath:
+    path = validate_path(start, work)
+    if path is None:
+        raise RuntimeError(
+            "the rewritten path is not a directed path: the rewrites are guaranteed, "
+            "so this indicates a bug"
+        )
+    return path

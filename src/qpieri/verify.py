@@ -45,7 +45,7 @@ from .proofkit.identities import (
 from .proofkit.scanners import all_scans
 from .proofkit.surgery import SurgeryError, check_p_conditions, delete, insert
 from .proofkit.universe import MarkedChain, PairedChain, marked_weight, weight
-from .qbg import QMonomial, edge_kind, edge_kind_by_length, validate_path
+from .qbg import DirectedPath, QMonomial, edge_kind, edge_kind_by_length, validate_path
 from .render import chains_table
 
 
@@ -435,8 +435,6 @@ def enumerate_surgery_paths(w: Permutation, k: int, bound: int):
             except SurgeryError:
                 continue
             dfs(nxt)
-
-    from .qbg import DirectedPath
 
     dfs(DirectedPath.empty(w))
     return out

@@ -269,3 +269,132 @@ def test_edge_kind_matches_length_form_past_the_window():
 def test_edge_kind_rejects_a_bad_label(label):
     with pytest.raises(ValueError, match="bad transposition"):
         edge_kind(P("321"), label)
+
+
+# --- the window walk against the length oracle --------------------------------
+
+BAD_LABELS = ((0, 2), (2, 2), (3, 1))
+
+
+def _oracle_step(state, label):
+    """
+    One step of the reference fold: `edge_kind_by_length` and
+    `Permutation.apply`.  `state` is (kinds, vertex, first non-edge index or
+    None); once a step fails the fold stops, so later labels are never read.
+    """
+    kinds, x, bad = state
+    if bad is not None:
+        return state
+    kind = edge_kind_by_length(x, label)  # raises ValueError on a bad label
+    if kind is None:
+        return kinds, x, len(kinds)
+    return kinds + (kind,), x.apply(label), None
+
+
+def _oracle_walk(start, labels):
+    state = ((), start, None)
+    for label in labels:
+        state = _oracle_step(state, label)
+    return state
+
+
+def _assert_walk_matches(start, labels, state):
+    kinds, end, bad = state
+    path = validate_path(start, labels)
+    assert first_invalid_index(start, labels) == bad
+    if bad is not None:
+        assert path is None
+        return None
+    assert path is not None
+    assert path.start is start and path.labels == tuple(labels) and path.kinds == kinds
+    assert path.end == end and hash(path.end) == hash(end)
+    return path
+
+
+def _assert_bad_label_raises_when_reached(start, labels, state, path):
+    for bad_label in BAD_LABELS:
+        longer = tuple(labels) + (bad_label,)
+        if state[2] is None:
+            with pytest.raises(ValueError, match="bad transposition"):
+                validate_path(start, longer)
+            with pytest.raises(ValueError, match="bad transposition"):
+                first_invalid_index(start, longer)
+            with pytest.raises(ValueError, match="bad transposition"):
+                path.extend(bad_label)
+        else:
+            # an earlier step is no edge: the walk stops before the bad label
+            assert validate_path(start, longer) is None
+            assert first_invalid_index(start, longer) == state[2]
+
+
+def _walk_tree(start, labels, state, alphabet, depth):
+    path = _assert_walk_matches(start, labels, state)
+    if depth == 0:
+        return path
+    _assert_bad_label_raises_when_reached(start, labels, state, path)
+    for label in alphabet:
+        child = _walk_tree(start, labels + (label,), _oracle_step(state, label), alphabet, depth - 1)
+        if path is not None:
+            assert path.extend(label) == child
+    return path
+
+
+@pytest.mark.parametrize("n", range(5))
+def test_walk_matches_the_length_oracle_exhaustive(n):
+    # every label list of length <= 3 with columns <= n+2, from every start in S_n
+    alphabet = [(a, b) for b in range(2, n + 3) for a in range(1, b)]
+    for start in all_permutations(n):
+        _walk_tree(start, (), ((), start, None), alphabet, 3)
+
+
+@st.composite
+def _walks(draw):
+    n = draw(st.integers(5, 7))
+    start = Permutation(tuple(draw(st.permutations(range(1, n + 1)))))
+    # mostly good labels reaching past the window, now and then a bad one
+    good = st.integers(2, n + 3).flatmap(lambda b: st.tuples(st.integers(1, b - 1), st.just(b)))
+    label = st.one_of(good, good, good, st.sampled_from(BAD_LABELS))
+    return start, tuple(draw(st.lists(label, max_size=8)))
+
+
+@given(_walks())
+@settings(max_examples=200, deadline=None)
+def test_walk_matches_the_length_oracle_on_larger_windows(walk):
+    start, labels = walk
+    try:
+        state = _oracle_walk(start, labels)
+    except ValueError:
+        # the oracle reached a bad label: so must every walk
+        reached = next(i for i, lab in enumerate(labels) if not 1 <= lab[0] < lab[1])
+        assert first_invalid_index(start, labels[:reached]) is None
+        with pytest.raises(ValueError, match="bad transposition"):
+            validate_path(start, labels)
+        with pytest.raises(ValueError, match="bad transposition"):
+            first_invalid_index(start, labels)
+        return
+    path = _assert_walk_matches(start, labels, state)
+    if labels:
+        head = validate_path(start, labels[:-1])
+        if head is not None:
+            assert head.extend(labels[-1]) == path
+
+
+def _skd_iib_input():
+    for path in _skd_universe(4, 3, 4, 2):
+        if algorithm_skd(path, 0, 3, 4).kind == "IIB":
+            return path
+    raise AssertionError("no absorbing input in the universe")
+
+
+@pytest.mark.parametrize("kind", ["IIA", "IIB"])
+def test_algorithm_raises_when_the_rewritten_path_fails(monkeypatch, kind):
+    # the rewritten path is guaranteed; a failed final walk is reported as a
+    # bug, also under `python -O`, rather than returned as a None path
+    if kind == "IIA":
+        path, segment_start = validate_path(P("321"), [(1, 4)]), 1
+    else:
+        path, segment_start = _skd_iib_input(), 0
+    assert algorithm_skd(path, segment_start, 3, 4).kind == kind
+    monkeypatch.setattr(qpieri.qbg, "validate_path", lambda start, labels: None)
+    with pytest.raises(RuntimeError, match="indicates a bug"):
+        algorithm_skd(path, segment_start, 3, 4)

@@ -13,7 +13,7 @@ from qpieri.proofkit.surgery import (
     insert,
     insert_many,
 )
-from qpieri.qbg import validate_path
+from qpieri.qbg import SkdOutcome, algorithm_skd, validate_path
 from qpieri.verify import enumerate_surgery_paths
 
 P = Permutation.from_one_line
@@ -92,3 +92,94 @@ def test_insert_many_requires_decreasing_columns():
     path = _path("321", [])
     with pytest.raises(SurgeryError, match="C2"):
         insert_many(path, 2, [3, 4])
+
+
+# --- surgery against re-walking references -----------------------------------
+
+
+def _rewalking_skd(prefix_path, segment_start, k, d):
+    """The rewrite pass validating each prefix work[:pos] from the start."""
+    if d <= k:
+        raise ValueError(f"need d > k, got k={k}, d={d}")
+    labels = list(prefix_path.labels)
+    segment = labels[segment_start:]
+    if any(b != k for _, b in segment):
+        raise ValueError(f"labels from index {segment_start} must all be (*,{k})")
+    if validate_path(prefix_path.start, labels + [(k, d)]) is None:
+        raise ValueError("appending (k,d) does not give a directed path")
+    work = labels + [(k, d)]
+    ambiguous = []
+    u = len(segment)
+    while u > 0:
+        pos = segment_start + u - 1
+        j_u = work[pos][0]
+        v = validate_path(prefix_path.start, work[:pos]).end
+        commuting = ((k, d), (j_u, d))
+        absorbing = ((j_u, d), (j_u, k))
+        can_commute = validate_path(v, commuting) is not None
+        can_absorb = validate_path(v, absorbing) is not None
+        if can_commute and can_absorb:
+            ambiguous.append(u)
+        if can_commute:
+            work[pos], work[pos + 1] = commuting
+            u -= 1
+            continue
+        assert can_absorb
+        work[pos], work[pos + 1] = absorbing
+        return SkdOutcome("IIB", u, validate_path(prefix_path.start, work), tuple(ambiguous))
+    return SkdOutcome("IIA", 0, validate_path(prefix_path.start, work), tuple(ambiguous))
+
+
+def _rewalking_insert_conditions(path, k, d):
+    """`check_insert_conditions` with (C1) walked over the whole path plus (k,d)."""
+    labels = path.labels
+    if d <= k:
+        raise SurgeryError("C1", f"need d > k, got {d}")
+    if validate_path(path.start, labels + ((k, d),)) is None:
+        raise SurgeryError("C1", f"appending ({k},{d}) is not a directed path")
+    cols = [b for (a, b) in labels if a == k]
+    if cols and d >= min(cols):
+        raise SurgeryError("C2", f"d={d} not below existing columns {sorted(cols)}")
+    kseg = [lab for lab in labels if lab[1] == k]
+    if not cols and kseg:
+        a = kseg[-1][0]
+        for l in range(k + 1, d + 1):
+            if (a, l) in labels:
+                raise SurgeryError("C3", f"row {a} reappears in the (*,{l})-segment")
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (ValueError, RuntimeError) as exc:
+        return type(exc), str(exc)
+
+
+def _surgery_grid():
+    for w in all_permutations(4):
+        for k in (1, 2, 3):
+            for path in enumerate_surgery_paths(w, k, 5):
+                for d in range(k + 1, 6):
+                    yield path, k, d
+
+
+def test_skd_matches_the_rewalking_pass():
+    kinds = {"IIA": 0, "IIB": 0, "ValueError": 0}
+    for path, k, d in _surgery_grid():
+        seg_start = len(path.labels) - sum(1 for _, b in path.labels if b == k)
+        want = _outcome(_rewalking_skd, path, seg_start, k, d)
+        got = _outcome(algorithm_skd, path, seg_start, k, d)
+        assert got == want, (path, k, d)
+        kinds[want.kind if isinstance(want, SkdOutcome) else want[0].__name__] += 1
+    assert all(kinds.values()), kinds
+
+
+def test_insert_conditions_match_the_rewalking_check():
+    names = {}
+    for path, k, d in _surgery_grid():
+        want = _outcome(_rewalking_insert_conditions, path, k, d)
+        got = _outcome(check_insert_conditions, path, k, d)
+        assert got == want, (path, k, d)
+        name = None if want is None else want[1].split(":")[0]
+        names[name] = names.get(name, 0) + 1
+    assert set(names) == {None, "C1", "C2", "C3"}, names

@@ -61,7 +61,7 @@ class PieriChain:
     def __post_init__(self) -> None:
         problem = pieri_violation(self.path.labels, self.k)
         if problem is not None:
-            raise ValueError(f"not a {self.k}-Pieri chain: {problem}")
+            raise ValueError(f"not a {self.k}-Pieri chain: {problem[1]}")
 
     @property
     def labels(self) -> tuple[Label, ...]:
@@ -122,24 +122,27 @@ class PieriChain:
         return f"PieriChain(k={self.k}, {self.path.render()})"
 
 
-def pieri_violation(labels: tuple[Label, ...], k: int) -> str | None:
-    """None if (P0)-(P2) hold for a k-Pieri chain, else a description."""
+def pieri_violation(labels: tuple[Label, ...], k: int) -> tuple[str, str] | None:
+    """
+    None if (P0)-(P2) hold for a k-Pieri chain, else (condition, description)
+    with condition the first failed one of "P0", "P1", "P2".
+    """
     r = len(labels)
     seen = set()
     for a, b in labels:
         if not a <= k < b:
-            return f"label ({a},{b}) outside rows 1..{k} / columns > {k}"
+            return "P0", f"label ({a},{b}) outside rows 1..{k} / columns > {k}"
         if (a, b) in seen:
-            return f"label ({a},{b}) repeats"
+            return "P0", f"label ({a},{b}) repeats"
         seen.add((a, b))
     for i in range(r - 1):
         if labels[i][1] < labels[i + 1][1]:
-            return f"columns increase at index {i}"
+            return "P1", f"columns increase at index {i}"
     if r >= 3:
         rows_before: set[int] = {labels[0][0]}
         for s in range(1, r - 1):
             if labels[s][0] in rows_before and not label_precedes(labels[s], labels[s + 1]):
-                return f"repeated row {labels[s][0]} not followed in order at index {s}"
+                return "P2", f"repeated row {labels[s][0]} not followed in order at index {s}"
             rows_before.add(labels[s][0])
     return None
 
@@ -155,12 +158,12 @@ def _assert_root_bound(x: Permutation, k: int, bound: int) -> None:
             )
 
 
-def enumerate_pieri_chains(w: Permutation, k: int, audit_bound: bool = True) -> list[PieriChain]:
+def enumerate_pieri_chains(w: Permutation, k: int) -> list[PieriChain]:
     """
     All k-Pieri chains from w, in depth-first order with extensions tried
     in label order.  Exhaustive within N = max(support(w), k) + 1: no first
-    edge can reach column N+1 (audited at the start when `audit_bound`),
-    and (P1) caps every later column at the first one.
+    edge can reach column N+1 (audited at the start), and (P1) caps every
+    later column at the first one.
     """
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
@@ -170,8 +173,7 @@ def enumerate_pieri_chains(w: Permutation, k: int, audit_bound: bool = True) -> 
         key=label_sort_key,
     )
     out: list[PieriChain] = []
-    if audit_bound:
-        _assert_root_bound(w, k, bound)
+    _assert_root_bound(w, k, bound)
 
     def dfs(path: DirectedPath, rows_before: set[int]) -> None:
         out.append(PieriChain(path, k))
@@ -242,10 +244,6 @@ class MonkChain:
     def row_segment(self) -> tuple[Label, ...]:
         """The (*,k)-segment."""
         return self.path.labels[: self.s]
-
-    def col_segment(self) -> tuple[Label, ...]:
-        """The (k,*)-segment."""
-        return self.path.labels[self.s :]
 
     def is_empty(self) -> bool:
         return not self.path.labels

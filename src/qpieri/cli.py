@@ -17,11 +17,10 @@ import functools
 import json
 import sys
 
-from .chains import enumerate_markings, enumerate_pieri_chains
 from .expansion import Expansion, monk_lhs_expand, pieri_expand
 from .permutations import Permutation
 from .qbg import Q_VARIABLES
-from .render import chains_table, markings_table
+from .render import chain_rows, chains_table, markings_table
 from .verify import SIZED_SUITES, SUITES, run_suite
 
 
@@ -59,12 +58,9 @@ def cmd_chains(args) -> int:
     p = args.p if args.p is not None else args.k
     if args.format == "json":
         records = []
-        for chain in enumerate_pieri_chains(args.w, args.k):
+        for chain, _, markings in chain_rows(args.w, args.k, p):
             record = chain.path.to_record()
-            record["markings"] = [
-                [list(lab) for lab in chain.labels if lab in m]
-                for m in enumerate_markings(chain, p)
-            ]
+            record["markings"] = [[list(lab) for lab in m] for m in markings]
             records.append(record)
         _emit(json.dumps(records) + "\n", args.out)
     else:

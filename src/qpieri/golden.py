@@ -166,7 +166,4 @@ def expected_expansion(ex: WorkedExample) -> Expansion:
 def expected_table(ex: WorkedExample) -> str:
     from .render import format_table_rows
 
-    rows = []
-    for labels, kinds, markings, end in ex.rows:
-        rows.append((labels, kinds, markings, end))
-    return format_table_rows(ex.w, ex.p, rows)
+    return format_table_rows(ex.w, ex.p, ex.rows)

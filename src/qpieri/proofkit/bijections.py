@@ -37,7 +37,7 @@ from .classify import (
     monk_refinement,
     run_dec_algorithm,
 )
-from .surgery import delete, insert
+from .surgery import delete, insert_many
 from .universe import MarkedChain, PairedChain, enumerate_marked, enumerate_paired
 
 Element = Union[PairedChain, MarkedChain]
@@ -389,9 +389,7 @@ def _as_level(chain: PieriChain, level: int, marking) -> MarkedChain:
 
 def _inserted(q: PairedChain, k: int, marking) -> MarkedChain:
     """The level-k chain made by inserting every Monk column into the chain."""
-    path = q.chain.path
-    for d in _monk_columns(q):
-        path = insert(path, k, d).path
+    path, _ = insert_many(q.chain.path, k, _monk_columns(q))
     return _marked(path.start, path.labels, marking, k)
 
 
@@ -435,14 +433,9 @@ def _chi_insert(q: PairedChain, k: int):
     cols = _monk_columns(q)  # decreasing d_r > ... > d_1
     chain = q.chain
     kappa = chain.final_label()
-    path = chain.path
-    first_commuted = 0  # index u in 1..r counted from the smallest column
-    for idx, d in enumerate(cols):
-        step = insert(path, k, d)
-        path = step.path
-        if step.commuted and first_commuted == 0:
-            first_commuted = len(cols) - idx
-    result = path
+    result, steps = insert_many(chain.path, k, cols)
+    # index u in 1..r, counted from the smallest column, of the first commuting step
+    first_commuted = next((len(cols) - idx for idx, step in enumerate(steps) if step.commuted), 0)
     # rows moved out of the original (*,k)-segment, by column
     new_at: dict[int, list[Label]] = {}
     old_segments = {d: set(chain.segment_labels(d)) for d in cols}

@@ -172,42 +172,38 @@ def in_class_g(q: PairedChain, k: int) -> bool:
 # --- stage 3: kappa' / kappa'' and the F/S refinements ----------------------
 
 
-def kappa_prime(chain: PieriChain, k: int) -> tuple[Label, int, list[int]]:
+def _chase(chain: PieriChain, start: int) -> tuple[Label, int, list[int]]:
     """
-    Iterated final-label chase starting at column k: from the final label
+    Iterated final-label chase from column `start`: from the final label
     (a, d_i) of the (*,d_i)-segment, move to the least column d > d_i with
     (a, d) in the chain; stops when none exists.  Returns (final label of
     the last visited segment, number of hops, the visited column list).
     """
-    if not chain.segment_labels(k):
-        raise ValueError("kappa' needs a nonempty (*,k)-segment")
-    cols = [k]
+    cols = [start]
     while True:
-        d = cols[-1]
-        seg = chain.segment_labels(d)
+        seg = chain.segment_labels(cols[-1])
         if not seg:
-            raise AssertionError(f"visited column {d} has empty segment")
+            raise AssertionError(f"visited column {cols[-1]} has empty segment")
         a = seg[-1][0]
-        nxt = [bb for (aa, bb) in chain.labels if aa == a and bb > d]
+        nxt = [bb for (aa, bb) in chain.labels if aa == a and bb > cols[-1]]
         if not nxt:
             return seg[-1], len(cols) - 1, cols
         cols.append(min(nxt))
+
+
+def kappa_prime(chain: PieriChain, k: int) -> tuple[Label, int, list[int]]:
+    """The final-label chase started at column k."""
+    if not chain.segment_labels(k):
+        raise ValueError("kappa' needs a nonempty (*,k)-segment")
+    return _chase(chain, k)
 
 
 def kappa_double_prime(chain: PieriChain, k: int) -> tuple[Label, int, list[int]]:
-    """Same chase started at the top column b(p) = max{b : (k,b) in chain}."""
+    """The same chase started at the top column b(p) = max{b : (k,b) in chain}."""
     tops = [b for (a, b) in chain.labels if a == k]
     if not tops:
         raise ValueError("kappa'' needs a (k,*) label")
-    cols = [max(tops)]
-    while True:
-        d = cols[-1]
-        seg = chain.segment_labels(d)
-        a = seg[-1][0]
-        nxt = [bb for (aa, bb) in chain.labels if aa == a and bb > d]
-        if not nxt:
-            return seg[-1], len(cols) - 1, cols
-        cols.append(min(nxt))
+    return _chase(chain, max(tops))
 
 
 def f_refinement(q: PairedChain, k: int) -> str:

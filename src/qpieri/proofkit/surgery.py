@@ -3,14 +3,25 @@ Insertion and deletion: mutually inverse surgeries that move a column
 label (k,d) into and out of a chain.
 
 Both operate on directed paths whose labels live in rows <= k with columns
->= k, subject to:
+>= k.  The path conditions (P0)'-(P2)' are the chain conditions (P0)-(P2)
+of `qpieri.chains` at one level, fixed by the path itself:
 
-  (P0)'  labels distinct, each either (a,b) with a <= k-1 < b or (a,k) with
-         a <= k-1 or (k,b) with b > k; if any (k,*) label is present there
-         is no (*,k) label;
-  (P1)'  columns weakly decreasing;
-  (P2)'  a non-final label whose row occurred strictly earlier precedes its
-         successor in the label order;
+  (P0)'-(P2)'  the path is a k-Pieri chain if it has a (k,*) label, and a
+               (k-1)-Pieri chain otherwise;
+
+    >>> from qpieri.permutations import Permutation
+    >>> from qpieri.qbg import validate_path
+    >>> def failed(labels, k=2):
+    ...     try:
+    ...         check_p_conditions(validate_path(Permutation.from_one_line("321"), labels), k)
+    ...     except SurgeryError as exc:
+    ...         return exc.condition
+    ...     return "ok"
+    >>> failed([(1, 4), (1, 2)]), failed([(1, 4), (2, 3)]), failed([(2, 4), (1, 2)])
+    ('ok', 'ok', "P0'")
+
+  (the first path is a 1-Pieri chain, the second a 2-Pieri chain; the
+  third has the (2,*) label (2,4), so its (1,2) breaks (P0) at level 2)
 
 and, for deletion only,
 
@@ -36,7 +47,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..permutations import Label, label_precedes
+from ..chains import pieri_violation
+from ..permutations import Label
 from ..qbg import DirectedPath, algorithm_skd, edge_kind, validate_path
 
 
@@ -48,33 +60,19 @@ class SurgeryError(ValueError):
         self.condition = condition
 
 
+def _violation(labels: tuple[Label, ...], k: int) -> tuple[str, str] | None:
+    """`pieri_violation` at the level of (P0)'-(P2)': k with a (k,*) label, else k-1."""
+    return pieri_violation(labels, k if any(a == k for a, _ in labels) else k - 1)
+
+
 def check_p_conditions(path: DirectedPath, k: int, require_p3: bool = False) -> None:
     """Raise SurgeryError naming the first failed condition among (P0)'-(P3)'."""
     labels = path.labels
-    seen = set()
-    has_col = False
-    has_row = False
-    for a, b in labels:
-        ok = (a <= k - 1 and b >= k) or (a == k and b > k)
-        if not ok:
-            raise SurgeryError("P0'", f"label ({a},{b}) outside rows <= {k} columns >= {k}")
-        if (a, b) in seen:
-            raise SurgeryError("P0'", f"label ({a},{b}) repeats")
-        seen.add((a, b))
-        has_col |= a == k
-        has_row |= b == k
-    if has_col and has_row:
-        raise SurgeryError("P0'", "(k,*) and (*,k) labels both present")
-    for i in range(len(labels) - 1):
-        if labels[i][1] < labels[i + 1][1]:
-            raise SurgeryError("P1'", f"columns increase at index {i}")
-    if len(labels) >= 3:
-        rows_before = {labels[0][0]}
-        for s in range(1, len(labels) - 1):
-            if labels[s][0] in rows_before and not label_precedes(labels[s], labels[s + 1]):
-                raise SurgeryError("P2'", f"repeated row misordered at index {s}")
-            rows_before.add(labels[s][0])
-    if require_p3 and not has_col:
+    problem = _violation(labels, k)
+    if problem is not None:
+        condition, message = problem
+        raise SurgeryError(condition + "'", message)
+    if require_p3 and all(a != k for a, _ in labels):
         if not labels or labels[-1][1] != k:
             raise SurgeryError("P3'", "no (k,*) label and final label is not (a,k)")
         a = labels[-1][0]
@@ -132,7 +130,7 @@ def insert(path: DirectedPath, k: int, d: int) -> InsertResult:
         new_labels = high + [(k, d)] + [(i, d) for i, _ in kseg] + mid
         result = validate_path(path.start, tuple(new_labels))
         _require(result is not None, "relocation after the commuting pass")
-        check_p_conditions(result, k)
+        _require(_violation(result.labels, k) is None, "(P0)'-(P2)' after commuting insert")
         _require(not _segment(result.labels, k), "no (*,k) labels after commuting insert")
         n_col_after = sum(1 for a, _ in result.labels if a == k)
         _require(n_col_after == n_col_before + 1, "column count after commuting insert")
@@ -144,7 +142,7 @@ def insert(path: DirectedPath, k: int, d: int) -> InsertResult:
     new_labels = high + moved + mid + kept
     result = validate_path(path.start, tuple(new_labels))
     _require(result is not None, "relocation after the absorbing pass")
-    check_p_conditions(result, k)
+    _require(_violation(result.labels, k) is None, "(P0)'-(P2)' after absorbing insert")
     _require(all(a != k for a, _ in result.labels), "no (k,*) label after absorbing insert")
     return InsertResult(result, False, t)
 
@@ -192,7 +190,7 @@ def delete(path: DirectedPath, k: int) -> tuple[DirectedPath, int]:
         )
     result = validate_path(path.start, tuple(new_labels))
     _require(result is not None, "relocation during deletion")
-    check_p_conditions(result, k)
+    _require(_violation(result.labels, k) is None, "(P0)'-(P2)' after deletion")
     return result, d
 
 

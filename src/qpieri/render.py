@@ -42,24 +42,33 @@ def format_table_rows(w: str, p: int, rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def chains_table(w: Permutation, k: int, p: int) -> str:
-    rows = []
+def chain_rows(w: Permutation, k: int, p: int):
+    """
+    (chain, kind string, p-markings) for every k-Pieri chain from w, in
+    enumeration order; each marking is the tuple of its labels in chain order.
+    """
     for chain in enumerate_pieri_chains(w, k):
         kinds = "".join(kind.symbol for kind in chain.path.kinds)
         markings = tuple(
             tuple(lab for lab in chain.labels if lab in m)
             for m in enumerate_markings(chain, p)
         )
-        rows.append((chain.labels, kinds, markings, chain.end.one_line()))
+        yield chain, kinds, markings
+
+
+def chains_table(w: Permutation, k: int, p: int) -> str:
+    rows = [
+        (chain.labels, kinds, markings, chain.end.one_line())
+        for chain, kinds, markings in chain_rows(w, k, p)
+    ]
     return format_table_rows(w.one_line(), p, rows)
 
 
 def markings_table(w: Permutation, k: int, p: int) -> str:
     """One row per (chain, marking) pair; chains without p-markings are skipped."""
     lines = [f"p | marking | ed(p)"]
-    for chain in enumerate_pieri_chains(w, k):
-        kinds = "".join(kind.symbol for kind in chain.path.kinds)
-        for m in enumerate_markings(chain, p):
+    for chain, kinds, markings in chain_rows(w, k, p):
+        for m in markings:
             lines.append(
                 f"{format_chain_text(w.one_line(), chain.labels, kinds)}"
                 f" | {format_marking(chain.labels, m)} | {chain.end.one_line()}"

@@ -43,7 +43,7 @@ from .proofkit.identities import (
     check_stage2_identity,
 )
 from .proofkit.scanners import all_scans
-from .proofkit.surgery import SurgeryError, check_p_conditions, delete, insert
+from .proofkit.surgery import SurgeryError, delete, insert
 from .proofkit.universe import MarkedChain, PairedChain, marked_weight, weight
 from .qbg import DirectedPath, QMonomial, edge_kind, edge_kind_by_length, validate_path
 from .render import chains_table
@@ -411,33 +411,16 @@ def _suite_lemmas(max_n: int | None) -> SuiteReport:
 # --- insertion --------------------------------------------------------------
 
 
-def enumerate_surgery_paths(w: Permutation, k: int, bound: int):
-    """Directed paths from w satisfying the surgery preconditions."""
-    pool = sorted(
-        set(
-            [(a, b) for a in range(1, k) for b in range(k, bound + 1) if a < b]
-            + [(k, b) for b in range(k + 1, bound + 1)]
-        ),
-        key=lambda lab: (-lab[1], lab[0]),
-    )
-    out = []
-
-    def dfs(path):
-        out.append(path)
-        for lab in pool:
-            if path.labels and (lab[1] > path.labels[-1][1] or lab in path.labels):
-                continue
-            nxt = path.extend(lab)
-            if nxt is None:
-                continue
-            try:
-                check_p_conditions(nxt, k)
-            except SurgeryError:
-                continue
-            dfs(nxt)
-
-    dfs(DirectedPath.empty(w))
-    return out
+def enumerate_surgery_paths(w: Permutation, k: int, bound: int) -> list[DirectedPath]:
+    """
+    Directed paths from w satisfying the surgery preconditions (P0)'-(P2)',
+    with columns <= bound: the (k-1)-Pieri chains, then the k-Pieri chains
+    with a (k,*) label.
+    """
+    chains = enumerate_pieri_chains(w, k - 1) + [
+        chain for chain in enumerate_pieri_chains(w, k) if any(a == k for a, _ in chain.labels)
+    ]
+    return [chain.path for chain in chains if not chain.labels or chain.labels[0][1] <= bound]
 
 
 def _suite_insertion(max_n: int | None) -> SuiteReport:
@@ -465,10 +448,9 @@ def _suite_insertion(max_n: int | None) -> SuiteReport:
                         lambda: f"delete(insert) misses: {path!r} <- ({k},{d})",
                     )
                 try:
-                    check_p_conditions(path, k, require_p3=True)
+                    removed, d = delete(path, k)
                 except SurgeryError:
                     continue
-                removed, d = delete(path, k)
                 step = insert(removed, k, d)
                 report.check(
                     step.path == path,

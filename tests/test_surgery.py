@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
-import pytest
+import collections
 
-from qpieri.permutations import Permutation, all_permutations
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from qpieri.permutations import Permutation, all_permutations, label_precedes
 from qpieri.proofkit.surgery import (
     SurgeryError,
     check_insert_conditions,
@@ -13,7 +17,7 @@ from qpieri.proofkit.surgery import (
     insert,
     insert_many,
 )
-from qpieri.qbg import SkdOutcome, algorithm_skd, validate_path
+from qpieri.qbg import DirectedPath, SkdOutcome, algorithm_skd, validate_path
 from qpieri.verify import enumerate_surgery_paths
 
 P = Permutation.from_one_line
@@ -183,3 +187,132 @@ def test_insert_conditions_match_the_rewalking_check():
         name = None if want is None else want[1].split(":")[0]
         names[name] = names.get(name, 0) + 1
     assert set(names) == {None, "C1", "C2", "C3"}, names
+
+
+# --- surgery conditions against the standalone references --------------------
+
+
+def _standalone_p_conditions(path, k, require_p3=False):
+    """(P0)'-(P3)' written out label by label, without the chain validator."""
+    labels = path.labels
+    seen = set()
+    has_col = False
+    has_row = False
+    for a, b in labels:
+        ok = (a <= k - 1 and b >= k) or (a == k and b > k)
+        if not ok:
+            raise SurgeryError("P0'", f"label ({a},{b}) outside rows <= {k} columns >= {k}")
+        if (a, b) in seen:
+            raise SurgeryError("P0'", f"label ({a},{b}) repeats")
+        seen.add((a, b))
+        has_col |= a == k
+        has_row |= b == k
+    if has_col and has_row:
+        raise SurgeryError("P0'", "(k,*) and (*,k) labels both present")
+    for i in range(len(labels) - 1):
+        if labels[i][1] < labels[i + 1][1]:
+            raise SurgeryError("P1'", f"columns increase at index {i}")
+    if len(labels) >= 3:
+        rows_before = {labels[0][0]}
+        for s in range(1, len(labels) - 1):
+            if labels[s][0] in rows_before and not label_precedes(labels[s], labels[s + 1]):
+                raise SurgeryError("P2'", f"repeated row misordered at index {s}")
+            rows_before.add(labels[s][0])
+    if require_p3 and not has_col:
+        if not labels or labels[-1][1] != k:
+            raise SurgeryError("P3'", "no (k,*) label and final label is not (a,k)")
+        a = labels[-1][0]
+        if sum(1 for x, _ in labels if x == a) < 2:
+            raise SurgeryError("P3'", f"final row {a} occurs only once")
+
+
+def _surgery_path_dfs(w, k, bound):
+    """Directed paths from w satisfying (P0)'-(P2)', grown label by label over their own pool."""
+    pool = sorted(
+        set(
+            [(a, b) for a in range(1, k) for b in range(k, bound + 1) if a < b]
+            + [(k, b) for b in range(k + 1, bound + 1)]
+        ),
+        key=lambda lab: (-lab[1], lab[0]),
+    )
+    out = []
+
+    def dfs(path):
+        out.append(path)
+        for lab in pool:
+            if path.labels and (lab[1] > path.labels[-1][1] or lab in path.labels):
+                continue
+            nxt = path.extend(lab)
+            if nxt is None:
+                continue
+            try:
+                _standalone_p_conditions(nxt, k)
+            except SurgeryError:
+                continue
+            dfs(nxt)
+
+    dfs(DirectedPath.empty(w))
+    return out
+
+
+def _condition(check, path, k, require_p3):
+    try:
+        check(path, k, require_p3)
+    except SurgeryError as exc:
+        return exc.condition
+    return None
+
+
+@pytest.mark.parametrize("n, bound, total", [(3, 4, None), (4, 5, None), (5, 5, 4980)])
+def test_surgery_paths_are_the_dfs_paths(n, bound, total):
+    count = 0
+    for w in all_permutations(n):
+        for k in (1, 2, 3):
+            got = collections.Counter(enumerate_surgery_paths(w, k, bound))
+            assert got == collections.Counter(_surgery_path_dfs(w, k, bound)), (w, k)
+            count += sum(got.values())
+    if total is not None:
+        assert count == total
+
+
+def _all_short_paths(start, labels, length):
+    """Every directed path from `start` of at most `length` steps over `labels`."""
+    frontier = [DirectedPath.empty(start)]
+    for _ in range(length + 1):
+        yield from frontier
+        frontier = [nxt for path in frontier for lab in labels
+                    if (nxt := path.extend(lab)) is not None]
+
+
+def test_p_conditions_match_the_standalone_check_on_short_paths():
+    labels = [(a, b) for b in range(2, 6) for a in range(1, b)]
+    names = collections.Counter()
+    for w in all_permutations(3):
+        for path in _all_short_paths(w, labels, 3):
+            for k in (1, 2, 3, 4):
+                for require_p3 in (False, True):
+                    want = _condition(_standalone_p_conditions, path, k, require_p3)
+                    got = _condition(check_p_conditions, path, k, require_p3)
+                    assert got == want, (path, k, require_p3)
+                    names[want] += 1
+    assert set(names) == {None, "P0'", "P1'", "P2'", "P3'"}, names
+
+
+_STARTS = list(all_permutations(4)) + list(all_permutations(5))
+_LABELS = [(a, b) for b in range(2, 7) for a in range(1, b)]
+
+
+@st.composite
+def _paths(draw):
+    """A directed path from S_4 or S_5: drawn labels, each kept if it is an edge."""
+    path = DirectedPath.empty(draw(st.sampled_from(_STARTS)))
+    for lab in draw(st.lists(st.sampled_from(_LABELS), max_size=8)):
+        path = path.extend(lab) or path
+    return path
+
+
+@given(_paths(), st.integers(1, 5), st.booleans())
+@settings(max_examples=400, deadline=None)
+def test_p_conditions_match_the_standalone_check_on_sampled_paths(path, k, require_p3):
+    want = _condition(_standalone_p_conditions, path, k, require_p3)
+    assert _condition(check_p_conditions, path, k, require_p3) == want

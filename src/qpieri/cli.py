@@ -1,11 +1,11 @@
 """
 Command-line front end.
 
-    qpieri expand   --w 321 --k 2 --p 2 [--format json] [--filter-sn N]
-    qpieri monk     --x 321 --k 1 [--format json]
-    qpieri chains   --w 321 --k 2 [--p 2] [--format json]
-    qpieri markings --w 321 --k 2 --p 2
-    qpieri verify   --suite classical [--max-n N] [--format json]
+    qpieri expand   --w 321 --k 2 --p 2 [--format json] [--filter-sn N] [--out FILE]
+    qpieri monk     --x 321 --k 1 [--format json] [--filter-sn N] [--out FILE]
+    qpieri chains   --w 321 --k 2 [--p 2] [--format json] [--out FILE]
+    qpieri markings --w 321 --k 2 --p 2 [--out FILE]
+    qpieri verify   --suite classical [--max-n N] [--format json] [--out FILE]
 
 Exit codes: 0 success, 1 verification failure, 2 usage error.
 """
@@ -107,9 +107,6 @@ def _build_parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argume
     def common(p, perm_flag="--w"):
         p.add_argument(perm_flag, required=True, help="permutation in one-line notation")
         p.add_argument("--k", type=int, required=True, help="column of the factor")
-        p.add_argument("--format", choices=("text", "json"), default="text")
-        p.add_argument("--filter-sn", type=int, default=None, metavar="N",
-                       help="drop basis terms outside S_N")
         p.add_argument("--out", default=None, help="write output to a file")
 
     p_expand = sub.add_parser("expand", help="expand a product with a column factor")
@@ -130,6 +127,13 @@ def _build_parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argume
     common(p_mark)
     p_mark.add_argument("--p", type=int, required=True, help="marking size")
     p_mark.set_defaults(func=cmd_markings)
+
+    # each subcommand takes only the flags it reads
+    for p in (p_expand, p_monk, p_chains):
+        p.add_argument("--format", choices=("text", "json"), default="text")
+    for p in (p_expand, p_monk):
+        p.add_argument("--filter-sn", type=int, default=None, metavar="N",
+                       help="drop basis terms outside S_N")
 
     p_verify = sub.add_parser("verify", help="run a verification suite")
     p_verify.add_argument("--suite", required=True, choices=SUITES)

@@ -15,8 +15,6 @@ from .universe import (
     PairedChain,
     enumerate_marked,
     enumerate_paired,
-    marked_weight,
-    sum_marked_weights,
     sum_weights,
     weight,
 )
@@ -34,8 +32,6 @@ __all__ = [
     "insert",
     "kappa_double_prime",
     "kappa_prime",
-    "marked_weight",
-    "sum_marked_weights",
     "sum_weights",
     "weight",
 ]

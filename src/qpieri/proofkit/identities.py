@@ -36,18 +36,13 @@ from .classify import (
     monk_side,
     s_refinement,
 )
-from .universe import (
-    enumerate_marked,
-    enumerate_paired,
-    sum_marked_weights,
-    sum_weights,
-)
+from .universe import enumerate_marked, enumerate_paired, sum_weights
 
 
 def check_divisor_compatibility(w: Permutation, h: int, g: int, k: int) -> bool:
     """S(paired universe at (h,g)) equals the divisor product of the (h,g) expansion."""
     universe = enumerate_paired(w, h, g, k)
-    lhs = sum_weights(universe, g)
+    lhs = sum_weights(universe)
     if g < 0 or g > h:
         base = Expansion.zero()
     elif h >= 1:
@@ -64,13 +59,13 @@ def _stage1_bracket(w: Permutation, k: int, g: int) -> Expansion:
         q for q in top
         if monk_side(q, k) == "Y" and dec1_base_top(q, k) in ("A", "B2", "B3")
     ]
-    out = sum_weights(chosen, g)
+    out = sum_weights(chosen)
     low = enumerate_paired(w, k - 2, g - 1, k)
     d2y = [
         q for q in low
         if monk_side(q, k) == "Y" and dec1_base_low(q, k) == "D2"
     ]
-    out = out - sum_weights(d2y, g - 1).times_monomial(QMonomial.variable(k - 1))
+    out = out - sum_weights(d2y).times_monomial(QMonomial.variable(k - 1))
     return out
 
 
@@ -78,7 +73,7 @@ def check_stage1_identity(w: Permutation, k: int, p: int) -> bool:
     empty_slice = [
         q for q in enumerate_paired(w, k - 1, p - 1, k) if q.monk.is_empty()
     ]
-    rhs = sum_weights(empty_slice, p - 1)
+    rhs = sum_weights(empty_slice)
     rhs = rhs + _stage1_bracket(w, k, p) - _stage1_bracket(w, k, p - 1)
     return pieri_expand(w, k, p) == rhs
 
@@ -101,7 +96,7 @@ def _stage2_pieces(w: Permutation, k: int, g: int) -> dict[str, Expansion]:
             buckets["G"].append(q)
         if in_class_f(q, k):
             buckets["F"].append(q)
-    return {name: sum_weights(elems, g) for name, elems in buckets.items()}
+    return {name: sum_weights(elems) for name, elems in buckets.items()}
 
 
 def _stage2_rhs(w: Permutation, k: int, p: int) -> Expansion:
@@ -126,5 +121,5 @@ def check_grand_cancellation(w: Permutation, k: int, p: int) -> bool:
         split[s_refinement(mc, k)].append(mc)
     total = Expansion.zero()
     for elems in split.values():
-        total = total + sum_marked_weights(elems, p)
+        total = total + sum_weights(elems)
     return (rhs - total).is_zero()

@@ -6,6 +6,9 @@ configuration and returns the list of counterexamples found (expected
 empty).  Each also ships a deliberately weakened variant of its pattern;
 a weakened scan must come back nonempty within the same bounds, which
 demonstrates that the scan actually has discriminating power.
+
+The five path scans only list their label patterns; one walker (`_scan`)
+checks them from every start.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from dataclasses import dataclass, field
 
 from ..chains import enumerate_pieri_chains
 from ..permutations import all_permutations
-from ..qbg import validate_path
+from ..qbg import first_invalid_index
 
 
 @dataclass
@@ -30,20 +33,40 @@ class ScanReport:
         return not self.counterexamples
 
 
+def _scan(report: ScanReport, n: int, patterns) -> ScanReport:
+    """
+    Walk every label pattern from every v in S_n; record those that are
+    paths.  In lexicographic order the patterns sharing a head are adjacent,
+    so a pattern starting with the head on which the previous walk from v
+    stopped (its labels through the first non-edge) is counted unwalked.
+    """
+    patterns = sorted(map(tuple, patterns))
+    for v in all_permutations(n):
+        dead = None
+        for labels in patterns:
+            report.checked += 1
+            if dead is not None and labels[: len(dead)] == dead:
+                continue
+            stop = first_invalid_index(v, labels)
+            if stop is None:
+                report.counterexamples.append((v, labels))
+                dead = None
+            else:
+                dead = labels[: stop + 1]
+    return report
+
+
 def scan_three_step_descents(n: int, weakened: bool = False) -> ScanReport:
     """
     No path (v; (j,m), (i,m), (i,l)) with i < j < l < m exists.
     Weakened: allow l > m (swap the roles of l and m in the inequality).
     """
     name = "three-step-descent" + ("-weakened" if weakened else "")
-    report = ScanReport(name, f"S_{n}, indices <= {n}")
-    for v in all_permutations(n):
-        for i, j, l, m in itertools.combinations(range(1, n + 1), 4):
-            pattern = [(j, l), (i, l), (i, m)] if weakened else [(j, m), (i, m), (i, l)]
-            report.checked += 1
-            if validate_path(v, pattern) is not None:
-                report.counterexamples.append((v, tuple(pattern)))
-    return report
+    patterns = (
+        [(j, l), (i, l), (i, m)] if weakened else [(j, m), (i, m), (i, l)]
+        for i, j, l, m in itertools.combinations(range(1, n + 1), 4)
+    )
+    return _scan(ScanReport(name, f"S_{n}, indices <= {n}"), n, patterns)
 
 
 def scan_three_step_ascents(n: int, weakened: bool = False) -> ScanReport:
@@ -52,17 +75,12 @@ def scan_three_step_ascents(n: int, weakened: bool = False) -> ScanReport:
     Weakened: drop i < j (take j < i instead).
     """
     name = "three-step-ascent" + ("-weakened" if weakened else "")
-    report = ScanReport(name, f"S_{n}, indices <= {n}")
-    for v in all_permutations(n):
-        for idx in itertools.combinations(range(1, n + 1), 4):
-            if weakened:
-                j, i, l, m = idx
-            else:
-                i, j, l, m = idx
-            report.checked += 1
-            if validate_path(v, [(i, l), (i, m), (j, m)]) is not None:
-                report.counterexamples.append((v, ((i, l), (i, m), (j, m))))
-    return report
+    patterns = (
+        [(i, l), (i, m), (j, m)]
+        for x, y, l, m in itertools.combinations(range(1, n + 1), 4)
+        for i, j in [(y, x) if weakened else (x, y)]
+    )
+    return _scan(ScanReport(name, f"S_{n}, indices <= {n}"), n, patterns)
 
 
 def scan_row_return_to_column(n: int, k_max: int, run_max: int, weakened: bool = False) -> ScanReport:
@@ -74,8 +92,7 @@ def scan_row_return_to_column(n: int, k_max: int, run_max: int, weakened: bool =
     no longer covers the base case there, and instances exist).
     """
     name = "row-return-to-column" + ("-weakened" if weakened else "")
-    report = ScanReport(name, f"S_{n}, k <= {k_max}, s+t <= {run_max}")
-    perms = all_permutations(n)
+    patterns = []
     for k in range(3, k_max + 1):
         b_cap = k - 1 if weakened else k - 2
         for a in range(1, b_cap):
@@ -88,17 +105,13 @@ def scan_row_return_to_column(n: int, k_max: int, run_max: int, weakened: bool =
                             for ats in itertools.permutations(others, t):
                                 if set(bs) & set(ats):
                                     continue
-                                labels = (
+                                patterns.append(
                                     [(a, k - 1)]
                                     + [(x, k - 1) for x in bs]
                                     + [(x, k) for x in ats]
                                     + [(a, k), (b, k)]
                                 )
-                                for v in perms:
-                                    report.checked += 1
-                                    if validate_path(v, labels) is not None:
-                                        report.counterexamples.append((v, tuple(labels)))
-    return report
+    return _scan(ScanReport(name, f"S_{n}, k <= {k_max}, s+t <= {run_max}"), n, patterns)
 
 
 def scan_row_revisit(n: int, k_max: int, run_max: int, weakened: bool = False) -> ScanReport:
@@ -107,20 +120,15 @@ def scan_row_revisit(n: int, k_max: int, run_max: int, weakened: bool = False) -
     Weakened: allow the rows to reach k-1.
     """
     name = "row-revisit" + ("-weakened" if weakened else "")
-    report = ScanReport(name, f"S_{n}, k <= {k_max}, s <= {run_max}")
-    perms = all_permutations(n)
+    patterns = []
     for k in range(3, k_max + 1):
         cap = k - 1 if weakened else k - 2
         for a in range(1, cap + 1):
             others = [x for x in range(1, cap + 1) if x != a]
             for s in range(0, run_max + 1):
                 for bs in itertools.permutations(others, s):
-                    labels = [(a, k)] + [(x, k) for x in bs] + [(a, k)]
-                    for v in perms:
-                        report.checked += 1
-                        if validate_path(v, labels) is not None:
-                            report.counterexamples.append((v, tuple(labels)))
-    return report
+                    patterns.append([(a, k)] + [(x, k) for x in bs] + [(a, k)])
+    return _scan(ScanReport(name, f"S_{n}, k <= {k_max}, s <= {run_max}"), n, patterns)
 
 
 def scan_four_step_pattern(n: int, weakened: bool = False) -> ScanReport:
@@ -129,14 +137,11 @@ def scan_four_step_pattern(n: int, weakened: bool = False) -> ScanReport:
     Weakened: relax the final label's row from i to j.
     """
     name = "four-step-pattern" + ("-weakened" if weakened else "")
-    report = ScanReport(name, f"S_{n}, indices <= {n}")
-    for v in all_permutations(n):
-        for i, j, k, l, m in itertools.combinations(range(1, n + 1), 5):
-            last = (j, k) if weakened else (i, k)
-            report.checked += 1
-            if validate_path(v, [(i, m), (j, m), (j, l), last]) is not None:
-                report.counterexamples.append((v, ((i, m), (j, m), (j, l), last)))
-    return report
+    patterns = (
+        [(i, m), (j, m), (j, l), (j, k) if weakened else (i, k)]
+        for i, j, k, l, m in itertools.combinations(range(1, n + 1), 5)
+    )
+    return _scan(ScanReport(name, f"S_{n}, indices <= {n}"), n, patterns)
 
 
 def scan_chain_segment_descents(n: int, k_max: int) -> ScanReport:

@@ -8,9 +8,11 @@ is the signed basis term
 
   F(q) = (-1)^(len(p) - g + t(m)) * Q(p) * Q(m) * G[end(m)],
 
-t(m) the length of the Monk chain's (k,*)-segment.  Summing weights over a
-set of paired chains yields an Expansion; the matching identities verified
-in `bijections` and `identities` are equalities of such sums.
+g = |M| the number of marks and t(m) the length of the Monk chain's
+(k,*)-segment; a bare marked chain is weighed with an empty Monk part.
+Summing weights over a set of elements yields an Expansion; the matching
+identities verified in `bijections` and `identities` are equalities of
+such sums.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from ..chains import (
 )
 from ..expansion import Expansion, _accumulate
 from ..permutations import Permutation
-from ..qbg import QMonomial, pack_monomial, q_weight
+from ..qbg import pack_monomial, q_weight
 
 
 @dataclass(frozen=True)
@@ -72,37 +74,22 @@ class PairedChain:
         return self.monk.end
 
 
-@dataclass(frozen=True)
-class WeightTerm:
-    sign: int
-    qmono: QMonomial
-    basis: Permutation
+def weight(x: PairedChain | MarkedChain) -> tuple[int, int, Permutation]:
+    """
+    F(x) as (sign, packed Q-weight, basis), g = len(x.marking); a bare
+    marked chain has an empty Monk part.
+    """
+    chain = x.chain
+    exponent = len(chain) - len(x.marking)
+    q = pack_monomial(q_weight(chain.path))
+    if isinstance(x, PairedChain):
+        exponent += x.monk.t
+        q += pack_monomial(q_weight(x.monk.path))
+    return (-1 if exponent % 2 else 1), q, x.end
 
 
-def weight(q: PairedChain, g: int) -> WeightTerm:
-    """F at level (h, g); h is implicit in the chain."""
-    exponent = len(q.chain) - g + q.monk.t
-    sign = -1 if exponent % 2 else 1
-    return WeightTerm(sign, q_weight(q.chain.path) * q_weight(q.monk.path), q.end)
-
-
-def marked_weight(mc: MarkedChain, g: int) -> WeightTerm:
-    """F for a bare marked chain (empty Monk part)."""
-    exponent = len(mc.chain) - g
-    sign = -1 if exponent % 2 else 1
-    return WeightTerm(sign, q_weight(mc.chain.path), mc.end)
-
-
-def _sum_terms(terms) -> Expansion:
-    return _accumulate((t.basis, pack_monomial(t.qmono), t.sign) for t in terms)
-
-
-def sum_weights(elements, g: int) -> Expansion:
-    return _sum_terms(weight(q, g) for q in elements)
-
-
-def sum_marked_weights(elements, g: int) -> Expansion:
-    return _sum_terms(marked_weight(mc, g) for mc in elements)
+def sum_weights(elements) -> Expansion:
+    return _accumulate((basis, q, sign) for sign, q, basis in map(weight, elements))
 
 
 @lru_cache(maxsize=None)

@@ -240,22 +240,12 @@ class DirectedPath:
 
     def extend(self, label: Label) -> DirectedPath | None:
         """The path with one more edge, or None if the step is not an edge."""
-        # one step of `_walk`, written out: the chain searches call this per node
-        a, b = label
-        if not 1 <= a < b:
-            raise ValueError(f"bad transposition {label}")
         win = list(self.end.window)
-        if b > len(win):
-            win.extend(range(len(win) + 1, b + 1))
-        kind = _window_kind(win, a, b)
-        if kind is None:
+        kinds: list[EdgeKind] = []
+        if _walk(win, (label,), kinds) is not None:
             return None
-        win[a - 1], win[b - 1] = win[b - 1], win[a - 1]
         return DirectedPath(
-            self.start,
-            self.labels + (label,),
-            self.kinds + (kind,),
-            Permutation._from_swapped(win),
+            self.start, self.labels + (label,), self.kinds + (kinds[0],), Permutation._from_swapped(win)
         )
 
     def render(self) -> str:
@@ -427,8 +417,7 @@ def algorithm_skd(prefix_path: DirectedPath, segment_start: int, k: int, d: int)
         pos = segment_start + u - 1
         j_u = labels[pos][0]
         v[j_u - 1], v[k - 1] = v[k - 1], v[j_u - 1]
-        commuting = ((k, d), (j_u, d))
-        absorbing = ((j_u, d), (j_u, k))
+        commuting, absorbing = _transform_candidates(4, (j_u, k), (k, d))
         can_commute = _two_step_valid(v, *commuting)
         can_absorb = _two_step_valid(v, *absorbing)
         if can_commute and can_absorb:

@@ -44,8 +44,8 @@ from .proofkit.identities import (
 )
 from .proofkit.scanners import all_scans
 from .proofkit.surgery import SurgeryError, delete, insert
-from .proofkit.universe import MarkedChain, PairedChain, marked_weight, weight
-from .qbg import DirectedPath, QMonomial, edge_kind, edge_kind_by_length, validate_path
+from .proofkit.universe import MarkedChain, weight
+from .qbg import DirectedPath, QMonomial, edge_kind, edge_kind_by_length, pack_monomial, validate_path
 from .render import chains_table
 
 
@@ -250,20 +250,14 @@ def _suite_markings(max_n: int | None) -> SuiteReport:
 # --- bijections -------------------------------------------------------------
 
 
-def element_weight(x):
-    if isinstance(x, PairedChain):
-        return weight(x, len(x.marking))
-    return marked_weight(x, len(x.marking))
-
-
 def _weight_matches(inp, out, k: int, sign: int, qk_power: int) -> bool:
-    win, wout = element_weight(inp), element_weight(out)
-    if wout.basis != win.basis or wout.sign != sign * win.sign:
+    """F(out) = sign * Q_{k-1}^qk_power * F(inp), on packed Q-weights."""
+    sign_in, q_in, basis_in = weight(inp)
+    sign_out, q_out, basis_out = weight(out)
+    if basis_out != basis_in or sign_out != sign * sign_in:
         return False
-    qk = QMonomial.variable(k - 1)
-    left = wout.qmono * (qk if qk_power < 0 else QMonomial.one())
-    right = win.qmono * (qk if qk_power > 0 else QMonomial.one())
-    return left == right
+    qk = pack_monomial(QMonomial.variable(k - 1))
+    return q_out + (qk if qk_power < 0 else 0) == q_in + (qk if qk_power > 0 else 0)
 
 
 def _forward_pass(report, name, m: Matching, domain, codomains, k, branches) -> set | None:

@@ -97,6 +97,24 @@ def test_products_past_the_packed_variables_are_a_usage_error(args, capsys):
     assert "at most 1024" in captured.err and "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["chains", "--w", "321", "--k", "2", "--filter-sn", "3"],
+        ["markings", "--w", "321", "--k", "2", "--p", "2", "--filter-sn", "3"],
+        ["markings", "--w", "321", "--k", "2", "--p", "2", "--format", "json"],
+    ],
+    ids=["chains-filter-sn", "markings-filter-sn", "markings-format"],
+)
+def test_a_flag_the_subcommand_does_not_read_is_a_usage_error(args, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(args)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments" in captured.err and "Traceback" not in captured.err
+
+
 UNSIZED_SUITES = ["appendix-c", "classical", "monk", "bijections", "ledger"]
 
 

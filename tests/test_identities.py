@@ -10,7 +10,8 @@ from qpieri.proofkit.identities import (
     check_stage1_identity,
     check_stage2_identity,
 )
-from qpieri.proofkit.universe import enumerate_paired, sum_weights
+from qpieri.proofkit.universe import enumerate_marked, enumerate_paired, sum_weights, weight
+from qpieri.qbg import pack_monomial, q_weight
 
 P = Permutation.from_one_line
 
@@ -75,7 +76,40 @@ def test_monk_compatibility_is_the_divisor_product():
     w = P("321")
     for h, g in ((1, 1), (1, 0)):
         universe = enumerate_paired(w, h, g, 2)
-        lhs = sum_weights(universe, g)
+        lhs = sum_weights(universe)
         base = pieri_expand(w, h, g) if g <= h else Expansion.zero()
         rhs = base.map_basis(lambda u: monk_lhs_expand(u, 2))
         assert lhs == rhs
+
+
+# --- frozen copies of the weights before `weight` read g off the marking ---
+
+
+def _old_weight(q, g):
+    exponent = len(q.chain) - g + q.monk.t
+    return -1 if exponent % 2 else 1, q_weight(q.chain.path) * q_weight(q.monk.path), q.end
+
+
+def _old_marked_weight(mc, g):
+    exponent = len(mc.chain) - g
+    return -1 if exponent % 2 else 1, q_weight(mc.chain.path), mc.end
+
+
+def _packed(sign, mono, basis):
+    return sign, pack_monomial(mono), basis
+
+
+def test_weight_matches_the_frozen_weights():
+    """Every level (h, g) the identities and the matchings read, for w in S_3."""
+    seen = 0
+    for w in all_permutations(3):
+        for k in (2, 3):
+            for g in range(-1, k + 1):
+                for h in (k - 2, k - 1):
+                    for q in enumerate_paired(w, h, g, k):
+                        assert weight(q) == _packed(*_old_weight(q, g)), q
+                        seen += 1
+                for mc in enumerate_marked(w, k, g):
+                    assert weight(mc) == _packed(*_old_marked_weight(mc, g)), mc
+                    seen += 1
+    assert seen > 800

@@ -18,7 +18,8 @@ from qpieri.chains import (
     first_occurrences,
 )
 from qpieri.classical import grothendieck_poly, XPolynomial
-from qpieri.expansion import Expansion
+from qpieri.expansion import Expansion, QPolynomial
+from qpieri.golden import EX2, EX2_PUBLISHED_DOUBLED
 from qpieri.permutations import Permutation, cyclic_permutation
 from qpieri.qbg import EdgeKind, q_weight
 
@@ -121,3 +122,20 @@ def test_commutativity_oracle_selects_the_strict_rule():
         assert _double(w, f1, f2, weakened_marking_count) != _double(
             w, f2, f1, weakened_marking_count
         )
+
+
+def test_ex2_published_second_markings_double_five_coefficients():
+    """
+    The published table of the 32514 example lists a second marking on the
+    chains to five ends.  Counting markings by the weakened rule changes the
+    expansion at exactly these five ends, and doubles each coefficient there.
+    """
+    w, k, p = P(EX2.w), EX2.k, EX2.p
+    strict = _expand_with(w, k, p, lambda c, p: len(enumerate_markings(c, p)))
+    weak = _expand_with(w, k, p, weakened_marking_count)
+    zero = QPolynomial.zero()
+    before, after = strict.terms, weak.terms
+    differ = {u for u in {*before, *after} if before.get(u, zero) != after.get(u, zero)}
+    assert differ == {P(u) for u in EX2_PUBLISHED_DOUBLED}
+    for u in differ:
+        assert after[u] == before[u].scaled(2)

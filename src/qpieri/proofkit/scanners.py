@@ -8,7 +8,8 @@ a weakened scan must come back nonempty within the same bounds, which
 demonstrates that the scan actually has discriminating power.
 
 The five path scans only list their label patterns; one walker (`_scan`)
-checks them from every start.
+checks them from every start.  Their counterexamples come in (v, pattern)
+order: v as `all_permutations` lists S_n, the patterns of one v sorted.
 """
 
 from __future__ import annotations

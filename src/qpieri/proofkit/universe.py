@@ -44,10 +44,6 @@ class MarkedChain:
             raise ValueError(f"invalid marking {set(self.marking)} on {self.chain!r}")
 
     @property
-    def g(self) -> int:
-        return len(self.marking)
-
-    @property
     def end(self) -> Permutation:
         return self.chain.end
 

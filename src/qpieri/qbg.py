@@ -240,12 +240,23 @@ class DirectedPath:
 
     def extend(self, label: Label) -> DirectedPath | None:
         """The path with one more edge, or None if the step is not an edge."""
+        # one step of `_walk`, written out: `enumerate_monk_chains` and the
+        # chain searches call this per node
+        a, b = label
+        if not 1 <= a < b:
+            raise ValueError(f"bad transposition {label}")
         win = list(self.end.window)
-        kinds: list[EdgeKind] = []
-        if _walk(win, (label,), kinds) is not None:
+        if b > len(win):
+            win.extend(range(len(win) + 1, b + 1))
+        kind = _window_kind(win, a, b)
+        if kind is None:
             return None
+        win[a - 1], win[b - 1] = win[b - 1], win[a - 1]
         return DirectedPath(
-            self.start, self.labels + (label,), self.kinds + (kinds[0],), Permutation._from_swapped(win)
+            self.start,
+            self.labels + (label,),
+            self.kinds + (kind,),
+            Permutation._from_swapped(win),
         )
 
     def render(self) -> str:

@@ -33,10 +33,14 @@ repeats precedes its successor, so (2) never forces it.
 
 `pieri_degree_rows` sums these counts for every p in one walk over the
 chains, building no chain objects; `enumerate_pieri_chains` and the
-marking functions stay as its reference.  Each QBG edge fixes the change
-in length (+1 for a Bruhat edge, -2(b-a)+1 for a quantum edge (a,b)), so
-the walk carries the length of the current end down the search and hands
-it to every end it reports, which is then never recounted.
+marking functions stay as its reference.  Both walks read their label
+pool from `_walk_tables`, built once per (k, N) and shared read-only by
+every walk with that k and bound: the pool, its tail from each column,
+the signed marking counts and the packed Q-weight of each label.  Each
+QBG edge fixes the change in length (+1 for a Bruhat edge, -2(b-a)+1 for
+a quantum edge (a,b)), so the walk carries the length of the current end
+down the search and hands it to every end it reports, which is then
+never recounted.
 
 All enumeration runs inside the ambient bound N = max(support, k) + 1: no
 QBG edge usable by these chains has column beyond N, which is re-asserted
@@ -47,6 +51,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 from math import comb
 
 from .permutations import Label, Permutation, label_precedes, label_sort_key
@@ -158,20 +163,52 @@ def _assert_root_bound(x: Permutation, k: int, bound: int) -> None:
             )
 
 
-def enumerate_pieri_chains(w: Permutation, k: int) -> list[PieriChain]:
+@lru_cache(maxsize=32)
+def _walk_tables(k: int, bound: int) -> tuple[tuple[Label, ...], tuple, tuple, dict[Label, int]]:
+    """
+    The read-only tables of a walk over the k-Pieri chains inside bound N,
+    shared by every walk with the same (k, N); no walk may change them.
+
+      pool       the labels (a,b), a <= k < b <= N, in label order;
+      tail_from  tail_from[b] = the labels of the pool with column <= b
+                 (empty for b <= k), the continuations of a chain that
+                 ends in column b by (P1);
+      weights    weights[m0][m] = ((p, (-1)^p * C(m0 - m, p - m)), ...) for
+                 every p = m..m0 a chain with m0 rows and m forced labels
+                 reaches;
+      qstep      the packed Q-weight of each label of the pool, added when
+                 it is a quantum edge.
+    """
+    pool = tuple(sorted(
+        ((a, b) for a in range(1, k + 1) for b in range(k + 1, bound + 1)),
+        key=label_sort_key,
+    ))
+    tail_from = tuple(tuple(lab for lab in pool if lab[1] <= b) for b in range(bound + 1))
+    weights = tuple(
+        tuple(tuple((p, (-1) ** p * comb(m0 - m, p - m)) for p in range(m, m0 + 1)) for m in range(m0 + 1))
+        for m0 in range(k + 1)
+    )
+    qstep = {lab: pack_monomial(QMonomial.q_range(*lab)) for lab in pool}
+    return pool, tail_from, weights, qstep
+
+
+def enumerate_pieri_chains(w: Permutation, k: int, max_column: int | None = None) -> list[PieriChain]:
     """
     All k-Pieri chains from w, in depth-first order with extensions tried
     in label order.  Exhaustive within N = max(support(w), k) + 1: no first
     edge can reach column N+1 (audited at the start), and (P1) caps every
     later column at the first one.
+
+    With `max_column`, only labels of column <= max_column are tried, which
+    gives exactly the chains whose first column is at most max_column, in
+    the same order: by (P1) every later label of such a chain is in range.
     """
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
     bound = max(w.support, k) + 1
-    pool = sorted(
-        ((a, b) for a in range(1, k + 1) for b in range(k + 1, bound + 1)),
-        key=label_sort_key,
-    )
+    pool = _walk_tables(k, bound)[0]
+    if max_column is not None:
+        pool = tuple(label for label in pool if label[1] <= max_column)
     out: list[PieriChain] = []
     _assert_root_bound(w, k, bound)
 
@@ -404,7 +441,10 @@ def pieri_degree_rows(w: Permutation, k: int) -> tuple[DegreeRows, EndLengths]:
     of `enumerate_pieri_chains` but no chain objects: the walk swaps window
     entries on the way down and back on return, and passes down the packed
     Q-weight of the path, adding the precomputed weight of each quantum
-    edge (one int addition per edge, `qbg.pack_monomial`).
+    edge (one int addition per edge, `qbg.pack_monomial`).  The label pool,
+    its tails, the signed marking counts and the label weights come from
+    `_walk_tables`, built on the first walk with this (k, N) and only read
+    by every later one.
 
     A chain of length r with m0 distinct rows and m forced labels adds
     (-1)^(r-p) * C(m0 - m, p - m) to row[p] for every p in m..m0, under the
@@ -422,6 +462,8 @@ def pieri_degree_rows(w: Permutation, k: int) -> tuple[DegreeRows, EndLengths]:
     The walk also carries the length of the current end: each edge fixes
     its change, +1 for a Bruhat edge and -2(b-a)+1 for a quantum edge
     (a,b).  The second mapping returned holds the length of every end.
+    Each (end, Q-weight) key occurs once, so `expansion._pieri_rows` can
+    store the rows as flat columns and read any degree without summing.
 
     >>> from qpieri.qbg import unpack_monomial
     >>> rows, lengths = pieri_degree_rows(Permutation.from_one_line("321"), 2)
@@ -442,26 +484,14 @@ def pieri_degree_rows(w: Permutation, k: int) -> tuple[DegreeRows, EndLengths]:
         raise ValueError(f"k must be >= 1, got {k}")
     bound = max(w.support, k) + 1
     _assert_root_bound(w, k, bound)
-    pool = sorted(
-        ((a, b) for a in range(1, k + 1) for b in range(k + 1, bound + 1)),
-        key=label_sort_key,
-    )
-    # by (P1) a chain ending in column b continues with the pool from column b on
-    tail_from = {b: [lab for lab in pool if lab[1] <= b] for b in range(k + 1, bound + 1)}
-    # (p, (-1)^p * C(m0 - m, p - m)) for every p a chain with counts m0, m reaches
-    weights = [
-        [[(p, (-1) ** p * comb(m0 - m, p - m)) for p in range(m, m0 + 1)] for m in range(m0 + 1)]
-        for m0 in range(k + 1)
-    ]
-    # the packed Q-weight of each label, added when it is a quantum edge
-    qstep = {lab: pack_monomial(QMonomial.q_range(*lab)) for lab in pool}
+    pool, tail_from, weights, qstep = _walk_tables(k, bound)
     window = list(w.extended(bound))
     row_uses = [0] * (k + 1)
     used: set[Label] = set()
     rows: DegreeRows = {}
     lengths: EndLengths = {}
 
-    def visit(candidates: list[Label], last: Label, r: int, m0: int, m: int, ell: int, q: int) -> None:
+    def visit(candidates: tuple[Label, ...], last: Label, r: int, m0: int, m: int, ell: int, q: int) -> None:
         end = tuple(window)
         key = (end, q)
         row = rows.get(key)

@@ -187,8 +187,11 @@ def _validate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None
 
 def main(argv: list[str] | None = None) -> int:
     parser, commands = _parsers()
-    args = parser.parse_args(argv)
-    _validate(commands[args.command], args)
+    args, unknown = parser.parse_known_args(argv)
+    command = commands[args.command]
+    if unknown:
+        command.error(f"unrecognized arguments: {' '.join(unknown)}")
+    _validate(command, args)
     return args.func(args)
 
 

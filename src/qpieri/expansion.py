@@ -15,8 +15,10 @@ and the divisor-type product satisfies
         (-1)^(length of the (k,*)-segment) * Q(m) * G[end(m)].
 
 One walk over the k-Pieri chains from w gives every degree p = 0..k of
-the first product at once; its terms are cached per (w, k), and
-`pieri_expand(w, k, p)` sums the degree-p coefficients.
+the first product at once.  Its terms are cached per (w, k) as three flat
+columns: the ends, their packed Q-weights, and k+1 coefficients per term.
+Each (end, Q-weight) pair occurs once, so `pieri_expand(w, k, p)` builds
+its Expansion straight from the degree-p column, with nothing to sum.
 
 Coefficient arithmetic is exact integer throughout; an Expansion is a
 finite map from basis permutations to Z[Q]-polynomials with no zero
@@ -32,7 +34,8 @@ The chain walk hands its Q-weights over already packed.  `QMonomial` is
 the type of the public boundary: the constructors, `terms`,
 `sorted_terms`, the text and JSON forms pack or unpack there.  Every sum
 of single terms goes through one accumulator (`_accumulate`), and every
-sum of coefficient products through one fold (`_fold`).
+sum of coefficient products through one fold (`_fold`); a Pieri product
+is no sum, since its terms arrive distinct.
 
 Overflow guard.  Packing accepts Q_1 .. Q_1024 only, with exponents below
 2^(S-1) (`qbg.pack_monomial`, ValueError otherwise).  Invariant: every
@@ -416,24 +419,32 @@ def _split_signed_terms(text: str) -> list[tuple[int, str]]:
 
 
 @lru_cache(maxsize=None)
-def _pieri_rows(w: Permutation, k: int) -> tuple[tuple[Permutation, int, tuple[int, ...]], ...]:
+def _pieri_rows(w: Permutation, k: int) -> tuple[tuple[Permutation, ...], tuple[int, ...], tuple[int, ...]]:
     """
-    (end, packed Q-weight, coefficient of each degree p = 0..k) for every
-    term of G[w] * G^k_p, from one walk over the k-Pieri chains.  Each
-    distinct end is built once and shared by its terms and by every degree;
-    an end is a swap of w's window, so it is not re-validated, and it keeps
-    the length the walk carried to it.
+    The terms of G[w] * G^k_p for every degree p = 0..k, from one walk over
+    the k-Pieri chains, as three flat columns (ends, qs, coeffs): term i is
+    ends[i] with packed Q-weight qs[i] and coefficient coeffs[i*(k+1) + p]
+    in degree p, so coeffs[p::k+1] is the column of degree p.  Each
+    (end, Q-weight) pair occurs once and terms that are zero in every
+    degree are dropped.  Each distinct end is built once and shared by its
+    terms; an end is a swap of w's window, so it is not re-validated, and
+    it keeps the length the walk carried to it.
     """
     rows, lengths = pieri_degree_rows(w, k)
     perms: dict[tuple[int, ...], Permutation] = {}
-    out = []
+    ends: list[Permutation] = []
+    qs: list[int] = []
+    coeffs: list[int] = []
     for (window, q), row in rows.items():
         if not any(row):
             continue
-        if window not in perms:
-            perms[window] = Permutation._from_swapped(window, lengths[window])
-        out.append((perms[window], q, tuple(row)))
-    return tuple(out)
+        u = perms.get(window)
+        if u is None:
+            u = perms[window] = Permutation._from_swapped(window, lengths[window])
+        ends.append(u)
+        qs.append(q)
+        coeffs += row
+    return tuple(ends), tuple(qs), tuple(coeffs)
 
 
 @lru_cache(maxsize=None)
@@ -446,7 +457,17 @@ def pieri_expand(w: Permutation, k: int, p: int) -> Expansion:
         raise ValueError(f"k must be >= 1, got {k}")
     if not 0 <= p <= k:
         raise ValueError(f"p must be in 0..{k}, got {p}")
-    return _accumulate((u, q, row[p]) for u, q, row in _pieri_rows(w, k) if row[p])
+    ends, qs, coeffs = _pieri_rows(w, k)
+    # each (end, q) occurs once, so every coefficient is stored as it is
+    terms: dict[Permutation, _Packed] = {}
+    for u, q, c in zip(ends, qs, coeffs[p :: k + 1]):
+        if c:
+            poly = terms.get(u)
+            if poly is None:
+                terms[u] = {q: c}
+            else:
+                poly[q] = c
+    return Expansion._of(terms)
 
 
 @lru_cache(maxsize=None)

@@ -409,12 +409,14 @@ def enumerate_surgery_paths(w: Permutation, k: int, bound: int) -> list[Directed
     """
     Directed paths from w satisfying the surgery preconditions (P0)'-(P2)',
     with columns <= bound: the (k-1)-Pieri chains, then the k-Pieri chains
-    with a (k,*) label.
+    with a (k,*) label.  The walks try no label past `bound`, so no chain
+    outside it is built.
     """
-    chains = enumerate_pieri_chains(w, k - 1) + [
-        chain for chain in enumerate_pieri_chains(w, k) if any(a == k for a, _ in chain.labels)
+    return [chain.path for chain in enumerate_pieri_chains(w, k - 1, bound)] + [
+        chain.path
+        for chain in enumerate_pieri_chains(w, k, bound)
+        if any(a == k for a, _ in chain.labels)
     ]
-    return [chain.path for chain in chains if not chain.labels or chain.labels[0][1] <= bound]
 
 
 def _suite_insertion(max_n: int | None) -> SuiteReport:

@@ -58,6 +58,16 @@ def test_pieri_enumeration_matches_oracle_s3():
             assert ours == oracle_pieri_chains(w, k, bound)
 
 
+@pytest.mark.parametrize("n", [4, 5])
+def test_a_column_cap_gives_the_chains_whose_first_column_fits(n):
+    for w in all_permutations(n):
+        for k in (0, 1, 2, 3):
+            every = enumerate_pieri_chains(w, k)
+            for cap in range(k, max(w.support, k) + 3):
+                want = [c.labels for c in every if not c.labels or c.labels[0][1] <= cap]
+                assert [c.labels for c in enumerate_pieri_chains(w, k, cap)] == want, (w, k, cap)
+
+
 def test_pieri_chain_counts_for_the_worked_examples():
     # the 321 example: the conditions admit 14 chains (see
     # test_chain_completeness for the two beyond the original listing)

@@ -113,6 +113,8 @@ def test_a_flag_the_subcommand_does_not_read_is_a_usage_error(args, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "unrecognized arguments" in captured.err and "Traceback" not in captured.err
+    # reported through the subcommand's own parser, like every other usage error
+    assert captured.err.startswith(f"usage: qpieri {args[0]} ")
 
 
 UNSIZED_SUITES = ["appendix-c", "classical", "monk", "bijections", "ledger"]

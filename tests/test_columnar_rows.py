@@ -1,0 +1,84 @@
+"""
+`pieri_expand` from the columnar rows against the row-and-accumulator build.
+
+The reference is a frozen copy of the earlier construction: one tuple
+(end, packed Q-weight, row of k+1 coefficients) per term, and every degree
+summed through a dict accumulator that drops zero coefficients.  Both read
+the same walk (`pieri_degree_rows`), so these tests hold only the step
+from the walk's rows to the per-degree `Expansion`.
+"""
+
+from __future__ import annotations
+
+import random
+
+import pytest
+
+from qpieri.chains import pieri_degree_rows
+from qpieri.expansion import Expansion, _pieri_rows, pieri_expand
+from qpieri.permutations import Permutation, all_permutations
+
+
+def reference_rows(w: Permutation, k: int) -> tuple[tuple[Permutation, int, tuple[int, ...]], ...]:
+    rows, lengths = pieri_degree_rows(w, k)
+    perms: dict[tuple[int, ...], Permutation] = {}
+    out = []
+    for (window, q), row in rows.items():
+        if not any(row):
+            continue
+        if window not in perms:
+            perms[window] = Permutation._from_swapped(window, lengths[window])
+        out.append((perms[window], q, tuple(row)))
+    return tuple(out)
+
+
+def reference_accumulate(triples) -> Expansion:
+    acc: dict[Permutation, dict[int, int]] = {}
+    for u, key, c in triples:
+        poly = acc.setdefault(u, {})
+        poly[key] = poly.get(key, 0) + c
+    for u in list(acc):
+        poly = {key: c for key, c in acc[u].items() if c}
+        if poly:
+            acc[u] = poly
+        else:
+            del acc[u]
+    return Expansion._of(acc)
+
+
+def reference_expand(rows, p: int) -> Expansion:
+    return reference_accumulate((u, q, row[p]) for u, q, row in rows if row[p])
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+def test_every_degree_matches_the_accumulated_rows_over_s5(k):
+    for w in all_permutations(5):
+        rows = reference_rows(w, k)
+        for p in range(k + 1):
+            got, want = pieri_expand(w, k, p), reference_expand(rows, p)
+            assert got == want, (w, k, p)
+            assert got.render() == want.render(), (w, k, p)
+            assert got.to_json() == want.to_json(), (w, k, p)
+
+
+def test_the_columns_are_the_rows_without_zero_rows():
+    for w in all_permutations(4):
+        for k in (1, 2, 3, 4):
+            ends, qs, coeffs = _pieri_rows.__wrapped__(w, k)
+            assert len(ends) == len(qs) and len(coeffs) == len(ends) * (k + 1)
+            rows = [coeffs[i : i + k + 1] for i in range(0, len(coeffs), k + 1)]
+            assert list(zip(ends, qs, rows)) == list(reference_rows(w, k)), (w, k)
+
+
+def test_degrees_requested_in_any_order_agree():
+    rng = random.Random(11)
+    for w in all_permutations(4):
+        for k in (2, 3, 4):
+            rows = reference_rows(w, k)
+            for _ in range(2):
+                pieri_expand.cache_clear()
+                _pieri_rows.cache_clear()
+                degrees = list(range(k + 1))
+                rng.shuffle(degrees)
+                for p in degrees:
+                    assert pieri_expand(w, k, p) == reference_expand(rows, p), (w, k, degrees, p)

@@ -27,7 +27,8 @@ def brute_inversions(window) -> int:
 
 def assert_walk_ends_match_validated(w: Permutation, k: int) -> None:
     # the uncached function, so every end still holds the walk's length
-    for u, _mono, _row in _pieri_rows.__wrapped__(w, k):
+    ends, _qs, _coeffs = _pieri_rows.__wrapped__(w, k)
+    for u in ends:
         assert u._length == brute_inversions(u.window), (w, k, u)
         fresh = Permutation(u.window)
         assert u == fresh and hash(u) == hash(fresh), (w, k, u)

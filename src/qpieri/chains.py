@@ -231,7 +231,10 @@ def enumerate_pieri_chains(w: Permutation, k: int, max_column: int | None = None
             rows_now = rows_before | {last[0]} if labels else set()
             dfs(nxt, rows_now)
 
-    dfs(DirectedPath.empty(w), set())
+    try:
+        dfs(DirectedPath.empty(w), set())
+    finally:
+        del dfs  # see `pieri_degree_rows`
     return out
 
 
@@ -323,7 +326,10 @@ def enumerate_monk_chains(x: Permutation, k: int) -> list[MonkChain]:
             if nxt is not None:
                 dfs_rows(nxt, s + 1, a)
 
-    dfs_rows(DirectedPath.empty(x), 0, k)
+    try:
+        dfs_rows(DirectedPath.empty(x), 0, k)
+    finally:
+        del dfs_rows, dfs_cols  # see `pieri_degree_rows`
     return out
 
 
@@ -536,6 +542,12 @@ def pieri_degree_rows(w: Permutation, k: int) -> tuple[DegreeRows, EndLengths]:
                 used.discard(label)
                 window[a - 1], window[b - 1] = xa, xb
 
-    # the root's sentinel last label (0, N) neither descends nor repeats a row
-    visit(pool, (0, bound), 0, 0, 0, w.length(), 0)
+    try:
+        # the root's sentinel last label (0, N) neither descends nor repeats a row
+        visit(pool, (0, bound), 0, 0, 0, w.length(), 0)
+    finally:
+        # a recursive closure holds itself through its own cell; emptying
+        # the cell frees the walk's scratch state by refcount, without
+        # waiting for the cyclic collector
+        del visit
     return rows, lengths

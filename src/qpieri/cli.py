@@ -7,7 +7,8 @@ Command-line front end.
     qpieri markings --w 321 --k 2 --p 2 [--out FILE]
     qpieri verify   --suite classical [--max-n N] [--format json] [--out FILE]
 
-Exit codes: 0 success, 1 verification failure, 2 usage error.
+Exit codes: 0 success, 1 verification failure, 2 usage error (an --out
+file that cannot be written included).
 """
 
 from __future__ import annotations
@@ -24,37 +25,30 @@ from .render import chain_rows, chains_table, markings_table
 from .verify import SIZED_SUITES, SUITES, run_suite
 
 
-def _emit(text: str, out_path: str | None) -> None:
-    if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
 def _expansion_output(expansion: Expansion, fmt: str) -> str:
     if fmt == "json":
         return expansion.to_json() + "\n"
     return expansion.render() + "\n"
 
 
-def cmd_expand(args) -> int:
+# each command returns (output text, exit code); `main` writes the text
+
+
+def cmd_expand(args) -> tuple[str, int]:
     expansion = pieri_expand(args.w, args.k, args.p)
     if args.filter_sn is not None:
         expansion = expansion.filter_s_n(args.filter_sn)
-    _emit(_expansion_output(expansion, args.format), args.out)
-    return 0
+    return _expansion_output(expansion, args.format), 0
 
 
-def cmd_monk(args) -> int:
+def cmd_monk(args) -> tuple[str, int]:
     expansion = monk_lhs_expand(args.x, args.k)
     if args.filter_sn is not None:
         expansion = expansion.filter_s_n(args.filter_sn)
-    _emit(_expansion_output(expansion, args.format), args.out)
-    return 0
+    return _expansion_output(expansion, args.format), 0
 
 
-def cmd_chains(args) -> int:
+def cmd_chains(args) -> tuple[str, int]:
     p = args.p if args.p is not None else args.k
     if args.format == "json":
         records = []
@@ -62,33 +56,29 @@ def cmd_chains(args) -> int:
             record = chain.path.to_record()
             record["markings"] = [[list(lab) for lab in m] for m in markings]
             records.append(record)
-        _emit(json.dumps(records) + "\n", args.out)
-    else:
-        _emit(chains_table(args.w, args.k, p), args.out)
-    return 0
+        return json.dumps(records) + "\n", 0
+    return chains_table(args.w, args.k, p), 0
 
 
-def cmd_markings(args) -> int:
-    _emit(markings_table(args.w, args.k, args.p), args.out)
-    return 0
+def cmd_markings(args) -> tuple[str, int]:
+    return markings_table(args.w, args.k, args.p), 0
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> tuple[str, int]:
     report = run_suite(args.suite, args.max_n)
+    code = 0 if report.passed else 1
     if args.format == "json":
-        _emit(json.dumps(report.to_json_obj()) + "\n", args.out)
-    else:
-        lines = [
-            f"suite: {report.suite}",
-            f"universe: {report.universe}",
-            f"checked: {report.checked}",
-            f"failures: {len(report.failures)}",
-        ]
-        lines += [f"  {f}" for f in report.failures[:20]]
-        if len(report.failures) > 20:
-            lines.append(f"  ... and {len(report.failures) - 20} more")
-        _emit("\n".join(lines) + "\n", args.out)
-    return 0 if report.passed else 1
+        return json.dumps(report.to_json_obj()) + "\n", code
+    lines = [
+        f"suite: {report.suite}",
+        f"universe: {report.universe}",
+        f"checked: {report.checked}",
+        f"failures: {len(report.failures)}",
+    ]
+    lines += [f"  {f}" for f in report.failures[:20]]
+    if len(report.failures) > 20:
+        lines.append(f"  ... and {len(report.failures) - 20} more")
+    return "\n".join(lines) + "\n", code
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -192,7 +182,16 @@ def main(argv: list[str] | None = None) -> int:
     if unknown:
         command.error(f"unrecognized arguments: {' '.join(unknown)}")
     _validate(command, args)
-    return args.func(args)
+    text, code = args.func(args)
+    if not args.out:
+        sys.stdout.write(text)
+        return code
+    try:
+        with open(args.out, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        command.error(f"cannot write --out {args.out}: {exc.strerror}")
+    return code
 
 
 if __name__ == "__main__":

@@ -19,6 +19,10 @@ the first product at once.  Its terms are cached per (w, k) as three flat
 columns: the ends, their packed Q-weights, and k+1 coefficients per term.
 Each (end, Q-weight) pair occurs once, so `pieri_expand(w, k, p)` builds
 its Expansion straight from the degree-p column, with nothing to sum.
+A product of factors (`expand_product_chain`) reads the same columns: each
+term g * G[u] adds g times the entries of u's degree-p column into the
+next factor's accumulator.  It builds no per-degree Expansion, so
+`pieri_expand`'s per-degree cache serves direct calls only.
 
 Coefficient arithmetic is exact integer throughout; an Expansion is a
 finite map from basis permutations to Z[Q]-polynomials with no zero
@@ -33,16 +37,19 @@ two monomials is one integer addition and the monomial 1 is the key 0.
 The chain walk hands its Q-weights over already packed.  `QMonomial` is
 the type of the public boundary: the constructors, `terms`,
 `sorted_terms`, the text and JSON forms pack or unpack there.  Every sum
-of single terms goes through one accumulator (`_accumulate`), and every
-sum of coefficient products through one fold (`_fold`); a Pieri product
-is no sum, since its terms arrive distinct.
+of single terms goes through one accumulator (`_accumulate`).  Every
+product of coefficients goes through one overflow-checked step
+(`_add_scaled`, poly += c * Q^key * f), which the fold of expansions
+(`_fold`) takes once per monomial of a factor and a product chain once
+per column entry; a single Pieri product is no sum, since its terms
+arrive distinct.
 
 Overflow guard.  Packing accepts Q_1 .. Q_1024 only, with exponents below
 2^(S-1) (`qbg.pack_monomial`, ValueError otherwise).  Invariant: every
 field of every stored key is below 2^(S-1).  Then each field of the sum of
 two keys is below 2^S, so no carry crosses a field boundary, and the sum
 is the product monomial exactly when no field has reached 2^(S-1), that is
-when `key & qbg.Q_HIGH_BITS` is 0.  Every product site tests this and
+when `key & qbg.Q_HIGH_BITS` is 0.  The product step tests this and
 raises OverflowError otherwise, so a carried monomial is never returned
 and the invariant holds for the next product.
 
@@ -349,23 +356,29 @@ def _accumulate(triples: Iterable[_Triple]) -> Expansion:
     return _nonzero(acc)
 
 
+def _add_scaled(poly: _Packed, f: _Packed, key: int, c: int) -> None:
+    """
+    poly += c * Q^key * f, in place.  Each product of monomials is one
+    integer addition, checked by the overflow guard before it is stored.
+    Every product of coefficients, in a fold or in a product chain, is
+    taken here.
+    """
+    for k1, c1 in f.items():
+        k2 = k1 + key
+        if k2 & Q_HIGH_BITS:
+            # no field carried, so the key still unpacks to the true product
+            raise OverflowError(f"exponent past the packed range in {unpack_monomial(k2).render()}")
+        poly[k2] = poly.get(k2, 0) + c1 * c
+
+
 def _add_product(poly: _Packed, f: _Packed, g: _Packed) -> None:
-    """
-    poly += f * g, in place.  A unit g adds f as it is; otherwise each
-    product of monomials is one integer addition, checked by the overflow
-    guard before it is stored.
-    """
+    """poly += f * g, in place.  A unit g adds f as it is."""
     if g == _UNIT:
         for key, c in f.items():
             poly[key] = poly.get(key, 0) + c
         return
-    for k2, c2 in g.items():
-        for k1, c1 in f.items():
-            key = k1 + k2
-            if key & Q_HIGH_BITS:
-                # no field carried, so the key still unpacks to the true product
-                raise OverflowError(f"exponent past the packed range in {unpack_monomial(key).render()}")
-            poly[key] = poly.get(key, 0) + c1 * c2
+    for key, c in g.items():
+        _add_scaled(poly, f, key, c)
 
 
 def _fold(blocks: Iterable[tuple[Permutation, _Packed, _Packed]]) -> Expansion:
@@ -447,16 +460,21 @@ def _pieri_rows(w: Permutation, k: int) -> tuple[tuple[Permutation, ...], tuple[
     return tuple(ends), tuple(qs), tuple(coeffs)
 
 
+def _check_factor(k: int, p: int) -> None:
+    """Refuse a column factor G^k_p outside k >= 1, p in 0..k."""
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    if not 0 <= p <= k:
+        raise ValueError(f"p must be in 0..{k}, got {p}")
+
+
 @lru_cache(maxsize=None)
 def pieri_expand(w: Permutation, k: int, p: int) -> Expansion:
     """
     Expand G[w] * G^k_p in the formal basis: the signed, marking-counted,
     Q-weighted sum over k-Pieri chains from w carrying a p-marking.
     """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    if not 0 <= p <= k:
-        raise ValueError(f"p must be in 0..{k}, got {p}")
+    _check_factor(k, p)
     ends, qs, coeffs = _pieri_rows(w, k)
     # each (end, q) occurs once, so every coefficient is stored as it is
     terms: dict[Permutation, _Packed] = {}
@@ -480,12 +498,29 @@ def monk_lhs_expand(x: Permutation, k: int) -> Expansion:
 
 def expand_product_chain(w: Permutation, factors: list[tuple[int, int]]) -> Expansion:
     """
-    Left-fold expansion of G[w] * prod of column factors: each (k, p) factor
-    replaces every basis term by its own expansion, coefficients carried
-    through exactly.
+    Left-fold expansion of G[w] * prod of column factors, coefficients
+    carried through exactly.  For each factor (k, p), every term g * G[u]
+    adds g * c * Q^q * G[end] for each entry (end, q, c) of the degree-p
+    column of u's cached (u, k) rows; zero entries are skipped, and terms
+    that cancel are dropped before the next factor, so no walk is made for
+    them.  `pieri_expand`'s per-degree cache is neither read nor filled.
+
+    >>> w = Permutation.identity()
+    >>> expand_product_chain(w, [(1, 1), (1, 1)]).render()
+    'Q1*G[1] - Q1*G[132] + G[312]'
     """
+    for k, p in factors:
+        _check_factor(k, p)
     out = Expansion.basis(w)
     for k, p in factors:
-        out = out.map_basis(lambda u, k=k, p=p: pieri_expand(u, k, p))
+        acc: dict[Permutation, _Packed] = {}
+        for u, g in out._terms.items():
+            ends, qs, coeffs = _pieri_rows(u, k)
+            for v, q, c in zip(ends, qs, coeffs[p :: k + 1]):
+                if c:
+                    poly = acc.get(v)
+                    if poly is None:
+                        poly = acc[v] = {}
+                    _add_scaled(poly, g, q, c)
+        out = _nonzero(acc)
     return out
-

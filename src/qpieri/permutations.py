@@ -138,6 +138,17 @@ class Permutation:
         """(length, window): the canonical output order for basis elements."""
         return (self.length(), self.window)
 
+    # Written out instead of generated: the generated methods build a
+    # 1-tuple (window,) on every call.  The hash is not kept in a slot,
+    # since a cached int per instance costs more memory than it saves time.
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.window == other.window
+
+    def __hash__(self) -> int:
+        return hash(self.window)
+
     def __repr__(self) -> str:
         return f"Permutation({self.one_line()})"
 

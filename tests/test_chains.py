@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import itertools
 
 import pytest
@@ -16,6 +17,7 @@ from qpieri.chains import (
     forced_marks,
     is_marking,
     marking_count,
+    pieri_degree_rows,
     pieri_violation,
 )
 from qpieri.permutations import Permutation, all_permutations
@@ -240,3 +242,26 @@ def test_b_class_chains_have_single_small_row_occurrence():
                 for m in enumerate_markings(chain, min(2, len(chain))):
                     if (k - 1, k) in m:
                         assert chain.n_row(k - 1) == 1
+
+
+@pytest.mark.parametrize(
+    "walk",
+    [
+        lambda: pieri_degree_rows(P("62417583"), 5),
+        lambda: enumerate_pieri_chains(P("32514"), 3),
+        lambda: enumerate_monk_chains(P("32514"), 3),
+    ],
+    ids=["pieri_degree_rows", "enumerate_pieri_chains", "enumerate_monk_chains"],
+)
+def test_a_walk_leaves_nothing_for_the_cyclic_collector(walk):
+    # the recursive closures let go of themselves, so every walk's scratch
+    # state is freed by reference counting alone
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        walk()
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()

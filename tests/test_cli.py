@@ -231,6 +231,22 @@ def test_out_file(tmp_path, capsys):
     assert target.read_text() == (DATA / "ex1_expand.txt").read_text()
 
 
+@pytest.mark.parametrize(
+    "args",
+    [["expand", "--w", "321", "--k", "2", "--p", "2"], ["verify", "--suite", "appendix-c"]],
+    ids=["expand", "verify"],
+)
+def test_an_unwritable_out_path_is_a_usage_error(args, tmp_path, capsys):
+    target = tmp_path / "missing" / "x"
+    with pytest.raises(SystemExit) as exc:
+        main(args + ["--out", str(target)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: qpieri {args[0]}")
+    assert f"cannot write --out {target}: No such file or directory" in err
+    assert not target.parent.exists()
+
+
 def test_console_entry_point():
     result = subprocess.run(
         [sys.executable, "-m", "qpieri.cli", "expand", "--w", "321", "--k", "2", "--p", "2"],

@@ -6,11 +6,11 @@ import doctest
 
 import pytest
 
-from qpieri import chains, permutations, qbg
+from qpieri import chains, expansion, permutations, qbg
 from qpieri.proofkit import surgery
 
 
-@pytest.mark.parametrize("module", [permutations, qbg, chains, surgery], ids=lambda m: m.__name__)
+@pytest.mark.parametrize("module", [permutations, qbg, chains, expansion, surgery], ids=lambda m: m.__name__)
 def test_module_examples(module):
     result = doctest.testmod(module)
     assert result.attempted > 0

@@ -141,3 +141,21 @@ def test_comma_form_round_trip(window):
     text = w.one_line()
     assert text == ",".join(map(str, window))
     assert Permutation.from_one_line(text) == w
+
+
+def test_every_form_of_an_element_is_one_key():
+    # validated, swapped-and-trimmed, and padded windows of S_0 .. S_5
+    for n in range(6):
+        for win in itertools.permutations(range(1, n + 1)):
+            padded = win + (n + 1, n + 2)
+            forms = [Permutation(win), Permutation(padded), Permutation._from_swapped(list(padded))]
+            for x, y in itertools.product(forms, repeat=2):
+                assert x == y and not x != y
+                assert hash(x) == hash(y)
+            table = {forms[0]: win}
+            assert all(table[x] == win for x in forms)
+            assert len(set(forms)) == 1
+    w = Permutation((2, 1))
+    assert w != Permutation((1, 2, 3))
+    assert w.__eq__((2, 1)) is NotImplemented
+    assert w != (2, 1) and (2, 1) != w

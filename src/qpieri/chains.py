@@ -33,14 +33,15 @@ repeats precedes its successor, so (2) never forces it.
 
 `pieri_degree_rows` sums these counts for every p in one walk over the
 chains, building no chain objects; `enumerate_pieri_chains` and the
-marking functions stay as its reference.  Both walks read their label
-pool from `_walk_tables`, built once per (k, N) and shared read-only by
-every walk with that k and bound: the pool, its tail from each column,
-the signed marking counts and the packed Q-weight of each label.  Each
-QBG edge fixes the change in length (+1 for a Bruhat edge, -2(b-a)+1 for
-a quantum edge (a,b)), so the walk carries the length of the current end
-down the search and hands it to every end it reports, which is then
-never recounted.
+marking functions stay as its reference.  Every chain walk swaps two
+entries of one padded window list on the way down and back on return,
+and tests each step with `qbg._window_kind` (written out in the hot loop
+of `pieri_degree_rows`).  The walks read their tables from `_walk_tables`,
+built once per (k, N) and shared read-only, and carry the packed Q-weight
+of the path, adding the tabled weight of each quantum edge.  Each QBG
+edge fixes the change in length (+1 for a Bruhat edge, -2(b-a)+1 for a
+quantum edge (a,b)), so `pieri_degree_rows` carries the length of the
+current end too, and it is never recounted.
 
 All enumeration runs inside the ambient bound N = max(support, k) + 1: no
 QBG edge usable by these chains has column beyond N, which is re-asserted
@@ -50,12 +51,13 @@ at every enumeration frontier.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
 
 from .permutations import Label, Permutation, label_precedes, label_sort_key
-from .qbg import DirectedPath, QMonomial, edge_kind, pack_monomial
+from .qbg import DirectedPath, EdgeKind, QMonomial, _window_kind, edge_kind, pack_monomial
 
 
 @dataclass(frozen=True)
@@ -166,8 +168,8 @@ def _assert_root_bound(x: Permutation, k: int, bound: int) -> None:
 @lru_cache(maxsize=32)
 def _walk_tables(k: int, bound: int) -> tuple[tuple[Label, ...], tuple, tuple, dict[Label, int]]:
     """
-    The read-only tables of a walk over the k-Pieri chains inside bound N,
-    shared by every walk with the same (k, N); no walk may change them.
+    The read-only tables of the walks over k-Pieri and k-Monk chains inside
+    bound N, shared by every walk with the same (k, N); none may change them.
 
       pool       the labels (a,b), a <= k < b <= N, in label order;
       tail_from  tail_from[b] = the labels of the pool with column <= b
@@ -176,8 +178,8 @@ def _walk_tables(k: int, bound: int) -> tuple[tuple[Label, ...], tuple, tuple, d
       weights    weights[m0][m] = ((p, (-1)^p * C(m0 - m, p - m)), ...) for
                  every p = m..m0 a chain with m0 rows and m forced labels
                  reaches;
-      qstep      the packed Q-weight of each label of the pool, added when
-                 it is a quantum edge.
+      qstep      the packed Q-weight of every label (a,b), a < b <= N, added
+                 when it is a quantum edge.
     """
     pool = tuple(sorted(
         ((a, b) for a in range(1, k + 1) for b in range(k + 1, bound + 1)),
@@ -188,16 +190,16 @@ def _walk_tables(k: int, bound: int) -> tuple[tuple[Label, ...], tuple, tuple, d
         tuple(tuple((p, (-1) ** p * comb(m0 - m, p - m)) for p in range(m, m0 + 1)) for m in range(m0 + 1))
         for m0 in range(k + 1)
     )
-    qstep = {lab: pack_monomial(QMonomial.q_range(*lab)) for lab in pool}
+    qstep = {(a, b): pack_monomial(QMonomial.q_range(a, b)) for b in range(2, bound + 1) for a in range(1, b)}
     return pool, tail_from, weights, qstep
 
 
 def enumerate_pieri_chains(w: Permutation, k: int, max_column: int | None = None) -> list[PieriChain]:
     """
-    All k-Pieri chains from w, in depth-first order with extensions tried
-    in label order.  Exhaustive within N = max(support(w), k) + 1: no first
-    edge can reach column N+1 (audited at the start), and (P1) caps every
-    later column at the first one.
+    All k-Pieri chains from w, each checked by `PieriChain`, in depth-first
+    order with extensions tried in label order.  Exhaustive within
+    N = max(support(w), k) + 1: no first edge can reach column N+1 (audited
+    at the start), and (P1) caps every later column at the first one.
 
     With `max_column`, only labels of column <= max_column are tried, which
     gives exactly the chains whose first column is at most max_column, in
@@ -206,33 +208,37 @@ def enumerate_pieri_chains(w: Permutation, k: int, max_column: int | None = None
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
     bound = max(w.support, k) + 1
-    pool = _walk_tables(k, bound)[0]
+    pool, tail_from = _walk_tables(k, bound)[:2]
     if max_column is not None:
         pool = tuple(label for label in pool if label[1] <= max_column)
-    out: list[PieriChain] = []
     _assert_root_bound(w, k, bound)
+    window = list(w.extended(bound))
+    labels: list[Label] = []
+    kinds: list[EdgeKind] = []
+    out: list[PieriChain] = []
 
-    def dfs(path: DirectedPath, rows_before: set[int]) -> None:
+    def dfs(candidates: tuple[Label, ...]) -> None:
+        path = DirectedPath(w, tuple(labels), tuple(kinds), Permutation._from_swapped(window))
         out.append(PieriChain(path, k))
-        labels = path.labels
-        for label in pool:
-            if labels:
-                last = labels[-1]
-                if label[1] > last[1] or label == last:
-                    continue
-                if label in labels:
-                    continue
-                # (P2) for the label that stops being final
-                if len(labels) >= 2 and last[0] in rows_before and not label_precedes(last, label):
-                    continue
-            nxt = path.extend(label)
-            if nxt is None:
+        # (P2): if the final label's row occurred earlier, it must precede the next label
+        held = any(a == labels[-1][0] for a, _ in labels[:-1])
+        for label in candidates:
+            if label in labels or held and not label_precedes(labels[-1], label):
                 continue
-            rows_now = rows_before | {last[0]} if labels else set()
-            dfs(nxt, rows_now)
+            a, b = label
+            kind = _window_kind(window, a, b)
+            if kind is None:
+                continue
+            window[a - 1], window[b - 1] = window[b - 1], window[a - 1]
+            labels.append(label)
+            kinds.append(kind)
+            dfs(tail_from[b])
+            kinds.pop()
+            labels.pop()
+            window[a - 1], window[b - 1] = window[b - 1], window[a - 1]
 
     try:
-        dfs(DirectedPath.empty(w), set())
+        dfs(pool)
     finally:
         del dfs  # see `pieri_degree_rows`
     return out
@@ -297,39 +303,58 @@ class MonkChain:
 
 def enumerate_monk_chains(x: Permutation, k: int) -> list[MonkChain]:
     """
-    All k-Monk chains from x, including the empty one.  Column labels are
-    bounded by N = max(support(x), k) + 1: the row part never moves values
-    beyond position k, and the first column edge from a vertex in S_N-1
-    cannot exceed N (audited per frontier).
+    All k-Monk chains from x, including the empty one, each checked by
+    `MonkChain`.  Column labels are bounded by N = max(support(x), k) + 1:
+    the row part never moves values beyond position k, and the first column
+    edge from a vertex in S_N-1 cannot exceed N (audited per frontier).
+    """
+    return _monk_walk(x, k, lambda window, labels, kinds, t, q: MonkChain(
+        DirectedPath(x, tuple(labels), tuple(kinds), Permutation._from_swapped(window)), k, len(labels) - t, t
+    ))
+
+
+def _monk_walk(x: Permutation, k: int, record: Callable[..., object]) -> list:
+    """
+    record(window, labels, kinds, t, q) for every k-Monk chain from x, in
+    depth-first order, on the walk's own lists (module docstring; the
+    window is padded to N + 1 for the audit): t counts the (k,*) labels
+    and q is the packed Q-weight.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     bound = max(x.support, k) + 1
-    out: list[MonkChain] = []
+    qstep = _walk_tables(k, bound)[3]
+    window = list(x.extended(bound + 1))
+    labels: list[Label] = []
+    kinds: list[EdgeKind] = []
+    out = []
 
-    def dfs_cols(path: DirectedPath, s: int, t: int, last_b: int) -> None:
-        out.append(MonkChain(path, k, s, t))
-        for b in range(last_b - 1, k, -1):
-            nxt = path.extend((k, b))
-            if nxt is not None:
-                dfs_cols(nxt, s, t + 1, b)
-
-    def dfs_rows(path: DirectedPath, s: int, last_a: int) -> None:
-        # column phase starts here; its first (largest) column is bounded
-        if edge_kind(path.end, (k, bound + 1)) is not None:
-            raise AssertionError(
-                f"ambient bound {bound} unsound: edge ({k},{bound + 1}) from {path.end!r}"
-            )
-        dfs_cols(path, s, 0, bound + 1)
-        for a in range(last_a - 1, 0, -1):
-            nxt = path.extend((a, k))
-            if nxt is not None:
-                dfs_rows(nxt, s + 1, a)
+    def visit(last_a: int, last_b: int, t: int, q: int) -> None:
+        # a row node (last_a > 0) may start the column phase: its first column is bounded
+        if last_a and _window_kind(window, k, bound + 1) is not None:
+            raise AssertionError(f"ambient bound {bound} unsound: edge ({k},{bound + 1}) from {window}")
+        out.append(record(window, labels, kinds, t, q))
+        for label in [(k, b) for b in range(last_b - 1, k, -1)] + [(a, k) for a in range(last_a - 1, 0, -1)]:
+            a, b = label
+            kind = _window_kind(window, a, b)
+            if kind is None:
+                continue
+            window[a - 1], window[b - 1] = window[b - 1], window[a - 1]
+            labels.append(label)
+            kinds.append(kind)
+            q_next = q + qstep[label] if kind is EdgeKind.QUANTUM else q
+            if a == k:  # a column label: the row phase is over
+                visit(0, b, t + 1, q_next)
+            else:
+                visit(a, bound + 1, t, q_next)
+            kinds.pop()
+            labels.pop()
+            window[a - 1], window[b - 1] = window[b - 1], window[a - 1]
 
     try:
-        dfs_rows(DirectedPath.empty(x), 0, k)
+        visit(k, bound + 1, 0, 0)
     finally:
-        del dfs_rows, dfs_cols  # see `pieri_degree_rows`
+        del visit  # see `pieri_degree_rows`
     return out
 
 
@@ -442,15 +467,9 @@ EndLengths = dict[tuple[int, ...], int]
 
 def pieri_degree_rows(w: Permutation, k: int) -> tuple[DegreeRows, EndLengths]:
     """
-    Every degree p = 0..k of G[w] * G^k_p from one depth-first walk over
-    the k-Pieri chains from w, with the label pool, label order and pruning
-    of `enumerate_pieri_chains` but no chain objects: the walk swaps window
-    entries on the way down and back on return, and passes down the packed
-    Q-weight of the path, adding the precomputed weight of each quantum
-    edge (one int addition per edge, `qbg.pack_monomial`).  The label pool,
-    its tails, the signed marking counts and the label weights come from
-    `_walk_tables`, built on the first walk with this (k, N) and only read
-    by every later one.
+    Every degree p = 0..k of G[w] * G^k_p from one in-place walk over the
+    k-Pieri chains from w (module docstring), with the label pool, label
+    order and pruning of `enumerate_pieri_chains` but no chain objects.
 
     A chain of length r with m0 distinct rows and m forced labels adds
     (-1)^(r-p) * C(m0 - m, p - m) to row[p] for every p in m..m0, under the
@@ -465,11 +484,9 @@ def pieri_degree_rows(w: Permutation, k: int) -> tuple[DegreeRows, EndLengths]:
     label order and forces nothing.  Forced labels are first occurrences
     (module docstring), so no chain needs a feasibility check.
 
-    The walk also carries the length of the current end: each edge fixes
-    its change, +1 for a Bruhat edge and -2(b-a)+1 for a quantum edge
-    (a,b).  The second mapping returned holds the length of every end.
-    Each (end, Q-weight) key occurs once, so `expansion._pieri_rows` can
-    store the rows as flat columns and read any degree without summing.
+    The second mapping returned holds the length the walk carried to every
+    end.  Each (end, Q-weight) key occurs once, so `expansion._pieri_rows`
+    can store the rows as flat columns and read any degree without summing.
 
     >>> from qpieri.qbg import unpack_monomial
     >>> rows, lengths = pieri_degree_rows(Permutation.from_one_line("321"), 2)

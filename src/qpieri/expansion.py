@@ -66,9 +66,9 @@ from collections.abc import Callable, Iterable, Mapping
 from functools import lru_cache
 from types import MappingProxyType
 
-from .chains import enumerate_monk_chains, pieri_degree_rows
+from .chains import _monk_walk, pieri_degree_rows
 from .permutations import Permutation
-from .qbg import Q_HIGH_BITS, QMonomial, pack_monomial, q_weight, unpack_monomial
+from .qbg import Q_HIGH_BITS, QMonomial, pack_monomial, unpack_monomial
 
 # a Z[Q]-polynomial as packed monomial -> nonzero coefficient
 _Packed = dict[int, int]
@@ -293,6 +293,9 @@ class Expansion:
 
     @classmethod
     def from_json_obj(cls, obj: list[dict]) -> Expansion:
+        if not isinstance(obj, list):
+            raise ValueError(f"an expansion is a JSON list of records, not {type(obj).__name__}")
+
         def triples() -> Iterable[_Triple]:
             for rec in obj:
                 u = Permutation.from_one_line(rec["perm"])
@@ -300,7 +303,10 @@ class Expansion:
                     mono = QMonomial.from_dict({int(v): int(e) for v, e in tr["q"]})
                     yield u, pack_monomial(mono), int(tr["c"])
 
-        return _accumulate(triples())
+        try:
+            return _accumulate(triples())
+        except (KeyError, TypeError, AttributeError) as exc:
+            raise ValueError(f"malformed expansion record ({type(exc).__name__}: {exc})") from None
 
     @classmethod
     def from_json(cls, text: str) -> Expansion:
@@ -310,6 +316,8 @@ class Expansion:
     def parse(cls, text: str) -> Expansion:
         """Parse the `render` text form back into an Expansion."""
         text = text.strip()
+        if not text.strip("+-"):
+            raise ValueError(f"no term to parse in {text!r}")
         if text == "0":
             return cls.zero()
         return _accumulate(_parse_term(sign, body) for sign, body in _split_signed_terms(text))
@@ -418,17 +426,11 @@ def _parse_term(sign: int, body: str) -> _Triple:
 
 
 def _split_signed_terms(text: str) -> list[tuple[int, str]]:
-    pieces = re.split(r"\s([+-])\s", " " + text if text[0] in "+-" else "+ " + text)
-    # re.split with a captured group yields [first, sep, term, sep, term, ...]
-    first = pieces[0].strip()
-    out: list[tuple[int, str]] = []
-    if first.startswith("-"):
-        out.append((-1, first[1:].strip()))
-    elif first:
-        out.append((1, first.lstrip("+ ").strip()))
-    for sep, term in zip(pieces[1::2], pieces[2::2]):
-        out.append((1 if sep == "+" else -1, term.strip()))
-    return [(s, t) for s, t in out if t]
+    """(sign, body) of every term of a non-empty text; the first sign is optional."""
+    # re.split with a captured group yields [term, sep, term, sep, term, ...]
+    pieces = re.split(r"\s([+-])\s", text[1:] if text[0] in "+-" else text)
+    signs = ["-" if text[0] == "-" else "+", *pieces[1::2]]
+    return [(1 if sign == "+" else -1, term.strip()) for sign, term in zip(signs, pieces[::2])]
 
 
 @lru_cache(maxsize=None)
@@ -490,9 +492,9 @@ def pieri_expand(w: Permutation, k: int, p: int) -> Expansion:
 
 @lru_cache(maxsize=None)
 def monk_lhs_expand(x: Permutation, k: int) -> Expansion:
-    """Expand (1 - Q_k)(1 - x_k) G[x] via k-Monk chains from x."""
+    """Expand (1 - Q_k)(1 - x_k) G[x] via k-Monk chains from x, read straight from their walk."""
     return _accumulate(
-        (m.end, pack_monomial(q_weight(m.path)), (-1) ** m.t) for m in enumerate_monk_chains(x, k)
+        _monk_walk(x, k, lambda window, labels, kinds, t, q: (Permutation._from_swapped(window), q, -1 if t % 2 else 1))
     )
 
 

@@ -18,8 +18,8 @@ to the weight of a path; Bruhat edges contribute 1.
 A label sequence is checked by walking it on one window list: each label
 is tested against the list and its two entries are swapped in place, and
 only the end vertex is built as a `Permutation` (`validate_path`,
-`first_invalid_index`, `DirectedPath.extend`).  `edge_kind` and the walk
-share the one test of the criterion above.
+`first_invalid_index`, `DirectedPath.extend`).  This walk, `edge_kind` and
+the chain walks of `chains` share the one test of the criterion above.
 """
 
 from __future__ import annotations
@@ -240,24 +240,7 @@ class DirectedPath:
 
     def extend(self, label: Label) -> DirectedPath | None:
         """The path with one more edge, or None if the step is not an edge."""
-        # one step of `_walk`, written out: `enumerate_monk_chains` and the
-        # chain searches call this per node
-        a, b = label
-        if not 1 <= a < b:
-            raise ValueError(f"bad transposition {label}")
-        win = list(self.end.window)
-        if b > len(win):
-            win.extend(range(len(win) + 1, b + 1))
-        kind = _window_kind(win, a, b)
-        if kind is None:
-            return None
-        win[a - 1], win[b - 1] = win[b - 1], win[a - 1]
-        return DirectedPath(
-            self.start,
-            self.labels + (label,),
-            self.kinds + (kind,),
-            Permutation._from_swapped(win),
-        )
+        return validate_path(self.start, self.labels + (label,))
 
     def render(self) -> str:
         """Display text: '(321 ; (1,4)_B, (2,3)_Q)'."""

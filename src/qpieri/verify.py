@@ -186,8 +186,8 @@ def _suite_monk() -> SuiteReport:
         for k in (1, 2):
             for m in enumerate_monk_chains(x, k):
                 report.check(
-                    validate_path(m.start, m.labels) is not None,
-                    lambda: f"Monk chain fails path validation: {m!r}",
+                    validate_path(m.start, m.labels) == m.path,
+                    lambda: f"Monk chain is not the path its labels walk: {m!r}",
                 )
             report.check(
                 verify_monk_at_q0(x, k),

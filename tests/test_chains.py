@@ -20,6 +20,7 @@ from qpieri.chains import (
     pieri_degree_rows,
     pieri_violation,
 )
+from qpieri.expansion import monk_lhs_expand
 from qpieri.permutations import Permutation, all_permutations
 from qpieri.qbg import edge_kind_by_length, validate_path
 
@@ -250,8 +251,9 @@ def test_b_class_chains_have_single_small_row_occurrence():
         lambda: pieri_degree_rows(P("62417583"), 5),
         lambda: enumerate_pieri_chains(P("32514"), 3),
         lambda: enumerate_monk_chains(P("32514"), 3),
+        lambda: monk_lhs_expand.__wrapped__(P("32514"), 3),
     ],
-    ids=["pieri_degree_rows", "enumerate_pieri_chains", "enumerate_monk_chains"],
+    ids=["pieri_degree_rows", "enumerate_pieri_chains", "enumerate_monk_chains", "monk_lhs_expand"],
 )
 def test_a_walk_leaves_nothing_for_the_cyclic_collector(walk):
     # the recursive closures let go of themselves, so every walk's scratch

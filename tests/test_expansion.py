@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import pathlib
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -147,6 +148,27 @@ def test_render_parse_round_trip_worked_examples():
 def test_render_of_zero():
     assert Expansion.zero().render() == "0"
     assert Expansion.parse("0") == Expansion.zero()
+
+
+@pytest.mark.parametrize(
+    "read, text, problem",
+    [
+        (Expansion.parse, "", "no term"),
+        (Expansion.parse, "   ", "no term"),
+        (Expansion.parse, "+", "no term"),
+        (Expansion.parse, "-", "no term"),
+        (Expansion.from_json, '[{"perm": "21"}]', "KeyError: 'terms'"),
+        (Expansion.from_json, '[{"terms": []}]', "KeyError: 'perm'"),
+        (Expansion.from_json, '[{"perm": "21", "terms": [{"q": []}]}]', "KeyError: 'c'"),
+        (Expansion.from_json, '[{"perm": "21", "terms": [{"q": 5, "c": 1}]}]', "malformed expansion record"),
+        (Expansion.from_json, "[21]", "malformed expansion record"),
+        (Expansion.from_json, '{"a": 1}', "JSON list of records, not dict"),
+        (Expansion.from_json, "{}", "JSON list of records, not dict"),
+    ],
+)
+def test_malformed_input_is_a_value_error_naming_the_problem(read, text, problem):
+    with pytest.raises(ValueError, match=re.escape(problem)):
+        read(text)
 
 
 def test_json_schema_shape():

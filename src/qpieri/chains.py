@@ -32,16 +32,26 @@ with strictly decreasing rows, and by (P2) a non-final label whose row
 repeats precedes its successor, so (2) never forces it.
 
 `pieri_degree_rows` sums these counts for every p in one walk over the
-chains, building no chain objects; `enumerate_pieri_chains` and the
-marking functions stay as its reference.  Every chain walk swaps two
-entries of one padded window list on the way down and back on return,
-and tests each step with `qbg._window_kind` (written out in the hot loop
-of `pieri_degree_rows`).  The walks read their tables from `_walk_tables`,
-built once per (k, N) and shared read-only, and carry the packed Q-weight
-of the path, adding the tabled weight of each quantum edge.  Each QBG
-edge fixes the change in length (+1 for a Bruhat edge, -2(b-a)+1 for a
-quantum edge (a,b)), so `pieri_degree_rows` carries the length of the
-current end too, and it is never recounted.
+chains, building no chain objects and returning flat columns;
+`enumerate_pieri_chains` and the marking functions stay as its reference.
+Every chain walk swaps two entries of one padded window list on the way
+down and back on return, and tests each step with `qbg._window_kind`
+(written out in the hot loop of `pieri_degree_rows`).  The walks read
+their tables from `_walk_tables`, built once per (k, N) and shared
+read-only, and carry the packed Q-weight of the path, adding the tabled
+weight of each quantum edge.
+
+Sign law.  Each QBG edge changes the length by an odd amount: +1 for a
+Bruhat edge, -2(b-a)+1 for a quantum edge (a,b).  So a chain from w to u
+of length r has (-1)^r = (-1)^(l(u) - l(w)), and its degree-p weight
+(-1)^(r-p) * #markings is 0 or has the sign (-1)^(l(u) - l(w) - p).  In
+each degree all chains to one end agree in sign, so no coefficient of a
+Pieri product cancels; and each chain weighs +-1 in degree p = m, its
+number of forced labels, so no term is zero in every degree.  By
+induction every coefficient of a product of Pieri factors at G[v] has
+the sign (-1)^(l(v) - l(w) - sum of the p).  `pieri_degree_rows` carries
+the length of the current end, never recounted, and reads each chain's
+sign from its parity.
 
 All enumeration runs inside the ambient bound N = max(support, k) + 1: no
 QBG edge usable by these chains has column beyond N, which is re-asserted
@@ -459,49 +469,53 @@ def is_marking(chain: PieriChain, marks: frozenset) -> bool:
 
 # --- every degree in one walk ---------------------------------------------
 
-# (padded end window, Q-weight packed as by qbg.pack_monomial) -> coefficient per p
-DegreeRows = dict[tuple[tuple[int, ...], int], list[int]]
-# padded end window -> its length, carried along the walk
-EndLengths = dict[tuple[int, ...], int]
 
-
-def pieri_degree_rows(w: Permutation, k: int) -> tuple[DegreeRows, EndLengths]:
+def pieri_degree_rows(w: Permutation, k: int) -> tuple[tuple[Permutation, ...], tuple[int, ...], tuple[int, ...]]:
     """
     Every degree p = 0..k of G[w] * G^k_p from one in-place walk over the
     k-Pieri chains from w (module docstring), with the label pool, label
     order and pruning of `enumerate_pieri_chains` but no chain objects.
 
-    A chain of length r with m0 distinct rows and m forced labels adds
-    (-1)^(r-p) * C(m0 - m, p - m) to row[p] for every p in m..m0, under the
-    key (end window padded to N = max(support(w), k) + 1, packed Q-weight).
-    No exponent of a chain exceeds its length, so the packed fields never
-    carry.  Both counts grow along a path: m0 when a row is used
-    for the first time, and m when a label is forced.  The first label is
-    forced by condition (3).  Every later label (a,b) that follows (c,b)
-    with c > a forces one more: the new label if the initial run is still
-    unbroken (condition (3)), otherwise (c,b) itself (condition (2)); a
-    label that does not descend this way follows its predecessor in the
-    label order and forces nothing.  Forced labels are first occurrences
-    (module docstring), so no chain needs a feasibility check.
+    The terms come as three flat columns (ends, qs, coeffs): term i is
+    ends[i] with packed Q-weight qs[i] and coefficient coeffs[i*(k+1) + p]
+    in degree p, so coeffs[p::k+1] is the column of degree p.  Each
+    (end, Q-weight) pair occurs once, in the order the walk first reaches
+    it, and each end is built once, at its first visit, with the length
+    the walk carried to it; an end is a swap of w's window, so it is not
+    re-validated.  No exponent of a chain exceeds its length, so the packed
+    fields never carry.
 
-    The second mapping returned holds the length the walk carried to every
-    end.  Each (end, Q-weight) key occurs once, so `expansion._pieri_rows`
-    can store the rows as flat columns and read any degree without summing.
+    A chain with end u, m0 distinct rows and m forced labels adds
+    (-1)^(len - p) * C(m0 - m, p - m) in every degree p in m..m0, and
+    (-1)^len = (-1)^(l(u) - l(w)) by the sign law (module docstring).  Both
+    counts grow along a path: m0 when a row is used for the first time,
+    and m when a label is forced.  The first label, the one that follows
+    the root's sentinel, is forced by condition (3).  Every later label
+    (a,b) that follows (c,b) with c > a forces one more: the new label if
+    the initial run is still unbroken (condition (3)), otherwise (c,b)
+    itself (condition (2)); a label that does not descend this way follows
+    its predecessor in the label order and forces nothing.  Forced labels
+    are first occurrences (module docstring), so m <= m0 and no chain
+    needs a feasibility check.
 
     >>> from qpieri.qbg import unpack_monomial
-    >>> rows, lengths = pieri_degree_rows(Permutation.from_one_line("321"), 2)
-    >>> for (window, q), row in sorted(rows.items()):
-    ...     if row[2]:
-    ...         print(Permutation(window).one_line(), unpack_monomial(q).render(), row[2])
-    132 Q1*Q2 1
-    1342 Q1*Q2 -1
-    1423 Q1*Q2 -1
-    1432 Q1*Q2 1
-    4123 Q2 1
-    4132 Q2 -1
-    4312 1 1
-    >>> lengths[(4, 3, 1, 2)], lengths[(1, 3, 2, 4)]
-    (5, 1)
+    >>> ends, qs, coeffs = pieri_degree_rows(Permutation.from_one_line("321"), 2)
+    >>> for i, (u, q) in enumerate(zip(ends, qs)):
+    ...     print(u.one_line(), u.length(), unpack_monomial(q).render(), coeffs[3 * i : 3 * i + 3])
+    321 3 1 (1, 0, 0)
+    4213 4 1 (0, 1, 0)
+    4312 5 1 (0, -1, 1)
+    1342 2 Q1*Q2 (0, 1, -1)
+    1432 3 Q1*Q2 (0, -1, 1)
+    4132 4 Q2 (0, 1, -1)
+    1243 1 Q1*Q2 (0, -1, 0)
+    1423 2 Q1*Q2 (0, 1, -1)
+    4123 3 Q2 (0, -1, 1)
+    3412 4 1 (0, 1, 0)
+    3142 3 Q2 (0, -1, 0)
+    1 0 Q1*Q2 (0, 1, 0)
+    132 1 Q1*Q2 (0, -1, 1)
+    312 2 Q2 (0, 1, 0)
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -511,19 +525,29 @@ def pieri_degree_rows(w: Permutation, k: int) -> tuple[DegreeRows, EndLengths]:
     window = list(w.extended(bound))
     row_uses = [0] * (k + 1)
     used: set[Label] = set()
-    rows: DegreeRows = {}
-    lengths: EndLengths = {}
+    length_w = w.length()
+    blank = [0] * (k + 1)
+    perms: dict[tuple[int, ...], Permutation] = {}
+    index: dict[tuple[tuple[int, ...], int], int] = {}
+    ends: list[Permutation] = []
+    qs: list[int] = []
+    coeffs: list[int] = []
 
-    def visit(candidates: tuple[Label, ...], last: Label, r: int, m0: int, m: int, ell: int, q: int) -> None:
+    def visit(candidates: tuple[Label, ...], last: Label, m0: int, m: int, ell: int, q: int) -> None:
         end = tuple(window)
         key = (end, q)
-        row = rows.get(key)
-        if row is None:
-            row = rows[key] = [0] * (k + 1)
-            lengths[end] = ell
-        sign = -1 if r % 2 else 1
+        at = index.get(key)
+        if at is None:
+            at = index[key] = len(coeffs)
+            u = perms.get(end)
+            if u is None:
+                u = perms[end] = Permutation._from_swapped(end, ell)
+            ends.append(u)
+            qs.append(q)
+            coeffs.extend(blank)
+        sign = -1 if (ell - length_w) % 2 else 1
         for p, c in weights[m0][m]:
-            row[p] += sign * c
+            coeffs[at + p] += sign * c
         last_a, last_b = last
         for label in candidates:
             if label in used:
@@ -549,9 +573,8 @@ def pieri_degree_rows(w: Permutation, k: int) -> tuple[DegreeRows, EndLengths]:
                 visit(
                     tail_from[b],
                     label,
-                    r + 1,
                     m0 + (row_uses[a] == 1),
-                    m + (descends or r == 0),
+                    m + (descends or not last_a),
                     ell + (2 * (a - b) + 1 if quantum else 1),
                     q + qstep[label] if quantum else q,
                 )
@@ -561,10 +584,10 @@ def pieri_degree_rows(w: Permutation, k: int) -> tuple[DegreeRows, EndLengths]:
 
     try:
         # the root's sentinel last label (0, N) neither descends nor repeats a row
-        visit(pool, (0, bound), 0, 0, 0, w.length(), 0)
+        visit(pool, (0, bound), 0, 0, length_w, 0)
     finally:
         # a recursive closure holds itself through its own cell; emptying
         # the cell frees the walk's scratch state by refcount, without
         # waiting for the cyclic collector
         del visit
-    return rows, lengths
+    return tuple(ends), tuple(qs), tuple(coeffs)

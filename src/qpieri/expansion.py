@@ -22,7 +22,10 @@ its Expansion straight from the degree-p column, with nothing to sum.
 A product of factors (`expand_product_chain`) reads the same columns: each
 term g * G[u] adds g times the entries of u's degree-p column into the
 next factor's accumulator.  It builds no per-degree Expansion, so
-`pieri_expand`'s per-degree cache serves direct calls only.
+`pieri_expand`'s per-degree cache serves direct calls only.  By the sign
+law (`chains` module docstring) every coefficient of such a product at
+G[v] has the sign (-1)^(l(v) - l(w) - sum of the p), so no term cancels
+and the accumulator is wrapped as it stands.
 
 Coefficient arithmetic is exact integer throughout; an Expansion is a
 finite map from basis permutations to Z[Q]-polynomials with no zero
@@ -37,12 +40,12 @@ two monomials is one integer addition and the monomial 1 is the key 0.
 The chain walk hands its Q-weights over already packed.  `QMonomial` is
 the type of the public boundary: the constructors, `terms`,
 `sorted_terms`, the text and JSON forms pack or unpack there.  Every sum
-of single terms goes through one accumulator (`_accumulate`).  Every
+that can cancel goes through one fold (`_fold`), which drops zero
+coefficients; a sum of single terms enters it as one-term blocks.  Every
 product of coefficients goes through one overflow-checked step
-(`_add_scaled`, poly += c * Q^key * f), which the fold of expansions
-(`_fold`) takes once per monomial of a factor and a product chain once
-per column entry; a single Pieri product is no sum, since its terms
-arrive distinct.
+(`_add_scaled`, poly += c * Q^key * f), which the fold takes once per
+monomial of a factor and a product chain once per column entry; a single
+Pieri product is no sum, since its terms arrive distinct.
 
 Overflow guard.  Packing accepts Q_1 .. Q_1024 only, with exponents below
 2^(S-1) (`qbg.pack_monomial`, ValueError otherwise).  Invariant: every
@@ -158,8 +161,8 @@ class QPolynomial:
         return f"QPolynomial({self.render()})"
 
 
-# (basis, packed monomial, coefficient)
-_Triple = tuple[Permutation, int, int]
+# (basis, packed f, packed g): the term f * g * G[basis] of a fold
+_Block = tuple[Permutation, _Packed, _Packed]
 
 
 class Expansion:
@@ -216,7 +219,7 @@ class Expansion:
 
     def add_term(self, u: Permutation, sign: int, mono: QMonomial, mult: int = 1) -> Expansion:
         """This expansion plus sign * mult * mono * G[u], as a new value."""
-        return self + _accumulate([(u, pack_monomial(mono), sign * mult)])
+        return self + _fold([(u, {pack_monomial(mono): sign * mult}, _UNIT)])
 
     def is_zero(self) -> bool:
         return not self._terms
@@ -296,17 +299,19 @@ class Expansion:
         if not isinstance(obj, list):
             raise ValueError(f"an expansion is a JSON list of records, not {type(obj).__name__}")
 
-        def triples() -> Iterable[_Triple]:
+        def blocks() -> Iterable[_Block]:
             for rec in obj:
-                u = Permutation.from_one_line(rec["perm"])
-                for tr in rec["terms"]:
-                    mono = QMonomial.from_dict({int(v): int(e) for v, e in tr["q"]})
-                    yield u, pack_monomial(mono), int(tr["c"])
+                try:
+                    u = Permutation.from_one_line(rec["perm"])
+                    terms = [(_json_key(tr["q"]), _json_int(tr["c"])) for tr in rec["terms"]]
+                except (KeyError, TypeError, AttributeError, ValueError) as exc:
+                    raise ValueError(
+                        f"malformed expansion record {json.dumps(rec, default=repr)} ({type(exc).__name__}: {exc})"
+                    ) from None
+                for key, c in terms:
+                    yield u, {key: c}, _UNIT
 
-        try:
-            return _accumulate(triples())
-        except (KeyError, TypeError, AttributeError) as exc:
-            raise ValueError(f"malformed expansion record ({type(exc).__name__}: {exc})") from None
+        return _fold(blocks())
 
     @classmethod
     def from_json(cls, text: str) -> Expansion:
@@ -320,7 +325,7 @@ class Expansion:
             raise ValueError(f"no term to parse in {text!r}")
         if text == "0":
             return cls.zero()
-        return _accumulate(_parse_term(sign, body) for sign, body in _split_signed_terms(text))
+        return _fold(_parse_term(sign, body) for sign, body in _split_signed_terms(text))
 
     def __repr__(self) -> str:
         return f"Expansion({self.render()})"
@@ -338,30 +343,21 @@ def _drop_zeros(poly: _Packed) -> _Packed:
     return {key: c for key, c in poly.items() if c} if 0 in poly.values() else poly
 
 
-def _nonzero(acc: dict[Permutation, _Packed]) -> Expansion:
-    """The Expansion of accumulated coefficients, zero entries dropped in place."""
-    for u in [u for u, poly in acc.items() if not poly or 0 in poly.values()]:
-        poly = _drop_zeros(acc[u])
-        if poly:
-            acc[u] = poly
-        else:
-            del acc[u]
-    return Expansion._of(acc)
+def _json_int(x: object) -> int:
+    """x if it is a JSON integer; a bool or a float is not."""
+    if type(x) is not int:
+        raise ValueError(f"{json.dumps(x, default=repr)} is not an integer")
+    return x
 
 
-def _accumulate(triples: Iterable[_Triple]) -> Expansion:
-    """
-    The sum of c * Q^key * G[u] over (u, packed key, c) triples, in one
-    dict pass with zero coefficients dropped.  Every Expansion that sums
-    single terms is built here.
-    """
-    acc: dict[Permutation, _Packed] = {}
-    for u, key, c in triples:
-        poly = acc.get(u)
-        if poly is None:
-            poly = acc[u] = {}
-        poly[key] = poly.get(key, 0) + c
-    return _nonzero(acc)
+def _json_key(pairs: Iterable) -> int:
+    """The packed monomial of JSON [[variable, exponent], ...], each variable listed once."""
+    exps: dict[int, int] = {}
+    for v, e in pairs:
+        if _json_int(v) in exps:
+            raise ValueError(f"Q{v} appears twice")
+        exps[v] = _json_int(e)
+    return pack_monomial(QMonomial.from_dict(exps))
 
 
 def _add_scaled(poly: _Packed, f: _Packed, key: int, c: int) -> None:
@@ -389,10 +385,13 @@ def _add_product(poly: _Packed, f: _Packed, g: _Packed) -> None:
         _add_scaled(poly, f, key, c)
 
 
-def _fold(blocks: Iterable[tuple[Permutation, _Packed, _Packed]]) -> Expansion:
+def _fold(blocks: Iterable[_Block]) -> Expansion:
     """
     The sum of f * g * G[u] over (u, f, g) blocks of packed coefficients,
-    in one dict pass.  Every sum and product of expansions is built here.
+    in one dict pass, with zero coefficients dropped.  Every sum that can
+    cancel is built here: sums, differences and scalings of expansions,
+    `map_basis`, and every sum of single terms, each a block (u, {key: c},
+    unit).
     """
     acc: dict[Permutation, _Packed] = {}
     for u, f, g in blocks:
@@ -403,10 +402,16 @@ def _fold(blocks: Iterable[tuple[Permutation, _Packed, _Packed]]) -> Expansion:
                 continue
             poly = acc[u] = {}
         _add_product(poly, f, g)
-    return _nonzero(acc)
+    for u in [u for u, poly in acc.items() if not poly or 0 in poly.values()]:
+        poly = _drop_zeros(acc[u])
+        if poly:
+            acc[u] = poly
+        else:
+            del acc[u]
+    return Expansion._of(acc)
 
 
-def _parse_term(sign: int, body: str) -> _Triple:
+def _parse_term(sign: int, body: str) -> _Block:
     mult = 1
     mono = QMonomial.one()
     perm: Permutation | None = None
@@ -417,12 +422,14 @@ def _parse_term(sign: int, body: str) -> _Triple:
         elif m := re.fullmatch(r"Q(\d+)(?:\^(\d+))?", factor):
             mono = mono * QMonomial.variable(int(m.group(1)), int(m.group(2) or 1))
         elif m := re.fullmatch(r"G\[([0-9,]+)\]", factor):
+            if perm is not None:
+                raise ValueError(f"term with more than one basis symbol: {body!r}")
             perm = Permutation.from_one_line(m.group(1))
         else:
             raise ValueError(f"cannot parse factor {factor!r}")
     if perm is None:
         raise ValueError(f"term without basis symbol: {body!r}")
-    return perm, pack_monomial(mono), sign * mult
+    return perm, {pack_monomial(mono): sign * mult}, _UNIT
 
 
 def _split_signed_terms(text: str) -> list[tuple[int, str]]:
@@ -433,33 +440,9 @@ def _split_signed_terms(text: str) -> list[tuple[int, str]]:
     return [(1 if sign == "+" else -1, term.strip()) for sign, term in zip(signs, pieces[::2])]
 
 
-@lru_cache(maxsize=None)
-def _pieri_rows(w: Permutation, k: int) -> tuple[tuple[Permutation, ...], tuple[int, ...], tuple[int, ...]]:
-    """
-    The terms of G[w] * G^k_p for every degree p = 0..k, from one walk over
-    the k-Pieri chains, as three flat columns (ends, qs, coeffs): term i is
-    ends[i] with packed Q-weight qs[i] and coefficient coeffs[i*(k+1) + p]
-    in degree p, so coeffs[p::k+1] is the column of degree p.  Each
-    (end, Q-weight) pair occurs once and terms that are zero in every
-    degree are dropped.  Each distinct end is built once and shared by its
-    terms; an end is a swap of w's window, so it is not re-validated, and
-    it keeps the length the walk carried to it.
-    """
-    rows, lengths = pieri_degree_rows(w, k)
-    perms: dict[tuple[int, ...], Permutation] = {}
-    ends: list[Permutation] = []
-    qs: list[int] = []
-    coeffs: list[int] = []
-    for (window, q), row in rows.items():
-        if not any(row):
-            continue
-        u = perms.get(window)
-        if u is None:
-            u = perms[window] = Permutation._from_swapped(window, lengths[window])
-        ends.append(u)
-        qs.append(q)
-        coeffs += row
-    return tuple(ends), tuple(qs), tuple(coeffs)
+# the terms of G[w] * G^k_p for every degree p = 0..k as the walk's three
+# flat columns (`chains.pieri_degree_rows`), walked once per (w, k)
+_pieri_rows = lru_cache(maxsize=None)(pieri_degree_rows)
 
 
 def _check_factor(k: int, p: int) -> None:
@@ -493,8 +476,8 @@ def pieri_expand(w: Permutation, k: int, p: int) -> Expansion:
 @lru_cache(maxsize=None)
 def monk_lhs_expand(x: Permutation, k: int) -> Expansion:
     """Expand (1 - Q_k)(1 - x_k) G[x] via k-Monk chains from x, read straight from their walk."""
-    return _accumulate(
-        _monk_walk(x, k, lambda window, labels, kinds, t, q: (Permutation._from_swapped(window), q, -1 if t % 2 else 1))
+    return _fold(
+        _monk_walk(x, k, lambda window, labels, kinds, t, q: (Permutation._from_swapped(window), {q: -1 if t % 2 else 1}, _UNIT))
     )
 
 
@@ -503,9 +486,11 @@ def expand_product_chain(w: Permutation, factors: list[tuple[int, int]]) -> Expa
     Left-fold expansion of G[w] * prod of column factors, coefficients
     carried through exactly.  For each factor (k, p), every term g * G[u]
     adds g * c * Q^q * G[end] for each entry (end, q, c) of the degree-p
-    column of u's cached (u, k) rows; zero entries are skipped, and terms
-    that cancel are dropped before the next factor, so no walk is made for
-    them.  `pieri_expand`'s per-degree cache is neither read nor filled.
+    column of u's cached (u, k) rows; zero entries are skipped.  By the
+    sign law (`chains` module docstring) every contribution to the
+    coefficient of Q^a * G[v] has the sign (-1)^(l(v) - l(w) - sum of the
+    p), so no term cancels and each accumulator is wrapped as it stands.
+    `pieri_expand`'s per-degree cache is neither read nor filled.
 
     >>> w = Permutation.identity()
     >>> expand_product_chain(w, [(1, 1), (1, 1)]).render()
@@ -524,5 +509,5 @@ def expand_product_chain(w: Permutation, factors: list[tuple[int, int]]) -> Expa
                     if poly is None:
                         poly = acc[v] = {}
                     _add_scaled(poly, g, q, c)
-        out = _nonzero(acc)
+        out = Expansion._of(acc)
     return out

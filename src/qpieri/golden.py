@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .expansion import Expansion, _accumulate
+from .expansion import _UNIT, Expansion, _fold
 from .permutations import Permutation
 from .qbg import QMonomial, pack_monomial
 
@@ -157,8 +157,8 @@ EX1_UNLISTED_CHAINS = (((2, 4),), ((2, 4), (2, 3)))
 
 
 def expected_expansion(ex: WorkedExample) -> Expansion:
-    return _accumulate(
-        (Permutation.from_one_line(perm), pack_monomial(QMonomial.from_dict(dict(qexp))), coeff)
+    return _fold(
+        (Permutation.from_one_line(perm), {pack_monomial(QMonomial.from_dict(dict(qexp))): coeff}, _UNIT)
         for coeff, qexp, perm in ex.terms
     )
 

@@ -147,10 +147,10 @@ def _phi_b3(marking, moved, k: int):
 
 
 def _psi_d11(chain: PieriChain, k: int) -> tuple[Label, ...]:
-    cls = run_dec_algorithm(chain, k)
-    if cls.outcome != "D1":
+    outcome = run_dec_algorithm(chain, k)
+    if outcome.kind != "IIA":
         raise ValueError("chain is not in the commuting class")
-    return cls.path.labels
+    return outcome.path.labels
 
 
 def _phi_d11(marking, chain: PieriChain, k: int):
@@ -224,13 +224,13 @@ def _phi_d12(marking, moved, k: int):
 
 def _absorbed(chain: PieriChain, k: int):
     """(prefix, (*,k)-segment, (*,k-1)-segment, t(p)) of an absorbing-class chain."""
-    cls = run_dec_algorithm(chain, k)
-    if cls.outcome != "D2":
+    outcome = run_dec_algorithm(chain, k)
+    if outcome.kind != "IIB":
         raise ValueError("chain is not in the absorbing class")
     seg_k = chain.segment_labels(k)
     seg_k1 = chain.segment_labels(k - 1)
     prefix = chain.labels[: len(chain.labels) - len(seg_k1) - len(seg_k)]
-    return prefix, seg_k, seg_k1, cls.t_of_p
+    return prefix, seg_k, seg_k1, outcome.u
 
 
 def _psi_d2(chain: PieriChain, k: int) -> tuple[tuple[Label, ...], set[Label]]:

@@ -35,11 +35,9 @@ stage 3, level k-1, empty Monk part:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from ..chains import PieriChain
 from ..permutations import Label, label_precedes
-from ..qbg import DirectedPath, algorithm_skd
+from ..qbg import SkdOutcome, algorithm_skd
 from .universe import MarkedChain, PairedChain
 
 
@@ -66,25 +64,16 @@ def dec1_base_top(q: PairedChain, k: int) -> str:
     return "B2" if chain.final_label() == kk else "B3"
 
 
-@dataclass(frozen=True)
-class SkdClassification:
-    outcome: str  # 'D1' or 'D2'
-    t_of_p: int  # IIB stop position within the (*,k-1)-segment (D2 only)
-    path: DirectedPath
-
-
-def run_dec_algorithm(chain: PieriChain, k: int) -> SkdClassification:
+def run_dec_algorithm(chain: PieriChain, k: int) -> SkdOutcome:
     """
     Run the rewrite pass that appends (k-1,k) to a level-(k-2) chain and
-    pushes it through the trailing (*,k-1)-segment.
+    pushes it through the trailing (*,k-1)-segment: kind 'IIA' is class D1,
+    'IIB' is class D2, with u the stop position t(p) within the segment.
     """
     seg = chain.segment_of_b(k - 1)
     if not len(seg):
         raise ValueError("chain has no (*,k-1)-segment")
-    outcome = algorithm_skd(chain.path, seg.start, k - 1, k)
-    if outcome.kind == "IIA":
-        return SkdClassification("D1", 0, outcome.path)
-    return SkdClassification("D2", outcome.u, outcome.path)
+    return algorithm_skd(chain.path, seg.start, k - 1, k)
 
 
 def dec1_base_low(q: PairedChain, k: int) -> str:
@@ -92,8 +81,7 @@ def dec1_base_low(q: PairedChain, k: int) -> str:
     chain = q.chain
     if chain.n_col(k - 1) == 0:
         return "C"
-    cls = run_dec_algorithm(chain, k)
-    if cls.outcome == "D2":
+    if run_dec_algorithm(chain, k).kind == "IIB":
         return "D2"
     rows_k = {a for a, _ in chain.segment_labels(k)}
     rows_k1 = {a for a, _ in chain.segment_labels(k - 1)}

@@ -29,7 +29,7 @@ from ..chains import (
     enumerate_pieri_chains,
     is_marking,
 )
-from ..expansion import Expansion, _accumulate
+from ..expansion import _UNIT, Expansion, _fold
 from ..permutations import Permutation
 from ..qbg import pack_monomial, q_weight
 
@@ -85,7 +85,7 @@ def weight(x: PairedChain | MarkedChain) -> tuple[int, int, Permutation]:
 
 
 def sum_weights(elements) -> Expansion:
-    return _accumulate((basis, q, sign) for sign, q, basis in map(weight, elements))
+    return _fold((basis, {q: sign}, _UNIT) for sign, q, basis in map(weight, elements))
 
 
 @lru_cache(maxsize=None)

@@ -45,7 +45,7 @@ from .proofkit.identities import (
 from .proofkit.scanners import all_scans
 from .proofkit.surgery import SurgeryError, delete, insert
 from .proofkit.universe import MarkedChain, weight
-from .qbg import Q_STRIDE, DirectedPath, edge_kind, edge_kind_by_length, validate_path
+from .qbg import DirectedPath, QMonomial, edge_kind, edge_kind_by_length, pack_monomial, validate_path
 from .render import chains_table
 
 
@@ -256,7 +256,7 @@ def _weight_matches(inp, out, k: int, sign: int, qk_power: int) -> bool:
     sign_out, q_out, basis_out = weight(out)
     if basis_out != basis_in or sign_out != sign * sign_in:
         return False
-    qk = 1 << (Q_STRIDE * (k - 2))  # Q_{k-1}, packed
+    qk = pack_monomial(QMonomial.variable(k - 1))
     return q_out + (qk if qk_power < 0 else 0) == q_in + (qk if qk_power > 0 else 0)
 
 

@@ -1,11 +1,13 @@
 """
-`pieri_expand` from the columnar rows against the row-and-accumulator build.
+`pieri_expand` from the walk's columns against rows built from the
+reference enumerators.
 
-The reference is a frozen copy of the earlier construction: one tuple
-(end, packed Q-weight, row of k+1 coefficients) per term, and every degree
-summed through a dict accumulator that drops zero coefficients.  Both read
-the same walk (`pieri_degree_rows`), so these tests hold only the step
-from the walk's rows to the per-degree `Expansion`.
+The reference rows come from `enumerate_pieri_chains` and `marking_count`:
+one row of k+1 signed marking counts per (end, packed Q-weight), in the
+order the chains first reach it, with every degree summed through a dict
+accumulator that drops zero coefficients.  They share no code with the
+walk (`chains.pieri_degree_rows`), so these tests hold the walk's
+columns, their order and the per-degree `Expansion` built from them.
 """
 
 from __future__ import annotations
@@ -14,22 +16,19 @@ import random
 
 import pytest
 
-from qpieri.chains import pieri_degree_rows
+from qpieri.chains import enumerate_pieri_chains, marking_count
 from qpieri.expansion import Expansion, _pieri_rows, pieri_expand
 from qpieri.permutations import Permutation, all_permutations
+from qpieri.qbg import pack_monomial, q_weight
 
 
 def reference_rows(w: Permutation, k: int) -> tuple[tuple[Permutation, int, tuple[int, ...]], ...]:
-    rows, lengths = pieri_degree_rows(w, k)
-    perms: dict[tuple[int, ...], Permutation] = {}
-    out = []
-    for (window, q), row in rows.items():
-        if not any(row):
-            continue
-        if window not in perms:
-            perms[window] = Permutation._from_swapped(window, lengths[window])
-        out.append((perms[window], q, tuple(row)))
-    return tuple(out)
+    rows: dict[tuple[Permutation, int], list[int]] = {}
+    for chain in enumerate_pieri_chains(w, k):
+        row = rows.setdefault((chain.end, pack_monomial(q_weight(chain.path))), [0] * (k + 1))
+        for p in range(k + 1):
+            row[p] += (-1) ** (len(chain) - p) * marking_count(chain, p)
+    return tuple((u, q, tuple(row)) for (u, q), row in rows.items() if any(row))
 
 
 def reference_accumulate(triples) -> Expansion:

@@ -157,11 +157,24 @@ def test_render_of_zero():
         (Expansion.parse, "   ", "no term"),
         (Expansion.parse, "+", "no term"),
         (Expansion.parse, "-", "no term"),
+        (Expansion.parse, "G[21]*G[12]", "term with more than one basis symbol: 'G[21]*G[12]'"),
+        (Expansion.parse, "G[1] - 2*Q1*G[21]*G[21]", "term with more than one basis symbol: '2*Q1*G[21]*G[21]'"),
         (Expansion.from_json, '[{"perm": "21"}]', "KeyError: 'terms'"),
         (Expansion.from_json, '[{"terms": []}]', "KeyError: 'perm'"),
         (Expansion.from_json, '[{"perm": "21", "terms": [{"q": []}]}]', "KeyError: 'c'"),
         (Expansion.from_json, '[{"perm": "21", "terms": [{"q": 5, "c": 1}]}]', "malformed expansion record"),
         (Expansion.from_json, "[21]", "malformed expansion record"),
+        (Expansion.from_json, '[{"perm": "21", "terms": [{"q": [], "c": 1.5}]}]',
+         'malformed expansion record {"perm": "21", "terms": [{"q": [], "c": 1.5}]} (ValueError: 1.5 is not an integer)'),
+        (Expansion.from_json, '[{"perm": "21", "terms": [{"q": [], "c": true}]}]', "true is not an integer"),
+        (Expansion.from_json, '[{"perm": "21", "terms": [{"q": [], "c": "3"}]}]', '"3" is not an integer'),
+        (Expansion.from_json, '[{"perm": "21", "terms": [{"q": [[1, 2.7]], "c": 1}]}]', "2.7 is not an integer"),
+        (Expansion.from_json, '[{"perm": "21", "terms": [{"q": [[1.0, 2]], "c": 1}]}]', "1.0 is not an integer"),
+        (Expansion.from_json, '[{"perm": "21", "terms": [{"q": [[false, 2]], "c": 1}]}]', "false is not an integer"),
+        (Expansion.from_json, '[{"perm": "21", "terms": [{"q": [[1, 1], [1, 2]], "c": 1}]}]',
+         'malformed expansion record {"perm": "21", "terms": [{"q": [[1, 1], [1, 2]], "c": 1}]} (ValueError: Q1 appears twice)'),
+        (Expansion.from_json, '[{"perm": "21", "terms": [{"q": [[1, 2, 3]], "c": 1}]}]',
+         'malformed expansion record {"perm": "21", "terms": [{"q": [[1, 2, 3]], "c": 1}]} (ValueError: too many values'),
         (Expansion.from_json, '{"a": 1}', "JSON list of records, not dict"),
         (Expansion.from_json, "{}", "JSON list of records, not dict"),
     ],

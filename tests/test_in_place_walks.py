@@ -14,7 +14,7 @@ from __future__ import annotations
 import pytest
 
 from qpieri.chains import MonkChain, PieriChain, _walk_tables, enumerate_monk_chains, enumerate_pieri_chains
-from qpieri.expansion import Expansion, _accumulate, monk_lhs_expand
+from qpieri.expansion import _UNIT, Expansion, _fold, monk_lhs_expand
 from qpieri.permutations import Permutation, all_permutations, label_precedes
 from qpieri.qbg import DirectedPath, _window_kind, edge_kind, pack_monomial, q_weight, validate_path
 
@@ -85,8 +85,8 @@ def old_monk_chains(x: Permutation, k: int) -> list[MonkChain]:
 
 
 def old_monk_lhs_expand(x: Permutation, k: int) -> Expansion:
-    return _accumulate(
-        (m.end, pack_monomial(q_weight(m.path)), (-1) ** m.t) for m in old_monk_chains(x, k)
+    return _fold(
+        (m.end, {pack_monomial(q_weight(m.path)): (-1) ** m.t}, _UNIT) for m in old_monk_chains(x, k)
     )
 
 

@@ -5,9 +5,9 @@ The old fold replaced every basis term by the `pieri_expand` of each
 factor in turn (`map_basis`).  The column pass reads each term's cached
 (u, k) rows instead; it must give the same expansions, walk the same
 (u, k), refuse the same factors, and keep the overflow guard.  Fake rows
-(`_pieri_rows` patched) reach two cases that no real product of the
-grids here shows: a zero column entry with a Q-weight the guard would
-refuse, and a term that cancels between factors.
+(`_pieri_rows` patched) reach a case that no real product of the grids
+here shows: a zero column entry with a Q-weight the guard would refuse.
+No term of a product cancels (the sign law, `tests/test_sign_law.py`).
 """
 
 from __future__ import annotations
@@ -144,23 +144,3 @@ def test_a_zero_column_entry_is_skipped_not_multiplied(clean_caches, monkeypatch
     want = Expansion._of({P("21"): {HALF + Q2: 1}})
     assert old_fold(P("21"), [(1, 1), (2, 2)]) == want
     assert expand_product_chain(P("21"), [(1, 1), (2, 2)]) == want
-
-
-def test_a_term_that_cancels_is_dropped_before_the_next_factor(clean_caches, monkeypatch):
-    # G[21] -> G[231] + G[312]; each maps to G[321] with opposite signs
-    table = {
-        ((2, 1), 1): [((2, 3, 1), 0, (0, 1)), ((3, 1, 2), 0, (0, 1))],
-        ((2, 3, 1), 1): [((3, 2, 1), 0, (0, 1)), ((4, 2, 3, 1), 0, (0, 1))],
-        ((3, 1, 2), 1): [((3, 2, 1), 0, (0, -1))],
-        ((3, 2, 1), 1): [((4, 2, 1, 3), 0, (0, 1))],
-        ((4, 2, 3, 1), 1): [((4, 3, 2, 1), 0, (0, 1))],
-    }
-    walks: list = []
-    monkeypatch.setattr(expansion, "_pieri_rows", recording(walks, fake_rows(table)))
-    three = [(1, 1)] * 3
-    assert expand_product_chain(P("21"), three) == Expansion.basis(P("4321"))
-    new_walks = list(walks)
-    assert (P("321"), 1) not in new_walks
-    old_walks: list = []
-    assert old_fold(P("21"), three, old_walks) == Expansion.basis(P("4321"))
-    assert Counter(new_walks) == Counter(old_walks)

@@ -20,7 +20,9 @@ exact polynomial product, so they test the expansion engine directly.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from functools import lru_cache
+from types import MappingProxyType
 
 from .expansion import monk_lhs_expand, pieri_expand
 from .permutations import Permutation, cyclic_permutation
@@ -29,13 +31,18 @@ from .permutations import Permutation, cyclic_permutation
 class XPolynomial:
     """Sparse exact-integer polynomial in x_1, ..., x_N (N implicit)."""
 
-    __slots__ = ("terms",)
+    __slots__ = ("_terms",)
 
     def __init__(self, terms: dict[tuple[int, ...], int] | None = None):
-        self.terms: dict[tuple[int, ...], int] = {}
+        self._terms: dict[tuple[int, ...], int] = {}
         for expo, c in (terms or {}).items():
             if c:
-                self.terms[_trim(expo)] = c
+                self._terms[_trim(expo)] = c
+
+    @property
+    def terms(self) -> Mapping[tuple[int, ...], int]:
+        """Read-only view of the nonzero coefficients."""
+        return MappingProxyType(self._terms)
 
     @classmethod
     def zero(cls) -> XPolynomial:
@@ -56,11 +63,11 @@ class XPolynomial:
         return cls({expo: c})
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._terms
 
     def __add__(self, other: XPolynomial) -> XPolynomial:
-        out = dict(self.terms)
-        for e, c in other.terms.items():
+        out = dict(self._terms)
+        for e, c in other._terms.items():
             out[e] = out.get(e, 0) + c
         return XPolynomial(out)
 
@@ -69,19 +76,19 @@ class XPolynomial:
 
     def __mul__(self, other: XPolynomial) -> XPolynomial:
         out: dict[tuple[int, ...], int] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
+        for e1, c1 in self._terms.items():
+            for e2, c2 in other._terms.items():
                 e = _add_expo(e1, e2)
                 out[e] = out.get(e, 0) + c1 * c2
         return XPolynomial(out)
 
     def scaled(self, c: int) -> XPolynomial:
-        return XPolynomial({e: c * v for e, v in self.terms.items()})
+        return XPolynomial({e: c * v for e, v in self._terms.items()})
 
     def swap_vars(self, i: int) -> XPolynomial:
         """Apply the variable swap x_i <-> x_{i+1}."""
         out: dict[tuple[int, ...], int] = {}
-        for e, c in self.terms.items():
+        for e, c in self._terms.items():
             ee = list(e) + [0] * (i + 1 - len(e))
             ee[i - 1], ee[i] = ee[i], ee[i - 1]
             key = _trim(tuple(ee))
@@ -89,18 +96,18 @@ class XPolynomial:
         return XPolynomial(out)
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, XPolynomial) and self.terms == other.terms
+        return isinstance(other, XPolynomial) and self._terms == other._terms
 
     def __hash__(self) -> int:
-        return hash(frozenset(self.terms.items()))
+        return hash(frozenset(self._terms.items()))
 
     def render(self) -> str:
-        if not self.terms:
+        if not self._terms:
             return "0"
-        keys = sorted(self.terms, key=lambda e: (sum(e), e))
+        keys = sorted(self._terms, key=lambda e: (sum(e), e))
         parts = []
         for e in keys:
-            c = self.terms[e]
+            c = self._terms[e]
             mono = "*".join(
                 f"x{i + 1}" if p == 1 else f"x{i + 1}^{p}"
                 for i, p in enumerate(e)

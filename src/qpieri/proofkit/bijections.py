@@ -12,9 +12,11 @@ paths guaranteed by the local rewrite rules are re-validated and failures
 raise (they indicate bugs, never data conditions).
 
 `MATCHINGS` at the end of this module is the one place where each map's
-domain, codomain, check shape and weight law live.  A weight law is a pair
-(sign, e): F(image) = sign * Q_{k-1}^e * F(input), with F taken at each
-element's own level.
+domain, codomain, check shape and weight law live.  Each domain and
+codomain is a class named once as a module-level `Side`, which
+`identities` sums as well; `membership` reads the elements of a side.  A
+weight law is a pair (sign, e): F(image) = sign * Q_{k-1}^e * F(input),
+with F taken at each element's own level.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from ..chains import MonkChain, PieriChain
 from ..permutations import Label, Permutation
 from ..qbg import DirectedPath, validate_path
 from .classify import (
+    classify,
     dec2_base,
     f_refinement,
     in_class_e,
@@ -76,126 +79,67 @@ def _repair(q: PairedChain, new_p_labels, new_marking, level: int, new_m_labels,
     return PairedChain(mc, _monk(mc.end, tuple(new_m_labels), k))
 
 
+def _with_empty_monk(mc: MarkedChain, k: int) -> PairedChain:
+    """`mc` followed by the empty k-Monk chain."""
+    return PairedChain(mc, _monk(mc.end, (), k))
+
+
 # --- stage-1 matchings pi1..pi8 ---------------------------------------------
+#
+# Each pair pi(2i-1), pi(2i) moves the chain side the same way, by a chain
+# move (q, k) -> (labels, marking, level) and its reverse; the odd map also
+# strips the Monk head (k-1,k) and the even map prepends it, and each
+# inverse does the opposite.
 
 
-def pi1(q: PairedChain, k: int) -> PairedChain:
-    """AX -> B1Y: append (k-1,k) to the chain, strip it from the Monk head."""
-    _, m_tail = _pop_monk_head(q, _kk(k))
-    return _repair(q, q.chain.labels + (_kk(k),), q.marking, k - 1, m_tail, k)
+def _append_kk(q: PairedChain, k: int):
+    """A -> B1: append (k-1,k) to the chain, unmarked."""
+    return q.chain.labels + (_kk(k),), q.marking, k - 1
 
 
-def pi1_inv(q: PairedChain, k: int) -> PairedChain:
+def _drop_kk(q: PairedChain, k: int):
     if q.chain.final_label() != _kk(k):
         raise ValueError("chain does not end with (k-1,k)")
-    return _repair(q, q.chain.labels[:-1], q.marking, k - 1, (_kk(k),) + q.monk.labels, k)
+    return q.chain.labels[:-1], q.marking, k - 1
 
 
-def pi2(q: PairedChain, k: int) -> PairedChain:
-    """AY -> B1X: append (k-1,k) to the chain and to the Monk head."""
-    return _repair(q, q.chain.labels + (_kk(k),), q.marking, k - 1, (_kk(k),) + q.monk.labels, k)
+def _lower_marked(q: PairedChain, k: int):
+    """B2 (level k-1) -> C (level k-2): drop the final (k-1,k) and its mark."""
+    return q.chain.labels[:-1], q.marking - {_kk(k)}, k - 2
 
 
-def pi2_inv(q: PairedChain, k: int) -> PairedChain:
-    _, m_tail = _pop_monk_head(q, _kk(k))
-    return _repair(q, q.chain.labels[:-1], q.marking, k - 1, m_tail, k)
+def _raise_marked(q: PairedChain, k: int):
+    return q.chain.labels + (_kk(k),), q.marking | {_kk(k)}, k - 1
 
 
-def pi3(q: PairedChain, k: int) -> PairedChain:
-    """B2X (level k-1) -> CY (level k-2): drop (k-1,k) from chain, marking, Monk head."""
-    _, m_tail = _pop_monk_head(q, _kk(k))
-    return _repair(q, q.chain.labels[:-1], q.marking - {_kk(k)}, k - 2, m_tail, k)
-
-
-def pi3_inv(q: PairedChain, k: int) -> PairedChain:
-    return _repair(
-        q, q.chain.labels + (_kk(k),), set(q.marking) | {_kk(k)}, k - 1,
-        (_kk(k),) + q.monk.labels, k,
-    )
-
-
-def pi4(q: PairedChain, k: int) -> PairedChain:
-    """B2Y (level k-1) -> CX (level k-2)."""
-    return _repair(
-        q, q.chain.labels[:-1], q.marking - {_kk(k)}, k - 2,
-        (_kk(k),) + q.monk.labels, k,
-    )
-
-
-def pi4_inv(q: PairedChain, k: int) -> PairedChain:
-    _, m_tail = _pop_monk_head(q, _kk(k))
-    return _repair(q, q.chain.labels + (_kk(k),), set(q.marking) | {_kk(k)}, k - 1, m_tail, k)
-
-
-def _psi_b3(chain: PieriChain, k: int) -> tuple[tuple[Label, ...], tuple[Label, ...]]:
-    """Rows after (k-1,k) drop to column k-1; returns (new labels, moved rows)."""
-    labels = chain.labels
+def _b3_to_d11(q: PairedChain, k: int):
+    """B3 (level k-1) -> D11 (level k-2): the rows after (k-1,k) drop to column k-1."""
+    labels = q.chain.labels
     pos = labels.index(_kk(k))
     before, after = labels[:pos], labels[pos + 1 :]
     if any(b != k for _, b in after):
         raise ValueError("labels after (k-1,k) must sit in the (*,k)-segment")
-    return before + tuple((a, k - 1) for a, _ in after), after
+    moved = set(after)
+    marking = {(a, k - 1) if (a, b) in moved else (a, b) for a, b in q.marking if (a, b) != _kk(k)}
+    return before + tuple((a, k - 1) for a, _ in after), marking, k - 2
 
 
-def _phi_b3(marking, moved, k: int):
-    out = set()
-    for lab in marking:
-        if lab == _kk(k):
-            continue
-        out.add((lab[0], k - 1) if lab in moved else lab)
-    return out
-
-
-def _psi_d11(chain: PieriChain, k: int) -> tuple[Label, ...]:
-    outcome = run_dec_algorithm(chain, k)
+def _d11_to_b3(q: PairedChain, k: int):
+    outcome = run_dec_algorithm(q.chain, k)
     if outcome.kind != "IIA":
         raise ValueError("chain is not in the commuting class")
-    return outcome.path.labels
+    moved = set(q.chain.segment_labels(k - 1))
+    marking = {(a, k) if (a, b) in moved else (a, b) for a, b in q.marking} | {_kk(k)}
+    return outcome.path.labels, marking, k - 1
 
 
-def _phi_d11(marking, chain: PieriChain, k: int):
-    moved = set(chain.segment_labels(k - 1))
-    out = {(_kk(k))}
-    for lab in marking:
-        out.add((lab[0], k) if lab in moved else lab)
-    return out
-
-
-def pi5(q: PairedChain, k: int) -> PairedChain:
-    """B3X (level k-1) -> D11Y (level k-2)."""
-    _, m_tail = _pop_monk_head(q, _kk(k))
-    new_labels, moved = _psi_b3(q.chain, k)
-    return _repair(q, new_labels, _phi_b3(q.marking, set(moved), k), k - 2, m_tail, k)
-
-
-def pi5_inv(q: PairedChain, k: int) -> PairedChain:
-    return _repair(
-        q, _psi_d11(q.chain, k), _phi_d11(q.marking, q.chain, k), k - 1,
-        (_kk(k),) + q.monk.labels, k,
-    )
-
-
-def pi6(q: PairedChain, k: int) -> PairedChain:
-    """B3Y (level k-1) -> D11X (level k-2)."""
-    new_labels, moved = _psi_b3(q.chain, k)
-    return _repair(
-        q, new_labels, _phi_b3(q.marking, set(moved), k), k - 2,
-        (_kk(k),) + q.monk.labels, k,
-    )
-
-
-def pi6_inv(q: PairedChain, k: int) -> PairedChain:
-    _, m_tail = _pop_monk_head(q, _kk(k))
-    return _repair(q, _psi_d11(q.chain, k), _phi_d11(q.marking, q.chain, k), k - 1, m_tail, k)
-
-
-def _psi_d12(chain: PieriChain, k: int) -> tuple[tuple[Label, ...], set[Label]]:
+def _d12_to_d2(q: PairedChain, k: int):
     """
-    For an element of the overlapping commuting class: the shared row a is
-    unique with (a,k) the last (*,k)-label appearing among the (*,k-1) rows
-    and (a,k-1) final; rewrite so the (*,k)-labels from (a,k) on drop to
-    column k-1 behind the (*,k-1)-segment.
+    D12 -> D2 (level k-2): the shared row a is unique with (a,k) the last
+    (*,k)-label appearing among the (*,k-1) rows and (a,k-1) final; the
+    (*,k)-labels from (a,k) on drop to column k-1 behind the (*,k-1)-segment.
     """
+    chain = q.chain
     seg_k = chain.segment_labels(k)
     seg_k1 = chain.segment_labels(k - 1)
     rows_k1 = {a for a, _ in seg_k1}
@@ -207,19 +151,28 @@ def _psi_d12(chain: PieriChain, k: int) -> tuple[tuple[Label, ...], set[Label]]:
     if len(shared) != 1 or seg_k1[-1][0] != a:
         raise RuntimeError("overlap structure violates the guaranteed form")
     pos = len(chain.labels) - len(seg_k1) - len(seg_k)
-    prefix = chain.labels[:pos]
-    new_labels = (
-        prefix
+    labels = (
+        chain.labels[:pos]
         + tuple(seg_k[:s_p])
         + seg_k1
         + tuple((i, k - 1) for i, _ in seg_k[s_p + 1 :])
     )
     moved = set(seg_k[s_p:])
-    return new_labels, moved
+    return labels, {(i, k - 1) if (i, b) in moved else (i, b) for i, b in q.marking}, k - 2
 
 
-def _phi_d12(marking, moved, k: int):
-    return {(lab[0], k - 1) if lab in moved else lab for lab in marking}
+def _d2_to_d12(q: PairedChain, k: int):
+    """Undo the absorbing rewrite: raise the (*,k-1)-tail from position t(p) to column k."""
+    prefix, seg_k, seg_k1, t_p = _absorbed(q.chain, k)
+    labels = (
+        prefix
+        + tuple(seg_k)
+        + tuple((j, k) for j, _ in seg_k1[t_p - 1 :])
+        + tuple(seg_k1[: t_p - 1])
+        + (seg_k1[t_p - 1],)
+    )
+    moved = set(seg_k1[t_p - 1 :])
+    return labels, {(j, k) if (j, b) in moved else (j, b) for j, b in q.marking}, k - 2
 
 
 def _absorbed(chain: PieriChain, k: int):
@@ -233,52 +186,28 @@ def _absorbed(chain: PieriChain, k: int):
     return prefix, seg_k, seg_k1, outcome.u
 
 
-def _psi_d2(chain: PieriChain, k: int) -> tuple[tuple[Label, ...], set[Label]]:
-    """Undo the absorbing rewrite: raise the (*,k-1)-tail from position t(p) to column k."""
-    prefix, seg_k, seg_k1, t_p = _absorbed(chain, k)
-    new_labels = (
-        prefix
-        + tuple(seg_k)
-        + tuple((j, k) for j, _ in seg_k1[t_p - 1 :])
-        + tuple(seg_k1[: t_p - 1])
-        + (seg_k1[t_p - 1],)
-    )
-    moved = set(seg_k1[t_p - 1 :])
-    return new_labels, moved
+def _head_stripped(move) -> Callable[[PairedChain, int], PairedChain]:
+    def apply(q: PairedChain, k: int) -> PairedChain:
+        _, m_tail = _pop_monk_head(q, _kk(k))
+        return _repair(q, *move(q, k), m_tail, k)
+    return apply
 
 
-def _phi_d2(marking, moved, k: int):
-    return {(lab[0], k) if lab in moved else lab for lab in marking}
+def _head_prepended(move) -> Callable[[PairedChain, int], PairedChain]:
+    def apply(q: PairedChain, k: int) -> PairedChain:
+        return _repair(q, *move(q, k), (_kk(k),) + q.monk.labels, k)
+    return apply
 
 
-def pi7(q: PairedChain, k: int) -> PairedChain:
-    """D12X -> D2Y (both level k-2)."""
-    _, m_tail = _pop_monk_head(q, _kk(k))
-    new_labels, moved = _psi_d12(q.chain, k)
-    return _repair(q, new_labels, _phi_d12(q.marking, moved, k), k - 2, m_tail, k)
+def _stage1_pair(move, reverse):
+    """(odd map, its inverse, even map, its inverse) of one chain move."""
+    return _head_stripped(move), _head_prepended(reverse), _head_prepended(move), _head_stripped(reverse)
 
 
-def pi7_inv(q: PairedChain, k: int) -> PairedChain:
-    new_labels, moved = _psi_d2(q.chain, k)
-    return _repair(
-        q, new_labels, _phi_d2(q.marking, moved, k), k - 2,
-        (_kk(k),) + q.monk.labels, k,
-    )
-
-
-def pi8(q: PairedChain, k: int) -> PairedChain:
-    """D12Y -> D2X (both level k-2)."""
-    new_labels, moved = _psi_d12(q.chain, k)
-    return _repair(
-        q, new_labels, _phi_d12(q.marking, moved, k), k - 2,
-        (_kk(k),) + q.monk.labels, k,
-    )
-
-
-def pi8_inv(q: PairedChain, k: int) -> PairedChain:
-    _, m_tail = _pop_monk_head(q, _kk(k))
-    new_labels, moved = _psi_d2(q.chain, k)
-    return _repair(q, new_labels, _phi_d2(q.marking, moved, k), k - 2, m_tail, k)
+pi1, pi1_inv, pi2, pi2_inv = _stage1_pair(_append_kk, _drop_kk)  # AX -> B1Y, AY -> B1X
+pi3, pi3_inv, pi4, pi4_inv = _stage1_pair(_lower_marked, _raise_marked)  # B2X -> CY, B2Y -> CX
+pi5, pi5_inv, pi6, pi6_inv = _stage1_pair(_b3_to_d11, _d11_to_b3)  # B3X -> D11Y, B3Y -> D11X
+pi7, pi7_inv, pi8, pi8_inv = _stage1_pair(_d12_to_d2, _d2_to_d12)  # D12X -> D2Y, D12Y -> D2X
 
 
 # --- stage-2 matchings theta1..theta4 ---------------------------------------
@@ -366,11 +295,7 @@ def theta4_inv(q: PairedChain, k: int) -> PairedChain:
         + tuple((i, k - 1) for i, _ in i_part[s_p:])
     )
     moved = set(i_part[s_p:]) | set(j_part)
-    new_marking = set()
-    for lab in q.marking:
-        if lab == _kk(k):
-            continue
-        new_marking.add((lab[0], k - 1) if lab in moved else lab)
+    new_marking = {(a, k - 1) if (a, b) in moved else (a, b) for a, b in q.marking if (a, b) != _kk(k)}
     return _repair(q, new_labels, new_marking, k - 2, m_tail, k)
 
 
@@ -381,10 +306,6 @@ def _monk_columns(q: PairedChain) -> list[int]:
     if q.monk.s:
         raise ValueError("Monk chain must be pure column")
     return [b for _, b in q.monk.labels]
-
-
-def _as_level(chain: PieriChain, level: int, marking) -> MarkedChain:
-    return _marked(chain.start, chain.labels, marking, level)
 
 
 def _inserted(q: PairedChain, k: int, marking) -> MarkedChain:
@@ -428,8 +349,13 @@ def chi5_inv(mc: MarkedChain, k: int) -> PairedChain:
     return _lowered(_delete_columns(mc.chain, k, ds), mc.marking - {(k, ds[-1])}, k, ds)
 
 
-def _chi_insert(q: PairedChain, k: int):
-    """Shared body of chi2/chi6: insert all Monk columns, tracking marks."""
+def _chi_insert(q: PairedChain, k: int, mark_kappa: bool) -> Element:
+    """
+    Shared body of chi2/chi6: insert all Monk columns, tracking marks.  The
+    image is a level-k chain, marked at the column of the first commuting
+    step, when some insertion commutes through, else the chase part of F
+    (level k-1); chi6 (`mark_kappa`) also marks the image of the final label.
+    """
     cols = _monk_columns(q)  # decreasing d_r > ... > d_1
     chain = q.chain
     kappa = chain.final_label()
@@ -461,51 +387,43 @@ def _chi_insert(q: PairedChain, k: int):
         if first_commuted and t <= first_commuted:
             raise RuntimeError("moved mark landed at or below the commuting column")
         k2.add((lab[0], d))
-    kappa_image = (kappa[0], cols[0])
-    base = (set(q.marking) - k1) | k2
-    return result, base, kappa_image, first_commuted, cols
+    marking = (set(q.marking) - k1) | k2
+    if mark_kappa:
+        marking.add((kappa[0], cols[0]))
+    if first_commuted:
+        marking.add((k, sorted(cols)[first_commuted - 1]))
+        return _marked(result.start, result.labels, marking, k)
+    return _with_empty_monk(_marked(result.start, result.labels, marking, k - 1), k)
 
 
 def chi2(q: PairedChain, k: int) -> Element:
-    """
-    E (level k-1, g = p) -> S12b (level k) when some insertion commutes
-    through, else the unmarked-chase part of F (level k-1, p-1 marks).
-    """
-    result, base, kappa_image, u, cols = _chi_insert(q, k)
-    if u:
-        d_u = sorted(cols)[u - 1]
-        marking = base | {(k, d_u)}
-        return _marked(result.start, result.labels, marking, k)
-    return PairedChain(
-        _marked(result.start, result.labels, base, k - 1),
-        _monk(result.end, (), k),
-    )
+    """E (level k-1, g = p) -> S12b (level k), else the unmarked-chase part of F (p-1 marks)."""
+    return _chi_insert(q, k, mark_kappa=False)
 
 
 def chi6(q: PairedChain, k: int) -> Element:
-    """
-    E (level k-1, g = p-1) -> S12a (level k) when some insertion commutes
-    through, else the marked-chase part of F (level k-1, p-1 marks).
-    """
-    result, base, kappa_image, u, cols = _chi_insert(q, k)
-    if u:
-        d_u = sorted(cols)[u - 1]
-        marking = base | {(k, d_u), kappa_image}
-        return _marked(result.start, result.labels, marking, k)
-    return PairedChain(
-        _marked(result.start, result.labels, base | {kappa_image}, k - 1),
-        _monk(result.end, (), k),
-    )
+    """E (level k-1, g = p-1) -> S12a (level k), else the marked-chase part of F (p-1 marks)."""
+    return _chi_insert(q, k, mark_kappa=True)
 
 
-def _chi_delete(chain: PieriChain, marking, k: int, columns: list[int], u: int,
-                new_only: bool) -> tuple[DirectedPath, set, Label]:
+def _chi_preimage(x: Element, k: int, s_side_marks_final: bool) -> PairedChain:
     """
-    Shared body of the chi2/chi6 inverses: delete along `columns`
-    (increasing), then pull marks on chased labels back to column k.
-    `u` = number of genuine (k,*) columns (0 on the marked-final side);
-    `new_only` restricts the pull-back to labels absent from the input.
+    Shared body of chi2_inv/chi6_inv: delete along the columns (increasing)
+    back to class E, then pull marks on chased labels back to column k.  The
+    final label is marked again on the F side, and on the S side for chi2.
     """
+    chain = x.chain
+    if isinstance(x, MarkedChain):  # S side: u genuine (k,*) columns, then the chase
+        ds = sorted(b for a, b in chain.labels if a == k)
+        _, _, chase = kappa_double_prime(chain, k)
+        columns, u, new_only = ds + chase[1:], len(ds), False
+        marking, mark_final = x.marking - {(k, ds[-1])}, s_side_marks_final
+    else:  # F side: the chase only; pull back only labels absent from the input
+        if not x.monk.is_empty():
+            raise ValueError("class-F elements have empty Monk part")
+        kp, _, chase = kappa_prime(chain, k)
+        columns, u, new_only = chase[1:], 0, True
+        marking, mark_final = x.marking - {kp}, True
     path = _delete_columns(chain, k, columns)
     kseg = [lab for lab in path.labels if lab[1] == k]
     kappa_xi = path.labels[-1]
@@ -531,77 +449,42 @@ def _chi_delete(chain: PieriChain, marking, k: int, columns: list[int], u: int,
         if (i, hits[0]) in marking:
             k2p.add((i, hits[0]))
             k1p.add((i, k))
-    return path, (set(marking) - k2p) | k1p, kappa_xi
+    marking = (set(marking) - k2p) | k1p
+    return _lowered(path, marking | {kappa_xi} if mark_final else marking, k, columns)
 
 
 def chi2_inv(x: Element, k: int) -> PairedChain:
-    if isinstance(x, MarkedChain):  # S12b side
-        path, marking, kappa_xi, columns = _s_side_delete(x, k)
-        marking = marking | {kappa_xi}
-    else:  # F22 side
-        path, marking, kappa_xi, columns = _f_side_delete(x, k)
-        marking = marking | {kappa_xi}
-    return _lowered(path, marking, k, columns)
+    return _chi_preimage(x, k, s_side_marks_final=True)
 
 
 def chi6_inv(x: Element, k: int) -> PairedChain:
-    if isinstance(x, MarkedChain):  # S12a side
-        path, marking, _, columns = _s_side_delete(x, k)
-    else:  # F21 side: the chase-end mark returns to the final label
-        path, marking, kappa_xi, columns = _f_side_delete(x, k)
-        marking = marking | {kappa_xi}
-    return _lowered(path, marking, k, columns)
-
-
-def _s_side_delete(mc: MarkedChain, k: int):
-    chain, marking = mc.chain, mc.marking
-    ds = sorted(b for a, b in chain.labels if a == k)
-    u = len(ds)
-    _, _, chase = kappa_double_prime(chain, k)
-    columns = ds + chase[1:]
-    path, new_marking, kappa_xi = _chi_delete(
-        chain, marking - {(k, ds[-1])}, k, columns, u, new_only=False
-    )
-    return path, new_marking, kappa_xi, columns
-
-
-def _f_side_delete(q: PairedChain, k: int):
-    chain, marking = q.chain, q.marking
-    if not q.monk.is_empty():
-        raise ValueError("class-F elements have empty Monk part")
-    kp, _, chase = kappa_prime(chain, k)
-    columns = chase[1:]
-    path, new_marking, kappa_xi = _chi_delete(
-        chain, marking - {kp}, k, columns, 0, new_only=True
-    )
-    return path, new_marking, kappa_xi, columns
+    return _chi_preimage(x, k, s_side_marks_final=False)
 
 
 def chi3(q: PairedChain, k: int) -> MarkedChain:
     """A1 with empty Monk part (level k-1, p marks) -> R (level k): relabel."""
     if not q.monk.is_empty():
         raise ValueError("chi3 needs an empty Monk part")
-    return _as_level(q.chain, k, q.marking)
+    return _marked(q.chain.start, q.chain.labels, q.marking, k)
 
 
 def chi3_inv(mc: MarkedChain, k: int) -> PairedChain:
-    new = _as_level(mc.chain, k - 1, mc.marking)
-    return PairedChain(new, _monk(new.end, (), k))
+    return _with_empty_monk(_marked(mc.chain.start, mc.chain.labels, mc.marking, k - 1), k)
 
 
 def chi4(q: PairedChain, k: int) -> PairedChain:
     """G (level k-1, p marks) -> F1 (level k-1, p-1 marks): unmark the final label."""
     if not q.monk.is_empty():
         raise ValueError("chi4 needs an empty Monk part")
-    new = _marked(q.chain.start, q.chain.labels, q.marking - {q.chain.final_label()}, k - 1)
-    return PairedChain(new, _monk(new.end, (), k))
+    return _with_empty_monk(
+        _marked(q.chain.start, q.chain.labels, q.marking - {q.chain.final_label()}, k - 1), k
+    )
 
 
 def chi4_inv(q: PairedChain, k: int) -> PairedChain:
-    new = _marked(
-        q.chain.start, q.chain.labels, set(q.marking) | {q.chain.final_label()}, k - 1
+    return _with_empty_monk(
+        _marked(q.chain.start, q.chain.labels, q.marking | {q.chain.final_label()}, k - 1), k
     )
-    return PairedChain(new, _monk(new.end, (), k))
 
 
 # --- the registry -------------------------------------------------------------
@@ -653,6 +536,71 @@ class Side:
     test: Callable[[Element, int], bool] | None = None
 
 
+def membership(w: Permutation, k: int) -> Callable[[Side, int], list]:
+    """
+    members(side, anchor): the elements of `side` at the grid point (w, k)
+    and that anchor, in universe order within each tag.  Each universe is
+    classified once, at its first use, for every side read through the
+    same `members`.
+    """
+    buckets: dict[tuple[int, int], dict[tuple, list]] = {}  # (level, marks) -> tag -> elements
+
+    def members(side: Side, anchor: int) -> list:
+        u = side.universe
+        key = (k + u.level, anchor + u.marks)
+        if key not in buckets:
+            buckets[key] = {}
+            for x in u.elements(w, k, anchor):
+                buckets[key].setdefault(classify(x, u.stage, k), []).append(x)
+        out = []
+        for tag, elems in buckets[key].items():
+            if side.tags(tag):
+                out += elems if side.test is None else [x for x in elems if side.test(x, k)]
+        return out
+
+    return members
+
+
+def _x_and_y(universe: Universe, *bases: str) -> tuple[Side, Side]:
+    """The elements of `universe` whose base tag is in `bases`, on Monk side X, then Y."""
+    return (Side(universe, lambda t: t[0] in bases and t[1] == "X"),
+            Side(universe, lambda t: t[0] in bases and t[1] != "X"))
+
+
+def _f_part(part: str) -> Side:
+    return Side(TOP_P1, lambda t: t[1] == "empty",
+                lambda x, k: in_class_f(x, k) and f_refinement(x, k) == part)
+
+
+# The classes, each named once: every matching's domain and codomain is one
+# of them, and `identities` sums them.  Stage 1 reads B2/B3 off the stage-2
+# refinement of B2 + B3 by the run after (k-1,k): B2 = Bns1, B3 = Bns2 + Bns3.
+AX, AY = _x_and_y(TOP_G, "A1", "A2", "A3")
+B1X, B1Y = _x_and_y(TOP_G, "B1")
+B2X, B2Y = _x_and_y(TOP_G, "Bns1")
+B3X, B3Y = _x_and_y(TOP_G, "Bns2", "Bns3")
+CX, CY = _x_and_y(LOW_G, "C")
+D11X, D11Y = _x_and_y(LOW_G, "D11")
+D12X, D12Y = _x_and_y(LOW_G, "D12")
+D2X, D2Y = _x_and_y(LOW_G, "D2")
+# stage 2: the border-swap classes
+A_BORDER = Side(TOP_G, lambda t: (t[0] in ("A1", "A3") and t[1] == "Y3")
+                or (t[0] == "A2" and t[1] in ("empty", "Y2", "Y3")))  # A1Y3 + A2Y + A3Y3
+BNS_Y3_C1 = Side(TOP_G, lambda t: len(t) == 4 and t[1] == "Y3" and t[3] == "c1")
+BNS_Y3_C2 = Side(TOP_G, lambda t: len(t) == 4 and t[1] == "Y3" and t[3] == "c2")
+BNS_BORDER = Side(TOP_G, lambda t: (t[0] == "Bns2" and t[1] in ("empty", "Y2"))
+                  or (t[0].startswith("Bns") and len(t) >= 3 and t[2] == "(2)"))  # Bns2Y1 + BnsY3^(2)
+# stage 3, at p marks and (suffix _P1) at p-1 marks on level k-1
+A1Y2 = Side(TOP_P, lambda t: t == ("A1", "Y2"))
+A1Y2_P1 = Side(TOP_P1, lambda t: t == ("A1", "Y2"))
+E = Side(TOP_P, lambda t: t[1] == "Y2", lambda x, k: in_class_e(x, k))
+E_P1 = Side(TOP_P1, lambda t: t[1] == "Y2", lambda x, k: in_class_e(x, k))
+A1_EMPTY = Side(TOP_P, lambda t: t == ("A1", "empty"))
+G = Side(TOP_P, lambda t: t[1] == "empty", lambda x, k: in_class_g(x, k))
+F1, F21, F22 = _f_part("F1"), _f_part("F21"), _f_part("F22")
+R, S11, S12A, S12B, S2 = (Side(MARKED_P, lambda t, s=s: t == (s,)) for s in ("R", "S11", "S12a", "S12b", "S2"))
+
+
 @dataclass(frozen=True)
 class Matching:
     """
@@ -693,59 +641,24 @@ def _involution(name: str, domain: Side, mapping: Callable[[Element, int], Eleme
     return Matching(name, INVOLUTION, domain, (domain,), (-1,), 0, mapping, mapping)
 
 
-def _f_part(part: str) -> Side:
-    return Side(TOP_P1, lambda t: t[1] == "empty",
-                lambda x, k: in_class_f(x, k) and f_refinement(x, k) == part)
-
-
-_A = ("A1", "A2", "A3")
-
 MATCHINGS: dict[str, Matching] = {m.name: m for m in (
-    _bijection("pi1", Side(TOP_G, lambda t: t[0] in _A and t[1] == "X"),
-               Side(TOP_G, lambda t: t[0] == "B1" and t[1] != "X"), -1, 0),
-    _bijection("pi2", Side(TOP_G, lambda t: t[0] in _A and t[1] != "X"),
-               Side(TOP_G, lambda t: t[0] == "B1" and t[1] == "X"), -1, 1),
-    _bijection("pi3", Side(TOP_G, lambda t: t[0] == "Bns1" and t[1] == "X"),
-               Side(LOW_G, lambda t: t == ("C", "Y")), 1, -1),
-    _bijection("pi4", Side(TOP_G, lambda t: t[0] == "Bns1" and t[1] != "X"),
-               Side(LOW_G, lambda t: t == ("C", "X")), 1, 0),
-    _bijection("pi5", Side(TOP_G, lambda t: t[0] in ("Bns2", "Bns3") and t[1] == "X"),
-               Side(LOW_G, lambda t: t == ("D11", "Y")), 1, -1),
-    _bijection("pi6", Side(TOP_G, lambda t: t[0] in ("Bns2", "Bns3") and t[1] != "X"),
-               Side(LOW_G, lambda t: t == ("D11", "X")), 1, 0),
-    _bijection("pi7", Side(LOW_G, lambda t: t == ("D12", "X")),
-               Side(LOW_G, lambda t: t == ("D2", "Y")), -1, -1),
-    _bijection("pi8", Side(LOW_G, lambda t: t == ("D12", "Y")),
-               Side(LOW_G, lambda t: t == ("D2", "X")), -1, 0),
-    _involution(
-        "theta1",
-        Side(TOP_G, lambda t: (t[0] in ("A1", "A3") and t[1] == "Y3")
-              or (t[0] == "A2" and t[1] in ("empty", "Y2", "Y3"))),
-        lambda x, k: theta1(x, k, dec2_base(x, k)),
-    ),
-    _involution(
-        "theta2",
-        Side(TOP_G, lambda t: len(t) == 4 and t[1] == "Y3" and t[3] == "c2"),
-        lambda x, k: theta2(x, k, dec2_base(x, k)),
-    ),
-    _involution(
-        "theta3",
-        Side(TOP_G, lambda t: (t[0] == "Bns2" and t[1] in ("empty", "Y2"))
-              or (t[0].startswith("Bns") and len(t) >= 3 and t[2] == "(2)")),
-        lambda x, k: theta3(x, k, dec2_base(x, k), monk_refinement(x, k) == "Y3"),
-    ),
-    _bijection("theta4", Side(LOW_G, lambda t: t == ("D2", "Y")),
-               Side(TOP_G, lambda t: len(t) == 4 and t[1] == "Y3" and t[3] == "c1"), 1, 1),
-    _bijection("chi1", Side(TOP_P, lambda t: t == ("A1", "Y2")),
-               Side(MARKED_P, lambda t: t == ("S2",)), 1, 0),
-    _split("chi2", Side(TOP_P, lambda t: t[1] == "Y2", lambda x, k: in_class_e(x, k)),
-           Side(MARKED_P, lambda t: t == ("S12b",)), _f_part("F22"), (1, -1)),
-    _bijection("chi3", Side(TOP_P, lambda t: t == ("A1", "empty")),
-               Side(MARKED_P, lambda t: t == ("R",)), 1, 0),
-    _bijection("chi4", Side(TOP_P, lambda t: t[1] == "empty", lambda x, k: in_class_g(x, k)),
-               _f_part("F1"), -1, 0),
-    _bijection("chi5", Side(TOP_P1, lambda t: t == ("A1", "Y2")),
-               Side(MARKED_P, lambda t: t == ("S11",)), -1, 0),
-    _split("chi6", Side(TOP_P1, lambda t: t[1] == "Y2", lambda x, k: in_class_e(x, k)),
-           Side(MARKED_P, lambda t: t == ("S12a",)), _f_part("F21"), (-1, 1)),
+    _bijection("pi1", AX, B1Y, -1, 0),
+    _bijection("pi2", AY, B1X, -1, 1),
+    _bijection("pi3", B2X, CY, 1, -1),
+    _bijection("pi4", B2Y, CX, 1, 0),
+    _bijection("pi5", B3X, D11Y, 1, -1),
+    _bijection("pi6", B3Y, D11X, 1, 0),
+    _bijection("pi7", D12X, D2Y, -1, -1),
+    _bijection("pi8", D12Y, D2X, -1, 0),
+    _involution("theta1", A_BORDER, lambda x, k: theta1(x, k, dec2_base(x, k))),
+    _involution("theta2", BNS_Y3_C2, lambda x, k: theta2(x, k, dec2_base(x, k))),
+    _involution("theta3", BNS_BORDER,
+                lambda x, k: theta3(x, k, dec2_base(x, k), monk_refinement(x, k) == "Y3")),
+    _bijection("theta4", D2Y, BNS_Y3_C1, 1, 1),
+    _bijection("chi1", A1Y2, S2, 1, 0),
+    _split("chi2", E, S12B, F22, (1, -1)),
+    _bijection("chi3", A1_EMPTY, R, 1, 0),
+    _bijection("chi4", G, F1, -1, 0),
+    _bijection("chi5", A1Y2_P1, S11, -1, 0),
+    _split("chi6", E_P1, S12A, F21, (-1, 1)),
 )}

@@ -1,7 +1,8 @@
 """
 Assembled expansion identities over the paired-chain universes.
 
-With S(X) the weight sum over a class X, the checks are:
+With S(X) the weight sum over a class X of `bijections` (a `Side`, read at
+the grid point (w, k) and anchor g or p), the checks are:
 
   divisor compatibility, per level (h,g):
       S(whole paired universe at (h,g))
@@ -10,14 +11,17 @@ With S(X) the weight sum over a class X, the checks are:
   the stage-1 assembled identity:
       G[w]*G^k_p  =  S(empty-Monk slice at (k-1,p-1))
                    + [S(AY) + S(B2Y) + S(B3Y) - Q_{k-1} S(D2Y)]  at g = p
-                   - [  same bracket                            ]  at g = p-1;
+                   - [  same bracket                            ]  at g = p-1,
+      the bracket summing the domains of pi2, pi4, pi6 and the codomain of pi7;
 
-  the stage-2 assembled identity:
-      G[w]*G^k_p  =  S(A1Y2) + S(E) + S(A1 empty) + S(G)   at g = p
-                   - S(A1Y2) - S(E) + S(F)                  at g = p-1;
+  the stage-2 assembled identity, each class read at p:
+      G[w]*G^k_p  =  S(A1Y2) + S(E) + S(A1 empty) + S(G)     (domains of chi1..chi4)
+                   - S(A1Y2_P1) - S(E_P1)                     (domains of chi5, chi6)
+                   + S(F1) + S(F21) + S(F22),                 (the F codomains)
+      where _P1 and F sit one mark lower, at level (k-1, p-1);
 
-  the grand cancellation: the stage-2 right-hand side minus the class-split
-  weight sum of the level-k marked universe is exactly zero.
+  the grand cancellation: the stage-2 right-hand side minus the weight
+  sum of the level-k marked universe at (k, p) is exactly zero.
 """
 
 from __future__ import annotations
@@ -25,18 +29,33 @@ from __future__ import annotations
 from ..expansion import Expansion, monk_lhs_expand, pieri_expand
 from ..permutations import Permutation
 from ..qbg import QMonomial
-from .classify import (
-    dec1_base_low,
-    dec1_base_top,
-    dec2_base,
-    in_class_e,
-    in_class_f,
-    in_class_g,
-    monk_refinement,
-    monk_side,
-    s_refinement,
+from .bijections import (
+    A1_EMPTY,
+    A1Y2,
+    A1Y2_P1,
+    AY,
+    B2Y,
+    B3Y,
+    D2Y,
+    E,
+    E_P1,
+    F1,
+    F21,
+    F22,
+    G,
+    TOP_P1,
+    Side,
+    membership,
 )
 from .universe import enumerate_marked, enumerate_paired, sum_weights
+
+EMPTY_MONK_P1 = Side(TOP_P1, lambda t: t[1] == "empty")
+# the stage-2 right-hand side: name -> (sign, class)
+_STAGE2 = {
+    "A1Y2": (1, A1Y2), "E": (1, E), "A1empty": (1, A1_EMPTY), "G": (1, G),
+    "A1Y2_P1": (-1, A1Y2_P1), "E_P1": (-1, E_P1),
+    "F1": (1, F1), "F21": (1, F21), "F22": (1, F22),
+}
 
 
 def check_divisor_compatibility(w: Permutation, h: int, g: int, k: int) -> bool:
@@ -53,59 +72,25 @@ def check_divisor_compatibility(w: Permutation, h: int, g: int, k: int) -> bool:
     return lhs == rhs
 
 
-def _stage1_bracket(w: Permutation, k: int, g: int) -> Expansion:
-    top = enumerate_paired(w, k - 1, g, k)
-    chosen = [
-        q for q in top
-        if monk_side(q, k) == "Y" and dec1_base_top(q, k) in ("A", "B2", "B3")
-    ]
-    out = sum_weights(chosen)
-    low = enumerate_paired(w, k - 2, g - 1, k)
-    d2y = [
-        q for q in low
-        if monk_side(q, k) == "Y" and dec1_base_low(q, k) == "D2"
-    ]
-    out = out - sum_weights(d2y).times_monomial(QMonomial.variable(k - 1))
-    return out
-
-
 def check_stage1_identity(w: Permutation, k: int, p: int) -> bool:
-    empty_slice = [
-        q for q in enumerate_paired(w, k - 1, p - 1, k) if q.monk.is_empty()
-    ]
-    rhs = sum_weights(empty_slice)
-    rhs = rhs + _stage1_bracket(w, k, p) - _stage1_bracket(w, k, p - 1)
+    members = membership(w, k)
+
+    def bracket(g: int) -> Expansion:
+        top = sum_weights(members(AY, g) + members(B2Y, g) + members(B3Y, g))
+        return top - sum_weights(members(D2Y, g)).times_monomial(QMonomial.variable(k - 1))
+
+    rhs = sum_weights(members(EMPTY_MONK_P1, p)) + bracket(p) - bracket(p - 1)
     return pieri_expand(w, k, p) == rhs
 
 
-def _stage2_pieces(w: Permutation, k: int, g: int) -> dict[str, Expansion]:
-    universe = enumerate_paired(w, k - 1, g, k)
-    buckets = {"A1Y2": [], "E": [], "A1empty": [], "G": [], "F": []}
-    for q in universe:
-        if monk_side(q, k) == "X":
-            continue
-        base = dec2_base(q, k)
-        ref = monk_refinement(q, k)
-        if base == "A1" and ref == "Y2":
-            buckets["A1Y2"].append(q)
-        if base == "A1" and ref == "empty":
-            buckets["A1empty"].append(q)
-        if in_class_e(q, k):
-            buckets["E"].append(q)
-        if in_class_g(q, k):
-            buckets["G"].append(q)
-        if in_class_f(q, k):
-            buckets["F"].append(q)
-    return {name: sum_weights(elems) for name, elems in buckets.items()}
+def stage2_pieces(w: Permutation, k: int, p: int) -> dict[str, Expansion]:
+    """The signed weight sum of each class of the stage-2 right-hand side."""
+    members = membership(w, k)
+    return {name: sum_weights(members(side, p)).scaled_int(sign) for name, (sign, side) in _STAGE2.items()}
 
 
 def _stage2_rhs(w: Permutation, k: int, p: int) -> Expansion:
-    hi = _stage2_pieces(w, k, p)
-    lo = _stage2_pieces(w, k, p - 1)
-    return (
-        hi["A1Y2"] + hi["E"] + hi["A1empty"] + hi["G"]
-        - lo["A1Y2"] - lo["E"] + lo["F"]
-    )
+    return sum(stage2_pieces(w, k, p).values(), Expansion.zero())
 
 
 def check_stage2_identity(w: Permutation, k: int, p: int) -> bool:
@@ -113,13 +98,5 @@ def check_stage2_identity(w: Permutation, k: int, p: int) -> bool:
 
 
 def check_grand_cancellation(w: Permutation, k: int, p: int) -> bool:
-    """Stage-2 right-hand side minus the split level-k weight sum is zero."""
-    rhs = _stage2_rhs(w, k, p)
-    level_k = enumerate_marked(w, k, p)
-    split: dict[str, list] = {"R": [], "S11": [], "S12a": [], "S12b": [], "S2": []}
-    for mc in level_k:
-        split[s_refinement(mc, k)].append(mc)
-    total = Expansion.zero()
-    for elems in split.values():
-        total = total + sum_weights(elems)
-    return (rhs - total).is_zero()
+    """The stage-2 right-hand side minus the level-k weight sum at (k, p) is zero."""
+    return (_stage2_rhs(w, k, p) - sum_weights(enumerate_marked(w, k, p))).is_zero()

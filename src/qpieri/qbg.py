@@ -17,9 +17,12 @@ to the weight of a path; Bruhat edges contribute 1.
 
 A label sequence is checked by walking it on one window list: each label
 is tested against the list and its two entries are swapped in place, and
-only the end vertex is built as a `Permutation` (`validate_path`,
-`first_invalid_index`, `DirectedPath.extend`).  This walk, `edge_kind` and
-the chain walks of `chains` share the one test of the criterion above.
+only the end vertex is built as a `Permutation` (`validate_path` and
+`first_invalid_index`; `DirectedPath.extend` re-validates its labels plus
+one through `validate_path`).  This walk, `edge_kind` and the chain walks
+of `chains` call the one test of the criterion above, `_window_kind`,
+except the hot loop of `chains.pieri_degree_rows`, which writes the same
+test out inline.
 """
 
 from __future__ import annotations

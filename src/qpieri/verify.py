@@ -33,9 +33,8 @@ from .proofkit.bijections import (
     MATCHINGS,
     SPLIT,
     Matching,
-    Side,
+    membership,
 )
-from .proofkit.classify import classify
 from .proofkit.identities import (
     check_divisor_compatibility,
     check_grand_cancellation,
@@ -351,27 +350,13 @@ _CHECKS = {
 
 def check_bijections_grid(report: SuiteReport, w: Permutation, k: int, p: int) -> None:
     """Every matching of `MATCHINGS` on (w, k, p), at g = p-1 and g = p where it runs per g."""
-    buckets: dict[tuple[int, int], dict[tuple, set]] = {}  # (level, marks) -> tag -> elements
-
-    def members(side: Side, anchor: int) -> set:
-        u = side.universe
-        key = (k + u.level, anchor + u.marks)
-        if key not in buckets:
-            buckets[key] = {}
-            for x in u.elements(w, k, anchor):
-                buckets[key].setdefault(classify(x, u.stage, k), set()).add(x)
-        out = set()
-        for tag, elems in buckets[key].items():
-            if side.tags(tag):
-                out |= elems if side.test is None else {x for x in elems if side.test(x, k)}
-        return out
-
+    members = membership(w, k)
     runs = [(m, "g", g) for g in (p - 1, p) for m in MATCHINGS.values() if m.domain.universe.per_g]
     runs += [(m, "p", p) for m in MATCHINGS.values() if not m.domain.universe.per_g]
     for m, axis, anchor in runs:
         _CHECKS[m.shape](
             report, f"{m.name}[w={w.one_line()},k={k},{axis}={anchor}]", m,
-            members(m.domain, anchor), [members(c, anchor) for c in m.codomain], k,
+            set(members(m.domain, anchor)), [set(members(c, anchor)) for c in m.codomain], k,
         )
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -70,6 +71,14 @@ def test_grothendieck_base_cases():
     assert grothendieck_poly(Permutation.identity(), 2) == XPolynomial.from_int(1)
     assert grothendieck_poly(P("21"), 2) == x1
     assert grothendieck_poly(P("321"), 3) == x1 * x1 * x2
+
+
+def test_cached_polynomial_cannot_be_changed_by_the_caller():
+    g = grothendieck_poly(P("21"), 3)
+    with pytest.raises(TypeError):
+        g.terms[(5,)] = 7
+    assert grothendieck_poly(P("21"), 3).render() == "x1"
+    assert grothendieck_poly(P("21"), 3) == x1
 
 
 def test_grothendieck_convention_anchor():

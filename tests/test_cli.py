@@ -3,17 +3,30 @@
 from __future__ import annotations
 
 import json
+import os
 import pathlib
 import subprocess
 import sys
 
 import pytest
 
+import qpieri
 from qpieri.cli import main
 from qpieri.expansion import Expansion
 from qpieri.verify import SIZED_SUITES, SUITES, run_suite
 
 DATA = pathlib.Path(__file__).parent / "data"
+# the directory that holds the imported package, for child interpreters
+SRC = str(pathlib.Path(qpieri.__file__).parents[1])
+
+
+def run_python(*args: str) -> subprocess.CompletedProcess:
+    """Run a child interpreter that imports the same qpieri as this one."""
+    path = os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
 
 
 def run_cli(args, capsys):
@@ -134,11 +147,7 @@ def test_max_n_on_a_fixed_universe_suite_is_a_usage_error(suite, capsys):
 
 
 def test_bad_permutation_exits_2_without_traceback():
-    result = subprocess.run(
-        [sys.executable, "-m", "qpieri.cli", "expand", "--w", "3x1", "--k", "2", "--p", "1"],
-        capture_output=True,
-        text=True,
-    )
+    result = run_python("-m", "qpieri.cli", "expand", "--w", "3x1", "--k", "2", "--p", "1")
     assert result.returncode == 2
     assert "Traceback" not in result.stderr
     assert "bad permutation" in result.stderr
@@ -248,21 +257,13 @@ def test_an_unwritable_out_path_is_a_usage_error(args, tmp_path, capsys):
 
 
 def test_console_entry_point():
-    result = subprocess.run(
-        [sys.executable, "-m", "qpieri.cli", "expand", "--w", "321", "--k", "2", "--p", "2"],
-        capture_output=True,
-        text=True,
-    )
+    result = run_python("-m", "qpieri.cli", "expand", "--w", "321", "--k", "2", "--p", "2")
     assert result.returncode == 0
     assert result.stdout == (DATA / "ex1_expand.txt").read_text()
 
 
 def test_usage_error_exit_code():
-    result = subprocess.run(
-        [sys.executable, "-m", "qpieri.cli", "expand", "--w", "321"],
-        capture_output=True,
-        text=True,
-    )
+    result = run_python("-m", "qpieri.cli", "expand", "--w", "321")
     assert result.returncode == 2
 
 
@@ -294,11 +295,8 @@ def test_repeated_calls_in_one_process_are_independent(capsys):
 
 
 def test_the_parser_is_built_on_first_use_and_kept():
-    result = subprocess.run(
-        [sys.executable, "-c",
-         "import qpieri, qpieri.cli as cli; print(cli._parsers.cache_info().currsize)"],
-        capture_output=True,
-        text=True,
+    result = run_python(
+        "-c", "import qpieri, qpieri.cli as cli; print(cli._parsers.cache_info().currsize)"
     )
     assert result.returncode == 0 and result.stdout == "0\n"
     from qpieri import cli

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import collections
+
 from qpieri.expansion import Expansion, monk_lhs_expand, pieri_expand
 from qpieri.permutations import Permutation, all_permutations
 from qpieri.proofkit.identities import (
@@ -9,6 +11,7 @@ from qpieri.proofkit.identities import (
     check_grand_cancellation,
     check_stage1_identity,
     check_stage2_identity,
+    stage2_pieces,
 )
 from qpieri.proofkit.universe import enumerate_marked, enumerate_paired, sum_weights, weight
 from qpieri.qbg import pack_monomial, q_weight
@@ -53,22 +56,34 @@ def test_stage2_residual_at_column3_is_the_unpaired_border_class():
     weight sum of the border-swap class whose partners are forced out of
     the universe; pin the residual for the identity start.
     """
-    from qpieri.proofkit.identities import _stage2_pieces
-
     w, k, p = Permutation.identity(), 3, 2
-    hi = _stage2_pieces(w, k, p)
-    lo = _stage2_pieces(w, k, p - 1)
-    rhs = (
-        hi["A1Y2"] + hi["E"] + hi["A1empty"] + hi["G"]
-        - lo["A1Y2"] - lo["E"] + lo["F"]
-    )
-    residual = pieri_expand(w, k, p) - rhs
+    pieces = stage2_pieces(w, k, p)
+    assert list(pieces) == ["A1Y2", "E", "A1empty", "G", "A1Y2_P1", "E_P1", "F1", "F21", "F22"]
+    residual = pieri_expand(w, k, p) - sum(pieces.values(), Expansion.zero())
     assert not residual.is_zero()
     # the residual involves only unit coefficients on a handful of symbols
     assert all(
         all(abs(c) == 1 for c in poly.terms.values())
         for poly in residual.terms.values()
     )
+
+
+def test_ledger_failures_over_s4_beyond_column2():
+    """
+    Over S_4 at columns 2..4 and every degree, the stage-1 identity fails
+    for every start at degree 1 only; stage 2 and the grand cancellation
+    fail at the same instances, also at degrees 2 and 3 from column 3 on.
+    """
+    instances = [(w, k, p) for w in all_permutations(4) for k in (2, 3, 4) for p in range(1, k + 1)]
+    assert len(instances) == 216
+    stage1 = [(k, p) for w, k, p in instances if not check_stage1_identity(w, k, p)]
+    stage2 = [(w, k, p) for w, k, p in instances if not check_stage2_identity(w, k, p)]
+    grand = [(w, k, p) for w, k, p in instances if not check_grand_cancellation(w, k, p)]
+    assert collections.Counter(stage1) == {(2, 1): 24, (3, 1): 24, (4, 1): 24}
+    assert collections.Counter((k, p) for _, k, p in stage2) == {
+        (2, 1): 24, (3, 1): 24, (3, 2): 12, (4, 1): 24, (4, 2): 20, (4, 3): 4,
+    }
+    assert grand == stage2
 
 
 def test_monk_compatibility_is_the_divisor_product():

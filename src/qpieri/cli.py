@@ -7,6 +7,8 @@ Command-line front end.
     qpieri markings --w 321 --k 2 --p 2 [--out FILE]
     qpieri verify   --suite classical [--max-n N] [--format json] [--out FILE]
 
+`--suite` takes a name in `verify.SUITES`; `--max-n` only a sized one.
+
 Exit codes: 0 success, 1 verification failure, 2 usage error (an --out
 file that cannot be written included).
 """
@@ -22,7 +24,7 @@ from .expansion import Expansion, monk_lhs_expand, pieri_expand
 from .permutations import Permutation
 from .qbg import Q_VARIABLES
 from .render import chain_rows, chains_table, markings_table
-from .verify import SIZED_SUITES, SUITES, run_suite
+from .verify import SUITES, run_suite
 
 
 def _expansion_output(expansion: Expansion, fmt: str) -> str:
@@ -127,11 +129,10 @@ def _build_parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argume
 
     p_verify = sub.add_parser("verify", help="run a verification suite")
     p_verify.add_argument("--suite", required=True, choices=SUITES)
+    sized = [f"{name}: {s.bound} (default {s.default_n})" for name, s in SUITES.items()
+             if s.default_n is not None]
     p_verify.add_argument("--max-n", type=int, default=None,
-                          help="override the default bound of a sized suite: the n of "
-                               "S_n for markings (4), lemmas (5), insertion (4) and "
-                               "edges (6); the largest factor column for commutativity "
-                               "(3; w stays in S_3)")
+                          help="override the bound of a sized suite; " + "; ".join(sized))
     p_verify.add_argument("--format", choices=("text", "json"), default="text")
     p_verify.add_argument("--out", default=None)
     p_verify.set_defaults(func=cmd_verify)
@@ -171,7 +172,7 @@ def _validate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None
         value = getattr(args, flag, None)
         if value is not None and value < 1:
             parser.error(f"--{flag.replace('_', '-')} must be >= 1, got {value}")
-    if getattr(args, "max_n", None) is not None and args.suite not in SIZED_SUITES:
+    if getattr(args, "max_n", None) is not None and SUITES[args.suite].default_n is None:
         parser.error(f"suite {args.suite} has a fixed universe and takes no --max-n")
 
 

@@ -21,8 +21,8 @@ Each (end, Q-weight) pair occurs once, so `pieri_expand(w, k, p)` builds
 its Expansion straight from the degree-p column, with nothing to sum.
 A product of factors (`expand_product_chain`) reads the same columns: each
 term g * G[u] adds g times the entries of u's degree-p column into the
-next factor's accumulator.  It builds no per-degree Expansion, so
-`pieri_expand`'s per-degree cache serves direct calls only.  By the sign
+next factor's accumulator.  It never reads `pieri_expand`'s per-degree
+cache, so that cache keeps only the 8 latest (w, k, p).  By the sign
 law (`chains` module docstring) every coefficient of such a product at
 G[v] has the sign (-1)^(l(v) - l(w) - sum of the p), so no term cancels
 and the accumulator is wrapped as it stands.
@@ -453,7 +453,7 @@ def _check_factor(k: int, p: int) -> None:
         raise ValueError(f"p must be in 0..{k}, got {p}")
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=8)
 def pieri_expand(w: Permutation, k: int, p: int) -> Expansion:
     """
     Expand G[w] * G^k_p in the formal basis: the signed, marking-counted,

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Union
 
 from ..chains import MonkChain, PieriChain
@@ -536,14 +537,19 @@ class Side:
     test: Callable[[Element, int], bool] | None = None
 
 
+# (level, marks) -> tag -> elements at a grid point (w, k), filled by
+# `membership`; every caller walks one (w, k) at a time, so one is kept
+_buckets = lru_cache(maxsize=1)(lambda w, k: {})
+
+
 def membership(w: Permutation, k: int) -> Callable[[Side, int], list]:
     """
     members(side, anchor): the elements of `side` at the grid point (w, k)
-    and that anchor, in universe order within each tag.  Each universe is
-    classified once, at its first use, for every side read through the
-    same `members`.
+    and that anchor, in universe order within each tag, as a fresh list.
+    Each universe is classified once, at its first use, for every side read
+    at the same (w, k), also through later calls of `membership`.
     """
-    buckets: dict[tuple[int, int], dict[tuple, list]] = {}  # (level, marks) -> tag -> elements
+    buckets = _buckets(w, k)
 
     def members(side: Side, anchor: int) -> list:
         u = side.universe

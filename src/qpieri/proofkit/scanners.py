@@ -10,6 +10,8 @@ demonstrates that the scan actually has discriminating power.
 The five path scans only list their label patterns; one walker (`_scan`)
 checks them from every start.  Their counterexamples come in (v, pattern)
 order: v as `all_permutations` lists S_n, the patterns of one v sorted.
+The two chain scans read every chain's label positions from one walker
+(`_chain_positions`).
 """
 
 from __future__ import annotations
@@ -145,21 +147,30 @@ def scan_four_step_pattern(n: int, weakened: bool = False) -> ScanReport:
     return _scan(ScanReport(name, f"S_{n}, indices <= {n}"), n, patterns)
 
 
+def _chain_positions(report: ScanReport, n: int, k_max: int, size: int):
+    """
+    (w, h, labels, ps) for every `size` label positions ps, in order, of
+    every chain at every level h <= k_max from every w in S_n; each chain
+    counts as one check.
+    """
+    for w in all_permutations(n):
+        for h in range(1, k_max + 1):
+            for chain in enumerate_pieri_chains(w, h):
+                report.checked += 1
+                for ps in itertools.combinations(range(len(chain.labels)), size):
+                    yield w, h, chain.labels, ps
+
+
 def scan_chain_segment_descents(n: int, k_max: int) -> ScanReport:
     """
     No chain at any level h <= k_max from any w in S_n contains labels
     (j,m), (i,m), (i,l) in this order with i < j <= h < l < m.
     """
     report = ScanReport("chain-segment-descent", f"S_{n}, levels <= {k_max}")
-    for w in all_permutations(n):
-        for h in range(1, k_max + 1):
-            for chain in enumerate_pieri_chains(w, h):
-                labels = chain.labels
-                report.checked += 1
-                for p1, p2, p3 in itertools.combinations(range(len(labels)), 3):
-                    (j, m1), (i1, m2), (i2, l) = labels[p1], labels[p2], labels[p3]
-                    if m1 == m2 and i1 == i2 and i1 < j and l < m1:
-                        report.counterexamples.append((w, h, labels))
+    for w, h, labels, ps in _chain_positions(report, n, k_max, 3):
+        (j, m1), (i1, m2), (i2, l) = (labels[p] for p in ps)
+        if m1 == m2 and i1 == i2 and i1 < j and l < m1:
+            report.counterexamples.append((w, h, labels))
     return report
 
 
@@ -170,22 +181,12 @@ def scan_chain_isolated_row_drop(n: int, k_max: int) -> ScanReport:
     strictly between the first and last of these.
     """
     report = ScanReport("chain-isolated-row-drop", f"S_{n}, levels <= {k_max}")
-    for w in all_permutations(n):
-        for h in range(1, k_max + 1):
-            kk = h + 1
-            for chain in enumerate_pieri_chains(w, h):
-                labels = chain.labels
-                report.checked += 1
-                for ps in itertools.combinations(range(len(labels)), 4):
-                    (i1, m1), (j1, m2), (j2, l), (i2, kcol) = (labels[p] for p in ps)
-                    if not (m1 == m2 and j1 == j2 and i1 == i2 and kcol == kk):
-                        continue
-                    if not (kk <= l < m1):
-                        continue
-                    gap = labels[ps[0] + 1 : ps[3]]
-                    if any(a == i1 and kk <= b <= m1 for a, b in gap):
-                        continue
-                    report.counterexamples.append((w, h, labels))
+    for w, h, labels, ps in _chain_positions(report, n, k_max, 4):
+        (i1, m1), (j1, m2), (j2, l), (i2, kcol) = (labels[p] for p in ps)
+        kk = h + 1
+        if (m1 == m2 and j1 == j2 and i1 == i2 and kcol == kk and kk <= l < m1
+                and not any(a == i1 and kk <= b <= m1 for a, b in labels[ps[0] + 1 : ps[3]])):
+            report.counterexamples.append((w, h, labels))
     return report
 
 

@@ -154,40 +154,24 @@ def _require(cond: bool, what: str) -> None:
 
 def delete(path: DirectedPath, k: int) -> tuple[DirectedPath, int]:
     """
-    Remove the least movable column label and return (new path, its column d):
-    with (k,*) labels present, d is the least such column and the block
-    ((k,d), trailing (*,d)-run) moves back to rows; otherwise (P3)' names the
-    final label (a,k) and d is the least column above k where row a recurs.
+    Remove the least movable column label (r,d) and return (new path, d):
+    r is k when a (k,*) label is present, else the row a of the final label
+    (a,k) that (P3)' names, and d is the least column above k in row r.
+    The (*,d)-labels after (r,d) move back to column k, at the end.
     """
     check_p_conditions(path, k, require_p3=True)
     labels = path.labels
-    cols = sorted(b for (a, b) in labels if a == k)
-    if cols:
-        d = cols[0]
-        dseg = _segment(labels, d)
-        pos = dseg.index((k, d))
-        tail = dseg[pos + 1 :]
-        head = dseg[:pos]
-        new_labels = (
-            [lab for lab in labels if lab[1] > d]
-            + head
-            + [lab for lab in labels if lab[1] < d]
-            + [(i, k) for i, _ in tail]
-        )
-    else:
-        a = labels[-1][0]
-        ds = sorted(b for (x, b) in labels if x == a and b > k)
-        d = ds[0]
-        dseg = _segment(labels, d)
-        pos = dseg.index((a, d))
-        tail = dseg[pos + 1 :]
-        head = dseg[:pos]
-        new_labels = (
-            [lab for lab in labels if lab[1] > d]
-            + head
-            + [lab for lab in labels if k <= lab[1] < d]
-            + [(i, k) for i, _ in tail]
-        )
+    # every label of a (P0)'-(P2)' path has column >= k, so one move serves both rows
+    row = k if any(a == k for a, _ in labels) else labels[-1][0]
+    d = min(b for a, b in labels if a == row and b > k)
+    dseg = _segment(labels, d)
+    pos = dseg.index((row, d))
+    new_labels = (
+        [lab for lab in labels if lab[1] > d]
+        + dseg[:pos]
+        + [lab for lab in labels if lab[1] < d]
+        + [(i, k) for i, _ in dseg[pos + 1 :]]
+    )
     result = validate_path(path.start, tuple(new_labels))
     _require(result is not None, "relocation during deletion")
     _require(_violation(result.labels, k) is None, "(P0)'-(P2)' after deletion")

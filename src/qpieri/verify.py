@@ -80,32 +80,6 @@ class SuiteReport:
         }
 
 
-SUITES = (
-    "appendix-c",
-    "classical",
-    "monk",
-    "commutativity",
-    "markings",
-    "bijections",
-    "lemmas",
-    "insertion",
-    "ledger",
-    "edges",
-)
-# suites whose universe has a size; the others check a fixed universe
-SIZED_SUITES = frozenset({"commutativity", "markings", "lemmas", "insertion", "edges"})
-
-
-def run_suite(name: str, max_n: int | None = None) -> SuiteReport:
-    if name not in SUITES:
-        raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITES)}")
-    if name in SIZED_SUITES:
-        return _RUNNERS[name](max_n)
-    if max_n is not None:
-        raise ValueError(f"suite {name!r} has a fixed universe and takes no max_n")
-    return _RUNNERS[name]()
-
-
 # --- appendix-c -------------------------------------------------------------
 
 
@@ -198,8 +172,7 @@ def _suite_monk() -> SuiteReport:
 # --- commutativity ----------------------------------------------------------
 
 
-def _suite_commutativity(max_n: int | None) -> SuiteReport:
-    kmax = 3 if max_n is None else max_n
+def _suite_commutativity(kmax: int) -> SuiteReport:
     report = SuiteReport(
         "commutativity", f"w in S_3, factor pairs with columns <= {kmax}"
     )
@@ -224,8 +197,7 @@ def _brute_force_marking_count(chain, p: int) -> int:
     )
 
 
-def _suite_markings(max_n: int | None) -> SuiteReport:
-    n = 4 if max_n is None else max_n
+def _suite_markings(n: int) -> SuiteReport:
     report = SuiteReport("markings", f"all chains over S_{n}, columns <= 3")
     for w in all_permutations(n):
         for k in (1, 2, 3):
@@ -374,8 +346,7 @@ def _suite_bijections() -> SuiteReport:
 # --- lemmas -----------------------------------------------------------------
 
 
-def _suite_lemmas(max_n: int | None) -> SuiteReport:
-    n = 5 if max_n is None else max_n
+def _suite_lemmas(n: int) -> SuiteReport:
     report = SuiteReport("lemmas", f"forbidden patterns inside S_{n}")
     for scan in all_scans(n=n):
         report.checked += scan.checked
@@ -404,8 +375,7 @@ def enumerate_surgery_paths(w: Permutation, k: int, bound: int) -> list[Directed
     ]
 
 
-def _suite_insertion(max_n: int | None) -> SuiteReport:
-    n = 4 if max_n is None else max_n
+def _suite_insertion(n: int) -> SuiteReport:
     bound = 5
     report = SuiteReport(
         "insertion", f"paths from S_{n} starts, columns <= {bound}, k <= 3"
@@ -473,8 +443,7 @@ def _suite_ledger() -> SuiteReport:
 # --- edges ------------------------------------------------------------------
 
 
-def _suite_edges(max_n: int | None) -> SuiteReport:
-    n = 6 if max_n is None else max_n
+def _suite_edges(n: int) -> SuiteReport:
     report = SuiteReport("edges", f"x in S_{n}, labels with column <= {n + 1}")
     for x in all_permutations(n):
         for a in range(1, n + 1):
@@ -486,15 +455,38 @@ def _suite_edges(max_n: int | None) -> SuiteReport:
     return report
 
 
-_RUNNERS = {
-    "appendix-c": _suite_appendix_c,
-    "classical": _suite_classical,
-    "monk": _suite_monk,
-    "commutativity": _suite_commutativity,
-    "markings": _suite_markings,
-    "bijections": _suite_bijections,
-    "lemmas": _suite_lemmas,
-    "insertion": _suite_insertion,
-    "ledger": _suite_ledger,
-    "edges": _suite_edges,
+@dataclass(frozen=True)
+class Suite:
+    """A suite's runner; for a sized suite, its default bound and what the bound counts."""
+
+    run: Callable[..., SuiteReport]
+    default_n: int | None = None
+    bound: str = "the n of S_n"
+
+
+# every suite, in the order reports list them; the one place that says
+# which suites exist, which are sized, and their default bounds
+SUITES = {
+    "appendix-c": Suite(_suite_appendix_c),
+    "classical": Suite(_suite_classical),
+    "monk": Suite(_suite_monk),
+    "commutativity": Suite(_suite_commutativity, 3, "the largest factor column, with w in S_3"),
+    "markings": Suite(_suite_markings, 4),
+    "bijections": Suite(_suite_bijections),
+    "lemmas": Suite(_suite_lemmas, 5),
+    "insertion": Suite(_suite_insertion, 4),
+    "ledger": Suite(_suite_ledger),
+    "edges": Suite(_suite_edges, 6),
 }
+
+
+def run_suite(name: str, max_n: int | None = None) -> SuiteReport:
+    """Run suite `name`; `max_n` overrides a sized suite's default bound."""
+    suite = SUITES.get(name)
+    if suite is None:
+        raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITES)}")
+    if suite.default_n is None:
+        if max_n is not None:
+            raise ValueError(f"suite {name!r} has a fixed universe and takes no max_n")
+        return suite.run()
+    return suite.run(suite.default_n if max_n is None else max_n)

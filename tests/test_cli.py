@@ -13,7 +13,7 @@ import pytest
 import qpieri
 from qpieri.cli import main
 from qpieri.expansion import Expansion
-from qpieri.verify import SIZED_SUITES, SUITES, run_suite
+from qpieri.verify import SUITES, run_suite
 
 DATA = pathlib.Path(__file__).parent / "data"
 # the directory that holds the imported package, for child interpreters
@@ -130,12 +130,12 @@ def test_a_flag_the_subcommand_does_not_read_is_a_usage_error(args, capsys):
     assert captured.err.startswith(f"usage: qpieri {args[0]} ")
 
 
-UNSIZED_SUITES = ["appendix-c", "classical", "monk", "bijections", "ledger"]
+UNSIZED_SUITES = [name for name, suite in SUITES.items() if suite.default_n is None]
+SIZED_SUITES = [name for name, suite in SUITES.items() if suite.default_n is not None]
 
 
 @pytest.mark.parametrize("suite", UNSIZED_SUITES)
 def test_max_n_on_a_fixed_universe_suite_is_a_usage_error(suite, capsys):
-    assert set(SUITES) - SIZED_SUITES == set(UNSIZED_SUITES)
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--suite", suite, "--max-n", "3"])
     assert exc.value.code == 2
@@ -144,6 +144,18 @@ def test_max_n_on_a_fixed_universe_suite_is_a_usage_error(suite, capsys):
     assert "takes no --max-n" in captured.err and "Traceback" not in captured.err
     with pytest.raises(ValueError, match="takes no max_n"):
         run_suite(suite, max_n=3)
+
+
+def test_verify_help_names_each_sized_suite_with_its_default(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--help"])
+    assert exc.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())
+    assert SIZED_SUITES
+    for name in SIZED_SUITES:
+        suite = SUITES[name]
+        assert f"{name}: {suite.bound} (default {suite.default_n})" in text
+    assert "commutativity: the largest factor column, with w in S_3 (default 3)" in text
 
 
 def test_bad_permutation_exits_2_without_traceback():

@@ -81,3 +81,19 @@ def test_degrees_requested_in_any_order_agree():
                 rng.shuffle(degrees)
                 for p in degrees:
                     assert pieri_expand(w, k, p) == reference_expand(rows, p), (w, k, degrees, p)
+
+
+def test_the_per_degree_cache_stays_bounded_and_recomputes_what_it_evicts():
+    pieri_expand.cache_clear()
+    bound = pieri_expand.cache_parameters()["maxsize"]
+    first = {}
+    for w in all_permutations(5):
+        for k in (1, 2, 3, 4):
+            for p in range(k + 1):
+                first[w, k, p] = pieri_expand(w, k, p)
+                assert pieri_expand.cache_info().currsize <= bound, (w, k, p)
+    assert len(first) > bound
+    for key in list(first)[:bound]:
+        misses = pieri_expand.cache_info().misses
+        assert pieri_expand(*key) == first[key], key
+        assert pieri_expand.cache_info().misses == misses + 1, key

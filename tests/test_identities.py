@@ -68,22 +68,28 @@ def test_stage2_residual_at_column3_is_the_unpaired_border_class():
     )
 
 
-def test_ledger_failures_over_s4_beyond_column2():
+def test_ledger_failures_over_s4_beyond_column2(classified):
     """
     Over S_4 at columns 2..4 and every degree, the stage-1 identity fails
     for every start at degree 1 only; stage 2 and the grand cancellation
     fail at the same instances, also at degrees 2 and 3 from column 3 on.
+    The three checks of one grid point (w, k) share one classification.
     """
     instances = [(w, k, p) for w in all_permutations(4) for k in (2, 3, 4) for p in range(1, k + 1)]
     assert len(instances) == 216
-    stage1 = [(k, p) for w, k, p in instances if not check_stage1_identity(w, k, p)]
-    stage2 = [(w, k, p) for w, k, p in instances if not check_stage2_identity(w, k, p)]
-    grand = [(w, k, p) for w, k, p in instances if not check_grand_cancellation(w, k, p)]
+    outcomes = [
+        (check_stage1_identity(*i), check_stage2_identity(*i), check_grand_cancellation(*i))
+        for i in instances
+    ]
+    stage1 = [(k, p) for (w, k, p), (ok, _, _) in zip(instances, outcomes) if not ok]
+    stage2 = [(w, k, p) for (w, k, p), (_, ok, _) in zip(instances, outcomes) if not ok]
+    grand = [(w, k, p) for (w, k, p), (_, _, ok) in zip(instances, outcomes) if not ok]
     assert collections.Counter(stage1) == {(2, 1): 24, (3, 1): 24, (4, 1): 24}
     assert collections.Counter((k, p) for _, k, p in stage2) == {
         (2, 1): 24, (3, 1): 24, (3, 2): 12, (4, 1): 24, (4, 2): 20, (4, 3): 4,
     }
     assert grand == stage2
+    assert classified and len(set(classified)) == len(classified)
 
 
 def test_monk_compatibility_is_the_divisor_product():

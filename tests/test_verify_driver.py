@@ -29,7 +29,7 @@ DEFAULT_INVENTORY = _default_inventory()
 
 
 def test_inventory_covers_every_suite():
-    assert sorted(DEFAULT_INVENTORY) == sorted(SUITES)
+    assert list(DEFAULT_INVENTORY) == list(SUITES)
 
 
 @pytest.mark.parametrize("suite", SUITES)
@@ -38,13 +38,18 @@ def test_default_universe_inventory(suite):
     assert (report.checked, len(report.failures)) == DEFAULT_INVENTORY[suite]
 
 
+@pytest.mark.parametrize("suite", ["bijections", "ledger"])
+def test_each_grid_point_is_classified_once(suite, classified):
+    run_suite(suite)
+    assert classified and len(set(classified)) == len(classified)
+
+
 def test_unknown_suite_rejected():
     with pytest.raises(ValueError, match="unknown suite"):
         run_suite("nonsense")
 
 
 def test_all_suites_produce_reports():
-    assert len(SUITES) == 10
     for name in ("appendix-c", "monk", "edges"):
         report = run_suite(name)
         obj = report.to_json_obj()

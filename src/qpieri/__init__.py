@@ -16,6 +16,7 @@ from .chains import (
 from .expansion import (
     Expansion,
     QPolynomial,
+    clear_caches,
     expand_product_chain,
     monk_lhs_expand,
     pieri_expand,
@@ -43,6 +44,7 @@ __all__ = [
     "QMonomial",
     "QPolynomial",
     "algorithm_skd",
+    "clear_caches",
     "cyclic_permutation",
     "edge_kind",
     "enumerate_markings",

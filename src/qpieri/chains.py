@@ -31,9 +31,16 @@ label is a first occurrence: the labels forced by (3) form an initial run
 with strictly decreasing rows, and by (P2) a non-final label whose row
 repeats precedes its successor, so (2) never forces it.
 
-`pieri_degree_rows` sums these counts for every p in one walk over the
-chains, building no chain objects and returning flat columns;
-`enumerate_pieri_chains` and the marking functions stay as its reference.
+`pieri_degree_rows` turns these counts into one term per chain in one
+walk over the chains, building no chain objects: the chain's end, its
+packed Q-weight, and one small code for (m0, m, parity of the length)
+whose coefficient in each degree `weight_table` lists.  Distinct chains
+from w have distinct ends on every grid measured (all of S_7, k <= 7),
+but no reader relies on it: a repeated end would be one more term to
+sum.  Ends are interned across walks in `_ends`, keyed by the trimmed
+window, so each permutation any walk reaches is built once and shared by
+every row and every expansion that holds it.  `enumerate_pieri_chains`
+and the marking functions stay as the walk's reference.
 Every chain walk swaps two entries of one padded window list on the way
 down and back on return, and tests each step with `qbg._window_kind`
 (written out in the hot loop of `pieri_degree_rows`).  The walks read
@@ -50,8 +57,8 @@ Pieri product cancels; and each chain weighs +-1 in degree p = m, its
 number of forced labels, so no term is zero in every degree.  By
 induction every coefficient of a product of Pieri factors at G[v] has
 the sign (-1)^(l(v) - l(w) - sum of the p).  `pieri_degree_rows` carries
-the length of the current end, never recounted, and reads each chain's
-sign from its parity.
+the parity of the chain's length in its code, and the length of the
+current end, never recounted, for the end it builds.
 
 All enumeration runs inside the ambient bound N = max(support, k) + 1: no
 QBG edge usable by these chains has column beyond N, which is re-asserted
@@ -176,7 +183,7 @@ def _assert_root_bound(x: Permutation, k: int, bound: int) -> None:
 
 
 @lru_cache(maxsize=32)
-def _walk_tables(k: int, bound: int) -> tuple[tuple[Label, ...], tuple, tuple, dict[Label, int]]:
+def _walk_tables(k: int, bound: int) -> tuple[tuple[Label, ...], tuple, dict[Label, int]]:
     """
     The read-only tables of the walks over k-Pieri and k-Monk chains inside
     bound N, shared by every walk with the same (k, N); none may change them.
@@ -185,9 +192,6 @@ def _walk_tables(k: int, bound: int) -> tuple[tuple[Label, ...], tuple, tuple, d
       tail_from  tail_from[b] = the labels of the pool with column <= b
                  (empty for b <= k), the continuations of a chain that
                  ends in column b by (P1);
-      weights    weights[m0][m] = ((p, (-1)^p * C(m0 - m, p - m)), ...) for
-                 every p = m..m0 a chain with m0 rows and m forced labels
-                 reaches;
       qstep      the packed Q-weight of every label (a,b), a < b <= N, added
                  when it is a quantum edge.
     """
@@ -196,12 +200,28 @@ def _walk_tables(k: int, bound: int) -> tuple[tuple[Label, ...], tuple, tuple, d
         key=label_sort_key,
     ))
     tail_from = tuple(tuple(lab for lab in pool if lab[1] <= b) for b in range(bound + 1))
-    weights = tuple(
-        tuple(tuple((p, (-1) ** p * comb(m0 - m, p - m)) for p in range(m, m0 + 1)) for m in range(m0 + 1))
-        for m0 in range(k + 1)
-    )
     qstep = {(a, b): pack_monomial(QMonomial.q_range(a, b)) for b in range(2, bound + 1) for a in range(1, b)}
-    return pool, tail_from, weights, qstep
+    return pool, tail_from, qstep
+
+
+@lru_cache(maxsize=32)
+def weight_table(k: int) -> tuple[tuple[int, ...], ...]:
+    """
+    table[code][p], the degree-p coefficient of a k-Pieri chain with term
+    code = 2 * ((k + 1) * m0 + m) + parity (`pieri_degree_rows`): m0 rows,
+    m forced labels, and length of that parity.  It is
+    (-1)^(parity - p) * C(m0 - m, p - m) for p in m..m0 and 0 otherwise;
+    a code with m > m0 names no chain and weighs 0 in every degree.
+
+    >>> weight_table(2)[2 * (3 * 2 + 1) + 1]  # m0 = 2, m = 1, odd length
+    (0, 1, -1)
+    """
+    return tuple(
+        tuple((-1) ** (parity + p) * comb(m0 - m, p - m) if m <= p <= m0 else 0 for p in range(k + 1))
+        for m0 in range(k + 1)
+        for m in range(k + 1)
+        for parity in (0, 1)
+    )
 
 
 def enumerate_pieri_chains(w: Permutation, k: int, max_column: int | None = None) -> list[PieriChain]:
@@ -333,7 +353,7 @@ def _monk_walk(x: Permutation, k: int, record: Callable[..., object]) -> list:
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     bound = max(x.support, k) + 1
-    qstep = _walk_tables(k, bound)[3]
+    qstep = _walk_tables(k, bound)[2]
     window = list(x.extended(bound + 1))
     labels: list[Label] = []
     kinds: list[EdgeKind] = []
@@ -469,6 +489,11 @@ def is_marking(chain: PieriChain, marks: frozenset) -> bool:
 
 # --- every degree in one walk ---------------------------------------------
 
+# every end that `pieri_degree_rows` has reached, keyed by its trimmed
+# window (which it shares): built once, with the length the first walk
+# carried to it; `expansion.clear_caches` empties it with the rows
+_ends: dict[tuple[int, ...], Permutation] = {}
+
 
 def pieri_degree_rows(w: Permutation, k: int) -> tuple[tuple[Permutation, ...], tuple[int, ...], tuple[int, ...]]:
     """
@@ -476,78 +501,75 @@ def pieri_degree_rows(w: Permutation, k: int) -> tuple[tuple[Permutation, ...], 
     k-Pieri chains from w (module docstring), with the label pool, label
     order and pruning of `enumerate_pieri_chains` but no chain objects.
 
-    The terms come as three flat columns (ends, qs, coeffs): term i is
-    ends[i] with packed Q-weight qs[i] and coefficient coeffs[i*(k+1) + p]
-    in degree p, so coeffs[p::k+1] is the column of degree p.  Each
-    (end, Q-weight) pair occurs once, in the order the walk first reaches
-    it, and each end is built once, at its first visit, with the length
-    the walk carried to it; an end is a swap of w's window, so it is not
-    re-validated.  No exponent of a chain exceeds its length, so the packed
-    fields never carry.
+    The terms come as three flat columns (ends, qs, codes), one term per
+    chain, in the order the walk reaches them: term i is ends[i] with
+    packed Q-weight qs[i] and coefficient weight_table(k)[codes[i]][p] in
+    degree p.  Nothing is merged: a reader sums the terms that share an
+    (end, Q-weight), although on every grid measured no end repeats.  Each
+    end is the interned `_ends` entry of its window, built at the first
+    visit of any walk with the length that walk carried to it; an end is a
+    swap of w's window, so it is not re-validated.  No exponent of a chain
+    exceeds its length, so the packed fields never carry.
 
     A chain with end u, m0 distinct rows and m forced labels adds
     (-1)^(len - p) * C(m0 - m, p - m) in every degree p in m..m0, and
-    (-1)^len = (-1)^(l(u) - l(w)) by the sign law (module docstring).  Both
-    counts grow along a path: m0 when a row is used for the first time,
-    and m when a label is forced.  The first label, the one that follows
-    the root's sentinel, is forced by condition (3).  Every later label
-    (a,b) that follows (c,b) with c > a forces one more: the new label if
-    the initial run is still unbroken (condition (3)), otherwise (c,b)
-    itself (condition (2)); a label that does not descend this way follows
-    its predecessor in the label order and forces nothing.  Forced labels
-    are first occurrences (module docstring), so m <= m0 and no chain
-    needs a feasibility check.
+    (-1)^len = (-1)^(l(u) - l(w)) by the sign law (module docstring).  Its
+    code is 2 * ((k + 1) * m0 + m) + (len mod 2), carried down the walk:
+    every edge flips the parity bit, a row used for the first time adds
+    2 * (k + 1), and a forced label adds 2.  The first label, the one that
+    follows the root's sentinel, is forced by condition (3).  Every later
+    label (a,b) that follows (c,b) with c > a forces one more: the new
+    label if the initial run is still unbroken (condition (3)), otherwise
+    (c,b) itself (condition (2)); a label that does not descend this way
+    follows its predecessor in the label order and forces nothing.  Forced
+    labels are first occurrences (module docstring), so m <= m0 and no
+    chain needs a feasibility check.
 
     >>> from qpieri.qbg import unpack_monomial
-    >>> ends, qs, coeffs = pieri_degree_rows(Permutation.from_one_line("321"), 2)
-    >>> for i, (u, q) in enumerate(zip(ends, qs)):
-    ...     print(u.one_line(), u.length(), unpack_monomial(q).render(), coeffs[3 * i : 3 * i + 3])
-    321 3 1 (1, 0, 0)
-    4213 4 1 (0, 1, 0)
-    4312 5 1 (0, -1, 1)
-    1342 2 Q1*Q2 (0, 1, -1)
-    1432 3 Q1*Q2 (0, -1, 1)
-    4132 4 Q2 (0, 1, -1)
-    1243 1 Q1*Q2 (0, -1, 0)
-    1423 2 Q1*Q2 (0, 1, -1)
-    4123 3 Q2 (0, -1, 1)
-    3412 4 1 (0, 1, 0)
-    3142 3 Q2 (0, -1, 0)
-    1 0 Q1*Q2 (0, 1, 0)
-    132 1 Q1*Q2 (0, -1, 1)
-    312 2 Q2 (0, 1, 0)
+    >>> ends, qs, codes = pieri_degree_rows(Permutation.from_one_line("321"), 2)
+    >>> table = weight_table(2)
+    >>> for u, q, code in zip(ends, qs, codes):
+    ...     print(u.one_line(), u.length(), unpack_monomial(q).render(), code, table[code])
+    321 3 1 0 (1, 0, 0)
+    4213 4 1 9 (0, 1, 0)
+    4312 5 1 14 (0, -1, 1)
+    1342 2 Q1*Q2 15 (0, 1, -1)
+    1432 3 Q1*Q2 14 (0, -1, 1)
+    4132 4 Q2 15 (0, 1, -1)
+    1243 1 Q1*Q2 8 (0, -1, 0)
+    1423 2 Q1*Q2 15 (0, 1, -1)
+    4123 3 Q2 14 (0, -1, 1)
+    3412 4 1 9 (0, 1, 0)
+    3142 3 Q2 8 (0, -1, 0)
+    1 0 Q1*Q2 9 (0, 1, 0)
+    132 1 Q1*Q2 14 (0, -1, 1)
+    312 2 Q2 9 (0, 1, 0)
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     bound = max(w.support, k) + 1
     _assert_root_bound(w, k, bound)
-    pool, tail_from, weights, qstep = _walk_tables(k, bound)
+    pool, tail_from, qstep = _walk_tables(k, bound)
+    row_step = 2 * (k + 1)
     window = list(w.extended(bound))
     row_uses = [0] * (k + 1)
     used: set[Label] = set()
-    length_w = w.length()
-    blank = [0] * (k + 1)
-    perms: dict[tuple[int, ...], Permutation] = {}
-    index: dict[tuple[tuple[int, ...], int], int] = {}
+    interned = _ends
     ends: list[Permutation] = []
     qs: list[int] = []
-    coeffs: list[int] = []
+    codes: list[int] = []
 
-    def visit(candidates: tuple[Label, ...], last: Label, m0: int, m: int, ell: int, q: int) -> None:
-        end = tuple(window)
-        key = (end, q)
-        at = index.get(key)
-        if at is None:
-            at = index[key] = len(coeffs)
-            u = perms.get(end)
-            if u is None:
-                u = perms[end] = Permutation._from_swapped(end, ell)
-            ends.append(u)
-            qs.append(q)
-            coeffs.extend(blank)
-        sign = -1 if (ell - length_w) % 2 else 1
-        for p, c in weights[m0][m]:
-            coeffs[at + p] += sign * c
+    def visit(candidates: tuple[Label, ...], last: Label, code: int, ell: int, q: int) -> None:
+        n = bound
+        while n and window[n - 1] == n:
+            n -= 1
+        key = tuple(window[:n])
+        u = interned.get(key)
+        if u is None:
+            u = interned[key] = Permutation._from_swapped(key, ell)
+        ends.append(u)
+        qs.append(q)
+        codes.append(code)
         last_a, last_b = last
         for label in candidates:
             if label in used:
@@ -573,8 +595,7 @@ def pieri_degree_rows(w: Permutation, k: int) -> tuple[tuple[Permutation, ...], 
                 visit(
                     tail_from[b],
                     label,
-                    m0 + (row_uses[a] == 1),
-                    m + (descends or not last_a),
+                    (code ^ 1) + row_step * (row_uses[a] == 1) + 2 * (descends or not last_a),
                     ell + (2 * (a - b) + 1 if quantum else 1),
                     q + qstep[label] if quantum else q,
                 )
@@ -584,10 +605,10 @@ def pieri_degree_rows(w: Permutation, k: int) -> tuple[tuple[Permutation, ...], 
 
     try:
         # the root's sentinel last label (0, N) neither descends nor repeats a row
-        visit(pool, (0, bound), 0, 0, length_w, 0)
+        visit(pool, (0, bound), 0, w.length(), 0)
     finally:
         # a recursive closure holds itself through its own cell; emptying
         # the cell frees the walk's scratch state by refcount, without
         # waiting for the cyclic collector
         del visit
-    return tuple(ends), tuple(qs), tuple(coeffs)
+    return tuple(ends), tuple(qs), tuple(codes)

@@ -16,16 +16,21 @@ and the divisor-type product satisfies
 
 One walk over the k-Pieri chains from w gives every degree p = 0..k of
 the first product at once.  Its terms are cached per (w, k) as three flat
-columns: the ends, their packed Q-weights, and k+1 coefficients per term.
-Each (end, Q-weight) pair occurs once, so `pieri_expand(w, k, p)` builds
-its Expansion straight from the degree-p column, with nothing to sum.
-A product of factors (`expand_product_chain`) reads the same columns: each
-term g * G[u] adds g times the entries of u's degree-p column into the
-next factor's accumulator.  It never reads `pieri_expand`'s per-degree
-cache, so that cache keeps only the 8 latest (w, k, p).  By the sign
-law (`chains` module docstring) every coefficient of such a product at
-G[v] has the sign (-1)^(l(v) - l(w) - sum of the p), so no term cancels
-and the accumulator is wrapped as it stands.
+columns, one term per chain: the ends, their packed Q-weights, and one
+weight code per term, whose degree-p coefficient `chains.weight_table(k)`
+lists.  The ends are interned across walks (`chains._ends`), so every
+cached row and every Expansion key built from them shares one object per
+permutation.  `pieri_expand(w, k, p)` sums the nonzero degree-p terms
+into its Expansion.  A product of factors (`expand_product_chain`) reads
+the same columns: each term g * G[u] adds g times the degree-p terms of
+u's rows into the next factor's accumulator.  It never reads
+`pieri_expand`'s per-degree cache, so that cache keeps only the 8 latest
+(w, k, p).  By the sign law (`chains` module docstring) every
+coefficient of such a product at G[v] has the sign
+(-1)^(l(v) - l(w) - sum of the p), so no term cancels and the
+accumulator is wrapped as it stands; this holds whether or not two
+chains share an end.  `clear_caches` empties the rows, both per-call
+caches and the interned ends together.
 
 Coefficient arithmetic is exact integer throughout; an Expansion is a
 finite map from basis permutations to Z[Q]-polynomials with no zero
@@ -44,8 +49,8 @@ that can cancel goes through one fold (`_fold`), which drops zero
 coefficients; a sum of single terms enters it as one-term blocks.  Every
 product of coefficients goes through one overflow-checked step
 (`_add_scaled`, poly += c * Q^key * f), which the fold takes once per
-monomial of a factor and a product chain once per column entry; a single
-Pieri product is no sum, since its terms arrive distinct.
+monomial of a factor and a product chain once per row term; a single
+Pieri product adds its same-signed terms with no product to take.
 
 Overflow guard.  Packing accepts Q_1 .. Q_1024 only, with exponents below
 2^(S-1) (`qbg.pack_monomial`, ValueError otherwise).  Invariant: every
@@ -69,7 +74,7 @@ from collections.abc import Callable, Iterable, Mapping
 from functools import lru_cache
 from types import MappingProxyType
 
-from .chains import _monk_walk, pieri_degree_rows
+from .chains import _ends, _monk_walk, pieri_degree_rows, weight_table
 from .permutations import Permutation
 from .qbg import Q_HIGH_BITS, QMonomial, pack_monomial, unpack_monomial
 
@@ -445,6 +450,18 @@ def _split_signed_terms(text: str) -> list[tuple[int, str]]:
 _pieri_rows = lru_cache(maxsize=None)(pieri_degree_rows)
 
 
+def clear_caches() -> None:
+    """
+    Empty the engine's caches together: the Pieri rows, the per-degree
+    and Monk expansions, and the ends the walks interned, so no interned
+    end outlives the rows that hold it.
+    """
+    _pieri_rows.cache_clear()
+    pieri_expand.cache_clear()
+    monk_lhs_expand.cache_clear()
+    _ends.clear()
+
+
 def _check_factor(k: int, p: int) -> None:
     """Refuse a column factor G^k_p outside k >= 1, p in 0..k."""
     if k < 1:
@@ -460,16 +477,18 @@ def pieri_expand(w: Permutation, k: int, p: int) -> Expansion:
     Q-weighted sum over k-Pieri chains from w carrying a p-marking.
     """
     _check_factor(k, p)
-    ends, qs, coeffs = _pieri_rows(w, k)
-    # each (end, q) occurs once, so every coefficient is stored as it is
+    ends, qs, codes = _pieri_rows(w, k)
+    table = weight_table(k)
+    # terms of one (end, q) share a sign (the sign law), so no sum is zero
     terms: dict[Permutation, _Packed] = {}
-    for u, q, c in zip(ends, qs, coeffs[p :: k + 1]):
+    for u, q, code in zip(ends, qs, codes):
+        c = table[code][p]
         if c:
             poly = terms.get(u)
             if poly is None:
                 terms[u] = {q: c}
             else:
-                poly[q] = c
+                poly[q] = poly.get(q, 0) + c
     return Expansion._of(terms)
 
 
@@ -485,12 +504,13 @@ def expand_product_chain(w: Permutation, factors: list[tuple[int, int]]) -> Expa
     """
     Left-fold expansion of G[w] * prod of column factors, coefficients
     carried through exactly.  For each factor (k, p), every term g * G[u]
-    adds g * c * Q^q * G[end] for each entry (end, q, c) of the degree-p
-    column of u's cached (u, k) rows; zero entries are skipped.  By the
-    sign law (`chains` module docstring) every contribution to the
-    coefficient of Q^a * G[v] has the sign (-1)^(l(v) - l(w) - sum of the
-    p), so no term cancels and each accumulator is wrapped as it stands.
-    `pieri_expand`'s per-degree cache is neither read nor filled.
+    adds g * c * Q^q * G[end] for each term (end, q, code) of u's cached
+    (u, k) rows with c = weight_table(k)[code][p] nonzero; zero entries are
+    skipped.  By the sign law (`chains` module docstring) every
+    contribution to the coefficient of Q^a * G[v] has the sign
+    (-1)^(l(v) - l(w) - sum of the p), so no term cancels and each
+    accumulator is wrapped as it stands.  `pieri_expand`'s per-degree
+    cache is neither read nor filled.
 
     >>> w = Permutation.identity()
     >>> expand_product_chain(w, [(1, 1), (1, 1)]).render()
@@ -500,10 +520,12 @@ def expand_product_chain(w: Permutation, factors: list[tuple[int, int]]) -> Expa
         _check_factor(k, p)
     out = Expansion.basis(w)
     for k, p in factors:
+        table = weight_table(k)
         acc: dict[Permutation, _Packed] = {}
         for u, g in out._terms.items():
-            ends, qs, coeffs = _pieri_rows(u, k)
-            for v, q, c in zip(ends, qs, coeffs[p :: k + 1]):
+            ends, qs, codes = _pieri_rows(u, k)
+            for v, q, code in zip(ends, qs, codes):
+                c = table[code][p]
                 if c:
                     poly = acc.get(v)
                     if poly is None:

@@ -26,6 +26,8 @@ the grid point (w, k) and anchor g or p), the checks are:
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from ..expansion import Expansion, monk_lhs_expand, pieri_expand
 from ..permutations import Permutation
 from ..qbg import QMonomial
@@ -89,7 +91,13 @@ def stage2_pieces(w: Permutation, k: int, p: int) -> dict[str, Expansion]:
     return {name: sum_weights(members(side, p)).scaled_int(sign) for name, (sign, side) in _STAGE2.items()}
 
 
+@lru_cache(maxsize=1)
 def _stage2_rhs(w: Permutation, k: int, p: int) -> Expansion:
+    """
+    The stage-2 right-hand side at (w, k, p), summed once per instance:
+    the stage-2 check and the grand cancellation of one instance both read
+    it, so the most recent value is kept (an Expansion is immutable).
+    """
     return sum(stage2_pieces(w, k, p).values(), Expansion.zero())
 
 

@@ -34,10 +34,25 @@ from ..permutations import Permutation
 from ..qbg import pack_monomial, q_weight
 
 
+def _hash_once(self) -> int:
+    """
+    The hash of a frozen value's fields, computed on first use and kept on
+    the value: the matchings probe sets of these values, and each probe
+    would otherwise rehash the whole nested chain.
+    """
+    h = self.__dict__.get("_hash")
+    if h is None:
+        h = hash(tuple(getattr(self, name) for name in self.__dataclass_fields__))
+        object.__setattr__(self, "_hash", h)
+    return h
+
+
 @dataclass(frozen=True)
 class MarkedChain:
     chain: PieriChain
     marking: Marking
+
+    __hash__ = _hash_once
 
     def __post_init__(self) -> None:
         if not is_marking(self.chain, self.marking):
@@ -52,6 +67,8 @@ class MarkedChain:
 class PairedChain:
     marked: MarkedChain
     monk: MonkChain
+
+    __hash__ = _hash_once
 
     def __post_init__(self) -> None:
         if self.monk.start != self.marked.end:

@@ -8,6 +8,10 @@ order the chains first reach it, with every degree summed through a dict
 accumulator that drops zero coefficients.  They share no code with the
 walk (`chains.pieri_degree_rows`), so these tests hold the walk's
 columns, their order and the per-degree `Expansion` built from them.
+The walk keeps one term per chain, with its row weight_table(k)[code];
+the chains from one start have distinct ends, so each term is one
+reference row.  Ends are interned across walks and emptied with the
+other caches by `clear_caches`.
 """
 
 from __future__ import annotations
@@ -16,8 +20,9 @@ import random
 
 import pytest
 
-from qpieri.chains import enumerate_pieri_chains, marking_count
-from qpieri.expansion import Expansion, _pieri_rows, pieri_expand
+from qpieri import chains
+from qpieri.chains import enumerate_pieri_chains, marking_count, pieri_degree_rows, weight_table
+from qpieri.expansion import Expansion, _pieri_rows, clear_caches, expand_product_chain, pieri_expand
 from qpieri.permutations import Permutation, all_permutations
 from qpieri.qbg import pack_monomial, q_weight
 
@@ -63,9 +68,9 @@ def test_every_degree_matches_the_accumulated_rows_over_s5(k):
 def test_the_columns_are_the_rows_without_zero_rows():
     for w in all_permutations(4):
         for k in (1, 2, 3, 4):
-            ends, qs, coeffs = _pieri_rows.__wrapped__(w, k)
-            assert len(ends) == len(qs) and len(coeffs) == len(ends) * (k + 1)
-            rows = [coeffs[i : i + k + 1] for i in range(0, len(coeffs), k + 1)]
+            ends, qs, codes = _pieri_rows.__wrapped__(w, k)
+            assert len(ends) == len(qs) == len(codes)
+            rows = [weight_table(k)[code] for code in codes]
             assert list(zip(ends, qs, rows)) == list(reference_rows(w, k)), (w, k)
 
 
@@ -75,8 +80,7 @@ def test_degrees_requested_in_any_order_agree():
         for k in (2, 3, 4):
             rows = reference_rows(w, k)
             for _ in range(2):
-                pieri_expand.cache_clear()
-                _pieri_rows.cache_clear()
+                clear_caches()
                 degrees = list(range(k + 1))
                 rng.shuffle(degrees)
                 for p in degrees:
@@ -97,3 +101,35 @@ def test_the_per_degree_cache_stays_bounded_and_recomputes_what_it_evicts():
         misses = pieri_expand.cache_info().misses
         assert pieri_expand(*key) == first[key], key
         assert pieri_expand.cache_info().misses == misses + 1, key
+
+
+def test_each_walk_has_one_term_per_chain_with_distinct_ends_over_s6():
+    for w in all_permutations(6):
+        for k in range(1, 7):
+            ends, qs, codes = pieri_degree_rows(w, k)
+            assert len(set(ends)) == len(ends) == len(qs) == len(codes), (w, k)
+            assert len(ends) == len(enumerate_pieri_chains(w, k)), (w, k)
+
+
+def test_walks_reaching_one_window_share_one_end_with_its_length():
+    clear_caches()
+    first: dict[tuple[int, ...], Permutation] = {}
+    reached = 0
+    # starts of several sizes and bounds: k = 5 pads every window of S_3 to 6
+    for w in all_permutations(3):
+        for k in (1, 2, 3, 5):
+            for u in pieri_degree_rows(w, k)[0]:
+                reached += 1
+                assert u is first.setdefault(u.window, u) is chains._ends[u.window], (w, k, u)
+                assert u.length() == Permutation(u.window).length(), (w, k, u)
+    assert len(first) == len(chains._ends) < reached
+
+
+def test_a_product_after_clear_caches_equals_the_one_before():
+    factors = [(2, 1), (3, 2), (1, 1)]
+    for w in all_permutations(4):
+        before = (pieri_expand(w, 3, 2), expand_product_chain(w, factors))
+        clear_caches()
+        assert not chains._ends and _pieri_rows.cache_info().currsize == 0
+        assert pieri_expand.cache_info().currsize == 0
+        assert (pieri_expand(w, 3, 2), expand_product_chain(w, factors)) == before, w

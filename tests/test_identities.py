@@ -6,6 +6,7 @@ import collections
 
 from qpieri.expansion import Expansion, monk_lhs_expand, pieri_expand
 from qpieri.permutations import Permutation, all_permutations
+from qpieri.proofkit import identities
 from qpieri.proofkit.identities import (
     check_divisor_compatibility,
     check_grand_cancellation,
@@ -15,6 +16,7 @@ from qpieri.proofkit.identities import (
 )
 from qpieri.proofkit.universe import enumerate_marked, enumerate_paired, sum_weights, weight
 from qpieri.qbg import pack_monomial, q_weight
+from qpieri.verify import run_suite
 
 P = Permutation.from_one_line
 
@@ -90,6 +92,26 @@ def test_ledger_failures_over_s4_beyond_column2(classified):
     }
     assert grand == stage2
     assert classified and len(set(classified)) == len(classified)
+
+
+def test_each_instance_sums_its_stage2_right_hand_side_once(monkeypatch):
+    summed = []
+    pieces = identities.stage2_pieces
+
+    def recorded(w, k, p):
+        summed.append((w, k, p))
+        return pieces(w, k, p)
+
+    monkeypatch.setattr(identities, "stage2_pieces", recorded)
+    identities._stage2_rhs.cache_clear()
+    report = run_suite("ledger")
+    assert (report.checked, len(report.failures)) == (84, 18)
+    assert summed == [(w, 2, p) for w in all_permutations(3) for p in (1, 2)]
+    summed.clear()
+    instances = [(w, k, p) for w in all_permutations(3) for k in (2, 3) for p in range(1, k + 1)]
+    for i in instances:
+        assert check_stage2_identity(*i) == check_grand_cancellation(*i), i
+    assert summed == instances
 
 
 def test_monk_compatibility_is_the_divisor_product():

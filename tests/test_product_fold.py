@@ -21,7 +21,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qpieri import expansion
-from qpieri.expansion import Expansion, expand_product_chain, pieri_expand
+from qpieri.chains import weight_table
+from qpieri.expansion import Expansion, clear_caches, expand_product_chain, pieri_expand
 from qpieri.permutations import Permutation, all_permutations
 from qpieri.qbg import Q_EXPONENT_LIMIT, QMonomial, pack_monomial
 
@@ -56,11 +57,9 @@ def recording(walks: list, rows):
 @pytest.fixture
 def clean_caches():
     """Empty product caches before and after, so no fake rows outlive a test."""
-    expansion._pieri_rows.cache_clear()
-    pieri_expand.cache_clear()
+    clear_caches()
     yield
-    expansion._pieri_rows.cache_clear()
-    pieri_expand.cache_clear()
+    clear_caches()
 
 
 def test_the_s4_grid_matches_the_old_fold_and_walks_the_same_rows(clean_caches):
@@ -70,8 +69,7 @@ def test_the_s4_grid_matches_the_old_fold_and_walks_the_same_rows(clean_caches):
     want = [old_fold(w, fs) for w, fs in grid]
     old_misses = expansion._pieri_rows.cache_info().misses
 
-    expansion._pieri_rows.cache_clear()
-    pieri_expand.cache_clear()
+    clear_caches()
     for (w, fs), old in zip(grid, want):
         assert expand_product_chain(w, fs) == old, (w, fs)
     assert expansion._pieri_rows.cache_info().misses == old_misses
@@ -110,14 +108,17 @@ def test_bad_factors_are_refused_as_pieri_expand_refuses_them(bad, position):
 
 
 def fake_rows(table):
-    """`_pieri_rows` reading {(window, k): [(end window, packed q, row), ...]}."""
+    """
+    `_pieri_rows` reading {(window, k): [(end window, packed q, row), ...]},
+    each row given as the weight_table(k) row of its term's code.
+    """
 
     def rows(u, k):
         terms = table.get((u.window, k), [])
         return (
             tuple(Permutation(end) for end, _, _ in terms),
             tuple(q for _, q, _ in terms),
-            tuple(c for _, _, row in terms for c in row),
+            tuple(weight_table(k).index(row) for _, _, row in terms),
         )
 
     return rows
@@ -139,8 +140,18 @@ def test_a_zero_column_entry_is_skipped_not_multiplied(clean_caches, monkeypatch
     # with the Q1^HALF of the first factor it would overflow
     monkeypatch.setattr(expansion, "_pieri_rows", fake_rows({
         ((2, 1), 1): [((2, 1), HALF, (0, 1))],
-        ((2, 1), 2): [((2, 1), HALF, (5, 1, 0)), ((2, 1), Q2, (0, 0, 1))],
+        ((2, 1), 2): [((2, 1), HALF, (1, -1, 0)), ((2, 1), Q2, (0, 0, 1))],
     }))
     want = Expansion._of({P("21"): {HALF + Q2: 1}})
     assert old_fold(P("21"), [(1, 1), (2, 2)]) == want
     assert expand_product_chain(P("21"), [(1, 1), (2, 2)]) == want
+
+
+def test_terms_that_share_an_end_are_summed(clean_caches, monkeypatch):
+    # no walk measured reaches one end twice, but the readers must not rely on it
+    monkeypatch.setattr(expansion, "_pieri_rows", fake_rows({
+        ((2, 1), 1): [((2, 1), Q2, (0, 1)), ((1,), 0, (1, -1)), ((2, 1), Q2, (0, 1))],
+    }))
+    want = Expansion._of({P("21"): {Q2: 2}, P("1"): {0: -1}})
+    assert pieri_expand(P("21"), 1, 1) == want
+    assert expand_product_chain(P("21"), [(1, 1)]) == want

@@ -21,7 +21,7 @@ import re
 
 import pytest
 
-from qpieri.chains import PieriChain, is_marking
+from qpieri.chains import MonkChain, PieriChain, is_marking
 from qpieri.permutations import Permutation, all_permutations
 from qpieri.proofkit import MATCHINGS, apply_bijection
 from qpieri.proofkit import bijections as bij
@@ -261,3 +261,23 @@ def test_theta_involutions_on_clean_grid():
                 if in_ca:
                     img = bij.theta1(q, 2, base)
                     assert bij.theta1(img, 2, dec2_base(img, 2)) == q
+
+
+def test_paired_and_marked_chains_hash_once_per_value(monkeypatch):
+    calls = collections.Counter()
+    for cls in (PieriChain, MonkChain):
+        def counted(self, cls=cls, hash_fields=cls.__hash__):
+            calls[cls.__name__] += 1
+            return hash_fields(self)
+
+        monkeypatch.setattr(cls, "__hash__", counted)
+    universe = enumerate_paired(P("231"), 2, 1, 3)
+    assert len(universe) > 1
+    # two fresh copies, one new marked chain per element
+    a, b = ([PairedChain(MarkedChain(x.chain, x.marking), x.monk) for x in universe] for _ in range(2))
+    for _ in range(3):
+        assert set(a) == set(b) and len(set(a)) == len(universe)
+        assert {x.marked for x in a} == {x.marked for x in b}
+    # one chain and one Monk hash per value, however often it is probed
+    assert calls == {"PieriChain": 2 * len(universe), "MonkChain": 2 * len(universe)}
+    assert all(hash(x) == hash(y) == hash(z) and x == y == z for x, y, z in zip(a, b, universe))

@@ -3,7 +3,7 @@
 
 Ends of the chain walk and results of `Permutation.apply` are built by a
 constructor that trims but does not validate, and the walk hands each end
-the length it carried along.  These tests hold both against the validated
+it builds the length it carried along; ends are interned across walks.  These tests hold both against the validated
 constructor and a brute-force inversion count.
 """
 
@@ -26,8 +26,8 @@ def brute_inversions(window) -> int:
 
 
 def assert_walk_ends_match_validated(w: Permutation, k: int) -> None:
-    # the uncached function, so every end still holds the walk's length
-    ends, _qs, _coeffs = _pieri_rows.__wrapped__(w, k)
+    # the uncached function; an interned end holds the length of the walk that built it
+    ends, _qs, _codes = _pieri_rows.__wrapped__(w, k)
     for u in ends:
         assert u._length == brute_inversions(u.window), (w, k, u)
         fresh = Permutation(u.window)

@@ -69,7 +69,7 @@ from __future__ import annotations
 
 import itertools
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from math import comb
 
@@ -281,14 +281,14 @@ class MonkChain:
 
       (a_1,k), ..., (a_s,k), (k,b_t), ..., (k,b_1)
 
-    with k > a_1 > ... > a_s >= 1 and k < b_1 < ... < b_t; `s` and `t` are
-    the lengths of the (*,k)- and (k,*)-segments.
+    with k > a_1 > ... > a_s >= 1 and k < b_1 < ... < b_t; `s` and `t`, the
+    lengths of the (*,k)- and (k,*)-segments, are read off the labels.
     """
 
     path: DirectedPath
     k: int
-    s: int
-    t: int
+    s: int = field(init=False, compare=False)
+    t: int = field(init=False, compare=False)
 
     def __post_init__(self) -> None:
         labels = self.path.labels
@@ -296,8 +296,8 @@ class MonkChain:
         cols = [lab for lab in labels if lab[0] == self.k]
         if len(rows) + len(cols) != len(labels) or labels != tuple(rows + cols):
             raise ValueError(f"not a {self.k}-Monk chain shape: {labels}")
-        if (self.s, self.t) != (len(rows), len(cols)):
-            raise ValueError("segment lengths disagree with labels")
+        object.__setattr__(self, "s", len(rows))
+        object.__setattr__(self, "t", len(cols))
         avals = [a for a, _ in rows]
         bvals = [b for _, b in cols]
         if avals != sorted(avals, reverse=True) or len(set(avals)) != len(avals):
@@ -339,7 +339,7 @@ def enumerate_monk_chains(x: Permutation, k: int) -> list[MonkChain]:
     edge from a vertex in S_N-1 cannot exceed N (audited per frontier).
     """
     return _monk_walk(x, k, lambda window, labels, kinds, t, q: MonkChain(
-        DirectedPath(x, tuple(labels), tuple(kinds), Permutation._from_swapped(window)), k, len(labels) - t, t
+        DirectedPath(x, tuple(labels), tuple(kinds), Permutation._from_swapped(window)), k
     ))
 
 
@@ -489,9 +489,10 @@ def is_marking(chain: PieriChain, marks: frozenset) -> bool:
 
 # --- every degree in one walk ---------------------------------------------
 
-# every end that `pieri_degree_rows` has reached, keyed by its trimmed
-# window (which it shares): built once, with the length the first walk
-# carried to it; `expansion.clear_caches` empties it with the rows
+# every end that `pieri_degree_rows` or `expansion.monk_lhs_expand` has
+# reached, keyed by its trimmed window (which it shares): built once, with
+# the length a Pieri walk carried to it (a Monk end counts its own at first
+# use); `expansion.clear_caches` empties it with the rows
 _ends: dict[tuple[int, ...], Permutation] = {}
 
 

@@ -18,9 +18,9 @@ One walk over the k-Pieri chains from w gives every degree p = 0..k of
 the first product at once.  Its terms are cached per (w, k) as three flat
 columns, one term per chain: the ends, their packed Q-weights, and one
 weight code per term, whose degree-p coefficient `chains.weight_table(k)`
-lists.  The ends are interned across walks (`chains._ends`), so every
-cached row and every Expansion key built from them shares one object per
-permutation.  `pieri_expand(w, k, p)` sums the nonzero degree-p terms
+lists.  The ends are interned across walks (`chains._ends`), the Monk
+walk of `monk_lhs_expand` included, so every cached row and every
+Expansion key built from them shares one object per permutation.  `pieri_expand(w, k, p)` sums the nonzero degree-p terms
 into its Expansion.  A product of factors (`expand_product_chain`) reads
 the same columns: each term g * G[u] adds g times the degree-p terms of
 u's rows into the next factor's accumulator.  It never reads
@@ -492,11 +492,26 @@ def pieri_expand(w: Permutation, k: int, p: int) -> Expansion:
     return Expansion._of(terms)
 
 
+def _interned_end(window: list[int]) -> Permutation:
+    """The `_ends` entry of a walk's padded window, added if no walk has reached it."""
+    n = len(window)
+    while n and window[n - 1] == n:
+        n -= 1
+    key = tuple(window[:n])
+    u = _ends.get(key)
+    if u is None:
+        u = _ends[key] = Permutation._from_swapped(key)
+    return u
+
+
 @lru_cache(maxsize=None)
 def monk_lhs_expand(x: Permutation, k: int) -> Expansion:
-    """Expand (1 - Q_k)(1 - x_k) G[x] via k-Monk chains from x, read straight from their walk."""
+    """
+    Expand (1 - Q_k)(1 - x_k) G[x] via k-Monk chains from x, read straight
+    from their walk; each end is the interned `_ends` entry of its window.
+    """
     return _fold(
-        _monk_walk(x, k, lambda window, labels, kinds, t, q: (Permutation._from_swapped(window), {q: -1 if t % 2 else 1}, _UNIT))
+        _monk_walk(x, k, lambda window, labels, kinds, t, q: (_interned_end(window), {q: -1 if t % 2 else 1}, _UNIT))
     )
 
 

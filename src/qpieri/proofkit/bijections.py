@@ -2,21 +2,22 @@
 The explicit matchings between decomposition classes.
 
 Naming: pi1..pi8 move the adjacent label (k-1,k) between the chain, the
-marking, and the Monk side (stage 1); theta1..theta3 are involutions
-trading the border label of the chain's (*,k)-segment against the head of
-the Monk chain's row segment; theta4 converts an absorbed-rewrite element
-one level down into a border element one level up; chi1..chi6 convert
-between level k-1 paired elements and level-k marked chains via
-insertion/deletion.  Every map is an explicit construction; intermediate
-paths guaranteed by the local rewrite rules are re-validated and failures
-raise (they indicate bugs, never data conditions).
+marking, and the Monk side (stage 1); theta1..theta3 are one involution,
+the border swap, on three classes: it trades the border label of the
+chain's final (*,k)-run against the head of the Monk chain's row segment;
+theta4 converts an absorbed-rewrite element one level down into a border
+element one level up; chi1..chi6 convert between level k-1 paired
+elements and level-k marked chains via insertion/deletion.  Every map is
+an explicit construction; intermediate paths guaranteed by the local
+rewrite rules are re-validated and failures raise (they indicate bugs,
+never data conditions).
 
 `MATCHINGS` at the end of this module is the one place where each map's
-domain, codomain, check shape and weight law live.  Each domain and
-codomain is a class named once as a module-level `Side`, which
-`identities` sums as well; `membership` reads the elements of a side.  A
-weight law is a pair (sign, e): F(image) = sign * Q_{k-1}^e * F(input),
-with F taken at each element's own level.
+domain, codomain and weight law live.  Each domain and codomain is a
+class named once as a module-level `Side`, which `identities` sums as
+well; `membership` reads the elements of a side.  A weight law is a pair
+(sign, e): F(image) = sign * Q_{k-1}^e * F(input), with F taken at each
+element's own level.
 """
 
 from __future__ import annotations
@@ -31,14 +32,12 @@ from ..permutations import Label, Permutation
 from ..qbg import DirectedPath, validate_path
 from .classify import (
     classify,
-    dec2_base,
     f_refinement,
     in_class_e,
     in_class_f,
     in_class_g,
     kappa_double_prime,
     kappa_prime,
-    monk_refinement,
     run_dec_algorithm,
 )
 from .surgery import delete, insert_many
@@ -62,8 +61,7 @@ def _monk(start: Permutation, labels, k: int) -> MonkChain:
     path = validate_path(start, tuple(labels))
     if path is None:
         raise RuntimeError(f"guaranteed Monk path failed to validate: ({start!r}; {labels})")
-    s = sum(1 for _, b in labels if b == k)
-    return MonkChain(path, k, s, len(labels) - s)
+    return MonkChain(path, k)
 
 
 def _pop_monk_head(q: PairedChain, expect: Label | None = None) -> tuple[Label, tuple[Label, ...]]:
@@ -214,48 +212,28 @@ pi7, pi7_inv, pi8, pi8_inv = _stage1_pair(_d12_to_d2, _d2_to_d12)  # D12X -> D2Y
 # --- stage-2 matchings theta1..theta4 ---------------------------------------
 
 
-def _border_rows(q: PairedChain, k: int, after_kk: bool) -> tuple[int, int]:
-    """(a, b): rows of the chain-side border label and the Monk-side head, 0 if absent."""
-    if after_kk:
-        seg = q.chain.segment_after(_kk(k))
-    else:
-        seg = q.chain.segment_labels(k)
-    a = seg[-1][0] if seg else 0
+def _border_swap(q: PairedChain, k: int) -> PairedChain:
+    """
+    The involution theta1 on A1Y3 + A2Y + A3Y3, theta2 on the
+    non-intersecting border part of BnsY3 class c2 and theta3 on
+    Bns2Y1 + BnsY3^(2).  Let (b,k) be the head of the Monk row segment,
+    b = 0 when it is empty.  When the chain ends with an unmarked (a,k) and
+    a > b, that label moves onto the Monk chain; otherwise the head moves
+    onto the chain.  On these classes an unmarked final (*,k)-label is the
+    class A2 or Bns2 (in B2 + B3 the label (k-1,k) is marked, so it is not
+    the final label of a Bns2 chain), and a Bns2 element with no Monk row
+    segment has b = 0.
+    """
+    chain = q.chain
+    final = chain.labels[-1] if chain.labels else None
     b = q.monk.labels[0][0] if q.monk.s else 0
-    return a, b
+    if final is not None and final[1] == k and final[0] > b and final not in q.marking:
+        return _repair(q, chain.labels[:-1], q.marking, k - 1, (final,) + q.monk.labels, k)
+    _, m_tail = _pop_monk_head(q, (b, k))
+    return _repair(q, chain.labels + ((b, k),), q.marking, k - 1, m_tail, k)
 
 
-def _swap_border(q: PairedChain, k: int, move_to_monk: bool, row: int) -> PairedChain:
-    if move_to_monk:
-        if q.chain.final_label() != (row, k):
-            raise ValueError("chain does not end with the border label")
-        return _repair(q, q.chain.labels[:-1], q.marking, k - 1, ((row, k),) + q.monk.labels, k)
-    _, m_tail = _pop_monk_head(q, (row, k))
-    return _repair(q, q.chain.labels + ((row, k),), q.marking, k - 1, m_tail, k)
-
-
-def theta1(q: PairedChain, k: int, base: str) -> PairedChain:
-    """Involution on A1Y3 + A2Y + A3Y3."""
-    a, b = _border_rows(q, k, after_kk=False)
-    if base == "A2" and a > b:
-        return _swap_border(q, k, True, a)
-    return _swap_border(q, k, False, b)
-
-
-def theta2(q: PairedChain, k: int, base: str) -> PairedChain:
-    """Involution on the non-intersecting border part of BnsY3 class c2."""
-    a, b = _border_rows(q, k, after_kk=True)
-    if base == "Bns2" and a > b:
-        return _swap_border(q, k, True, a)
-    return _swap_border(q, k, False, b)
-
-
-def theta3(q: PairedChain, k: int, base: str, y3: bool) -> PairedChain:
-    """Involution on Bns2Y1 + BnsY3^(2)."""
-    a, b = _border_rows(q, k, after_kk=True)
-    if base == "Bns2" and (not y3 or a > b):
-        return _swap_border(q, k, True, a)
-    return _swap_border(q, k, False, b)
+theta1 = theta2 = theta3 = _border_swap
 
 
 def theta4(q: PairedChain, k: int) -> PairedChain:
@@ -490,13 +468,6 @@ def chi4_inv(q: PairedChain, k: int) -> PairedChain:
 
 # --- the registry -------------------------------------------------------------
 
-# check shapes: a bijection is also walked from its codomain; a split
-# bijection lands in two codomains (level k, then the chase); an involution
-# maps its domain onto itself with the weight law (-1, 0)
-BIJECTION = "bijection"
-SPLIT = "split bijection"
-INVOLUTION = "involution"
-
 
 @dataclass(frozen=True)
 class Universe:
@@ -612,13 +583,14 @@ class Matching:
     """
     One matching and its weight law: F(forward(x)) = sign * Q_{k-1}^power
     * F(x) for x in the domain, with the sign of the codomain side that
-    holds the image.
+    holds the image.  A split matching has two codomain sides: the level-k
+    marked chains, then the chase part.  An involution (theta1..theta3) is
+    its own inverse and maps its domain onto itself.
     """
 
     name: str
-    shape: str
     domain: Side
-    codomain: tuple[Side, ...]  # one side per branch of the check shape
+    codomain: tuple[Side, ...]  # one side, or the level-k side then the chase side
     sign: tuple[int, ...]  # one per codomain side
     power: int  # of Q_{k-1}, shared by every branch
     forward: Callable[[Element, int], Element]
@@ -634,17 +606,16 @@ def _late(name: str) -> Callable[[Element, int], Element]:
 
 
 def _bijection(name: str, domain: Side, codomain: Side, sign: int, power: int) -> Matching:
-    return Matching(name, BIJECTION, domain, (codomain,), (sign,), power,
-                    _late(name), _late(name + "_inv"))
+    return Matching(name, domain, (codomain,), (sign,), power, _late(name), _late(name + "_inv"))
 
 
 def _split(name: str, domain: Side, level_k: Side, chase: Side, signs: tuple[int, int]) -> Matching:
-    return Matching(name, SPLIT, domain, (level_k, chase), signs, 0,
-                    _late(name), _late(name + "_inv"))
+    return Matching(name, domain, (level_k, chase), signs, 0, _late(name), _late(name + "_inv"))
 
 
-def _involution(name: str, domain: Side, mapping: Callable[[Element, int], Element]) -> Matching:
-    return Matching(name, INVOLUTION, domain, (domain,), (-1,), 0, mapping, mapping)
+def _involution(name: str, domain: Side) -> Matching:
+    mapping = _late(name)
+    return Matching(name, domain, (domain,), (-1,), 0, mapping, mapping)
 
 
 MATCHINGS: dict[str, Matching] = {m.name: m for m in (
@@ -656,10 +627,9 @@ MATCHINGS: dict[str, Matching] = {m.name: m for m in (
     _bijection("pi6", B3Y, D11X, 1, 0),
     _bijection("pi7", D12X, D2Y, -1, -1),
     _bijection("pi8", D12Y, D2X, -1, 0),
-    _involution("theta1", A_BORDER, lambda x, k: theta1(x, k, dec2_base(x, k))),
-    _involution("theta2", BNS_Y3_C2, lambda x, k: theta2(x, k, dec2_base(x, k))),
-    _involution("theta3", BNS_BORDER,
-                lambda x, k: theta3(x, k, dec2_base(x, k), monk_refinement(x, k) == "Y3")),
+    _involution("theta1", A_BORDER),
+    _involution("theta2", BNS_Y3_C2),
+    _involution("theta3", BNS_BORDER),
     _bijection("theta4", D2Y, BNS_Y3_C1, 1, 1),
     _bijection("chi1", A1Y2, S2, 1, 0),
     _split("chi2", E, S12B, F22, (1, -1)),

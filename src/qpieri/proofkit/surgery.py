@@ -105,7 +105,6 @@ def check_insert_conditions(path: DirectedPath, k: int, d: int) -> None:
 class InsertResult:
     path: DirectedPath
     commuted: bool  # True when the rewrite pass commuted (k,d) fully through
-    stop: int  # absorbing stop position within the (*,k)-segment (0 if commuted)
 
 
 def insert(path: DirectedPath, k: int, d: int) -> InsertResult:
@@ -134,7 +133,7 @@ def insert(path: DirectedPath, k: int, d: int) -> InsertResult:
         _require(not _segment(result.labels, k), "no (*,k) labels after commuting insert")
         n_col_after = sum(1 for a, _ in result.labels if a == k)
         _require(n_col_after == n_col_before + 1, "column count after commuting insert")
-        return InsertResult(result, True, 0)
+        return InsertResult(result, True)
 
     t = outcome.u
     moved = [(i, d) for i, _ in kseg[t - 1 :]]
@@ -144,7 +143,7 @@ def insert(path: DirectedPath, k: int, d: int) -> InsertResult:
     _require(result is not None, "relocation after the absorbing pass")
     _require(_violation(result.labels, k) is None, "(P0)'-(P2)' after absorbing insert")
     _require(all(a != k for a, _ in result.labels), "no (k,*) label after absorbing insert")
-    return InsertResult(result, False, t)
+    return InsertResult(result, False)
 
 
 def _require(cond: bool, what: str) -> None:

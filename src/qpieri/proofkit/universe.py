@@ -118,15 +118,16 @@ def enumerate_marked(w: Permutation, h: int, g: int) -> tuple[MarkedChain, ...]:
 
 
 @lru_cache(maxsize=None)
-def monk_chains_from(x: Permutation, k: int) -> tuple[MonkChain, ...]:
-    return tuple(enumerate_monk_chains(x, k))
-
-
-@lru_cache(maxsize=None)
 def enumerate_paired(w: Permutation, h: int, g: int, k: int) -> tuple[PairedChain, ...]:
-    """The paired universe at level (h, g) with Monk continuations at k."""
+    """
+    The paired universe at level (h, g) with Monk continuations at k.
+    `enumerate_marked` lists each chain's markings together, so the Monk
+    chains from each chain's end are walked once for all of them.
+    """
     out = []
+    chain = monks = None
     for mc in enumerate_marked(w, h, g):
-        for monk in monk_chains_from(mc.end, k):
-            out.append(PairedChain(mc, monk))
+        if mc.chain is not chain:
+            chain, monks = mc.chain, enumerate_monk_chains(mc.end, k)
+        out += [PairedChain(mc, monk) for monk in monks]
     return tuple(out)

@@ -4,6 +4,10 @@ Named verification suites with machine-readable reports.
 Every suite exhaustively checks one family of guarantees over a bounded
 universe and reports {suite, universe, checked, failures}; a nonempty
 failure list means the guarantee is violated at the named instance.
+The `bijections` suite checks each of the eighteen matchings of
+`proofkit.bijections.MATCHINGS` with one function, `_check_matching`,
+which reads from the entry whether the image set and the walk back from
+the codomain apply.
 """
 
 from __future__ import annotations
@@ -27,14 +31,7 @@ from .classical import (
 from .expansion import expand_product_chain, pieri_expand
 from .golden import EX1, EX2, expected_expansion, expected_table
 from .permutations import Permutation, all_permutations
-from .proofkit.bijections import (
-    BIJECTION,
-    INVOLUTION,
-    MATCHINGS,
-    SPLIT,
-    Matching,
-    membership,
-)
+from .proofkit.bijections import MATCHINGS, Matching, membership
 from .proofkit.identities import (
     check_divisor_compatibility,
     check_grand_cancellation,
@@ -231,20 +228,30 @@ def _weight_matches(inp, out, k: int, sign: int, qk_power: int) -> bool:
     return q_out + (qk if qk_power < 0 else 0) == q_in + (qk if qk_power > 0 else 0)
 
 
-def _forward_pass(report, name, m: Matching, domain, codomains, k, branches) -> set | None:
+# (codomain, weight-law) wording of each codomain side, by the number of sides
+_BRANCHES = {
+    1: [("codomain", "")],
+    2: [("level-k codomain", " (level-k branch)"), ("chase codomain", " (chase branch)")],
+}
+
+
+def _check_matching(report, name, m: Matching, domain, codomains, k) -> None:
     """
-    Map each domain element forward: the image lies in its branch's codomain
-    (a split bijection's level-k branch takes the marked chains, its chase
-    branch the rest), obeys that branch's weight law and maps back.  Returns
-    the images, or None once a map has raised.
+    Map each domain element forward: the image lies in its codomain side
+    (of two sides, the level-k side takes the marked chains and the chase
+    side the rest), obeys that side's weight law and maps back.  Unless the
+    matching is its own inverse, the images are then exactly the codomain,
+    and a single codomain is walked back through the inverse too.  The
+    check stops at the first map that raises.
     """
+    branches = _BRANCHES[len(codomains)]
     images = set()
     for q in sorted(domain, key=repr):
         try:
             img = m.forward(q, k)
         except Exception as exc:  # guaranteed constructions must not fail
             report.fail(f"{name}: forward map raised on {q}: {exc}")
-            return None
+            return
         b = 1 if len(codomains) == 2 and not isinstance(img, MarkedChain) else 0
         where, law = branches[b]
         report.check(img in codomains[b], lambda: f"{name}: image outside {where} for {q}")
@@ -256,27 +263,24 @@ def _forward_pass(report, name, m: Matching, domain, codomains, k, branches) -> 
             back = m.inverse(img, k)
         except Exception as exc:
             report.fail(f"{name}: inverse raised on image of {q}: {exc}")
-            return None
+            return
         report.check(back == q, lambda: f"{name}: inverse does not return {q}")
         images.add(img)
-    return images
-
-
-def _check_bijection(report, name, m: Matching, domain, codomains, k):
-    (codomain,) = codomains
-    images = _forward_pass(report, name, m, domain, codomains, k, [("codomain", "")])
-    if images is None:
+    if m.inverse is m.forward:
         return
+    targets = set().union(*codomains)
     report.check(
         len(images) == len(domain),
         lambda: f"{name}: forward map is not injective ({len(images)} images, {len(domain)} inputs)",
     )
     report.check(
-        images == codomain,
+        images == targets,
         lambda: f"{name}: image set differs from codomain "
-        f"({len(images)} images vs {len(codomain)} targets)",
+        f"({len(images)} images vs {len(targets)} targets)",
     )
-    for q in sorted(codomain, key=repr):
+    if len(codomains) == 2:
+        return
+    for q in sorted(targets, key=repr):
         try:
             back = m.inverse(q, k)
         except Exception as exc:
@@ -285,48 +289,13 @@ def _check_bijection(report, name, m: Matching, domain, codomains, k):
         report.check(m.forward(back, k) == q, lambda: f"{name}: forward(inverse) misses {q}")
 
 
-def _check_split_bijection(report, name, m: Matching, domain, codomains, k):
-    branches = [("level-k codomain", " (level-k branch)"), ("chase codomain", " (chase branch)")]
-    images = _forward_pass(report, name, m, domain, codomains, k, branches)
-    if images is None:
-        return
-    targets = codomains[0] | codomains[1]
-    report.check(len(images) == len(domain), lambda: f"{name}: not injective")
-    report.check(
-        images == targets,
-        lambda: f"{name}: image set differs from codomain ({len(images)} vs {len(targets)})",
-    )
-
-
-def _check_involution(report, name, m: Matching, domain, codomains, k):
-    for q in sorted(domain, key=repr):
-        try:
-            img = m.forward(q, k)
-        except Exception as exc:
-            report.fail(f"{name}: raised on {q}: {exc}")
-            return
-        report.check(img in domain, lambda: f"{name}: image leaves the class for {q}")
-        report.check(
-            _weight_matches(q, img, k, m.sign[0], m.power),
-            lambda: f"{name}: weight law fails for {q}",
-        )
-        report.check(m.forward(img, k) == q, lambda: f"{name}: not an involution at {q}")
-
-
-_CHECKS = {
-    BIJECTION: _check_bijection,
-    SPLIT: _check_split_bijection,
-    INVOLUTION: _check_involution,
-}
-
-
 def check_bijections_grid(report: SuiteReport, w: Permutation, k: int, p: int) -> None:
     """Every matching of `MATCHINGS` on (w, k, p), at g = p-1 and g = p where it runs per g."""
     members = membership(w, k)
     runs = [(m, "g", g) for g in (p - 1, p) for m in MATCHINGS.values() if m.domain.universe.per_g]
     runs += [(m, "p", p) for m in MATCHINGS.values() if not m.domain.universe.per_g]
     for m, axis, anchor in runs:
-        _CHECKS[m.shape](
+        _check_matching(
             report, f"{m.name}[w={w.one_line()},k={k},{axis}={anchor}]", m,
             set(members(m.domain, anchor)), [set(members(c, anchor)) for c in m.codomain], k,
         )

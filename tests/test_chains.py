@@ -154,9 +154,10 @@ def test_monk_enumeration_matches_oracle():
 def test_monk_chain_shape_validation():
     path = validate_path(P("321"), [(1, 4)])
     with pytest.raises(ValueError):
-        MonkChain(path, 2, 1, 0)  # (1,4) is neither (a,2) nor (2,b) shape... rejected
-    with pytest.raises(ValueError):
-        MonkChain(validate_path(P("321"), [(1, 2)]), 2, 0, 1)
+        MonkChain(path, 2)  # (1,4) is neither (a,2) nor (2,b) shape... rejected
+    # the segment lengths are read off the labels
+    m = MonkChain(validate_path(P("321"), [(1, 2)]), 2)
+    assert (m.s, m.t) == (1, 0)
 
 
 # --- markings ----------------------------------------------------------------

@@ -10,8 +10,9 @@ walk (`chains.pieri_degree_rows`), so these tests hold the walk's
 columns, their order and the per-degree `Expansion` built from them.
 The walk keeps one term per chain, with its row weight_table(k)[code];
 the chains from one start have distinct ends, so each term is one
-reference row.  Ends are interned across walks and emptied with the
-other caches by `clear_caches`.
+reference row.  Ends are interned across walks, the Monk walk of
+`monk_lhs_expand` included, and emptied with the other caches by
+`clear_caches`.
 """
 
 from __future__ import annotations
@@ -22,7 +23,14 @@ import pytest
 
 from qpieri import chains
 from qpieri.chains import enumerate_pieri_chains, marking_count, pieri_degree_rows, weight_table
-from qpieri.expansion import Expansion, _pieri_rows, clear_caches, expand_product_chain, pieri_expand
+from qpieri.expansion import (
+    Expansion,
+    _pieri_rows,
+    clear_caches,
+    expand_product_chain,
+    monk_lhs_expand,
+    pieri_expand,
+)
 from qpieri.permutations import Permutation, all_permutations
 from qpieri.qbg import pack_monomial, q_weight
 
@@ -123,6 +131,17 @@ def test_walks_reaching_one_window_share_one_end_with_its_length():
                 assert u is first.setdefault(u.window, u) is chains._ends[u.window], (w, k, u)
                 assert u.length() == Permutation(u.window).length(), (w, k, u)
     assert len(first) == len(chains._ends) < reached
+
+
+def test_monk_expansion_keys_are_the_interned_ends():
+    clear_caches()
+    keys = 0
+    for x in all_permutations(4):
+        for k in (1, 2, 3):
+            for u in monk_lhs_expand(x, k).terms:
+                keys += 1
+                assert u is chains._ends[u.window], (x, k, u)
+    assert len(chains._ends) < keys == 528
 
 
 def test_a_product_after_clear_caches_equals_the_one_before():

@@ -66,7 +66,8 @@ def old_monk_chains(x: Permutation, k: int) -> list[MonkChain]:
     out: list[MonkChain] = []
 
     def dfs_cols(path: DirectedPath, s: int, t: int, last_b: int) -> None:
-        out.append(MonkChain(path, k, s, t))
+        out.append(MonkChain(path, k))
+        assert (out[-1].s, out[-1].t) == (s, t)
         for b in range(last_b - 1, k, -1):
             nxt = old_extend(path, (k, b))
             if nxt is not None:

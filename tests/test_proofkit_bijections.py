@@ -25,10 +25,10 @@ from qpieri.chains import MonkChain, PieriChain, is_marking
 from qpieri.permutations import Permutation, all_permutations
 from qpieri.proofkit import MATCHINGS, apply_bijection
 from qpieri.proofkit import bijections as bij
-from qpieri.proofkit.classify import classify
+from qpieri.proofkit.classify import classify, dec2_base, monk_refinement
 from qpieri.proofkit.universe import MarkedChain, PairedChain, enumerate_paired
 from qpieri.qbg import validate_path
-from qpieri.verify import SuiteReport, check_bijections_grid
+from qpieri.verify import SuiteReport, check_bijections_grid, run_suite
 
 P = Permutation.from_one_line
 
@@ -100,10 +100,10 @@ def test_descending_run_counterexample_for_border_swap():
     chain = PieriChain(validate_path(Permutation.identity(), [(2, 3)]), 2)
     q = PairedChain(
         MarkedChain(chain, frozenset({(2, 3)})),
-        MonkChain(validate_path(P("132"), [(1, 3)]), 3, 1, 0),
+        MonkChain(validate_path(P("132"), [(1, 3)]), 3),
     )
     with pytest.raises(ValueError, match="invalid marking"):
-        bij.theta3(q, 3, "Bns1", True)
+        bij.theta3(q, 3)
     # the would-be image marking set is rejected by the marking conditions
     longer = PieriChain(validate_path(Permutation.identity(), [(2, 3), (1, 3)]), 2)
     assert not is_marking(longer, frozenset({(2, 3)}))
@@ -179,7 +179,7 @@ def test_level_raising_swap_transports_head_marks():
     chain = PieriChain(validate_path(P("1342"), [(2, 3), (1, 3)]), 2)
     q = PairedChain(
         MarkedChain(chain, frozenset({(2, 3), (1, 3)})),
-        MonkChain(validate_path(P("3412"), [(4, 5)]), 4, 0, 1),
+        MonkChain(validate_path(P("3412"), [(4, 5)]), 4),
     )
     img = bij.theta4(q, 4)
     assert img.chain.labels == ((1, 4), (3, 4), (2, 4))
@@ -222,9 +222,11 @@ def test_registry_names_the_eighteen_matchings():
     assert list(MATCHINGS) == NAMES
     for name, m in MATCHINGS.items():
         assert m.name == name
-        assert len(m.codomain) == len(m.sign) == (2 if m.shape == bij.SPLIT else 1)
-        if m.shape == bij.INVOLUTION:
-            assert m.codomain == (m.domain,) and m.inverse is m.forward
+        assert len(m.codomain) == len(m.sign)
+    assert [name for name, m in MATCHINGS.items() if len(m.codomain) == 2] == ["chi2", "chi6"]
+    involutions = ["theta1", "theta2", "theta3"]
+    assert [name for name, m in MATCHINGS.items() if m.inverse is m.forward] == involutions
+    assert [name for name, m in MATCHINGS.items() if m.codomain == (m.domain,)] == involutions
 
 
 def test_apply_bijection_dispatcher():
@@ -238,29 +240,140 @@ def test_apply_bijection_dispatcher():
         assert apply_bijection(name, x, k) == img, name
         assert apply_bijection(name + "-inv", img, k) == x, name
         assert apply_bijection(name, img, k, inverse=True) == x, name
-        if name not in ("theta1", "theta2", "theta3"):
-            # the plain maps take (element, k): the registry adds nothing to them
-            assert getattr(bij, name)(x, k) == img, name
-            assert getattr(bij, name + "_inv")(img, k) == x, name
+        # the plain maps take (element, k): the registry adds nothing to
+        # them; theta1..theta3 are their own inverses
+        assert getattr(bij, name)(x, k) == img, name
+        assert getattr(bij, name + "_inv", getattr(bij, name))(img, k) == x, name
     for bad in ("pi9", "pi9-inv", "theta", "chi0"):
         with pytest.raises(ValueError, match="unknown matching"):
             apply_bijection(bad, None, 2)
 
 
 def test_theta_involutions_on_clean_grid():
-    from qpieri.proofkit.classify import dec2_base, monk_refinement, monk_side
-
+    """
+    On every element of the three border classes over S_3 at columns 2..4
+    that the border swap maps, it maps the image back; half of them move
+    the border label onto the Monk chain and half move it back.
+    """
+    moved = collections.Counter()
     for w in all_permutations(3):
-        for g in (1, 2):
-            for q in enumerate_paired(w, 1, g, 2):
-                if monk_side(q, 2) == "X":
-                    continue
-                base = dec2_base(q, 2)
-                ref = monk_refinement(q, 2)
-                in_ca = (base in ("A1", "A3") and ref == "Y3") or base == "A2"
-                if in_ca:
-                    img = bij.theta1(q, 2, base)
-                    assert bij.theta1(img, 2, dec2_base(img, 2)) == q
+        for k in (2, 3, 4):
+            members = bij.membership(w, k)
+            for name in ("theta1", "theta2", "theta3"):
+                for g in range(k + 1):
+                    for q in members(MATCHINGS[name].domain, g):
+                        try:
+                            img = bij.theta1(q, k)
+                        except ValueError:
+                            continue
+                        assert bij.theta1(img, k) == q, (name, q)
+                        moved[name, len(img.chain) < len(q.chain)] += 1
+    assert moved == {(name, down): n for name, n in (("theta1", 16), ("theta2", 2), ("theta3", 10))
+                     for down in (False, True)}
+
+
+# the three per-class rules that the border swap replaces, kept as its reference
+
+
+def _old_border_rows(q, k, after_kk):
+    seg = q.chain.segment_after((k - 1, k)) if after_kk else q.chain.segment_labels(k)
+    return (seg[-1][0] if seg else 0), (q.monk.labels[0][0] if q.monk.s else 0)
+
+
+def _old_swap_border(q, k, move_to_monk, row):
+    if move_to_monk:
+        if q.chain.final_label() != (row, k):
+            raise ValueError("chain does not end with the border label")
+        return bij._repair(q, q.chain.labels[:-1], q.marking, k - 1, ((row, k),) + q.monk.labels, k)
+    _, m_tail = bij._pop_monk_head(q, (row, k))
+    return bij._repair(q, q.chain.labels + ((row, k),), q.marking, k - 1, m_tail, k)
+
+
+def _old_theta1(q, k):
+    a, b = _old_border_rows(q, k, after_kk=False)
+    if dec2_base(q, k) == "A2" and a > b:
+        return _old_swap_border(q, k, True, a)
+    return _old_swap_border(q, k, False, b)
+
+
+def _old_theta2(q, k):
+    a, b = _old_border_rows(q, k, after_kk=True)
+    if dec2_base(q, k) == "Bns2" and a > b:
+        return _old_swap_border(q, k, True, a)
+    return _old_swap_border(q, k, False, b)
+
+
+def _old_theta3(q, k):
+    a, b = _old_border_rows(q, k, after_kk=True)
+    y3 = monk_refinement(q, k) == "Y3"
+    if dec2_base(q, k) == "Bns2" and (not y3 or a > b):
+        return _old_swap_border(q, k, True, a)
+    return _old_swap_border(q, k, False, b)
+
+
+def _outcome(f, q, k):
+    """The image, or the type and message of what `f` raised."""
+    try:
+        return f(q, k)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def test_one_border_swap_agrees_with_the_three_per_class_rules_over_s4():
+    """
+    theta1..theta3 are one function; on every element of each class's
+    domain over S_4 at columns 2..4 and every marking level it gives the
+    old rule's image, or raises what the old rule raised.
+    """
+    assert bij.theta1 is bij.theta2 is bij.theta3
+    seen = collections.Counter()
+    for w in all_permutations(4):
+        for k in (2, 3, 4):
+            members = bij.membership(w, k)
+            for name, old in (("theta1", _old_theta1), ("theta2", _old_theta2), ("theta3", _old_theta3)):
+                for g in range(k + 1):
+                    for q in members(MATCHINGS[name].domain, g):
+                        new = _outcome(bij.theta1, q, k)
+                        assert new == _outcome(old, q, k), (name, k, g, q)
+                        seen[name, isinstance(new, PairedChain)] += 1
+    assert seen == {
+        ("theta1", True): 876, ("theta1", False): 92,
+        ("theta2", True): 28,
+        ("theta3", True): 328, ("theta3", False): 92,
+    }
+    assert sum(seen.values()) == 1416
+
+
+# each failure of `run_suite("bijections")` up to its first "]", in report order
+BIJECTIONS_FAILURES = """
+pi1[w=1,k=2,g=0] pi2[w=1,k=2,g=0] chi2[w=1,k=2,p=1] chi4[w=1,k=2,p=1]
+pi1[w=1,k=3,g=0] pi2[w=1,k=3,g=0] theta3[w=1,k=3,g=1] chi2[w=1,k=3,p=1]
+chi4[w=1,k=3,p=1] theta3[w=1,k=3,g=1] chi2[w=1,k=3,p=2] chi4[w=1,k=3,p=2]
+chi6[w=1,k=3,p=3]
+pi1[w=132,k=2,g=0] pi2[w=132,k=2,g=0] chi1[w=132,k=2,p=1] chi2[w=132,k=2,p=1]
+chi4[w=132,k=2,p=1] chi5[w=132,k=2,p=1] chi5[w=132,k=2,p=1] pi1[w=132,k=3,g=0]
+pi2[w=132,k=3,g=0] theta1[w=132,k=3,g=0] chi2[w=132,k=3,p=1] chi4[w=132,k=3,p=1]
+chi2[w=132,k=3,p=2] chi6[w=132,k=3,p=2]
+pi1[w=21,k=2,g=0] pi2[w=21,k=2,g=0] chi2[w=21,k=2,p=1] chi4[w=21,k=2,p=1]
+pi1[w=21,k=3,g=0] pi2[w=21,k=3,g=0] theta1[w=21,k=3,g=0] chi2[w=21,k=3,p=1]
+chi4[w=21,k=3,p=1] chi2[w=21,k=3,p=2] chi6[w=21,k=3,p=3]
+pi1[w=231,k=2,g=0] pi2[w=231,k=2,g=0] chi2[w=231,k=2,p=1] chi4[w=231,k=2,p=1]
+pi1[w=231,k=3,g=0] pi2[w=231,k=3,g=0] theta3[w=231,k=3,g=1] chi2[w=231,k=3,p=1]
+chi4[w=231,k=3,p=1] theta3[w=231,k=3,g=1] chi2[w=231,k=3,p=2] chi4[w=231,k=3,p=2]
+chi6[w=231,k=3,p=3]
+pi1[w=312,k=2,g=0] pi2[w=312,k=2,g=0] chi2[w=312,k=2,p=1] chi4[w=312,k=2,p=1]
+pi1[w=312,k=3,g=0] pi2[w=312,k=3,g=0] theta3[w=312,k=3,g=1] chi2[w=312,k=3,p=1]
+chi4[w=312,k=3,p=1] theta3[w=312,k=3,g=1] chi2[w=312,k=3,p=2] chi4[w=312,k=3,p=2]
+pi1[w=321,k=2,g=0] pi2[w=321,k=2,g=0] chi2[w=321,k=2,p=1] chi4[w=321,k=2,p=1]
+pi1[w=321,k=3,g=0] pi2[w=321,k=3,g=0] theta1[w=321,k=3,g=0] chi2[w=321,k=3,p=1]
+chi4[w=321,k=3,p=1] chi2[w=321,k=3,p=2] chi6[w=321,k=3,p=3]
+""".split()
+
+
+def test_bijections_suite_fails_at_the_pinned_instances_in_order():
+    report = run_suite("bijections")
+    assert report.checked == 4705
+    assert [f[: f.index("]") + 1] for f in report.failures] == BIJECTIONS_FAILURES
 
 
 def test_paired_and_marked_chains_hash_once_per_value(monkeypatch):

@@ -20,12 +20,17 @@ columns, one term per chain: the ends, their packed Q-weights, and one
 weight code per term, whose degree-p coefficient `chains.weight_table(k)`
 lists.  The ends are interned across walks (`chains._ends`), the Monk
 walk of `monk_lhs_expand` included, so every cached row and every
-Expansion key built from them shares one object per permutation.  `pieri_expand(w, k, p)` sums the nonzero degree-p terms
-into its Expansion.  A product of factors (`expand_product_chain`) reads
-the same columns: each term g * G[u] adds g times the degree-p terms of
-u's rows into the next factor's accumulator.  It never reads
-`pieri_expand`'s per-degree cache, so that cache keeps only the 8 latest
-(w, k, p).  By the sign law (`chains` module docstring) every
+Expansion key built from them shares one object per permutation.
+`pieri_expand(w, k, p)` sums the nonzero degree-p terms into its
+Expansion.  Degree 0 needs no walk: G^k_0 = G[id] = 1, and the first
+label of every nonempty chain is forced, so the degree-0 column is the
+empty chain alone and `pieri_expand(w, k, 0)` is G[w].  A product of
+factors (`expand_product_chain`) skips every factor (k, 0) and reads the
+same columns for the others: each term g * G[u] adds g times the
+degree-p terms of u's rows into the next factor's accumulator, in one
+block step per (u, k) (`_add_rows`).  It never reads `pieri_expand`'s
+per-degree cache, so that cache keeps only the 8 latest (w, k, p).  By
+the sign law (`chains` module docstring) every
 coefficient of such a product at G[v] has the sign
 (-1)^(l(v) - l(w) - sum of the p), so no term cancels and the
 accumulator is wrapped as it stands; this holds whether or not two
@@ -47,18 +52,20 @@ the type of the public boundary: the constructors, `terms`,
 `sorted_terms`, the text and JSON forms pack or unpack there.  Every sum
 that can cancel goes through one fold (`_fold`), which drops zero
 coefficients; a sum of single terms enters it as one-term blocks.  Every
-product of coefficients goes through one overflow-checked step
-(`_add_scaled`, poly += c * Q^key * f), which the fold takes once per
-monomial of a factor and a product chain once per row term; a single
-Pieri product adds its same-signed terms with no product to take.
+product of coefficients in the fold goes through one overflow-checked
+step (`_add_scaled`, poly += c * Q^key * f), taken once per monomial of
+a factor.  A product chain takes its products in its own block step
+(`_add_rows`), one per (u, k), with the same guard inline; both raise
+the one error `_overflow` builds.  A single Pieri product adds its
+same-signed terms with no product to take.
 
 Overflow guard.  Packing accepts Q_1 .. Q_1024 only, with exponents below
 2^(S-1) (`qbg.pack_monomial`, ValueError otherwise).  Invariant: every
 field of every stored key is below 2^(S-1).  Then each field of the sum of
 two keys is below 2^S, so no carry crosses a field boundary, and the sum
 is the product monomial exactly when no field has reached 2^(S-1), that is
-when `key & qbg.Q_HIGH_BITS` is 0.  The product step tests this and
-raises OverflowError otherwise, so a carried monomial is never returned
+when `key & qbg.Q_HIGH_BITS` is 0.  Both product steps test this and
+raise OverflowError otherwise, so a carried monomial is never returned
 and the invariant holds for the next product.
 
 Text form: "G[4312] - Q1*Q2*G[1342] + 2*Q3*G[431625]", terms ordered by
@@ -365,18 +372,22 @@ def _json_key(pairs: Iterable) -> int:
     return pack_monomial(QMonomial.from_dict(exps))
 
 
+def _overflow(key: int) -> OverflowError:
+    """The error for a product key that the overflow guard refuses."""
+    # no field carried, so the key still unpacks to the true product
+    return OverflowError(f"exponent past the packed range in {unpack_monomial(key).render()}")
+
+
 def _add_scaled(poly: _Packed, f: _Packed, key: int, c: int) -> None:
     """
     poly += c * Q^key * f, in place.  Each product of monomials is one
     integer addition, checked by the overflow guard before it is stored.
-    Every product of coefficients, in a fold or in a product chain, is
-    taken here.
+    Every product of coefficients in a fold is taken here.
     """
     for k1, c1 in f.items():
         k2 = k1 + key
         if k2 & Q_HIGH_BITS:
-            # no field carried, so the key still unpacks to the true product
-            raise OverflowError(f"exponent past the packed range in {unpack_monomial(k2).render()}")
+            raise _overflow(k2)
         poly[k2] = poly.get(k2, 0) + c1 * c
 
 
@@ -462,6 +473,12 @@ def clear_caches() -> None:
     _ends.clear()
 
 
+@lru_cache(maxsize=32)
+def _weight_columns(k: int) -> tuple[tuple[int, ...], ...]:
+    """`weight_table(k)` by degree: columns[p][code]."""
+    return tuple(zip(*weight_table(k)))
+
+
 def _check_factor(k: int, p: int) -> None:
     """Refuse a column factor G^k_p outside k >= 1, p in 0..k."""
     if k < 1:
@@ -477,12 +494,16 @@ def pieri_expand(w: Permutation, k: int, p: int) -> Expansion:
     Q-weighted sum over k-Pieri chains from w carrying a p-marking.
     """
     _check_factor(k, p)
+    if not p:
+        # G^k_0 = G[id] = 1: the first label of every nonempty chain is
+        # forced, so the degree-0 column of a walk is its empty chain alone
+        return Expansion.basis(w)
     ends, qs, codes = _pieri_rows(w, k)
-    table = weight_table(k)
+    column = _weight_columns(k)[p]
     # terms of one (end, q) share a sign (the sign law), so no sum is zero
     terms: dict[Permutation, _Packed] = {}
     for u, q, code in zip(ends, qs, codes):
-        c = table[code][p]
+        c = column[code]
         if c:
             poly = terms.get(u)
             if poly is None:
@@ -515,13 +536,45 @@ def monk_lhs_expand(x: Permutation, k: int) -> Expansion:
     )
 
 
+def _add_rows(
+    acc: dict[Permutation, _Packed],
+    g: _Packed,
+    rows: tuple[tuple[Permutation, ...], tuple[int, ...], tuple[int, ...]],
+    column: tuple[int, ...],
+) -> None:
+    """
+    acc += g * (the terms of one (u, k) rows, weighted by column), in
+    place: for each monomial gc * Q^gk of g, one pass over the rows adds
+    gc * c * Q^(gk + q) * G[end] for each term (end, q, code) whose weight
+    c = column[code] is nonzero, column being degree p of
+    `_weight_columns(k)`.  The overflow guard of `_add_scaled` is tested
+    inline.
+    """
+    ends, qs, codes = rows
+    for gk, gc in g.items():
+        for v, q, code in zip(ends, qs, codes):
+            c = column[code]
+            if c:
+                key = gk + q
+                if key & Q_HIGH_BITS:
+                    raise _overflow(key)
+                poly = acc.get(v)
+                if poly is None:
+                    acc[v] = {key: gc * c}
+                else:
+                    poly[key] = poly.get(key, 0) + gc * c
+
+
 def expand_product_chain(w: Permutation, factors: list[tuple[int, int]]) -> Expansion:
     """
     Left-fold expansion of G[w] * prod of column factors, coefficients
-    carried through exactly.  For each factor (k, p), every term g * G[u]
-    adds g * c * Q^q * G[end] for each term (end, q, code) of u's cached
-    (u, k) rows with c = weight_table(k)[code][p] nonzero; zero entries are
-    skipped.  By the sign law (`chains` module docstring) every
+    carried through exactly.  Every factor is checked first.  A factor
+    (k, 0) is G^k_0 = 1 (`pieri_expand`) and is skipped.  For every other
+    factor (k, p), each term g * G[u] adds g * c * Q^q * G[end] for each
+    term (end, q, code) of u's cached (u, k) rows with
+    c = weight_table(k)[code][p] nonzero, in one block step per (u, k)
+    (`_add_rows`); zero entries are skipped.  The factors are taken in
+    the order given.  By the sign law (`chains` module docstring) every
     contribution to the coefficient of Q^a * G[v] has the sign
     (-1)^(l(v) - l(w) - sum of the p), so no term cancels and each
     accumulator is wrapped as it stands.  `pieri_expand`'s per-degree
@@ -535,16 +588,11 @@ def expand_product_chain(w: Permutation, factors: list[tuple[int, int]]) -> Expa
         _check_factor(k, p)
     out = Expansion.basis(w)
     for k, p in factors:
-        table = weight_table(k)
+        if not p:
+            continue
+        column = _weight_columns(k)[p]
         acc: dict[Permutation, _Packed] = {}
         for u, g in out._terms.items():
-            ends, qs, codes = _pieri_rows(u, k)
-            for v, q, code in zip(ends, qs, codes):
-                c = table[code][p]
-                if c:
-                    poly = acc.get(v)
-                    if poly is None:
-                        poly = acc[v] = {}
-                    _add_scaled(poly, g, q, c)
+            _add_rows(acc, g, _pieri_rows(u, k), column)
         out = Expansion._of(acc)
     return out

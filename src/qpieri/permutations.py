@@ -38,6 +38,17 @@ from dataclasses import dataclass, field
 Label = tuple[int, int]
 
 
+def count_inversions(values: Sequence[int]) -> int:
+    """The number of pairs i < j with values[i] > values[j], in O(n log n)."""
+    # each entry, read from the right, adds the smaller ones after it
+    count = 0
+    seen: list[int] = []
+    for v in reversed(values):
+        count += bisect_left(seen, v)
+        insort(seen, v)
+    return count
+
+
 @dataclass(frozen=True, slots=True)
 class Permutation:
     """A permutation of {1, 2, ...} fixing all but finitely many points."""
@@ -108,12 +119,7 @@ class Permutation:
         """Number of inversions, counted on the first call only."""
         ell = self._length
         if ell is None:
-            # each entry, read from the right, adds the smaller ones after it
-            ell = 0
-            seen: list[int] = []
-            for v in reversed(self.window):
-                ell += bisect_left(seen, v)
-                insort(seen, v)
+            ell = count_inversions(self.window)
             object.__setattr__(self, "_length", ell)
         return ell
 

@@ -31,7 +31,7 @@ import enum
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 
-from .permutations import Label, Permutation
+from .permutations import Label, Permutation, count_inversions
 
 
 class EdgeKind(enum.Enum):
@@ -101,8 +101,11 @@ def _walk(win: list[int], labels: Iterable[Label], kinds: list[EdgeKind]) -> int
 def edge_kind_by_length(x: Permutation, label: Label) -> EdgeKind | None:
     """Defining form via length deltas; independent oracle for `edge_kind`."""
     a, b = label
-    y = x.apply(label)
-    delta = y.length() - x.length()
+    if not 1 <= a < b:
+        raise ValueError(f"bad transposition {label}")
+    values = list(x.extended(b))
+    values[a - 1], values[b - 1] = values[b - 1], values[a - 1]
+    delta = count_inversions(values) - x.length()
     if delta == 1:
         return EdgeKind.BRUHAT
     if delta == -2 * (b - a) + 1:

@@ -119,6 +119,16 @@ def test_each_walk_has_one_term_per_chain_with_distinct_ends_over_s6():
             assert len(ends) == len(enumerate_pieri_chains(w, k)), (w, k)
 
 
+@pytest.mark.parametrize("n, ks", [(5, range(1, 6)), (6, range(1, 4))])
+def test_the_degree_0_column_is_the_start_alone(n, ks):
+    # G^k_0 = 1, which `pieri_expand(w, k, 0)` returns without a walk
+    for w in all_permutations(n):
+        for k in ks:
+            table = weight_table(k)
+            terms = [(u, q, table[code][0]) for u, q, code in zip(*pieri_degree_rows(w, k)) if table[code][0]]
+            assert terms == [(w, 0, 1)], (w, k)
+
+
 def test_walks_reaching_one_window_share_one_end_with_its_length():
     clear_caches()
     first: dict[tuple[int, ...], Permutation] = {}

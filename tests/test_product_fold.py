@@ -4,7 +4,9 @@
 The old fold replaced every basis term by the `pieri_expand` of each
 factor in turn (`map_basis`).  The column pass reads each term's cached
 (u, k) rows instead; it must give the same expansions, walk the same
-(u, k), refuse the same factors, and keep the overflow guard.  Fake rows
+(u, k) for every factor of positive degree, refuse the same factors, and
+keep the overflow guard with its message.  A degree-0 factor is 1: it
+reads no rows, in a product or in `pieri_expand`.  Fake rows
 (`_pieri_rows` patched) reach a case that no real product of the grids
 here shows: a zero column entry with a Q-weight the guard would refuse.
 No term of a product cancels (the sign law, `tests/test_sign_law.py`).
@@ -32,11 +34,15 @@ Q2 = pack_monomial(QMonomial.variable(2))
 
 
 def old_fold(w: Permutation, factors, walks: list | None = None) -> Expansion:
-    """The fold as it was: each factor maps every basis term through pieri_expand."""
+    """
+    The fold as it was: each factor maps every basis term through
+    pieri_expand.  `walks` lists the (u, k) of every p >= 1 factor, the
+    only ones whose rows the column pass reads.
+    """
     out = Expansion.basis(w)
     for k, p in factors:
         def image(u, k=k, p=p):
-            if walks is not None:
+            if walks is not None and p:
                 walks.append((u, k))
             return pieri_expand(u, k, p)
 
@@ -94,6 +100,19 @@ def test_three_factor_products_match_the_old_fold(window, factors):
     assert Counter(walks) == Counter(old_walks)
 
 
+def test_degree_0_factors_read_no_rows(clean_caches):
+    walks: list = []
+    with mock.patch.object(expansion, "_pieri_rows", recording(walks, expansion._pieri_rows)):
+        for w in all_permutations(4):
+            for k in range(1, 5):
+                assert pieri_expand(w, k, 0) == Expansion.basis(w)
+                assert expand_product_chain(w, [(k, 0), (1, 0)]) == Expansion.basis(w)
+        assert walks == []
+        got = expand_product_chain(P("321"), [(2, 0), (1, 1), (3, 0)])
+    assert walks == [(P("321"), 1)]
+    assert got == pieri_expand(P("321"), 1, 1)
+
+
 @pytest.mark.parametrize("bad", [(0, 0), (-1, 0), (2, 3), (2, -1), (1, 2)])
 @pytest.mark.parametrize("position", [0, 1])
 def test_bad_factors_are_refused_as_pieri_expand_refuses_them(bad, position):
@@ -129,10 +148,12 @@ def test_the_overflow_guard_fires_through_products(clean_caches, monkeypatch):
         ((2, 1), 1): [((2, 1), HALF, (0, 1))],
     }))
     assert expand_product_chain(P("21"), [(1, 1)]) == Expansion._of({P("21"): {HALF: 1}})
-    with pytest.raises(OverflowError):
+    message = f"exponent past the packed range in Q1^{2 * (Q_EXPONENT_LIMIT // 2)}"
+    with pytest.raises(OverflowError) as chained:
         expand_product_chain(P("21"), [(1, 1), (1, 1)])
-    with pytest.raises(OverflowError):
+    with pytest.raises(OverflowError) as folded:
         old_fold(P("21"), [(1, 1), (1, 1)])
+    assert str(chained.value) == str(folded.value) == message
 
 
 def test_a_zero_column_entry_is_skipped_not_multiplied(clean_caches, monkeypatch):
@@ -145,6 +166,17 @@ def test_a_zero_column_entry_is_skipped_not_multiplied(clean_caches, monkeypatch
     want = Expansion._of({P("21"): {HALF + Q2: 1}})
     assert old_fold(P("21"), [(1, 1), (2, 2)]) == want
     assert expand_product_chain(P("21"), [(1, 1), (2, 2)]) == want
+
+
+def test_every_monomial_of_a_coefficient_is_carried(clean_caches, monkeypatch):
+    # two terms reach 21 with distinct Q-weights, so the second factor
+    # multiplies the two-monomial coefficient 1 + Q2
+    monkeypatch.setattr(expansion, "_pieri_rows", fake_rows({
+        ((2, 1), 1): [((2, 1), Q2, (0, 1)), ((2, 1), 0, (0, 1))],
+    }))
+    want = Expansion._of({P("21"): {2 * Q2: 1, Q2: 2, 0: 1}})
+    assert old_fold(P("21"), [(1, 1), (1, 1)]) == want
+    assert expand_product_chain(P("21"), [(1, 1), (1, 1)]) == want
 
 
 def test_terms_that_share_an_end_are_summed(clean_caches, monkeypatch):

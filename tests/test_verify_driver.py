@@ -7,6 +7,7 @@ import pathlib
 
 import pytest
 
+from qpieri import verify
 from qpieri.verify import SUITES, SuiteReport, run_suite
 
 
@@ -92,3 +93,24 @@ def test_a_lazy_message_is_built_only_on_failure():
     assert built == [1]
     assert report.checked == 3
     assert report.failures == ["the check failed", "a plain message"]
+
+
+def test_the_markings_suite_reports_a_marking_listed_twice(monkeypatch):
+    # each list of two or more markings repeats its first in place of its last
+    real = verify.enumerate_markings
+    doubled = []
+
+    def listing(chain, p):
+        out = real(chain, p)
+        if len(out) > 1:
+            doubled.append((chain, p))
+            out[-1] = out[0]
+        return out
+
+    clean = run_suite("markings", max_n=3)
+    monkeypatch.setattr(verify, "enumerate_markings", listing)
+    report = run_suite("markings", max_n=3)
+    assert clean.passed and doubled and report.checked == clean.checked
+    assert report.failures == [
+        f"enumerated markings disagree with brute force for {chain!r}, p={p}" for chain, p in doubled
+    ]

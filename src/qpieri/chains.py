@@ -57,8 +57,9 @@ Pieri product cancels; and each chain weighs +-1 in degree p = m, its
 number of forced labels, so no term is zero in every degree.  By
 induction every coefficient of a product of Pieri factors at G[v] has
 the sign (-1)^(l(v) - l(w) - sum of the p).  `pieri_degree_rows` carries
-the parity of the chain's length in its code, and the length of the
-current end, never recounted, for the end it builds.
+the parity of the chain's length in its code.  It and the Monk walk both
+carry the length of the current end, never recounted, for the end they
+intern (`_interned_end`).
 
 All enumeration runs inside the ambient bound N = max(support, k) + 1: no
 QBG edge usable by these chains has column beyond N, which is re-asserted
@@ -231,17 +232,17 @@ def enumerate_pieri_chains(w: Permutation, k: int, max_column: int | None = None
     N = max(support(w), k) + 1: no first edge can reach column N+1 (audited
     at the start), and (P1) caps every later column at the first one.
 
-    With `max_column`, only labels of column <= max_column are tried, which
-    gives exactly the chains whose first column is at most max_column, in
-    the same order: by (P1) every later label of such a chain is in range.
+    With `max_column`, the walk reads the tables of bound
+    min(N, max_column), so only labels of column <= max_column are tried;
+    the audit keeps the true N.  This gives exactly the chains whose first
+    column is at most max_column, in the same order: by (P1) every later
+    label of such a chain is in range.
     """
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
     bound = max(w.support, k) + 1
-    pool, tail_from = _walk_tables(k, bound)[:2]
-    if max_column is not None:
-        pool = tuple(label for label in pool if label[1] <= max_column)
     _assert_root_bound(w, k, bound)
+    pool, tail_from = _walk_tables(k, bound if max_column is None else min(bound, max_column))[:2]
     window = list(w.extended(bound))
     labels: list[Label] = []
     kinds: list[EdgeKind] = []
@@ -338,17 +339,18 @@ def enumerate_monk_chains(x: Permutation, k: int) -> list[MonkChain]:
     the row part never moves values beyond position k, and the first column
     edge from a vertex in S_N-1 cannot exceed N (audited per frontier).
     """
-    return _monk_walk(x, k, lambda window, labels, kinds, t, q: MonkChain(
-        DirectedPath(x, tuple(labels), tuple(kinds), Permutation._from_swapped(window)), k
+    return _monk_walk(x, k, lambda window, labels, kinds, t, q, ell: MonkChain(
+        DirectedPath(x, tuple(labels), tuple(kinds), Permutation._from_swapped(window, ell)), k
     ))
 
 
 def _monk_walk(x: Permutation, k: int, record: Callable[..., object]) -> list:
     """
-    record(window, labels, kinds, t, q) for every k-Monk chain from x, in
-    depth-first order, on the walk's own lists (module docstring; the
-    window is padded to N + 1 for the audit): t counts the (k,*) labels
-    and q is the packed Q-weight.
+    record(window, labels, kinds, t, q, ell) for every k-Monk chain from x,
+    in depth-first order, on the walk's own lists (module docstring; the
+    window is padded to N + 1 for the audit): t counts the (k,*) labels,
+    q is the packed Q-weight and ell the length of the end, carried along
+    the edges as `pieri_degree_rows` carries it.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -359,11 +361,11 @@ def _monk_walk(x: Permutation, k: int, record: Callable[..., object]) -> list:
     kinds: list[EdgeKind] = []
     out = []
 
-    def visit(last_a: int, last_b: int, t: int, q: int) -> None:
+    def visit(last_a: int, last_b: int, t: int, q: int, ell: int) -> None:
         # a row node (last_a > 0) may start the column phase: its first column is bounded
         if last_a and _window_kind(window, k, bound + 1) is not None:
             raise AssertionError(f"ambient bound {bound} unsound: edge ({k},{bound + 1}) from {window}")
-        out.append(record(window, labels, kinds, t, q))
+        out.append(record(window, labels, kinds, t, q, ell))
         for label in [(k, b) for b in range(last_b - 1, k, -1)] + [(a, k) for a in range(last_a - 1, 0, -1)]:
             a, b = label
             kind = _window_kind(window, a, b)
@@ -372,17 +374,20 @@ def _monk_walk(x: Permutation, k: int, record: Callable[..., object]) -> list:
             window[a - 1], window[b - 1] = window[b - 1], window[a - 1]
             labels.append(label)
             kinds.append(kind)
-            q_next = q + qstep[label] if kind is EdgeKind.QUANTUM else q
-            if a == k:  # a column label: the row phase is over
-                visit(0, b, t + 1, q_next)
+            if kind is EdgeKind.QUANTUM:
+                q_next, ell_next = q + qstep[label], ell + 2 * (a - b) + 1
             else:
-                visit(a, bound + 1, t, q_next)
+                q_next, ell_next = q, ell + 1
+            if a == k:  # a column label: the row phase is over
+                visit(0, b, t + 1, q_next, ell_next)
+            else:
+                visit(a, bound + 1, t, q_next, ell_next)
             kinds.pop()
             labels.pop()
             window[a - 1], window[b - 1] = window[b - 1], window[a - 1]
 
     try:
-        visit(k, bound + 1, 0, 0)
+        visit(k, bound + 1, 0, 0, x.length())
     finally:
         del visit  # see `pieri_degree_rows`
     return out
@@ -490,10 +495,22 @@ def is_marking(chain: PieriChain, marks: frozenset) -> bool:
 # --- every degree in one walk ---------------------------------------------
 
 # every end that `pieri_degree_rows` or `expansion.monk_lhs_expand` has
-# reached, keyed by its trimmed window (which it shares): built once, with
-# the length a Pieri walk carried to it (a Monk end counts its own at first
-# use); `expansion.clear_caches` empties it with the rows
+# reached, keyed by its trimmed window (which it shares): built once, by
+# the first walk to reach it, with the length that walk carried to it;
+# `expansion.clear_caches` empties it with the rows
 _ends: dict[tuple[int, ...], Permutation] = {}
+
+
+def _interned_end(window: list[int], ell: int) -> Permutation:
+    """The `_ends` entry of a walk's padded window, built with length ell if no walk has reached it."""
+    n = len(window)
+    while n and window[n - 1] == n:
+        n -= 1
+    key = tuple(window[:n])
+    u = _ends.get(key)
+    if u is None:
+        u = _ends[key] = Permutation._from_swapped(key, ell)
+    return u
 
 
 def pieri_degree_rows(w: Permutation, k: int) -> tuple[tuple[Permutation, ...], tuple[int, ...], tuple[int, ...]]:

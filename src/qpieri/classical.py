@@ -222,17 +222,16 @@ def verify_monk_at_q0(x: Permutation, k: int) -> bool:
     return gx - XPolynomial.variable(k) * gx == _grothendieck_sum(terms, n)
 
 
-def verify_recurrence_at_q0(k: int, p: int, n: int | None = None) -> bool:
+def verify_recurrence_at_q0(k: int, p: int) -> bool:
     """
-    Column recurrence at Q = 0:
+    Column recurrence at Q = 0, computed inside S_{k+2}:
     G^k_p - G^{k-1}_{p-1} = (1 - x_k)(G^{k-1}_p - G^{k-1}_{p-1}).
     """
     if k < 2:
         raise ValueError(f"k must be >= 2, got {k}")
     if not 1 <= p <= k:
         raise ValueError(f"p must be in 1..k, got {p}")
-    if n is None:
-        n = k + 2
+    n = k + 2
 
     def g(kk: int, pp: int) -> XPolynomial:
         if kk >= 1 and pp == 0:

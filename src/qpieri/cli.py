@@ -54,7 +54,7 @@ def cmd_chains(args) -> tuple[str, int]:
     p = args.p if args.p is not None else args.k
     if args.format == "json":
         records = []
-        for chain, _, markings in chain_rows(args.w, args.k, p):
+        for chain, markings in chain_rows(args.w, args.k, p):
             record = chain.path.to_record()
             record["markings"] = [[list(lab) for lab in m] for m in markings]
             records.append(record)

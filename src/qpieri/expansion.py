@@ -49,22 +49,26 @@ bits S(v-1) .. Sv-1 of one int, S = `qbg.Q_STRIDE` = 32, so the product of
 two monomials is one integer addition and the monomial 1 is the key 0.
 The chain walk hands its Q-weights over already packed.  `QMonomial` is
 the type of the public boundary: the constructors, `terms`,
-`sorted_terms`, the text and JSON forms pack or unpack there.  Every sum
-that can cancel goes through one fold (`_fold`), which drops zero
-coefficients; a sum of single terms enters it as one-term blocks.  Every
-product of coefficients in the fold goes through one overflow-checked
-step (`_add_scaled`, poly += c * Q^key * f), taken once per monomial of
-a factor.  A product chain takes its products in its own block step
-(`_add_rows`), one per (u, k), with the same guard inline; both raise
-the one error `_overflow` builds.  A single Pieri product adds its
-same-signed terms with no product to take.
+`sorted_terms`, the text and JSON forms pack or unpack there.
+
+Arithmetic.  Two primitives take every sum and product that can cancel.
+`_fold(pairs)` sums (basis, packed polynomial) pairs and drops zero
+coefficients: sums and differences of expansions, `add_term`,
+`map_basis`, parsing, and every sum of single terms, each a one-term
+pair (u, {key: c}).  `_product(f, g)` is the one overflow-checked product
+of two packed polynomials: `QPolynomial.__mul__`, the scalings of an
+expansion (`_times`, one product per basis term, so nothing to sum) and
+each image of `map_basis` take it.  A product chain takes its products in
+its own block step (`_add_rows`), one per (u, k), with the same guard
+inline; both raise the one error `_overflow` builds.  A single Pieri
+product adds its same-signed terms with no product to take.
 
 Overflow guard.  Packing accepts Q_1 .. Q_1024 only, with exponents below
 2^(S-1) (`qbg.pack_monomial`, ValueError otherwise).  Invariant: every
 field of every stored key is below 2^(S-1).  Then each field of the sum of
 two keys is below 2^S, so no carry crosses a field boundary, and the sum
 is the product monomial exactly when no field has reached 2^(S-1), that is
-when `key & qbg.Q_HIGH_BITS` is 0.  Both product steps test this and
+when `key & qbg.Q_HIGH_BITS` is 0.  Both products test this and
 raise OverflowError otherwise, so a carried monomial is never returned
 and the invariant holds for the next product.
 
@@ -81,13 +85,12 @@ from collections.abc import Callable, Iterable, Mapping
 from functools import lru_cache
 from types import MappingProxyType
 
-from .chains import _ends, _monk_walk, pieri_degree_rows, weight_table
+from .chains import _ends, _interned_end, _monk_walk, pieri_degree_rows, weight_table
 from .permutations import Permutation
 from .qbg import Q_HIGH_BITS, QMonomial, pack_monomial, unpack_monomial
 
 # a Z[Q]-polynomial as packed monomial -> nonzero coefficient
 _Packed = dict[int, int]
-_UNIT: _Packed = {0: 1}
 
 
 class QPolynomial:
@@ -126,17 +129,15 @@ class QPolynomial:
         return not self._terms
 
     def __add__(self, other: QPolynomial) -> QPolynomial:
-        out = dict(self._terms)
-        _add_product(out, other._terms, _UNIT)
-        return QPolynomial._of(_drop_zeros(out))
+        # the coefficient of G[id] in the fold of self * G[id] + other * G[id]
+        one = Permutation.identity()
+        return QPolynomial._of(_fold([(one, self._terms), (one, other._terms)])._terms.get(one, {}))
 
     def __sub__(self, other: QPolynomial) -> QPolynomial:
         return self + other.scaled(-1)
 
     def __mul__(self, other: QPolynomial) -> QPolynomial:
-        out: _Packed = {}
-        _add_product(out, self._terms, other._terms)
-        return QPolynomial._of(_drop_zeros(out))
+        return QPolynomial._of(_product(self._terms, other._terms))
 
     def scaled(self, c: int) -> QPolynomial:
         return QPolynomial._of({key: c * v for key, v in self._terms.items()} if c else {})
@@ -173,10 +174,6 @@ class QPolynomial:
         return f"QPolynomial({self.render()})"
 
 
-# (basis, packed f, packed g): the term f * g * G[basis] of a fold
-_Block = tuple[Permutation, _Packed, _Packed]
-
-
 class Expansion:
     """An immutable finite Z[Q]-linear combination of basis symbols G[u]."""
 
@@ -205,17 +202,15 @@ class Expansion:
 
     @classmethod
     def basis(cls, u: Permutation) -> Expansion:
-        return cls._of({u: _UNIT})
+        return cls._of({u: {0: 1}})
 
     def _times(self, factor: _Packed) -> Expansion:
-        return _fold((u, coeff, factor) for u, coeff in self._terms.items())
+        # each basis term is scaled once, so there is nothing to sum
+        products = ((u, _product(coeff, factor)) for u, coeff in self._terms.items())
+        return Expansion._of({u: poly for u, poly in products if poly})
 
     def __add__(self, other: Expansion) -> Expansion:
-        return _fold(
-            (u, coeff, _UNIT)
-            for terms in (self._terms, other._terms)
-            for u, coeff in terms.items()
-        )
+        return _fold([*self._terms.items(), *other._terms.items()])
 
     def __sub__(self, other: Expansion) -> Expansion:
         return self + other.scaled_int(-1)
@@ -231,7 +226,7 @@ class Expansion:
 
     def add_term(self, u: Permutation, sign: int, mono: QMonomial, mult: int = 1) -> Expansion:
         """This expansion plus sign * mult * mono * G[u], as a new value."""
-        return self + _fold([(u, {pack_monomial(mono): sign * mult}, _UNIT)])
+        return _fold([*self._terms.items(), (u, {pack_monomial(mono): sign * mult})])
 
     def is_zero(self) -> bool:
         return not self._terms
@@ -256,7 +251,7 @@ class Expansion:
     def map_basis(self, fn) -> Expansion:
         """Replace every G[u] by fn(u) (an Expansion), keeping coefficients."""
         return _fold(
-            (v, image, coeff)
+            (v, _product(image, coeff))
             for u, coeff in self._terms.items()
             for v, image in fn(u)._terms.items()
         )
@@ -311,7 +306,7 @@ class Expansion:
         if not isinstance(obj, list):
             raise ValueError(f"an expansion is a JSON list of records, not {type(obj).__name__}")
 
-        def blocks() -> Iterable[_Block]:
+        def pairs() -> Iterable[tuple[Permutation, _Packed]]:
             for rec in obj:
                 try:
                     u = Permutation.from_one_line(rec["perm"])
@@ -321,9 +316,9 @@ class Expansion:
                         f"malformed expansion record {json.dumps(rec, default=repr)} ({type(exc).__name__}: {exc})"
                     ) from None
                 for key, c in terms:
-                    yield u, {key: c}, _UNIT
+                    yield u, {key: c}
 
-        return _fold(blocks())
+        return _fold(pairs())
 
     @classmethod
     def from_json(cls, text: str) -> Expansion:
@@ -378,46 +373,36 @@ def _overflow(key: int) -> OverflowError:
     return OverflowError(f"exponent past the packed range in {unpack_monomial(key).render()}")
 
 
-def _add_scaled(poly: _Packed, f: _Packed, key: int, c: int) -> None:
+def _product(f: _Packed, g: _Packed) -> _Packed:
     """
-    poly += c * Q^key * f, in place.  Each product of monomials is one
-    integer addition, checked by the overflow guard before it is stored.
-    Every product of coefficients in a fold is taken here.
+    f * g as a new packed polynomial, zero coefficients dropped.  Each
+    product of monomials is one integer addition, checked by the overflow
+    guard before it is stored.
     """
-    for k1, c1 in f.items():
-        k2 = k1 + key
-        if k2 & Q_HIGH_BITS:
-            raise _overflow(k2)
-        poly[k2] = poly.get(k2, 0) + c1 * c
+    out: _Packed = {}
+    for k2, c2 in g.items():
+        for k1, c1 in f.items():
+            key = k1 + k2
+            if key & Q_HIGH_BITS:
+                raise _overflow(key)
+            out[key] = out.get(key, 0) + c1 * c2
+    return _drop_zeros(out)
 
 
-def _add_product(poly: _Packed, f: _Packed, g: _Packed) -> None:
-    """poly += f * g, in place.  A unit g adds f as it is."""
-    if g == _UNIT:
-        for key, c in f.items():
-            poly[key] = poly.get(key, 0) + c
-        return
-    for key, c in g.items():
-        _add_scaled(poly, f, key, c)
-
-
-def _fold(blocks: Iterable[_Block]) -> Expansion:
+def _fold(pairs: Iterable[tuple[Permutation, _Packed]]) -> Expansion:
     """
-    The sum of f * g * G[u] over (u, f, g) blocks of packed coefficients,
-    in one dict pass, with zero coefficients dropped.  Every sum that can
-    cancel is built here: sums, differences and scalings of expansions,
-    `map_basis`, and every sum of single terms, each a block (u, {key: c},
-    unit).
+    The sum of f * G[u] over (u, f) pairs of packed coefficients, in one
+    dict pass, with zero coefficients dropped.  Every sum that can cancel
+    is built here; no f is changed.
     """
     acc: dict[Permutation, _Packed] = {}
-    for u, f, g in blocks:
+    for u, f in pairs:
         poly = acc.get(u)
         if poly is None:
-            if g == _UNIT:
-                acc[u] = dict(f)
-                continue
-            poly = acc[u] = {}
-        _add_product(poly, f, g)
+            acc[u] = dict(f)
+        else:
+            for key, c in f.items():
+                poly[key] = poly.get(key, 0) + c
     for u in [u for u, poly in acc.items() if not poly or 0 in poly.values()]:
         poly = _drop_zeros(acc[u])
         if poly:
@@ -427,7 +412,7 @@ def _fold(blocks: Iterable[_Block]) -> Expansion:
     return Expansion._of(acc)
 
 
-def _parse_term(sign: int, body: str) -> _Block:
+def _parse_term(sign: int, body: str) -> tuple[Permutation, _Packed]:
     mult = 1
     mono = QMonomial.one()
     perm: Permutation | None = None
@@ -445,7 +430,7 @@ def _parse_term(sign: int, body: str) -> _Block:
             raise ValueError(f"cannot parse factor {factor!r}")
     if perm is None:
         raise ValueError(f"term without basis symbol: {body!r}")
-    return perm, {pack_monomial(mono): sign * mult}, _UNIT
+    return perm, {pack_monomial(mono): sign * mult}
 
 
 def _split_signed_terms(text: str) -> list[tuple[int, str]]:
@@ -513,27 +498,16 @@ def pieri_expand(w: Permutation, k: int, p: int) -> Expansion:
     return Expansion._of(terms)
 
 
-def _interned_end(window: list[int]) -> Permutation:
-    """The `_ends` entry of a walk's padded window, added if no walk has reached it."""
-    n = len(window)
-    while n and window[n - 1] == n:
-        n -= 1
-    key = tuple(window[:n])
-    u = _ends.get(key)
-    if u is None:
-        u = _ends[key] = Permutation._from_swapped(key)
-    return u
-
-
 @lru_cache(maxsize=None)
 def monk_lhs_expand(x: Permutation, k: int) -> Expansion:
     """
     Expand (1 - Q_k)(1 - x_k) G[x] via k-Monk chains from x, read straight
-    from their walk; each end is the interned `_ends` entry of its window.
+    from their walk; each end is the interned `_ends` entry of its window,
+    built with the length its walk carried.
     """
-    return _fold(
-        _monk_walk(x, k, lambda window, labels, kinds, t, q: (_interned_end(window), {q: -1 if t % 2 else 1}, _UNIT))
-    )
+    return _fold(_monk_walk(
+        x, k, lambda window, labels, kinds, t, q, ell: (_interned_end(window, ell), {q: -1 if t % 2 else 1})
+    ))
 
 
 def _add_rows(
@@ -547,7 +521,7 @@ def _add_rows(
     place: for each monomial gc * Q^gk of g, one pass over the rows adds
     gc * c * Q^(gk + q) * G[end] for each term (end, q, code) whose weight
     c = column[code] is nonzero, column being degree p of
-    `_weight_columns(k)`.  The overflow guard of `_add_scaled` is tested
+    `_weight_columns(k)`.  The overflow guard of `_product` is tested
     inline.
     """
     ends, qs, codes = rows

@@ -250,14 +250,7 @@ class DirectedPath:
 
     def render(self) -> str:
         """Display text: '(321 ; (1,4)_B, (2,3)_Q)'."""
-        if not self.labels:
-            body = "-"
-        else:
-            body = ", ".join(
-                f"({a},{b})_{kind.symbol}"
-                for (a, b), kind in zip(self.labels, self.kinds)
-            )
-        return f"({self.start.one_line()} ; {body})"
+        return format_path(self.start.one_line(), self.labels, [kind.symbol for kind in self.kinds])
 
     def to_record(self) -> dict:
         """Flat machine form: start, labels, kinds, end, quantum weight."""
@@ -271,6 +264,18 @@ class DirectedPath:
 
     def __repr__(self) -> str:
         return f"DirectedPath{self.render()}"
+
+
+def format_path(start: str, labels, symbols) -> str:
+    """
+    The one text form of a path: its start in one-line notation, then each
+    label with its kind symbol ("B" or "Q"), or '-' for the empty path.
+
+    >>> format_path("321", [(1, 4), (2, 3)], "BQ")
+    '(321 ; (1,4)_B, (2,3)_Q)'
+    """
+    body = ", ".join(f"({a},{b})_{symbol}" for (a, b), symbol in zip(labels, symbols))
+    return f"({start} ; {body or '-'})"
 
 
 def validate_path(start: Permutation, labels: list[Label] | tuple[Label, ...]) -> DirectedPath | None:

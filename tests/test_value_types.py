@@ -3,7 +3,8 @@
 
 Ends of the chain walk and results of `Permutation.apply` are built by a
 constructor that trims but does not validate, and the walk hands each end
-it builds the length it carried along; ends are interned across walks.  These tests hold both against the validated
+it builds the length it carried along; ends are interned across walks,
+Monk and Pieri alike.  These tests hold both against the validated
 constructor and a brute-force inversion count.
 """
 
@@ -16,7 +17,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qpieri.expansion import _pieri_rows
+from qpieri import chains
+from qpieri.expansion import _pieri_rows, clear_caches, monk_lhs_expand
 from qpieri.permutations import Permutation, all_permutations
 from qpieri.qbg import QMonomial
 
@@ -49,6 +51,22 @@ def test_walk_ends_carry_their_length_over_s_n(n):
 @settings(max_examples=20, deadline=None)
 def test_walk_ends_carry_their_length_on_larger_starts(window, k):
     assert_walk_ends_match_validated(Permutation(tuple(window)), k)
+
+
+def test_ends_a_monk_walk_interns_first_carry_their_length():
+    # a Monk walk that reaches an end before any Pieri walk builds it, so
+    # the Pieri rows that reach it later hold the length the Monk walk carried
+    clear_caches()
+    for n in (3, 4):
+        for x in all_permutations(n):
+            for k in range(1, n):
+                monk_lhs_expand(x, k)
+    for w in all_permutations(3):
+        for k in (1, 2, 3):
+            for u in _pieri_rows.__wrapped__(w, k)[0]:
+                assert u._length == brute_inversions(u.window), (w, k, u)
+    for window, u in chains._ends.items():
+        assert u.window == window and u._length == brute_inversions(window), u
 
 
 def swapped_and_validated(window: tuple[int, ...], a: int, b: int) -> Permutation:

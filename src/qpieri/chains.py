@@ -29,7 +29,10 @@ rows, which gives the closed-form count
 m0 = number of distinct rows, m = number of forced labels.  Every forced
 label is a first occurrence: the labels forced by (3) form an initial run
 with strictly decreasing rows, and by (P2) a non-final label whose row
-repeats precedes its successor, so (2) never forces it.
+repeats precedes its successor, so (2) never forces it.  So one pass over
+the labels (`_marking_parts`) lists the forced labels and the other first
+occurrences; `enumerate_markings` combines them and `marking_count`
+counts them.  `is_marking` reads (1)-(3) afresh and stays their oracle.
 
 `pieri_degree_rows` turns these counts into one term per chain in one
 walk over the chains, building no chain objects: the chain's end, its
@@ -409,63 +412,49 @@ def first_occurrences(chain: PieriChain) -> set[Label]:
     return out
 
 
-def forced_marks(chain: PieriChain) -> set[Label]:
+def _marking_parts(chain: PieriChain) -> tuple[list[Label], list[Label]]:
     """
-    Labels every marking must contain: the ends of initial constant-column
-    strictly-decreasing-row prefixes (condition (3)), plus every non-final
-    label not preceding its successor (condition (2)).
+    (forced, free): the labels every marking contains, and the other labels
+    that are the first occurrence of their row, each in chain order.  (3)
+    forces the initial run of one column with strictly decreasing rows, and
+    (2) every non-final label that does not precede its successor.
     """
     labels = chain.labels
-    forced: set[Label] = set()
-    for t in range(1, len(labels) + 1):
-        head = labels[:t]
-        if all(x[1] == head[0][1] for x in head) and all(
-            head[i][0] > head[i + 1][0] for i in range(t - 1)
-        ):
-            forced.add(head[t - 1])
-        else:
-            break
-    for s in range(len(labels) - 1):
-        if not label_precedes(labels[s], labels[s + 1]):
-            forced.add(labels[s])
-    return forced
+    run = 1
+    while run < len(labels) and labels[run][1] == labels[0][1] and labels[run][0] < labels[run - 1][0]:
+        run += 1
+    forced: list[Label] = []
+    free: list[Label] = []
+    seen: set[int] = set()
+    for s, label in enumerate(labels):
+        if s < run or (s + 1 < len(labels) and not label_precedes(label, labels[s + 1])):
+            forced.append(label)
+        elif label[0] not in seen:
+            free.append(label)
+        seen.add(label[0])
+    return forced, free
+
+
+def forced_marks(chain: PieriChain) -> set[Label]:
+    """Labels every marking must contain, by conditions (2) and (3)."""
+    return set(_marking_parts(chain)[0])
 
 
 def enumerate_markings(chain: PieriChain, p: int) -> list[Marking]:
     """
-    All p-markings, in a deterministic order.  Forced labels are always
-    included; the remaining choices range over first occurrences of the
-    unforced rows.
+    All p-markings: the forced labels with each (p - m)-combination of the
+    other first occurrences, in chain order.
     """
-    if p < 0 or p > len(chain):
+    forced, free = _marking_parts(chain)
+    if p < len(forced):
         return []
-    forced = forced_marks(chain)
-    firsts = first_occurrences(chain)
-    if not forced <= firsts:
-        return []
-    free = sorted(firsts - forced, key=lambda lab: chain.labels.index(lab))
-    need = p - len(forced)
-    if need < 0 or need > len(free):
-        return []
-    out = [frozenset(forced) | frozenset(extra) for extra in itertools.combinations(free, need)]
-    return out
+    return [frozenset(forced) | frozenset(extra) for extra in itertools.combinations(free, p - len(forced))]
 
 
 def marking_count(chain: PieriChain, p: int) -> int:
-    """
-    Closed form for the number of p-markings:
-    C(m0 - m, p - m) with m0 = #rows, m = #forced; 0 when infeasible.
-    """
-    if p < 0 or p > len(chain):
-        return 0
-    forced = forced_marks(chain)
-    if not forced <= first_occurrences(chain):
-        return 0
-    m0 = len({a for a, _ in chain.labels})
-    m = len(forced)
-    if p < m or p > m0:
-        return 0
-    return comb(m0 - m, p - m)
+    """The number of p-markings, C(m0 - m, p - m) with m0 = #rows, m = #forced."""
+    forced, free = _marking_parts(chain)
+    return comb(len(free), p - len(forced)) if p >= len(forced) else 0
 
 
 def is_marking(chain: PieriChain, marks: frozenset) -> bool:

@@ -475,25 +475,28 @@ class Universe:
     A universe selector for the grid point (w, k, p): the chains at level
     k + `level` carrying anchor + `marks` marks, where the anchor is the
     marking level g in {p-1, p} when `per_g` and p otherwise.  Below level k
-    each chain carries a k-Monk continuation; `stage` is the `classify`
-    level that tags the elements.
+    each chain carries a k-Monk continuation.
     """
 
     level: int
     marks: int
     per_g: bool
-    stage: int
+
+    @property
+    def stage(self) -> int:
+        """The `classify` level that tags the elements: 1 at k - 2, 2 at k - 1, 3 at k."""
+        return self.level + 3
 
     def elements(self, w: Permutation, k: int, anchor: int):
         h, g = k + self.level, anchor + self.marks
         return enumerate_marked(w, h, g) if h == k else enumerate_paired(w, h, g, k)
 
 
-TOP_G = Universe(-1, 0, True, 2)  # level k-1 at g
-LOW_G = Universe(-2, -1, True, 1)  # level k-2 at g-1
-TOP_P = Universe(-1, 0, False, 2)  # level k-1 at p
-TOP_P1 = Universe(-1, -1, False, 2)  # level k-1 at p-1
-MARKED_P = Universe(0, 0, False, 3)  # the level-k marked chains at p
+TOP_G = Universe(-1, 0, True)  # level k-1 at g
+LOW_G = Universe(-2, -1, True)  # level k-2 at g-1
+TOP_P = Universe(-1, 0, False)  # level k-1 at p
+TOP_P1 = Universe(-1, -1, False)  # level k-1 at p-1
+MARKED_P = Universe(0, 0, False)  # the level-k marked chains at p
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,11 @@ g = |M| the number of marks and t(m) the length of the Monk chain's
 Summing weights over a set of elements yields an Expansion; the matching
 identities verified in `bijections` and `identities` are equalities of
 such sums.
+
+Both element types are frozen dataclasses, equal and hashed field by
+field.  `enumerate_marked` builds its universe afresh on every call, and
+`enumerate_paired` keeps only about one grid point's universes; the
+classified members of a grid point are kept by `bijections.membership`.
 """
 
 from __future__ import annotations
@@ -34,25 +39,10 @@ from ..permutations import Permutation
 from ..qbg import pack_monomial, q_weight
 
 
-def _hash_once(self) -> int:
-    """
-    The hash of a frozen value's fields, computed on first use and kept on
-    the value: the matchings probe sets of these values, and each probe
-    would otherwise rehash the whole nested chain.
-    """
-    h = self.__dict__.get("_hash")
-    if h is None:
-        h = hash(tuple(getattr(self, name) for name in self.__dataclass_fields__))
-        object.__setattr__(self, "_hash", h)
-    return h
-
-
 @dataclass(frozen=True)
 class MarkedChain:
     chain: PieriChain
     marking: Marking
-
-    __hash__ = _hash_once
 
     def __post_init__(self) -> None:
         if not is_marking(self.chain, self.marking):
@@ -67,8 +57,6 @@ class MarkedChain:
 class PairedChain:
     marked: MarkedChain
     monk: MonkChain
-
-    __hash__ = _hash_once
 
     def __post_init__(self) -> None:
         if self.monk.start != self.marked.end:
@@ -105,7 +93,6 @@ def sum_weights(elements) -> Expansion:
     return _fold((basis, {q: sign}) for sign, q, basis in map(weight, elements))
 
 
-@lru_cache(maxsize=None)
 def enumerate_marked(w: Permutation, h: int, g: int) -> tuple[MarkedChain, ...]:
     """All (chain, marking) pairs at level h with g marks; empty if g < 0."""
     if g < 0:
@@ -117,12 +104,17 @@ def enumerate_marked(w: Permutation, h: int, g: int) -> tuple[MarkedChain, ...]:
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=16)
 def enumerate_paired(w: Permutation, h: int, g: int, k: int) -> tuple[PairedChain, ...]:
     """
     The paired universe at level (h, g) with Monk continuations at k.
     `enumerate_marked` lists each chain's markings together, so the Monk
     chains from each chain's end are walked once for all of them.
+
+    One grid point (w, k) reads at most 2k + 2 paired universes, so 16
+    entries hold all of them up to k = 7 and the cache does not grow with
+    the grid.  It stays an `lru_cache` because the benchmark's tracer reads
+    its `cache_info` in every round (`CACHES` in `bench/layers.py`).
     """
     out = []
     chain = monks = None

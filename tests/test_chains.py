@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import gc
 import itertools
+import math
 
 import pytest
 
@@ -21,7 +22,7 @@ from qpieri.chains import (
     pieri_violation,
 )
 from qpieri.expansion import monk_lhs_expand
-from qpieri.permutations import Permutation, all_permutations
+from qpieri.permutations import Permutation, all_permutations, label_precedes
 from qpieri.qbg import edge_kind_by_length, validate_path
 
 P = Permutation.from_one_line
@@ -224,6 +225,69 @@ def test_marking_closed_form_matches_brute_force_s4():
                     if brute:
                         m0 = len({a for a, _ in chain.labels})
                         assert p <= m0
+
+
+# --- frozen reference: the markings code before its one-pass derivation ----
+
+
+def frozen_forced_marks(chain):
+    labels = chain.labels
+    forced = set()
+    for t in range(1, len(labels) + 1):
+        head = labels[:t]
+        if all(x[1] == head[0][1] for x in head) and all(
+            head[i][0] > head[i + 1][0] for i in range(t - 1)
+        ):
+            forced.add(head[t - 1])
+        else:
+            break
+    for s in range(len(labels) - 1):
+        if not label_precedes(labels[s], labels[s + 1]):
+            forced.add(labels[s])
+    return forced
+
+
+def frozen_enumerate_markings(chain, p):
+    if p < 0 or p > len(chain):
+        return []
+    forced = frozen_forced_marks(chain)
+    firsts = first_occurrences(chain)
+    if not forced <= firsts:
+        return []
+    free = sorted(firsts - forced, key=lambda lab: chain.labels.index(lab))
+    need = p - len(forced)
+    if need < 0 or need > len(free):
+        return []
+    return [frozenset(forced) | frozenset(extra) for extra in itertools.combinations(free, need)]
+
+
+def frozen_marking_count(chain, p):
+    if p < 0 or p > len(chain):
+        return 0
+    forced = frozen_forced_marks(chain)
+    if not forced <= first_occurrences(chain):
+        return 0
+    m0 = len({a for a, _ in chain.labels})
+    m = len(forced)
+    if p < m or p > m0:
+        return 0
+    return math.comb(m0 - m, p - m)
+
+
+def test_markings_match_the_frozen_reference_in_order():
+    # `chains_table`, `markings_table` and `qpieri chains --format json`
+    # print markings in list order, so the order is compared too
+    cases = 0
+    for n in range(6):
+        for w in all_permutations(n):
+            for k in range(5):
+                for chain in enumerate_pieri_chains(w, k):
+                    assert forced_marks(chain) == frozen_forced_marks(chain), chain
+                    for p in range(-1, k + 2):
+                        assert enumerate_markings(chain, p) == frozen_enumerate_markings(chain, p), (chain, p)
+                        assert marking_count(chain, p) == frozen_marking_count(chain, p), (chain, p)
+                        cases += 1
+    assert cases == 65077
 
 
 def test_nonempty_marking_needs_enough_rows():

@@ -26,7 +26,7 @@ from qpieri.permutations import Permutation, all_permutations
 from qpieri.proofkit import MATCHINGS, apply_bijection
 from qpieri.proofkit import bijections as bij
 from qpieri.proofkit.classify import classify, dec2_base, monk_refinement
-from qpieri.proofkit.universe import MarkedChain, PairedChain, enumerate_paired
+from qpieri.proofkit.universe import MarkedChain, PairedChain, enumerate_marked, enumerate_paired
 from qpieri.qbg import validate_path
 from qpieri.verify import SuiteReport, check_bijections_grid, run_suite
 
@@ -376,21 +376,20 @@ def test_bijections_suite_fails_at_the_pinned_instances_in_order():
     assert [f[: f.index("]") + 1] for f in report.failures] == BIJECTIONS_FAILURES
 
 
-def test_paired_and_marked_chains_hash_once_per_value(monkeypatch):
-    calls = collections.Counter()
-    for cls in (PieriChain, MonkChain):
-        def counted(self, cls=cls, hash_fields=cls.__hash__):
-            calls[cls.__name__] += 1
-            return hash_fields(self)
-
-        monkeypatch.setattr(cls, "__hash__", counted)
+def test_paired_and_marked_chains_hash_by_value():
     universe = enumerate_paired(P("231"), 2, 1, 3)
     assert len(universe) > 1
     # two fresh copies, one new marked chain per element
     a, b = ([PairedChain(MarkedChain(x.chain, x.marking), x.monk) for x in universe] for _ in range(2))
-    for _ in range(3):
-        assert set(a) == set(b) and len(set(a)) == len(universe)
-        assert {x.marked for x in a} == {x.marked for x in b}
-    # one chain and one Monk hash per value, however often it is probed
-    assert calls == {"PieriChain": 2 * len(universe), "MonkChain": 2 * len(universe)}
+    assert set(a) == set(b) and len(set(a)) == len(universe)
+    assert {x.marked for x in a} == {x.marked for x in b}
     assert all(hash(x) == hash(y) == hash(z) and x == y == z for x, y, z in zip(a, b, universe))
+
+
+def test_no_proof_kit_universe_outlives_its_grid_point():
+    run_suite("bijections")
+    run_suite("ledger")
+    assert enumerate_paired.cache_info().currsize <= 16
+    # marked universes are built afresh on every call
+    first, again = enumerate_marked(P("231"), 2, 1), enumerate_marked(P("231"), 2, 1)
+    assert first and first == again and first is not again

@@ -42,14 +42,26 @@ from w have distinct ends on every grid measured (all of S_7, k <= 7),
 but no reader relies on it: a repeated end would be one more term to
 sum.  Ends are interned across walks in `_ends`, keyed by the trimmed
 window, so each permutation any walk reaches is built once and shared by
-every row and every expansion that holds it.  `enumerate_pieri_chains`
-and the marking functions stay as the walk's reference.
+every row and every expansion that holds it; a new end is built by
+setting its two slots.  `enumerate_pieri_chains` and the marking
+functions stay as the walk's reference.
 Every chain walk swaps two entries of one padded window list on the way
 down and back on return, and tests each step with `qbg._window_kind`
 (written out in the hot loop of `pieri_degree_rows`).  The walks read
 their tables from `_walk_tables`, built once per (k, N) and shared
 read-only, and carry the packed Q-weight of the path, adding the tabled
 weight of each quantum edge.
+
+Candidates.  The reference walk tries every label of the pool in a later
+or the same column and skips a label already used and, by (P2), one that
+does not follow a repeated row.  `pieri_degree_rows` tries no label it
+would skip.  By (P1) a used label of the current column b is in the
+b-segment, and no label of a later column is used yet, so a node's
+candidates are two lists: the rows of column b that the segment has not
+taken, above the last row if that row repeats (P2), read from the per-k
+table `_column_rows` by a row bitmask; then `tail_from[b - 1]`, whole.
+Only the edge test is left per candidate.  A second bitmask, of the rows
+of the whole chain, tells whether a row is used for the first time.
 
 Sign law.  Each QBG edge changes the length by an odd amount: +1 for a
 Bruhat edge, -2(b-a)+1 for a quantum edge (a,b).  So a chain from w to u
@@ -78,7 +90,7 @@ from functools import lru_cache
 from math import comb
 
 from .permutations import Label, Permutation, label_precedes, label_sort_key
-from .qbg import DirectedPath, EdgeKind, QMonomial, _window_kind, edge_kind, pack_monomial
+from .qbg import Q_STRIDE, Q_VARIABLES, DirectedPath, EdgeKind, _window_kind, edge_kind
 
 
 @dataclass(frozen=True)
@@ -196,16 +208,51 @@ def _walk_tables(k: int, bound: int) -> tuple[tuple[Label, ...], tuple, dict[Lab
       tail_from  tail_from[b] = the labels of the pool with column <= b
                  (empty for b <= k), the continuations of a chain that
                  ends in column b by (P1);
-      qstep      the packed Q-weight of every label (a,b), a < b <= N, added
-                 when it is a quantum edge.
+      qstep      the packed Q-weight Q_a * ... * Q_(b-1) of every label a
+                 walk can take, added when it is a quantum edge: the pool
+                 and the Monk row labels (a,k), a < k.
+
+    Packing accepts Q_1 .. Q_1024 only (`qbg.pack_monomial`), so a bound
+    past 1025 is refused with a ValueError.
     """
+    if bound - 1 > Q_VARIABLES:
+        raise ValueError(f"labels up to column {bound} reach Q{bound - 1}; packing accepts Q1..Q{Q_VARIABLES}")
     pool = tuple(sorted(
         ((a, b) for a in range(1, k + 1) for b in range(k + 1, bound + 1)),
         key=label_sort_key,
     ))
     tail_from = tuple(tuple(lab for lab in pool if lab[1] <= b) for b in range(bound + 1))
-    qstep = {(a, b): pack_monomial(QMonomial.q_range(a, b)) for b in range(2, bound + 1) for a in range(1, b)}
+    # Q_a * ... * Q_(b-1) packs to the sum of 2^(S(v-1)) over v in a..b-1,
+    # a geometric sum: (2^(S(b-1)) - 2^(S(a-1))) / (2^S - 1)
+    field = (1 << Q_STRIDE) - 1
+    qstep = {
+        (a, b): ((1 << Q_STRIDE * (b - 1)) - (1 << Q_STRIDE * (a - 1))) // field
+        for a, b in [*pool, *((a, k) for a in range(1, k))]
+    }
     return pool, tail_from, qstep
+
+
+class _RowsLeft(dict):
+    """
+    The rows of one column a k-Pieri walk may still take, by the mask of
+    rows it may not: `_RowsLeft(k)[mask]` lists the rows a in 1..k whose
+    bit 1 << a is clear in mask, in increasing order (the label order
+    within a column).  Filled on first use of each mask.
+    """
+
+    __slots__ = ("k",)
+
+    def __init__(self, k: int) -> None:
+        super().__init__()
+        self.k = k
+
+    def __missing__(self, mask: int) -> tuple[int, ...]:
+        rows = self[mask] = tuple(a for a in range(1, self.k + 1) if not mask >> a & 1)
+        return rows
+
+
+# the column candidates of the k-Pieri walk, one table per k shared by every walk
+_column_rows = lru_cache(maxsize=32)(_RowsLeft)
 
 
 @lru_cache(maxsize=32)
@@ -490,6 +537,13 @@ def is_marking(chain: PieriChain, marks: frozenset) -> bool:
 _ends: dict[tuple[int, ...], Permutation] = {}
 
 
+# the slots of a Permutation, set directly on an end the walks build: its
+# key is already a trimmed window, so `Permutation._from_swapped`'s trim
+# and its two `object.__setattr__` calls are spared
+_SET_WINDOW = Permutation.window.__set__
+_SET_LENGTH = Permutation._length.__set__
+
+
 def _interned_end(window: list[int], ell: int) -> Permutation:
     """The `_ends` entry of a walk's padded window, built with length ell if no walk has reached it."""
     n = len(window)
@@ -498,7 +552,9 @@ def _interned_end(window: list[int], ell: int) -> Permutation:
     key = tuple(window[:n])
     u = _ends.get(key)
     if u is None:
-        u = _ends[key] = Permutation._from_swapped(key, ell)
+        u = _ends[key] = object.__new__(Permutation)
+        _SET_WINDOW(u, key)
+        _SET_LENGTH(u, ell)
     return u
 
 
@@ -506,7 +562,12 @@ def pieri_degree_rows(w: Permutation, k: int) -> tuple[tuple[Permutation, ...], 
     """
     Every degree p = 0..k of G[w] * G^k_p from one in-place walk over the
     k-Pieri chains from w (module docstring), with the label pool, label
-    order and pruning of `enumerate_pieri_chains` but no chain objects.
+    order and chains of `enumerate_pieri_chains` but no chain objects.
+    A node in column b tries the rows of column b left to its segment
+    (`_column_rows`, by the mask of the segment's rows and, when the last
+    row repeats, of every row up to it: (P2)) and then every label of
+    `tail_from[b - 1]`, so no candidate is a used label or breaks (P2);
+    the root stands in column N + 1 with no row left there.
 
     The terms come as three flat columns (ends, qs, codes), one term per
     chain, in the order the walk reaches them: term i is ends[i] with
@@ -522,9 +583,10 @@ def pieri_degree_rows(w: Permutation, k: int) -> tuple[tuple[Permutation, ...], 
     (-1)^(len - p) * C(m0 - m, p - m) in every degree p in m..m0, and
     (-1)^len = (-1)^(l(u) - l(w)) by the sign law (module docstring).  Its
     code is 2 * ((k + 1) * m0 + m) + (len mod 2), carried down the walk:
-    every edge flips the parity bit, a row used for the first time adds
-    2 * (k + 1), and a forced label adds 2.  The first label, the one that
-    follows the root's sentinel, is forced by condition (3).  Every later
+    every edge flips the parity bit, a row used for the first time (its bit
+    clear in the mask of the chain's rows) adds 2 * (k + 1), and a forced
+    label adds 2.  The first label, the one that follows the root, is
+    forced by condition (3).  Every later
     label (a,b) that follows (c,b) with c > a forces one more: the new
     label if the initial run is still unbroken (condition (3)), otherwise
     (c,b) itself (condition (2)); a label that does not descend this way
@@ -556,36 +618,37 @@ def pieri_degree_rows(w: Permutation, k: int) -> tuple[tuple[Permutation, ...], 
         raise ValueError(f"k must be >= 1, got {k}")
     bound = max(w.support, k) + 1
     _assert_root_bound(w, k, bound)
-    pool, tail_from, qstep = _walk_tables(k, bound)
+    tail_from, qstep = _walk_tables(k, bound)[1:]
+    column_rows = _column_rows(k)
+    # below[f]: the bits of rows 1..f, the rows a repeated row f excludes by (P2)
+    below = [(2 << f) - 2 for f in range(k + 1)]
     row_step = 2 * (k + 1)
     window = list(w.extended(bound))
-    row_uses = [0] * (k + 1)
-    used: set[Label] = set()
     interned = _ends
+    new, set_window, set_length = object.__new__, _SET_WINDOW, _SET_LENGTH
     ends: list[Permutation] = []
     qs: list[int] = []
     codes: list[int] = []
 
-    def visit(candidates: tuple[Label, ...], last: Label, code: int, ell: int, q: int) -> None:
+    def visit(b: int, seg: int, last_a: int, floor: int, rows: int, code: int, ell: int, q: int) -> None:
+        # the chain so far ends with a label (last_a, b); seg holds the rows
+        # of its b-segment, rows those of the whole chain, both as bits 1 << a
         n = bound
         while n and window[n - 1] == n:
             n -= 1
         key = tuple(window[:n])
         u = interned.get(key)
         if u is None:
-            u = interned[key] = Permutation._from_swapped(key, ell)
+            u = interned[key] = new(Permutation)
+            set_window(u, key)
+            set_length(u, ell)
         ends.append(u)
         qs.append(q)
         codes.append(code)
-        last_a, last_b = last
-        for label in candidates:
-            if label in used:
-                continue
-            a, b = label
-            descends = b == last_b and a < last_a
-            # (P2): a non-final label whose row repeats precedes its successor
-            if descends and row_uses[last_a] > 1:
-                continue
+        code ^= 1
+        # the labels (a,b) of the b-segment not taken yet, above the floor
+        # of (P2); a label below the last row descends and forces one label
+        for a in column_rows[seg | below[floor]]:
             # the window criterion of `edge_kind`, on the list in place: the
             # positions strictly between a and b hold no value in (lo, hi)
             # for a Bruhat edge, and only such values for a quantum edge
@@ -597,22 +660,43 @@ def pieri_degree_rows(w: Permutation, k: int) -> tuple[tuple[Permutation, ...], 
                     break
             else:
                 window[a - 1], window[b - 1] = xb, xa
-                used.add(label)
-                row_uses[a] += 1
+                bit = 1 << a
+                first = not rows & bit
                 visit(
-                    tail_from[b],
-                    label,
-                    (code ^ 1) + row_step * (row_uses[a] == 1) + 2 * (descends or not last_a),
+                    b, seg | bit, a, 0 if first else a, rows | bit,
+                    code + row_step * first + 2 * (a < last_a),
                     ell + (2 * (a - b) + 1 if quantum else 1),
+                    q + qstep[a, b] if quantum else q,
+                )
+                window[a - 1], window[b - 1] = xa, xb
+        # the labels of later columns: none is taken yet, and only the
+        # first label of a chain (the root's last_a is 0) is forced here
+        if not last_a:
+            code += 2
+        for label in tail_from[b - 1]:
+            a, c_b = label
+            xa, xb = window[a - 1], window[c_b - 1]
+            quantum = xa > xb
+            lo, hi = (xb, xa) if quantum else (xa, xb)
+            for c in range(a, c_b - 1):
+                if (lo < window[c] < hi) is not quantum:
+                    break
+            else:
+                window[a - 1], window[c_b - 1] = xb, xa
+                bit = 1 << a
+                first = not rows & bit
+                visit(
+                    c_b, bit, a, 0 if first else a, rows | bit,
+                    code + row_step * first,
+                    ell + (2 * (a - c_b) + 1 if quantum else 1),
                     q + qstep[label] if quantum else q,
                 )
-                row_uses[a] -= 1
-                used.discard(label)
-                window[a - 1], window[b - 1] = xa, xb
+                window[a - 1], window[c_b - 1] = xa, xb
 
     try:
-        # the root's sentinel last label (0, N) neither descends nor repeats a row
-        visit(pool, (0, bound), 0, w.length(), 0)
+        # the root stands in column N + 1 with every row of that column
+        # taken, so its only candidates are the whole pool, tail_from[N]
+        visit(bound + 1, below[k], 0, 0, 0, 0, w.length(), 0)
     finally:
         # a recursive closure holds itself through its own cell; emptying
         # the cell frees the walk's scratch state by refcount, without

@@ -161,9 +161,10 @@ def _validate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None
     k = getattr(args, "k", None)
     if k is not None and k < 1:
         parser.error(f"--k must be >= 1, got {k}")
-    # a product reaches Q_max(support, k); the engine packs Q_1 .. Q_1024 only
+    # a walk from the permutation reaches Q_max(support, k), in a product
+    # or a chain's weight; the engine packs Q_1 .. Q_1024 only
     perm = getattr(args, "w", None) or getattr(args, "x", None)
-    if args.command in ("expand", "monk") and max(perm.support, k) > Q_VARIABLES:
+    if perm is not None and max(perm.support, k) > Q_VARIABLES:
         parser.error(f"--k and the permutation's size must be at most {Q_VARIABLES}")
     p = getattr(args, "p", None)
     if p is not None and not 0 <= p <= k:

@@ -74,14 +74,21 @@ and the invariant holds for the next product.
 
 Text form: "G[4312] - Q1*Q2*G[1342] + 2*Q3*G[431625]", terms ordered by
 (length, window) of the basis permutation.  Machine form (JSON):
-[{"perm": "4312", "terms": [{"q": [[1,1],[2,1]], "c": -1}]}].
+[{"perm": "4312", "terms": [{"q": [[1,1],[2,1]], "c": -1}]}].  Both
+`render` and `to_json` take the basis terms in one sorted pass
+(`Expansion._ordered`) and format each as it is reached.  The sort reads
+the length an end already carries and counts only a missing one (a
+parsed expansion's, say); a one-monomial coefficient needs no sort, and
+each distinct monomial is formatted once per call.  The window text comes from
+`Permutation.one_line`, which translates the bytes of a window of at most
+9 entries through a digit table.
 """
 
 from __future__ import annotations
 
 import json
 import re
-from collections.abc import Callable, Iterable, Mapping
+from collections.abc import Iterable, Iterator, Mapping
 from functools import lru_cache
 from types import MappingProxyType
 
@@ -256,46 +263,44 @@ class Expansion:
             for v, image in fn(u)._terms.items()
         )
 
-    def _sorted_rows(self, text: Callable[[QMonomial], str]) -> list[tuple[Permutation, list[tuple[str, int]]]]:
+    def _ordered(self) -> Iterator[tuple[Permutation, Iterable[tuple[int, int]]]]:
         """
-        (u, [(text(monomial), c), ...]) in output order: basis terms by
-        (length, window), monomials by (degree, exponents).  Each distinct
-        packed key is unpacked and formatted once per call.
+        (u, (packed monomial, c) pairs) in output order, one basis term at a
+        time: basis terms by (length, window), monomials by (degree,
+        exponents).  The sort reads each basis term's stored length and
+        counts only a missing one; a one-monomial coefficient is not sorted.
         """
-        memo: dict[int, tuple] = {}
-        out = []
-        for u, poly in sorted(self._terms.items(), key=lambda uc: uc[0].sort_key()):
-            terms = []
-            for key, c in poly.items():
-                entry = memo.get(key)
-                if entry is None:
-                    mono = unpack_monomial(key)
-                    entry = memo[key] = (mono.sort_key(), text(mono))
-                terms.append((entry, c))
-            if len(terms) > 1:
-                # distinct keys have distinct sort keys, so c is never compared
-                terms.sort()
-            out.append((u, [(mono_text, c) for (_, mono_text), c in terms]))
-        return out
+        for u, poly in sorted(self._terms.items(), key=_basis_order):
+            yield u, poly.items() if len(poly) == 1 else sorted(poly.items(), key=_monomial_order)
 
     def render(self) -> str:
         if not self._terms:
             return "0"
+        memo: dict[int, str] = {}  # packed monomial -> its factor text, once per call
         parts = []
-        for u, terms in self._sorted_rows(_render_factor):
+        for u, items in self._ordered():
             basis = f"G[{u.one_line()}]"
-            for mono_text, c in terms:
+            for key, c in items:
+                mono = memo.get(key)
+                if mono is None:
+                    mono = memo[key] = _render_factor(unpack_monomial(key))
                 mult = "" if c in (1, -1) else f"{abs(c)}*"
-                parts.append(f"{'- ' if c < 0 else '+ '}{mult}{mono_text}{basis}")
+                parts.append(f"{'- ' if c < 0 else '+ '}{mult}{mono}{basis}")
         text = " ".join(parts)
         return text[2:] if text.startswith("+ ") else text[0] + text[2:]
 
     def to_json(self) -> str:
         """The JSON text, as `json.dumps` writes the machine form."""
+        memo: dict[int, str] = {}  # packed monomial -> its JSON exponents, once per call
         records = []
-        for u, terms in self._sorted_rows(_json_exponents):
-            body = ", ".join(f'{{"q": {q}, "c": {c}}}' for q, c in terms)
-            records.append(f'{{"perm": "{u.one_line()}", "terms": [{body}]}}')
+        for u, items in self._ordered():
+            terms = []
+            for key, c in items:
+                q = memo.get(key)
+                if q is None:
+                    q = memo[key] = _json_exponents(unpack_monomial(key))
+                terms.append(f'{{"q": {q}, "c": {c}}}')
+            records.append(f'{{"perm": "{u.one_line()}", "terms": [{", ".join(terms)}]}}')
         return f"[{', '.join(records)}]"
 
     def to_json_obj(self) -> list[dict]:
@@ -336,6 +341,18 @@ class Expansion:
 
     def __repr__(self) -> str:
         return f"Expansion({self.render()})"
+
+
+def _basis_order(item: tuple[Permutation, _Packed]) -> tuple[int, tuple[int, ...]]:
+    """(length, window) of a basis term, its place in the output: the stored length, counted if missing."""
+    u = item[0]
+    ell = u._length
+    return (u.length() if ell is None else ell, u.window)
+
+
+def _monomial_order(item: tuple[int, int]) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """(degree, exponents) of a packed monomial, its place within a coefficient."""
+    return unpack_monomial(item[0]).sort_key()
 
 
 def _render_factor(mono: QMonomial) -> str:
@@ -485,16 +502,14 @@ def pieri_expand(w: Permutation, k: int, p: int) -> Expansion:
         return Expansion.basis(w)
     ends, qs, codes = _pieri_rows(w, k)
     column = _weight_columns(k)[p]
-    # terms of one (end, q) share a sign (the sign law), so no sum is zero
+    # terms of one (end, q) share a sign (the sign law), so no sum is zero;
+    # each end is hashed once
     terms: dict[Permutation, _Packed] = {}
     for u, q, code in zip(ends, qs, codes):
         c = column[code]
         if c:
-            poly = terms.get(u)
-            if poly is None:
-                terms[u] = {q: c}
-            else:
-                poly[q] = poly.get(q, 0) + c
+            poly = terms.setdefault(u, {})
+            poly[q] = poly.get(q, 0) + c
     return Expansion._of(terms)
 
 

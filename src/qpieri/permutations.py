@@ -49,6 +49,10 @@ def count_inversions(values: Sequence[int]) -> int:
     return count
 
 
+# byte v -> the ASCII digit of v, for v in 1..9 (`Permutation.one_line`)
+_DIGITS = bytes.maketrans(bytes(range(1, 10)), b"123456789")
+
+
 @dataclass(frozen=True, slots=True)
 class Permutation:
     """A permutation of {1, 2, ...} fixing all but finitely many points."""
@@ -100,7 +104,10 @@ class Permutation:
     def one_line(self) -> str:
         """One-line text form; identity prints as '1'."""
         win = self.window or (1,)
-        return ("" if len(win) <= 9 else ",").join(map(str, win))
+        if len(win) <= 9:
+            # every entry is one digit: translate the bytes of the window
+            return bytes(win).translate(_DIGITS).decode()
+        return ",".join(map(str, win))
 
     def __call__(self, i: int) -> int:
         if i <= 0:

@@ -110,6 +110,34 @@ def test_products_past_the_packed_variables_are_a_usage_error(args, capsys):
     assert "at most 1024" in captured.err and "Traceback" not in captured.err
 
 
+# s_1023 in S_1024 and s_1024 in S_1025: a k = 1 walk from either takes one edge
+S_1024 = ",".join(map(str, [*range(1, 1023), 1024, 1023]))
+S_1025 = ",".join(map(str, [*range(1, 1024), 1025, 1024]))
+
+
+@pytest.mark.parametrize("command", ["chains", "markings"])
+@pytest.mark.parametrize("w, k", [(S_1025, "1"), ("21", "1025")], ids=["size", "k"])
+def test_chain_listings_past_the_packed_variables_are_a_usage_error(command, w, k, capsys):
+    # a chain's weight reaches Q_max(size, k), as a product does
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--w", w, "--k", k, "--p", "1"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "at most 1024" in captured.err and "Traceback" not in captured.err
+    assert captured.err.startswith(f"usage: qpieri {command} ")
+
+
+@pytest.mark.parametrize("command", ["chains", "markings"])
+def test_chain_listings_at_the_packed_bound_run(command, capsys):
+    assert main([command, "--w", S_1024, "--k", "1", "--p", "1"]) == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    # the chain of the one Bruhat edge (1,2), marked; `chains` lists the empty chain too
+    assert [row.endswith(" ; (1,2)_B) | {(1,2)} | 2,1," + S_1024[4:]) for row in rows] == (
+        [False, True] if command == "chains" else [True]
+    )
+
+
 @pytest.mark.parametrize(
     "args",
     [

@@ -37,7 +37,7 @@ counts them.  `is_marking` reads (1)-(3) afresh and stays their oracle.
 `pieri_degree_rows` turns these counts into one term per chain in one
 walk over the chains, building no chain objects: the chain's end, its
 packed Q-weight, and one small code for (m0, m, parity of the length)
-whose coefficient in each degree `weight_table` lists.  Distinct chains
+whose coefficient in each degree `code_weight` gives.  Distinct chains
 from w have distinct ends on every grid measured (all of S_7, k <= 7),
 but no reader relies on it: a repeated end would be one more term to
 sum.  Ends are interned across walks in `_ends`, keyed by the trimmed
@@ -84,6 +84,7 @@ at every enumeration frontier.
 from __future__ import annotations
 
 import itertools
+import sys
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -255,24 +256,43 @@ class _RowsLeft(dict):
 _column_rows = lru_cache(maxsize=32)(_RowsLeft)
 
 
-@lru_cache(maxsize=32)
-def weight_table(k: int) -> tuple[tuple[int, ...], ...]:
+def _walk_from(visit: Callable[..., None], labels: int, *root) -> None:
     """
-    table[code][p], the degree-p coefficient of a k-Pieri chain with term
+    visit(*root), a recursive walk that enters one level per label of a
+    chain, with room for `labels` more levels than Python's recursion
+    limit leaves the caller: a walk at k = 1024 takes chains of 1024 labels.
+    """
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(limit + labels + 1)
+    try:
+        visit(*root)
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+def code_weight(k: int, code: int, p: int) -> int:
+    """
+    The degree-p coefficient of a k-Pieri chain with term code
     code = 2 * ((k + 1) * m0 + m) + parity (`pieri_degree_rows`): m0 rows,
     m forced labels, and length of that parity.  It is
     (-1)^(parity - p) * C(m0 - m, p - m) for p in m..m0 and 0 otherwise;
     a code with m > m0 names no chain and weighs 0 in every degree.
 
-    >>> weight_table(2)[2 * (3 * 2 + 1) + 1]  # m0 = 2, m = 1, odd length
+    >>> code_weight(2, 2 * (3 * 2 + 1) + 1, 2)  # m0 = 2, m = 1, odd length
+    -1
+    """
+    m0, m = divmod(code >> 1, k + 1)
+    return (-1) ** ((code & 1) + p) * comb(m0 - m, p - m) if m <= p <= m0 else 0
+
+
+def weight_row(k: int, code: int) -> tuple[int, ...]:
+    """
+    The coefficients of a k-Pieri term code in the degrees p = 0..k.
+
+    >>> weight_row(2, 2 * (3 * 2 + 1) + 1)  # m0 = 2, m = 1, odd length
     (0, 1, -1)
     """
-    return tuple(
-        tuple((-1) ** (parity + p) * comb(m0 - m, p - m) if m <= p <= m0 else 0 for p in range(k + 1))
-        for m0 in range(k + 1)
-        for m in range(k + 1)
-        for parity in (0, 1)
-    )
+    return tuple(code_weight(k, code, p) for p in range(k + 1))
 
 
 def enumerate_pieri_chains(w: Permutation, k: int, max_column: int | None = None) -> list[PieriChain]:
@@ -319,7 +339,8 @@ def enumerate_pieri_chains(w: Permutation, k: int, max_column: int | None = None
             window[a - 1], window[b - 1] = window[b - 1], window[a - 1]
 
     try:
-        dfs(pool)
+        # a chain takes each label of the pool at most once
+        _walk_from(dfs, len(pool), pool)
     finally:
         del dfs  # see `pieri_degree_rows`
     return out
@@ -437,7 +458,8 @@ def _monk_walk(x: Permutation, k: int, record: Callable[..., object]) -> list:
             window[a - 1], window[b - 1] = window[b - 1], window[a - 1]
 
     try:
-        visit(k, bound + 1, 0, 0, x.length())
+        # k - 1 row labels, then at most one label per column k+1..N+1
+        _walk_from(visit, bound, k, bound + 1, 0, 0, x.length())
     finally:
         del visit  # see `pieri_degree_rows`
     return out
@@ -571,7 +593,7 @@ def pieri_degree_rows(w: Permutation, k: int) -> tuple[tuple[Permutation, ...], 
 
     The terms come as three flat columns (ends, qs, codes), one term per
     chain, in the order the walk reaches them: term i is ends[i] with
-    packed Q-weight qs[i] and coefficient weight_table(k)[codes[i]][p] in
+    packed Q-weight qs[i] and coefficient code_weight(k, codes[i], p) in
     degree p.  Nothing is merged: a reader sums the terms that share an
     (end, Q-weight), although on every grid measured no end repeats.  Each
     end is the interned `_ends` entry of its window, built at the first
@@ -596,9 +618,8 @@ def pieri_degree_rows(w: Permutation, k: int) -> tuple[tuple[Permutation, ...], 
 
     >>> from qpieri.qbg import unpack_monomial
     >>> ends, qs, codes = pieri_degree_rows(Permutation.from_one_line("321"), 2)
-    >>> table = weight_table(2)
     >>> for u, q, code in zip(ends, qs, codes):
-    ...     print(u.one_line(), u.length(), unpack_monomial(q).render(), code, table[code])
+    ...     print(u.one_line(), u.length(), unpack_monomial(q).render(), code, weight_row(2, code))
     321 3 1 0 (1, 0, 0)
     4213 4 1 9 (0, 1, 0)
     4312 5 1 14 (0, -1, 1)
@@ -695,8 +716,9 @@ def pieri_degree_rows(w: Permutation, k: int) -> tuple[tuple[Permutation, ...], 
 
     try:
         # the root stands in column N + 1 with every row of that column
-        # taken, so its only candidates are the whole pool, tail_from[N]
-        visit(bound + 1, below[k], 0, 0, 0, 0, w.length(), 0)
+        # taken, so its only candidates are the whole pool, tail_from[N];
+        # a chain takes each label of the pool at most once
+        _walk_from(visit, len(tail_from[bound]), bound + 1, below[k], 0, 0, 0, 0, w.length(), 0)
     finally:
         # a recursive closure holds itself through its own cell; emptying
         # the cell frees the walk's scratch state by refcount, without

@@ -17,10 +17,12 @@ and the divisor-type product satisfies
 One walk over the k-Pieri chains from w gives every degree p = 0..k of
 the first product at once.  Its terms are cached per (w, k) as three flat
 columns, one term per chain: the ends, their packed Q-weights, and one
-weight code per term, whose degree-p coefficient `chains.weight_table(k)`
-lists.  The ends are interned across walks (`chains._ends`), the Monk
-walk of `monk_lhs_expand` included, so every cached row and every
-Expansion key built from them shares one object per permutation.
+weight code per term, whose degree-p coefficient `chains.code_weight`
+gives; `_weight_column(k, p)` keeps it for each code read at (k, p), so
+no table grows with k^3.  The ends are interned across walks
+(`chains._ends`), the Monk walk of `monk_lhs_expand` included, so every
+cached row and every Expansion key built from them shares one object per
+permutation.
 `pieri_expand(w, k, p)` sums the nonzero degree-p terms into its
 Expansion.  Degree 0 needs no walk: G^k_0 = G[id] = 1, and the first
 label of every nonempty chain is forced, so the degree-0 column is the
@@ -92,7 +94,7 @@ from collections.abc import Iterable, Iterator, Mapping
 from functools import lru_cache
 from types import MappingProxyType
 
-from .chains import _ends, _interned_end, _monk_walk, pieri_degree_rows, weight_table
+from .chains import _ends, _interned_end, _monk_walk, code_weight, pieri_degree_rows
 from .permutations import Permutation
 from .qbg import Q_HIGH_BITS, QMonomial, pack_monomial, unpack_monomial
 
@@ -475,10 +477,10 @@ def clear_caches() -> None:
     _ends.clear()
 
 
-@lru_cache(maxsize=32)
-def _weight_columns(k: int) -> tuple[tuple[int, ...], ...]:
-    """`weight_table(k)` by degree: columns[p][code]."""
-    return tuple(zip(*weight_table(k)))
+# the degree-p coefficients `chains.code_weight(k, code, p)` of the codes
+# read at (k, p), one plain dict per (k, p); its readers add a code at its
+# first use, so the hot loops subscript an exact dict
+_weight_column = lru_cache(maxsize=64)(lambda k, p: {})
 
 
 def _check_factor(k: int, p: int) -> None:
@@ -501,12 +503,15 @@ def pieri_expand(w: Permutation, k: int, p: int) -> Expansion:
         # forced, so the degree-0 column of a walk is its empty chain alone
         return Expansion.basis(w)
     ends, qs, codes = _pieri_rows(w, k)
-    column = _weight_columns(k)[p]
+    column = _weight_column(k, p)
     # terms of one (end, q) share a sign (the sign law), so no sum is zero;
     # each end is hashed once
     terms: dict[Permutation, _Packed] = {}
     for u, q, code in zip(ends, qs, codes):
-        c = column[code]
+        try:
+            c = column[code]
+        except KeyError:
+            c = column[code] = code_weight(k, code, p)
         if c:
             poly = terms.setdefault(u, {})
             poly[q] = poly.get(q, 0) + c
@@ -529,20 +534,24 @@ def _add_rows(
     acc: dict[Permutation, _Packed],
     g: _Packed,
     rows: tuple[tuple[Permutation, ...], tuple[int, ...], tuple[int, ...]],
-    column: tuple[int, ...],
+    column: dict[int, int],
+    k: int,
+    p: int,
 ) -> None:
     """
-    acc += g * (the terms of one (u, k) rows, weighted by column), in
-    place: for each monomial gc * Q^gk of g, one pass over the rows adds
+    acc += g * (the degree-p terms of one (u, k) rows), in place: for each
+    monomial gc * Q^gk of g, one pass over the rows adds
     gc * c * Q^(gk + q) * G[end] for each term (end, q, code) whose weight
-    c = column[code] is nonzero, column being degree p of
-    `_weight_columns(k)`.  The overflow guard of `_product` is tested
-    inline.
+    c = column[code] is nonzero, column being `_weight_column(k, p)`.  The
+    overflow guard of `_product` is tested inline.
     """
     ends, qs, codes = rows
     for gk, gc in g.items():
         for v, q, code in zip(ends, qs, codes):
-            c = column[code]
+            try:
+                c = column[code]
+            except KeyError:
+                c = column[code] = code_weight(k, code, p)
             if c:
                 key = gk + q
                 if key & Q_HIGH_BITS:
@@ -561,7 +570,7 @@ def expand_product_chain(w: Permutation, factors: list[tuple[int, int]]) -> Expa
     (k, 0) is G^k_0 = 1 (`pieri_expand`) and is skipped.  For every other
     factor (k, p), each term g * G[u] adds g * c * Q^q * G[end] for each
     term (end, q, code) of u's cached (u, k) rows with
-    c = weight_table(k)[code][p] nonzero, in one block step per (u, k)
+    c = code_weight(k, code, p) nonzero, in one block step per (u, k)
     (`_add_rows`); zero entries are skipped.  The factors are taken in
     the order given.  By the sign law (`chains` module docstring) every
     contribution to the coefficient of Q^a * G[v] has the sign
@@ -579,9 +588,9 @@ def expand_product_chain(w: Permutation, factors: list[tuple[int, int]]) -> Expa
     for k, p in factors:
         if not p:
             continue
-        column = _weight_columns(k)[p]
+        column = _weight_column(k, p)
         acc: dict[Permutation, _Packed] = {}
         for u, g in out._terms.items():
-            _add_rows(acc, g, _pieri_rows(u, k), column)
+            _add_rows(acc, g, _pieri_rows(u, k), column, k, p)
         out = Expansion._of(acc)
     return out

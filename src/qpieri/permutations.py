@@ -30,7 +30,6 @@ conditions: (a,b) comes before (c,d) iff b > d, or b = d and a < c.
 from __future__ import annotations
 
 import itertools
-from bisect import bisect_left, insort
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
@@ -39,13 +38,14 @@ Label = tuple[int, int]
 
 
 def count_inversions(values: Sequence[int]) -> int:
-    """The number of pairs i < j with values[i] > values[j], in O(n log n)."""
-    # each entry, read from the right, adds the smaller ones after it
+    """The number of pairs i < j with values[i] > values[j], for distinct values >= 0."""
+    # each entry, read from the right, adds the smaller ones after it: the
+    # set bits below its own in the mask of the entries read so far
     count = 0
-    seen: list[int] = []
+    seen = 0
     for v in reversed(values):
-        count += bisect_left(seen, v)
-        insort(seen, v)
+        count += (seen & ((1 << v) - 1)).bit_count()
+        seen |= 1 << v
     return count
 
 

@@ -3,18 +3,38 @@ Named verification suites with machine-readable reports.
 
 Every suite exhaustively checks one family of guarantees over a bounded
 universe and reports {suite, universe, checked, failures}; a nonempty
-failure list means the guarantee is violated at the named instance.
+failure list means the guarantee is violated at the named instance.  The
+JSON form also carries `elapsed_s`, the suite's wall time; the text form
+does not, so it stays byte-identical from run to run.
 The `bijections` suite checks each of the eighteen matchings of
 `proofkit.bijections.MATCHINGS` with one function, `_check_matching`,
 which reads from the entry whether the image set and the walk back from
 the codomain apply.
+
+Shares.  No grid point of a suite depends on another: a start w or x in
+S_n (`markings`, `insertion`, `edges`, `commutativity`, and `bijections`,
+whose points are its w), or a run of the starts of every scan (`lemmas`).
+These six suites check their grid on every usable CPU (`_in_shares`): the
+grid is cut into chunks of consecutive points, which this process and one
+forked child per further CPU take in turn, and the chunks' checks and
+failures are added in grid order.  So a report is the one a single
+process gives, failure lines in order, and an exception is the one a
+single process raises first.  A grid stays in this process when one CPU
+is usable, off Linux, while another thread is alive, or below
+`_MIN_SPLIT_POINTS` points.  Children send results back through pipes;
+nothing a child caches or counts reaches this process.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections.abc import Callable
+import math
+import os
+import sys
+import time
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
+from typing import TypeVar
 
 from .chains import (
     enumerate_markings,
@@ -51,6 +71,8 @@ class SuiteReport:
     universe: str
     checked: int = 0
     failures: list[str] = field(default_factory=list)
+    # the wall time of `run_suite`, reported in the JSON form only
+    elapsed_s: float = 0.0
 
     def fail(self, message: str) -> None:
         self.failures.append(message)
@@ -74,7 +96,136 @@ class SuiteReport:
             "universe": self.universe,
             "checked": self.checked,
             "failures": self.failures,
+            "elapsed_s": self.elapsed_s,
         }
+
+
+# --- shares -----------------------------------------------------------------
+
+R = TypeVar("R")
+
+# Grids of fewer points than this are checked in one process.  Measured
+# on the benchmark's 15 verify runs in its order (2-vCPU VM, medians of
+# 10 alternating fresh-process runs), every split grid ran faster, the
+# smallest included: bijections (6 points) 266 -> 159 ms, markings 4 and
+# insertion 4 (24 points) 44 -> 29 and 127 -> 69 ms, edges 7 (5,040
+# points) 735 -> 350 ms; the 15 in all 2.69 -> 1.51 s.  A round trip of
+# fork, pipe and pickle costs about 2 ms, so small grids of cheap points
+# lose when split (as a process's first suite, edges 5, 120 points:
+# 5.7 -> 8.4 ms; lemmas 4, 24 starts: 25 -> 46 ms), but points differ in
+# cost too much by suite for a point count to tell them from bijections'
+# six.
+_MIN_SPLIT_POINTS = 6
+# chunks per process of a split grid: a process whose chunks run fast
+# takes more of them
+_CHUNKS_PER_PROCESS = 8
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on; 1 off Linux, where nothing is forked."""
+    return len(os.sched_getaffinity(0)) if sys.platform == "linux" else 1
+
+
+def _in_shares(points: int, run: Callable[[int, int], R]) -> list[R]:
+    """
+    [run(0, c), ..., run(c - 1, c)]: the results of the c chunks of a grid
+    of `points` points, in chunk order; a grid kept in one process is one
+    chunk, [run(0, 1)].  A split grid has `_CHUNKS_PER_PROCESS` chunks for
+    each of its processes, at most one per point and 256 in all (a chunk
+    number is one byte): this process and a forked child per further
+    usable CPU.  Each process takes the next chunk number from one pipe
+    until none is left, the last chunk first: the grids list S_n in
+    lexicographic order, whose later elements tend to have more chains and
+    cost more, so the slow chunks start early and the quick ones even out
+    the end.  A child sends the results and the exceptions of its chunks
+    back through a second pipe, pickled; an exception that pickle cannot
+    carry arrives as a RuntimeError naming it.  The exception of the first
+    chunk that raised is raised here.  Every child is killed, if it still
+    runs (this process raised or was interrupted), and reaped before this
+    returns or raises.
+    """
+    threading = sys.modules.get("threading")
+    processes = min(_usable_cpus(), points)
+    if processes < 2 or points < _MIN_SPLIT_POINTS or (threading and threading.active_count() > 1):
+        return [run(0, 1)]
+    import pickle
+    import signal
+
+    chunks = min(points, processes * _CHUNKS_PER_PROCESS, 256)
+    tokens, deal = os.pipe()
+    os.write(deal, bytes(reversed(range(chunks))))
+    os.close(deal)
+
+    def run_chunks() -> dict[int, tuple[bool, object]]:
+        done = {}
+        while token := os.read(tokens, 1):
+            try:
+                done[token[0]] = (True, run(token[0], chunks))
+            except Exception as exc:
+                done[token[0]] = (False, exc)
+        return done
+
+    children: list[tuple[int, int]] = []  # (pid, read end) of each child
+    try:
+        for _ in range(processes - 1):
+            read_end, write_end = os.pipe()
+            pid = os.fork()
+            if not pid:
+                try:
+                    os.close(read_end)
+                    done = run_chunks()
+                    try:
+                        payload = pickle.dumps(done, pickle.HIGHEST_PROTOCOL)
+                    except Exception:
+                        payload = pickle.dumps({
+                            j: (ok, value if ok else RuntimeError(f"{type(value).__name__}: {value}"))
+                            for j, (ok, value) in done.items()
+                        })
+                    with open(write_end, "wb") as pipe:
+                        pipe.write(payload)
+                finally:
+                    os._exit(0)
+            os.close(write_end)
+            children.append((pid, read_end))
+        done = run_chunks()
+        for _, read_end in children:
+            with open(read_end, "rb", closefd=False) as pipe:
+                payload = pipe.read()
+            done.update(pickle.loads(payload) if payload else {})
+        results = []
+        for j in range(chunks):
+            if j not in done:
+                raise RuntimeError(f"a forked verify share ended without the result of chunk {j}")
+            ok, value = done[j]
+            if not ok:
+                raise value
+            results.append(value)
+        return results
+    finally:
+        os.close(tokens)
+        # a child that has sent its results has exited or is exiting
+        for pid, read_end in children:
+            os.close(read_end)
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
+def _check_points(report: SuiteReport, points: Sequence, check: Callable[[SuiteReport, object], None]) -> None:
+    """
+    check(report, point) for every point, in order, as one loop would run
+    it: each chunk of `_in_shares` is a run of consecutive points, and the
+    chunks' (checked, failures) are added in grid order.
+    """
+
+    def run(j: int, chunks: int) -> tuple[int, list[str]]:
+        part = SuiteReport(report.suite, report.universe)
+        for point in points[len(points) * j // chunks : len(points) * (j + 1) // chunks]:
+            check(part, point)
+        return part.checked, part.failures
+
+    for checked, failures in _in_shares(len(points), run):
+        report.checked += checked
+        report.failures += failures
 
 
 # --- appendix-c -------------------------------------------------------------
@@ -174,12 +325,15 @@ def _suite_commutativity(kmax: int) -> SuiteReport:
         "commutativity", f"w in S_3, factor pairs with columns <= {kmax}"
     )
     factors = [(k, p) for k in range(1, kmax + 1) for p in range(0, k + 1)]
-    for w in all_permutations(3):
+
+    def check(report: SuiteReport, w: Permutation) -> None:
         for f1, f2 in itertools.product(factors, repeat=2):
             report.check(
                 expand_product_chain(w, [f1, f2]) == expand_product_chain(w, [f2, f1]),
                 lambda: f"factor order changes the expansion: w={w.one_line()}, {f1} vs {f2}",
             )
+
+    _check_points(report, all_permutations(3), check)
     return report
 
 
@@ -197,7 +351,8 @@ def _brute_force_markings(chain, p: int) -> set[frozenset]:
 
 def _suite_markings(n: int) -> SuiteReport:
     report = SuiteReport("markings", f"all chains over S_{n}, columns <= 3")
-    for w in all_permutations(n):
+
+    def check(report: SuiteReport, w: Permutation) -> None:
         for k in (1, 2, 3):
             for chain in enumerate_pieri_chains(w, k):
                 for p in range(0, k + 1):
@@ -214,6 +369,8 @@ def _suite_markings(n: int) -> SuiteReport:
                         len(listed) == len(brute) and set(listed) == brute,
                         lambda: f"enumerated markings disagree with brute force for {chain!r}, p={p}",
                     )
+
+    _check_points(report, all_permutations(n), check)
     return report
 
 
@@ -307,10 +464,13 @@ def _suite_bijections() -> SuiteReport:
     report = SuiteReport(
         "bijections", "w in S_3, columns 2..3, all marking levels"
     )
-    for w in all_permutations(3):
+
+    def check(report: SuiteReport, w: Permutation) -> None:
         for k in (2, 3):
             for p in range(1, k + 1):
                 check_bijections_grid(report, w, k, p)
+
+    _check_points(report, all_permutations(3), check)
     return report
 
 
@@ -319,7 +479,19 @@ def _suite_bijections() -> SuiteReport:
 
 def _suite_lemmas(n: int) -> SuiteReport:
     report = SuiteReport("lemmas", f"forbidden patterns inside S_{n}")
-    for scan in all_scans(n=n):
+
+    def run(j: int, chunks: int) -> list:
+        # the scans of one run of the starts, the runs in order being S_n;
+        # the suite reads no counterexample past a scan's first
+        scans = all_scans(n=n, share=(j, chunks))
+        for part in scans:
+            del part.counterexamples[1:]
+        return scans
+
+    for scan, *rest in zip(*_in_shares(math.factorial(n), run)):
+        for part in rest:
+            scan.checked += part.checked
+            scan.counterexamples += part.counterexamples
         report.checked += scan.checked
         if scan.name.endswith("-weakened"):
             if scan.clean and scan.checked:
@@ -351,7 +523,8 @@ def _suite_insertion(n: int) -> SuiteReport:
     report = SuiteReport(
         "insertion", f"paths from S_{n} starts, columns <= {bound}, k <= 3"
     )
-    for w in all_permutations(n):
+
+    def check(report: SuiteReport, w: Permutation) -> None:
         for k in (1, 2, 3):
             for path in enumerate_surgery_paths(w, k, bound):
                 for d in range(k + 1, bound + 1):
@@ -378,6 +551,8 @@ def _suite_insertion(n: int) -> SuiteReport:
                     step.path == path,
                     lambda: f"insert(delete) misses on {path!r}",
                 )
+
+    _check_points(report, all_permutations(n), check)
     return report
 
 
@@ -416,13 +591,16 @@ def _suite_ledger() -> SuiteReport:
 
 def _suite_edges(n: int) -> SuiteReport:
     report = SuiteReport("edges", f"x in S_{n}, labels with column <= {n + 1}")
-    for x in all_permutations(n):
-        for a in range(1, n + 1):
-            for b in range(a + 1, n + 2):
-                report.check(
-                    edge_kind(x, (a, b)) == edge_kind_by_length(x, (a, b)),
-                    lambda: f"edge criteria disagree at x={x.one_line()}, label ({a},{b})",
-                )
+    labels = [(a, b) for a in range(1, n + 1) for b in range(a + 1, n + 2)]
+
+    def check(report: SuiteReport, x: Permutation) -> None:
+        for a, b in labels:
+            report.check(
+                edge_kind(x, (a, b)) == edge_kind_by_length(x, (a, b)),
+                lambda: f"edge criteria disagree at x={x.one_line()}, label ({a},{b})",
+            )
+
+    _check_points(report, all_permutations(n), check)
     return report
 
 
@@ -456,8 +634,9 @@ def run_suite(name: str, max_n: int | None = None) -> SuiteReport:
     suite = SUITES.get(name)
     if suite is None:
         raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITES)}")
-    if suite.default_n is None:
-        if max_n is not None:
-            raise ValueError(f"suite {name!r} has a fixed universe and takes no max_n")
-        return suite.run()
-    return suite.run(suite.default_n if max_n is None else max_n)
+    if suite.default_n is None and max_n is not None:
+        raise ValueError(f"suite {name!r} has a fixed universe and takes no max_n")
+    start = time.perf_counter()
+    report = suite.run() if suite.default_n is None else suite.run(suite.default_n if max_n is None else max_n)
+    report.elapsed_s = time.perf_counter() - start
+    return report

@@ -1,9 +1,10 @@
-"""Fixtures shared by the proof-kit tests."""
+"""Fixtures shared by the proof-kit and verify tests."""
 
 from __future__ import annotations
 
 import pytest
 
+from qpieri import verify
 from qpieri.proofkit import bijections
 
 
@@ -19,3 +20,13 @@ def classified(monkeypatch):
 
     monkeypatch.setattr(bijections, "classify", recorded)
     return calls
+
+
+@pytest.fixture
+def serial_suites(monkeypatch):
+    """
+    Verify suites check their whole grid in this process, as on one CPU,
+    so a test that reads this process's state after a suite (a call log,
+    a cache) sees every grid point.
+    """
+    monkeypatch.setattr(verify, "_usable_cpus", lambda: 1)

@@ -11,8 +11,10 @@ import sys
 import pytest
 
 import qpieri
+from qpieri import expansion
 from qpieri.cli import main
 from qpieri.expansion import Expansion
+from qpieri.permutations import Permutation
 from qpieri.verify import SUITES, run_suite
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -126,6 +128,20 @@ def test_chain_listings_past_the_packed_variables_are_a_usage_error(command, w, 
     assert captured.out == ""
     assert "at most 1024" in captured.err and "Traceback" not in captured.err
     assert captured.err.startswith(f"usage: qpieri {command} ")
+
+
+def test_expand_at_the_largest_column_keeps_weights_of_the_codes_seen_only(capsys):
+    # the walk from 21 at k = 1024 reaches chains of 1024 labels, past
+    # Python's default recursion limit; one weight per code it carries is
+    # kept, not the 2 * 1025^3 entries of a full table
+    code, out = run_cli(["expand", "--w", "21", "--k", "1024", "--p", "1"], capsys)
+    try:
+        # the one term: 21 times the Bruhat edge (1024,1025)
+        assert code == 0 and out == f"G[{','.join(map(str, [2, 1, *range(3, 1024), 1025, 1024]))}]\n"
+        codes = expansion._pieri_rows(Permutation.from_one_line("21"), 1024)[2]
+        assert set(expansion._weight_column(1024, 1)) == set(codes)
+    finally:
+        expansion.clear_caches()
 
 
 @pytest.mark.parametrize("command", ["chains", "markings"])
@@ -253,7 +269,7 @@ def test_verify_suite_pass(capsys):
     code, out = run_cli(["verify", "--suite", "classical", "--format", "json"], capsys)
     assert code == 0
     report = json.loads(out)
-    assert set(report) == {"suite", "universe", "checked", "failures"}
+    assert set(report) == {"suite", "universe", "checked", "failures", "elapsed_s"}
     assert report["failures"] == []
 
 

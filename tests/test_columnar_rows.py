@@ -8,7 +8,7 @@ order the chains first reach it, with every degree summed through a dict
 accumulator that drops zero coefficients.  They share no code with the
 walk (`chains.pieri_degree_rows`), so these tests hold the walk's
 columns, their order and the per-degree `Expansion` built from them.
-The walk keeps one term per chain, with its row weight_table(k)[code];
+The walk keeps one term per chain, with its row weight_row(k, code);
 the chains from one start have distinct ends, so each term is one
 reference row.  Ends are interned across walks, the Monk walk of
 `monk_lhs_expand` included, and emptied with the other caches by
@@ -22,7 +22,7 @@ import random
 import pytest
 
 from qpieri import chains
-from qpieri.chains import enumerate_pieri_chains, marking_count, pieri_degree_rows, weight_table
+from qpieri.chains import code_weight, enumerate_pieri_chains, marking_count, pieri_degree_rows, weight_row
 from qpieri.expansion import (
     Expansion,
     _pieri_rows,
@@ -78,7 +78,7 @@ def test_the_columns_are_the_rows_without_zero_rows():
         for k in (1, 2, 3, 4):
             ends, qs, codes = _pieri_rows.__wrapped__(w, k)
             assert len(ends) == len(qs) == len(codes)
-            rows = [weight_table(k)[code] for code in codes]
+            rows = [weight_row(k, code) for code in codes]
             assert list(zip(ends, qs, rows)) == list(reference_rows(w, k)), (w, k)
 
 
@@ -124,8 +124,8 @@ def test_the_degree_0_column_is_the_start_alone(n, ks):
     # G^k_0 = 1, which `pieri_expand(w, k, 0)` returns without a walk
     for w in all_permutations(n):
         for k in ks:
-            table = weight_table(k)
-            terms = [(u, q, table[code][0]) for u, q, code in zip(*pieri_degree_rows(w, k)) if table[code][0]]
+            terms = [(u, q, code_weight(k, code, 0)) for u, q, code in zip(*pieri_degree_rows(w, k))]
+            terms = [term for term in terms if term[2]]
             assert terms == [(w, 0, 1)], (w, k)
 
 

@@ -11,9 +11,19 @@ Monk expansions.
 
 from __future__ import annotations
 
+import inspect
+import sys
+
 import pytest
 
-from qpieri.chains import MonkChain, PieriChain, _walk_tables, enumerate_monk_chains, enumerate_pieri_chains
+from qpieri.chains import (
+    MonkChain,
+    PieriChain,
+    _walk_tables,
+    enumerate_monk_chains,
+    enumerate_pieri_chains,
+    pieri_degree_rows,
+)
 from qpieri.expansion import Expansion, _fold, monk_lhs_expand
 from qpieri.permutations import Permutation, all_permutations, label_precedes
 from qpieri.qbg import DirectedPath, _window_kind, edge_kind, pack_monomial, q_weight, validate_path
@@ -126,3 +136,20 @@ def test_every_pieri_chain_is_the_path_its_labels_walk():
             for k in range(1, 5):
                 for c in enumerate_pieri_chains(w, k):
                     assert validate_path(c.start, c.labels) == c.path
+
+
+def test_the_walks_take_chains_deeper_than_the_recursion_limit():
+    # from 21 at k = 200 the chains reach 200 labels, one walk level each;
+    # the limit leaves this test 60 levels, as k = 1024 would leave 1000 of
+    # Python's default limit behind
+    w = Permutation.from_one_line("21")
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 60)
+    try:
+        rows = pieri_degree_rows(w, 200)
+        chains = enumerate_pieri_chains(w, 200)
+        monk = enumerate_monk_chains(w, 200)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert max(len(c.labels) for c in chains) == 200 and max(len(m.labels) for m in monk) == 199
+    assert [c.end for c in chains] == list(rows[0])

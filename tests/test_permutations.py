@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import doctest
 import itertools
+import random
 
 import pytest
 from hypothesis import given
@@ -13,6 +14,7 @@ import qpieri.permutations
 from qpieri.permutations import (
     Permutation,
     all_permutations,
+    count_inversions,
     cyclic_permutation,
     label_precedes,
     label_sort_key,
@@ -24,6 +26,22 @@ def brute_inversions(window):
         1 for i, j in itertools.combinations(range(len(window)), 2)
         if window[i] > window[j]
     )
+
+
+def test_count_inversions_matches_the_pair_count_over_s0_to_s7():
+    for n in range(8):
+        for window in itertools.permutations(range(1, n + 1)):
+            assert count_inversions(window) == brute_inversions(window), window
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_count_inversions_matches_the_pair_count_on_long_windows(seed):
+    rng = random.Random(seed)
+    for size in (101, 130, 257):
+        window = list(range(1, size + 1))
+        rng.shuffle(window)
+        assert count_inversions(window) == brute_inversions(window), (seed, size)
+    assert count_inversions(range(200, 0, -1)) == 200 * 199 // 2
 
 
 def test_doctests():

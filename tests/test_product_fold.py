@@ -23,7 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qpieri import expansion
-from qpieri.chains import weight_table
+from qpieri.chains import weight_row
 from qpieri.expansion import Expansion, clear_caches, expand_product_chain, pieri_expand
 from qpieri.permutations import Permutation, all_permutations
 from qpieri.qbg import Q_EXPONENT_LIMIT, QMonomial, pack_monomial
@@ -129,7 +129,8 @@ def test_bad_factors_are_refused_as_pieri_expand_refuses_them(bad, position):
 def fake_rows(table):
     """
     `_pieri_rows` reading {(window, k): [(end window, packed q, row), ...]},
-    each row given as the weight_table(k) row of its term's code.
+    each row given as the `weight_row` of its term's code (the least code
+    with that row).
     """
 
     def rows(u, k):
@@ -137,7 +138,7 @@ def fake_rows(table):
         return (
             tuple(Permutation(end) for end, _, _ in terms),
             tuple(q for _, q, _ in terms),
-            tuple(weight_table(k).index(row) for _, _, row in terms),
+            tuple(next(c for c in range(2 * (k + 1) ** 2) if weight_row(k, c) == row) for _, _, row in terms),
         )
 
     return rows

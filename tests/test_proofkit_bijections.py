@@ -386,7 +386,7 @@ def test_paired_and_marked_chains_hash_by_value():
     assert all(hash(x) == hash(y) == hash(z) and x == y == z for x, y, z in zip(a, b, universe))
 
 
-def test_no_proof_kit_universe_outlives_its_grid_point():
+def test_no_proof_kit_universe_outlives_its_grid_point(serial_suites):
     run_suite("bijections")
     run_suite("ledger")
     assert enumerate_paired.cache_info().currsize <= 16

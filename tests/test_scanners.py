@@ -182,3 +182,16 @@ def test_shared_walker_matches_the_frozen_scans(n, weakened):
     ]
     for new, old in pairs:
         assert _summary(new) == _summary(old)
+
+
+@pytest.mark.parametrize("n, shares", [(4, 5), (5, 16), (5, 200), (6, 3)])
+def test_the_shares_of_a_scan_in_order_are_the_whole_scan(n, shares):
+    # (5, 200): more shares than S_5 has elements, so some shares are empty
+    whole = all_scans(n=n)
+    parts = [all_scans(n=n, share=(i, shares)) for i in range(shares)]
+    for j, scan in enumerate(whole):
+        assert [p[j].name for p in parts] == [scan.name] * shares
+        assert sum(p[j].checked for p in parts) == scan.checked
+        assert [x for p in parts for x in p[j].counterexamples] == scan.counterexamples, scan.name
+    # the weakened scans find counterexamples in more than one share
+    assert sum(bool(p[1].counterexamples) for p in parts) > 1

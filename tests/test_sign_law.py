@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qpieri.chains import weight_table
+from qpieri.chains import weight_row
 from qpieri.expansion import _pieri_rows, expand_product_chain
 from qpieri.permutations import Permutation, all_permutations
 
@@ -30,7 +30,7 @@ def length(u: Permutation) -> int:
 def assert_rows_obey_the_sign_law(w: Permutation, k: int) -> None:
     ends, _qs, codes = _pieri_rows.__wrapped__(w, k)
     for u, code in zip(ends, codes):
-        row = weight_table(k)[code]
+        row = weight_row(k, code)
         assert any(row), (w, k, u)
         for p, c in enumerate(row):
             assert c * (-1) ** (length(u) - w.length() - p) >= 0, (w, k, u, p, c)

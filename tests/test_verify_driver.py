@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import importlib.util
+import os
 import pathlib
+import time
 
 import pytest
 
@@ -40,7 +42,7 @@ def test_default_universe_inventory(suite):
 
 
 @pytest.mark.parametrize("suite", ["bijections", "ledger"])
-def test_each_grid_point_is_classified_once(suite, classified):
+def test_each_grid_point_is_classified_once(suite, classified, serial_suites):
     run_suite(suite)
     assert classified and len(set(classified)) == len(classified)
 
@@ -54,7 +56,7 @@ def test_all_suites_produce_reports():
     for name in ("appendix-c", "monk", "edges"):
         report = run_suite(name)
         obj = report.to_json_obj()
-        assert set(obj) == {"suite", "universe", "checked", "failures"}
+        assert set(obj) == {"suite", "universe", "checked", "failures", "elapsed_s"}
         assert obj["suite"] == name
         assert obj["checked"] > 0
 
@@ -95,7 +97,7 @@ def test_a_lazy_message_is_built_only_on_failure():
     assert report.failures == ["the check failed", "a plain message"]
 
 
-def test_the_markings_suite_reports_a_marking_listed_twice(monkeypatch):
+def test_the_markings_suite_reports_a_marking_listed_twice(monkeypatch, serial_suites):
     # each list of two or more markings repeats its first in place of its last
     real = verify.enumerate_markings
     doubled = []
@@ -114,3 +116,136 @@ def test_the_markings_suite_reports_a_marking_listed_twice(monkeypatch):
     assert report.failures == [
         f"enumerated markings disagree with brute force for {chain!r}, p={p}" for chain, p in doubled
     ]
+
+
+# --- suites checked in shares ------------------------------------------------
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """A grid of any size runs on two processes; the list counts the forks."""
+    calls = []
+    fork = os.fork
+
+    def counted():
+        calls.append(1)
+        return fork()
+
+    monkeypatch.setattr(verify, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(os, "fork", counted)
+    return calls
+
+
+# the suites whose grid is checked in shares
+SPLIT = ("commutativity", "markings", "bijections", "lemmas", "insertion", "edges")
+
+
+def run_both_ways(monkeypatch, forks, suite, max_n):
+    """The report of a suite checked in shares, where it splits, then in this process alone."""
+    split = run_suite(suite, max_n)
+    assert bool(forks) == (suite in SPLIT), suite
+    monkeypatch.setattr(verify, "_usable_cpus", lambda: 1)
+    forks.clear()
+    serial = run_suite(suite, max_n)
+    assert not forks, suite
+    return split, serial
+
+
+@pytest.mark.parametrize("suite, max_n", [*((s, None) for s in SUITES), ("lemmas", 6), ("edges", 7)])
+def test_a_split_report_equals_the_serial_one(suite, max_n, monkeypatch, forks):
+    split, serial = run_both_ways(monkeypatch, forks, suite, max_n)
+    assert (split.universe, split.checked, split.failures) == (serial.universe, serial.checked, serial.failures)
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("raising", ["child", "parent", "both"])
+def test_a_share_that_raises_reaches_the_caller_as_in_one_process(raising, forks):
+    # every chunk takes 20 ms, so both processes take chunks in turn; this
+    # process logs the chunks it takes, and a chunk raises in the named one
+    parent = os.getpid()
+    started = []
+
+    def run(j, chunks):
+        started.append(j)
+        time.sleep(0.02)
+        in_child = os.getpid() != parent
+        if raising == "both" or in_child == (raising == "child"):
+            raise ValueError(f"chunk {j} of {chunks}")
+        return j
+
+    with pytest.raises(ValueError) as caught:
+        verify._in_shares(20, run)
+    chunks = min(20, 2 * verify._CHUNKS_PER_PROCESS)
+    assert 0 < len(started) < chunks
+    # one loop would stop at the first chunk that raises
+    if raising == "child":
+        first = min(set(range(chunks)) - set(started))
+    else:
+        first = min(started) if raising == "parent" else 0
+    assert str(caught.value) == f"chunk {first} of {chunks}"
+    assert_no_child_left()
+
+
+def test_a_suite_that_raises_raises_as_in_one_process(monkeypatch, forks):
+    real = verify.edge_kind_by_length
+
+    def breaks(x, label):
+        if x.one_line() in ("2143", "4321"):
+            raise ZeroDivisionError(f"no edge test at {x.one_line()}")
+        return real(x, label)
+
+    monkeypatch.setattr(verify, "edge_kind_by_length", breaks)
+    with pytest.raises(ZeroDivisionError, match="^no edge test at 2143$"):
+        run_suite("edges", 4)
+    assert forks
+    assert_no_child_left()
+    monkeypatch.setattr(verify, "_usable_cpus", lambda: 1)
+    with pytest.raises(ZeroDivisionError, match="^no edge test at 2143$"):
+        run_suite("edges", 4)
+
+
+def test_an_interrupted_split_reaps_its_children(forks):
+    parent = os.getpid()
+
+    def run(j, chunks):
+        if os.getpid() == parent:
+            raise KeyboardInterrupt
+        time.sleep(60)
+
+    start = time.perf_counter()
+    with pytest.raises(KeyboardInterrupt):
+        verify._in_shares(20, run)
+    assert time.perf_counter() - start < 30
+    assert_no_child_left()
+
+
+def test_a_child_that_dies_without_its_results_is_an_error(forks):
+    parent = os.getpid()
+
+    def run(j, chunks):
+        if os.getpid() != parent:
+            os._exit(3)
+        time.sleep(0.02)
+        return j
+
+    with pytest.raises(RuntimeError, match="ended without the result of chunk"):
+        verify._in_shares(20, run)
+    assert_no_child_left()
+
+
+def test_a_small_grid_or_one_cpu_stays_in_this_process(monkeypatch, forks):
+    assert verify._in_shares(verify._MIN_SPLIT_POINTS - 1, lambda j, c: (j, c)) == [(0, 1)]
+    monkeypatch.setattr(verify, "_usable_cpus", lambda: 1)
+    assert verify._in_shares(1000, lambda j, c: (j, c)) == [(0, 1)]
+    assert not forks
+
+
+def test_a_split_grid_returns_every_chunk_in_order(forks):
+    assert verify._in_shares(1000, lambda j, c: (j, c)) == [(j, 16) for j in range(16)]
+    assert len(forks) == 1
+    assert_no_child_left()

@@ -12,17 +12,20 @@ which reads from the entry whether the image set and the walk back from
 the codomain apply.
 
 Shares.  No grid point of a suite depends on another: a start w or x in
-S_n (`markings`, `insertion`, `edges`, `commutativity`, and `bijections`,
-whose points are its w), or a run of the starts of every scan (`lemmas`).
-These six suites check their grid on every usable CPU (`_in_shares`): the
-grid is cut into chunks of consecutive points, which this process and one
-forked child per further CPU take in turn, and the chunks' checks and
-failures are added in grid order.  So a report is the one a single
-process gives, failure lines in order, and an exception is the one a
-single process raises first.  A grid stays in this process when one CPU
-is usable, off Linux, while another thread is alive, or below
-`_MIN_SPLIT_POINTS` points.  Children send results back through pipes;
-nothing a child caches or counts reaches this process.
+S_n (`markings`, `insertion`, `edges`), a (w, k, p) (`bijections`), or a
+run of the starts of every scan (`lemmas`).  These five suites check
+their grid on every usable CPU (`_in_shares`): the grid is cut into
+chunks of consecutive points, dealt to this process and one forked child
+per further CPU, and the chunks' checks and failures are added in grid
+order.  So a report is the one a single process gives, failure lines in
+order, and an exception is the one a single process raises first.  A
+grid stays in this process when one CPU is usable, off Linux, while
+another thread is alive, or below `_MIN_SPLIT_POINTS` points.  Children
+send results back through pipes; nothing a child caches or counts
+reaches this process, and what this process caches and counts is the
+same on every run.  `commutativity` stays in one process: split by w or
+by (w, factor) it ran no faster, its products reading rows that each
+process must then walk for itself.
 """
 
 from __future__ import annotations
@@ -104,20 +107,18 @@ class SuiteReport:
 
 R = TypeVar("R")
 
-# Grids of fewer points than this are checked in one process.  Measured
-# on the benchmark's 15 verify runs in its order (2-vCPU VM, medians of
-# 10 alternating fresh-process runs), every split grid ran faster, the
-# smallest included: bijections (6 points) 266 -> 159 ms, markings 4 and
-# insertion 4 (24 points) 44 -> 29 and 127 -> 69 ms, edges 7 (5,040
-# points) 735 -> 350 ms; the 15 in all 2.69 -> 1.51 s.  A round trip of
-# fork, pipe and pickle costs about 2 ms, so small grids of cheap points
-# lose when split (as a process's first suite, edges 5, 120 points:
-# 5.7 -> 8.4 ms; lemmas 4, 24 starts: 25 -> 46 ms), but points differ in
-# cost too much by suite for a point count to tell them from bijections'
-# six.
-_MIN_SPLIT_POINTS = 6
-# chunks per process of a split grid: a process whose chunks run fast
-# takes more of them
+# Grids of fewer points than this are checked in one process.  The
+# smallest split grids of the benchmark's 15 verify runs are markings 4
+# and insertion 4 (24 points) and bijections (30); in the benchmark's
+# order (2-vCPU VM, medians of 10 alternating fresh-process runs) they
+# went 28 -> 26, 95 -> 65 and 185 -> 120 ms, edges 7 (5,040 points)
+# 472 -> 272 ms, and the 15 runs in all 1.98 -> 1.36 s.  The S_3 grids
+# (6 points) ran no faster split or slower (as a process's first suite,
+# markings 3 5.1 -> 5.1 ms, insertion 3 10 -> 18 ms, lemmas 3 5 -> 15 ms):
+# a round trip of fork, pipe and pickle costs about 2 ms.
+_MIN_SPLIT_POINTS = 24
+# chunks per process of a split grid: neighbouring chunks cost alike, so
+# dealing many of them out evens out the processes' shares
 _CHUNKS_PER_PROCESS = 8
 
 
@@ -131,18 +132,18 @@ def _in_shares(points: int, run: Callable[[int, int], R]) -> list[R]:
     [run(0, c), ..., run(c - 1, c)]: the results of the c chunks of a grid
     of `points` points, in chunk order; a grid kept in one process is one
     chunk, [run(0, 1)].  A split grid has `_CHUNKS_PER_PROCESS` chunks for
-    each of its processes, at most one per point and 256 in all (a chunk
-    number is one byte): this process and a forked child per further
-    usable CPU.  Each process takes the next chunk number from one pipe
-    until none is left, the last chunk first: the grids list S_n in
-    lexicographic order, whose later elements tend to have more chains and
-    cost more, so the slow chunks start early and the quick ones even out
-    the end.  A child sends the results and the exceptions of its chunks
-    back through a second pipe, pickled; an exception that pickle cannot
-    carry arrives as a RuntimeError naming it.  The exception of the first
-    chunk that raised is raised here.  Every child is killed, if it still
-    runs (this process raised or was interrupted), and reaped before this
-    returns or raises.
+    each of its P processes, at most one per point: this process and a
+    forked child per further usable CPU.  The chunks are dealt to the
+    processes in rounds of P, back and forth (for P = 2: 0, 1, 1, 0, 0, 1,
+    ...), so a cost that grows or alternates along the grid is shared
+    evenly, and each process does the same work on every run (this one has
+    chunk 0).  A process runs its chunks in order up to the first that
+    raises; a child sends their results and that exception back
+    through a pipe, pickled (an exception that pickle cannot carry arrives
+    as a RuntimeError naming it).  The exception of the first chunk that
+    raised is raised here, as one process running every chunk in order
+    would raise it.  Every child is killed, if it still runs (this process
+    raised or was interrupted), and reaped before this returns or raises.
     """
     threading = sys.modules.get("threading")
     processes = min(_usable_cpus(), points)
@@ -151,29 +152,30 @@ def _in_shares(points: int, run: Callable[[int, int], R]) -> list[R]:
     import pickle
     import signal
 
-    chunks = min(points, processes * _CHUNKS_PER_PROCESS, 256)
-    tokens, deal = os.pipe()
-    os.write(deal, bytes(reversed(range(chunks))))
-    os.close(deal)
+    chunks = min(points, processes * _CHUNKS_PER_PROCESS)
 
-    def run_chunks() -> dict[int, tuple[bool, object]]:
+    def run_share(i: int) -> dict[int, tuple[bool, object]]:
         done = {}
-        while token := os.read(tokens, 1):
+        for j in range(chunks):
+            turn, seat = divmod(j, processes)
+            if i != (processes - 1 - seat if turn % 2 else seat):
+                continue
             try:
-                done[token[0]] = (True, run(token[0], chunks))
+                done[j] = (True, run(j, chunks))
             except Exception as exc:
-                done[token[0]] = (False, exc)
+                done[j] = (False, exc)
+                break
         return done
 
     children: list[tuple[int, int]] = []  # (pid, read end) of each child
     try:
-        for _ in range(processes - 1):
+        for i in range(1, processes):
             read_end, write_end = os.pipe()
             pid = os.fork()
             if not pid:
                 try:
                     os.close(read_end)
-                    done = run_chunks()
+                    done = run_share(i)
                     try:
                         payload = pickle.dumps(done, pickle.HIGHEST_PROTOCOL)
                     except Exception:
@@ -187,12 +189,14 @@ def _in_shares(points: int, run: Callable[[int, int], R]) -> list[R]:
                     os._exit(0)
             os.close(write_end)
             children.append((pid, read_end))
-        done = run_chunks()
+        done = run_share(0)
         for _, read_end in children:
             with open(read_end, "rb", closefd=False) as pipe:
                 payload = pipe.read()
             done.update(pickle.loads(payload) if payload else {})
         results = []
+        # a share stops after its first exception, so every chunk before
+        # the first that raised has its result, unless a child died
         for j in range(chunks):
             if j not in done:
                 raise RuntimeError(f"a forked verify share ended without the result of chunk {j}")
@@ -202,7 +206,6 @@ def _in_shares(points: int, run: Callable[[int, int], R]) -> list[R]:
             results.append(value)
         return results
     finally:
-        os.close(tokens)
         # a child that has sent its results has exited or is exiting
         for pid, read_end in children:
             os.close(read_end)
@@ -325,15 +328,12 @@ def _suite_commutativity(kmax: int) -> SuiteReport:
         "commutativity", f"w in S_3, factor pairs with columns <= {kmax}"
     )
     factors = [(k, p) for k in range(1, kmax + 1) for p in range(0, k + 1)]
-
-    def check(report: SuiteReport, w: Permutation) -> None:
+    for w in all_permutations(3):
         for f1, f2 in itertools.product(factors, repeat=2):
             report.check(
                 expand_product_chain(w, [f1, f2]) == expand_product_chain(w, [f2, f1]),
                 lambda: f"factor order changes the expansion: w={w.one_line()}, {f1} vs {f2}",
             )
-
-    _check_points(report, all_permutations(3), check)
     return report
 
 
@@ -464,13 +464,8 @@ def _suite_bijections() -> SuiteReport:
     report = SuiteReport(
         "bijections", "w in S_3, columns 2..3, all marking levels"
     )
-
-    def check(report: SuiteReport, w: Permutation) -> None:
-        for k in (2, 3):
-            for p in range(1, k + 1):
-                check_bijections_grid(report, w, k, p)
-
-    _check_points(report, all_permutations(3), check)
+    grid = [(w, k, p) for w in all_permutations(3) for k in (2, 3) for p in range(1, k + 1)]
+    _check_points(report, grid, lambda report, point: check_bijections_grid(report, *point))
     return report
 
 

@@ -142,7 +142,7 @@ def forks(monkeypatch):
 
 
 # the suites whose grid is checked in shares
-SPLIT = ("commutativity", "markings", "bijections", "lemmas", "insertion", "edges")
+SPLIT = ("markings", "bijections", "lemmas", "insertion", "edges")
 
 
 def run_both_ways(monkeypatch, forks, suite, max_n):
@@ -163,31 +163,22 @@ def test_a_split_report_equals_the_serial_one(suite, max_n, monkeypatch, forks):
     assert_no_child_left()
 
 
-@pytest.mark.parametrize("raising", ["child", "parent", "both"])
-def test_a_share_that_raises_reaches_the_caller_as_in_one_process(raising, forks):
-    # every chunk takes 20 ms, so both processes take chunks in turn; this
-    # process logs the chunks it takes, and a chunk raises in the named one
+@pytest.mark.parametrize("raising, first", [("child", 5), ("parent", 3), ("both", 3)])
+def test_a_share_that_raises_reaches_the_caller_as_in_one_process(raising, first, forks):
+    # 40 points on two processes: 16 chunks dealt 0, 1, 1, 0, 0, 1, 1, 0, ...,
+    # so this process takes chunks 0, 3, 4, 7, ... and the child 1, 2, 5, 6, ...;
+    # from chunk 3 on, every chunk raises in the named process
     parent = os.getpid()
-    started = []
 
     def run(j, chunks):
-        started.append(j)
-        time.sleep(0.02)
         in_child = os.getpid() != parent
-        if raising == "both" or in_child == (raising == "child"):
+        if j >= 3 and (raising == "both" or in_child == (raising == "child")):
             raise ValueError(f"chunk {j} of {chunks}")
         return j
 
-    with pytest.raises(ValueError) as caught:
-        verify._in_shares(20, run)
-    chunks = min(20, 2 * verify._CHUNKS_PER_PROCESS)
-    assert 0 < len(started) < chunks
-    # one loop would stop at the first chunk that raises
-    if raising == "child":
-        first = min(set(range(chunks)) - set(started))
-    else:
-        first = min(started) if raising == "parent" else 0
-    assert str(caught.value) == f"chunk {first} of {chunks}"
+    # one loop over the chunks in order would stop at the first that raises
+    with pytest.raises(ValueError, match=f"^chunk {first} of 16$"):
+        verify._in_shares(40, run)
     assert_no_child_left()
 
 
@@ -219,7 +210,7 @@ def test_an_interrupted_split_reaps_its_children(forks):
 
     start = time.perf_counter()
     with pytest.raises(KeyboardInterrupt):
-        verify._in_shares(20, run)
+        verify._in_shares(40, run)
     assert time.perf_counter() - start < 30
     assert_no_child_left()
 
@@ -230,11 +221,11 @@ def test_a_child_that_dies_without_its_results_is_an_error(forks):
     def run(j, chunks):
         if os.getpid() != parent:
             os._exit(3)
-        time.sleep(0.02)
         return j
 
-    with pytest.raises(RuntimeError, match="ended without the result of chunk"):
-        verify._in_shares(20, run)
+    # chunk 1 is the child's first
+    with pytest.raises(RuntimeError, match="ended without the result of chunk 1$"):
+        verify._in_shares(40, run)
     assert_no_child_left()
 
 

@@ -18,8 +18,9 @@ One walk over the k-Pieri chains from w gives every degree p = 0..k of
 the first product at once.  Its terms are cached per (w, k) as three flat
 columns, one term per chain: the ends, their packed Q-weights, and one
 weight code per term, whose degree-p coefficient `chains.code_weight`
-gives; `_weight_column(k, p)` keeps it for each code read at (k, p), so
-no table grows with k^3.  The ends are interned across walks
+gives; `_weight_column(k, p)` holds it by code, for every code up to
+`_DENSE_COLUMNS` and past it only for the codes read, so no table grows
+with k^3.  The ends are interned across walks
 (`chains._ends`), the Monk walk of `monk_lhs_expand` included, so every
 cached row and every Expansion key built from them shares one object per
 permutation.
@@ -90,7 +91,7 @@ from __future__ import annotations
 
 import json
 import re
-from collections.abc import Iterable, Iterator, Mapping
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from functools import lru_cache
 from types import MappingProxyType
 
@@ -468,19 +469,53 @@ _pieri_rows = lru_cache(maxsize=None)(pieri_degree_rows)
 def clear_caches() -> None:
     """
     Empty the engine's caches together: the Pieri rows, the per-degree
-    and Monk expansions, and the ends the walks interned, so no interned
-    end outlives the rows that hold it.
+    and Monk expansions, the weight columns, and the ends the walks
+    interned, so no interned end outlives the rows that hold it.
     """
     _pieri_rows.cache_clear()
     pieri_expand.cache_clear()
     monk_lhs_expand.cache_clear()
+    _weight_column.cache_clear()
     _ends.clear()
 
 
-# the degree-p coefficients `chains.code_weight(k, code, p)` of the codes
-# read at (k, p), one plain dict per (k, p); its readers add a code at its
-# first use, so the hot loops subscript an exact dict
-_weight_column = lru_cache(maxsize=64)(lambda k, p: {})
+class _SparseColumn(dict):
+    """
+    `_SparseColumn(k, p)[code]` = `chains.code_weight(k, code, p)`, kept
+    for each code on its first use.
+    """
+
+    __slots__ = ("k", "p")
+
+    def __init__(self, k: int, p: int) -> None:
+        super().__init__()
+        self.k, self.p = k, p
+
+    def __missing__(self, code: int) -> int:
+        c = self[code] = code_weight(self.k, code, self.p)
+        return c
+
+
+# Columns k up to this are tuples over all 2(k+1)^2 codes: 2,178 entries
+# at k = 32, built in under 1 ms.  A tuple subscript costs least in the
+# loops of `pieri_expand` and `_add_rows`: over 30 terms a plain dict took
+# 25% and a dict with __missing__ 150% longer (Python 3.11), and with a
+# plain dict the benchmark's commute-s4 ran 3% and sweep-s6's median
+# operation 5% slower.
+_DENSE_COLUMNS = 32
+
+
+@lru_cache(maxsize=64)
+def _weight_column(k: int, p: int) -> Sequence[int] | _SparseColumn:
+    """
+    column[code] = `chains.code_weight(k, code, p)` for every code of a
+    k-Pieri walk: a tuple of every code while k <= `_DENSE_COLUMNS`, and
+    past it a `_SparseColumn` of the codes read (101 codes instead of
+    2 * 101^2 at k = 100).
+    """
+    if k <= _DENSE_COLUMNS:
+        return tuple(code_weight(k, code, p) for code in range(2 * (k + 1) ** 2))
+    return _SparseColumn(k, p)
 
 
 def _check_factor(k: int, p: int) -> None:
@@ -508,10 +543,7 @@ def pieri_expand(w: Permutation, k: int, p: int) -> Expansion:
     # each end is hashed once
     terms: dict[Permutation, _Packed] = {}
     for u, q, code in zip(ends, qs, codes):
-        try:
-            c = column[code]
-        except KeyError:
-            c = column[code] = code_weight(k, code, p)
+        c = column[code]
         if c:
             poly = terms.setdefault(u, {})
             poly[q] = poly.get(q, 0) + c
@@ -534,9 +566,7 @@ def _add_rows(
     acc: dict[Permutation, _Packed],
     g: _Packed,
     rows: tuple[tuple[Permutation, ...], tuple[int, ...], tuple[int, ...]],
-    column: dict[int, int],
-    k: int,
-    p: int,
+    column: Sequence[int] | _SparseColumn,
 ) -> None:
     """
     acc += g * (the degree-p terms of one (u, k) rows), in place: for each
@@ -548,10 +578,7 @@ def _add_rows(
     ends, qs, codes = rows
     for gk, gc in g.items():
         for v, q, code in zip(ends, qs, codes):
-            try:
-                c = column[code]
-            except KeyError:
-                c = column[code] = code_weight(k, code, p)
+            c = column[code]
             if c:
                 key = gk + q
                 if key & Q_HIGH_BITS:
@@ -591,6 +618,6 @@ def expand_product_chain(w: Permutation, factors: list[tuple[int, int]]) -> Expa
         column = _weight_column(k, p)
         acc: dict[Permutation, _Packed] = {}
         for u, g in out._terms.items():
-            _add_rows(acc, g, _pieri_rows(u, k), column, k, p)
+            _add_rows(acc, g, _pieri_rows(u, k), column)
         out = Expansion._of(acc)
     return out

@@ -12,20 +12,26 @@ which reads from the entry whether the image set and the walk back from
 the codomain apply.
 
 Shares.  No grid point of a suite depends on another: a start w or x in
-S_n (`markings`, `insertion`, `edges`), a (w, k, p) (`bijections`), or a
-run of the starts of every scan (`lemmas`).  These five suites check
-their grid on every usable CPU (`_in_shares`): the grid is cut into
-chunks of consecutive points, dealt to this process and one forked child
-per further CPU, and the chunks' checks and failures are added in grid
-order.  So a report is the one a single process gives, failure lines in
-order, and an exception is the one a single process raises first.  A
-grid stays in this process when one CPU is usable, off Linux, while
-another thread is alive, or below `_MIN_SPLIT_POINTS` points.  Children
-send results back through pipes; nothing a child caches or counts
-reaches this process, and what this process caches and counts is the
-same on every run.  `commutativity` stays in one process: split by w or
-by (w, factor) it ran no faster, its products reading rows that each
-process must then walk for itself.
+S_n (`markings`, `insertion`, `edges`), or a run of the starts of every
+scan (`lemmas`).  These four suites check a grid larger than their
+default on more than one CPU (`_in_shares`): the grid is cut into chunks
+of consecutive points, dealt to this process and forked children, and
+the chunks' checks and failures are added in grid order.  So a report is
+the one a single process gives, failure lines in order, and an exception
+is the one a single process raises first.  A suite splits from the grid
+past its default on (S_5 for `markings` and `insertion`, S_6 for
+`lemmas`, S_7 for `edges`), with one process per half of that grid,
+up to one per usable CPU.  Run as their own command on a 2-vCPU VM, the
+default grids (0.1 to 0.15 s a command) ran no faster split, and the
+next grids ran faster whenever the second CPU was free.  A grid stays in
+this process on one CPU, off Linux, or while another thread is alive.
+Children send results back through pipes; nothing a child caches or
+counts reaches this process, and what this process caches and counts is
+the same on every run.
+`commutativity` and `bijections` stay in one process: split by w or by
+(w, factor), commutativity ran no faster, its products reading rows that
+each process must then walk for itself, and `bijections`, a fixed grid
+of 30 (w, k, p), ran slower split as its own command.
 """
 
 from __future__ import annotations
@@ -107,16 +113,6 @@ class SuiteReport:
 
 R = TypeVar("R")
 
-# Grids of fewer points than this are checked in one process.  The
-# smallest split grids of the benchmark's 15 verify runs are markings 4
-# and insertion 4 (24 points) and bijections (30); in the benchmark's
-# order (2-vCPU VM, medians of 10 alternating fresh-process runs) they
-# went 28 -> 26, 95 -> 65 and 185 -> 120 ms, edges 7 (5,040 points)
-# 472 -> 272 ms, and the 15 runs in all 1.98 -> 1.36 s.  The S_3 grids
-# (6 points) ran no faster split or slower (as a process's first suite,
-# markings 3 5.1 -> 5.1 ms, insertion 3 10 -> 18 ms, lemmas 3 5 -> 15 ms):
-# a round trip of fork, pipe and pickle costs about 2 ms.
-_MIN_SPLIT_POINTS = 24
 # chunks per process of a split grid: neighbouring chunks cost alike, so
 # dealing many of them out evens out the processes' shares
 _CHUNKS_PER_PROCESS = 8
@@ -127,38 +123,44 @@ def _usable_cpus() -> int:
     return len(os.sched_getaffinity(0)) if sys.platform == "linux" else 1
 
 
-def _in_shares(points: int, run: Callable[[int, int], R]) -> list[R]:
+def _in_shares(points: int, run: Callable[[int, int], R], min_points: int) -> list[R]:
     """
     [run(0, c), ..., run(c - 1, c)]: the results of the c chunks of a grid
     of `points` points, in chunk order; a grid kept in one process is one
-    chunk, [run(0, 1)].  A split grid has `_CHUNKS_PER_PROCESS` chunks for
-    each of its P processes, at most one per point: this process and a
-    forked child per further usable CPU.  The chunks are dealt to the
-    processes in rounds of P, back and forth (for P = 2: 0, 1, 1, 0, 0, 1,
+    chunk, [run(0, 1)].  `min_points` is the smallest grid of the suite
+    measured to run faster in two processes than in one, and no process
+    takes a share smaller than half of it: a grid splits over
+    P = min(usable CPUs, 2 * points // min_points) processes, this one and
+    a forked child per further process, and stays here when P < 2, off
+    Linux, or while another thread is alive.  A split grid has
+    `_CHUNKS_PER_PROCESS` chunks for each process, at most one per point,
+    dealt in rounds of P, back and forth (for P = 2: 0, 1, 1, 0, 0, 1,
     ...), so a cost that grows or alternates along the grid is shared
     evenly, and each process does the same work on every run (this one has
-    chunk 0).  A process runs its chunks in order up to the first that
-    raises; a child sends their results and that exception back
-    through a pipe, pickled (an exception that pickle cannot carry arrives
-    as a RuntimeError naming it).  The exception of the first chunk that
-    raised is raised here, as one process running every chunk in order
-    would raise it.  Every child is killed, if it still runs (this process
-    raised or was interrupted), and reaped before this returns or raises.
+    chunk 0).  If a pipe or a fork fails (no process or file descriptor is
+    left), this process takes the chunks of every child it could not start.
+    A process runs its chunks in order up to the first that raises; a child
+    sends their results and that exception back through a pipe, pickled (an
+    exception that pickle cannot carry arrives as a RuntimeError naming
+    it).  The exception of the first chunk that raised is raised here, as
+    one process running every chunk in order would raise it.  Every child
+    is killed, if it still runs (this process raised or was interrupted),
+    and reaped before this returns or raises.
     """
     threading = sys.modules.get("threading")
-    processes = min(_usable_cpus(), points)
-    if processes < 2 or points < _MIN_SPLIT_POINTS or (threading and threading.active_count() > 1):
+    processes = min(_usable_cpus(), 2 * points // min_points)
+    if processes < 2 or (threading and threading.active_count() > 1):
         return [run(0, 1)]
     import pickle
     import signal
 
     chunks = min(points, processes * _CHUNKS_PER_PROCESS)
 
-    def run_share(i: int) -> dict[int, tuple[bool, object]]:
+    def run_share(seats: set[int]) -> dict[int, tuple[bool, object]]:
         done = {}
         for j in range(chunks):
             turn, seat = divmod(j, processes)
-            if i != (processes - 1 - seat if turn % 2 else seat):
+            if (processes - 1 - seat if turn % 2 else seat) not in seats:
                 continue
             try:
                 done[j] = (True, run(j, chunks))
@@ -170,12 +172,20 @@ def _in_shares(points: int, run: Callable[[int, int], R]) -> list[R]:
     children: list[tuple[int, int]] = []  # (pid, read end) of each child
     try:
         for i in range(1, processes):
-            read_end, write_end = os.pipe()
-            pid = os.fork()
+            try:
+                read_end, write_end = os.pipe()
+            except OSError:
+                break
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read_end)
+                os.close(write_end)
+                break
             if not pid:
                 try:
                     os.close(read_end)
-                    done = run_share(i)
+                    done = run_share({i})
                     try:
                         payload = pickle.dumps(done, pickle.HIGHEST_PROTOCOL)
                     except Exception:
@@ -189,7 +199,8 @@ def _in_shares(points: int, run: Callable[[int, int], R]) -> list[R]:
                     os._exit(0)
             os.close(write_end)
             children.append((pid, read_end))
-        done = run_share(0)
+        # seat 0, and the seat of every child that could not be started
+        done = run_share({0, *range(len(children) + 1, processes)})
         for _, read_end in children:
             with open(read_end, "rb", closefd=False) as pipe:
                 payload = pipe.read()
@@ -213,11 +224,14 @@ def _in_shares(points: int, run: Callable[[int, int], R]) -> list[R]:
             os.waitpid(pid, 0)
 
 
-def _check_points(report: SuiteReport, points: Sequence, check: Callable[[SuiteReport, object], None]) -> None:
+def _check_points(
+    report: SuiteReport, points: Sequence, check: Callable[[SuiteReport, object], None], min_points: int
+) -> None:
     """
     check(report, point) for every point, in order, as one loop would run
-    it: each chunk of `_in_shares` is a run of consecutive points, and the
-    chunks' (checked, failures) are added in grid order.
+    it: each chunk of `_in_shares(len(points), ..., min_points)` is a run
+    of consecutive points, and the chunks' (checked, failures) are added
+    in grid order.
     """
 
     def run(j: int, chunks: int) -> tuple[int, list[str]]:
@@ -226,7 +240,7 @@ def _check_points(report: SuiteReport, points: Sequence, check: Callable[[SuiteR
             check(part, point)
         return part.checked, part.failures
 
-    for checked, failures in _in_shares(len(points), run):
+    for checked, failures in _in_shares(len(points), run, min_points):
         report.checked += checked
         report.failures += failures
 
@@ -370,7 +384,7 @@ def _suite_markings(n: int) -> SuiteReport:
                         lambda: f"enumerated markings disagree with brute force for {chain!r}, p={p}",
                     )
 
-    _check_points(report, all_permutations(n), check)
+    _check_points(report, all_permutations(n), check, min_points=math.factorial(5))
     return report
 
 
@@ -464,8 +478,10 @@ def _suite_bijections() -> SuiteReport:
     report = SuiteReport(
         "bijections", "w in S_3, columns 2..3, all marking levels"
     )
-    grid = [(w, k, p) for w in all_permutations(3) for k in (2, 3) for p in range(1, k + 1)]
-    _check_points(report, grid, lambda report, point: check_bijections_grid(report, *point))
+    for w in all_permutations(3):
+        for k in (2, 3):
+            for p in range(1, k + 1):
+                check_bijections_grid(report, w, k, p)
     return report
 
 
@@ -483,7 +499,7 @@ def _suite_lemmas(n: int) -> SuiteReport:
             del part.counterexamples[1:]
         return scans
 
-    for scan, *rest in zip(*_in_shares(math.factorial(n), run)):
+    for scan, *rest in zip(*_in_shares(math.factorial(n), run, min_points=math.factorial(6))):
         for part in rest:
             scan.checked += part.checked
             scan.counterexamples += part.counterexamples
@@ -547,7 +563,7 @@ def _suite_insertion(n: int) -> SuiteReport:
                     lambda: f"insert(delete) misses on {path!r}",
                 )
 
-    _check_points(report, all_permutations(n), check)
+    _check_points(report, all_permutations(n), check, min_points=math.factorial(5))
     return report
 
 
@@ -595,7 +611,7 @@ def _suite_edges(n: int) -> SuiteReport:
                 lambda: f"edge criteria disagree at x={x.one_line()}, label ({a},{b})",
             )
 
-    _check_points(report, all_permutations(n), check)
+    _check_points(report, all_permutations(n), check, min_points=math.factorial(7))
     return report
 
 

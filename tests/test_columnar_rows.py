@@ -21,7 +21,7 @@ import random
 
 import pytest
 
-from qpieri import chains
+from qpieri import chains, expansion
 from qpieri.chains import code_weight, enumerate_pieri_chains, marking_count, pieri_degree_rows, weight_row
 from qpieri.expansion import (
     Expansion,
@@ -160,5 +160,22 @@ def test_a_product_after_clear_caches_equals_the_one_before():
         before = (pieri_expand(w, 3, 2), expand_product_chain(w, factors))
         clear_caches()
         assert not chains._ends and _pieri_rows.cache_info().currsize == 0
-        assert pieri_expand.cache_info().currsize == 0
+        assert pieri_expand.cache_info().currsize == expansion._weight_column.cache_info().currsize == 0
         assert (pieri_expand(w, 3, 2), expand_product_chain(w, factors)) == before, w
+
+
+def test_a_column_of_the_codes_read_weighs_as_a_column_of_every_code(monkeypatch):
+    factors = [(2, 1), (3, 2), (3, 3)]
+    clear_caches()
+    dense = {w: (pieri_expand(w, 3, 2), expand_product_chain(w, factors)) for w in all_permutations(4)}
+    assert type(expansion._weight_column(3, 2)) is tuple
+    monkeypatch.setattr(expansion, "_DENSE_COLUMNS", 0)
+    clear_caches()
+    try:
+        for w, want in dense.items():
+            assert (pieri_expand(w, 3, 2), expand_product_chain(w, factors)) == want, w
+        column = expansion._weight_column(3, 2)
+        assert isinstance(column, dict) and 0 < len(column) < 2 * 4**2
+        assert all(c == code_weight(3, code, 2) for code, c in column.items())
+    finally:
+        clear_caches()

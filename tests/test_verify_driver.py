@@ -126,48 +126,92 @@ def assert_no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
+class Forked(list):
+    def __init__(self):
+        super().__init__()
+        self.grids = []
+
+
 @pytest.fixture
 def forks(monkeypatch):
-    """A grid of any size runs on two processes; the list counts the forks."""
-    calls = []
-    fork = os.fork
+    """
+    Two CPUs are usable and a grid of any size splits (a test may set
+    more CPUs).  The list holds the pid of every child forked, in order;
+    `grids` records the (points, min_points) of every grid a suite passed.
+    """
+    children = Forked()
+    fork, in_shares = os.fork, verify._in_shares
 
     def counted():
-        calls.append(1)
-        return fork()
+        pid = fork()
+        if pid:
+            children.append(pid)
+        return pid
+
+    def any_size(points, run, min_points):
+        children.grids.append((points, min_points))
+        return in_shares(points, run, 1)
 
     monkeypatch.setattr(verify, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(verify, "_in_shares", any_size)
     monkeypatch.setattr(os, "fork", counted)
-    return calls
+    return children
 
 
 # the suites whose grid is checked in shares
-SPLIT = ("markings", "bijections", "lemmas", "insertion", "edges")
-
-
-def run_both_ways(monkeypatch, forks, suite, max_n):
-    """The report of a suite checked in shares, where it splits, then in this process alone."""
-    split = run_suite(suite, max_n)
-    assert bool(forks) == (suite in SPLIT), suite
-    monkeypatch.setattr(verify, "_usable_cpus", lambda: 1)
-    forks.clear()
-    serial = run_suite(suite, max_n)
-    assert not forks, suite
-    return split, serial
+SPLIT = ("markings", "lemmas", "insertion", "edges")
 
 
 @pytest.mark.parametrize("suite, max_n", [*((s, None) for s in SUITES), ("lemmas", 6), ("edges", 7)])
 def test_a_split_report_equals_the_serial_one(suite, max_n, monkeypatch, forks):
-    split, serial = run_both_ways(monkeypatch, forks, suite, max_n)
+    split = run_suite(suite, max_n)
+    assert bool(forks) == (suite in SPLIT), suite
+    # unforced, a grid splits past its suite's default grid only
+    assert [2 * points // min_points >= 2 for points, min_points in forks.grids] == (
+        [max_n is not None] if suite in SPLIT else []
+    )
+    monkeypatch.setattr(verify, "_usable_cpus", lambda: 1)
+    forks.clear()
+    serial = run_suite(suite, max_n)
+    assert not forks, suite
     assert (split.universe, split.checked, split.failures) == (serial.universe, serial.checked, serial.failures)
     assert_no_child_left()
 
 
-@pytest.mark.parametrize("raising, first", [("child", 5), ("parent", 3), ("both", 3)])
-def test_a_share_that_raises_reaches_the_caller_as_in_one_process(raising, first, forks):
-    # 40 points on two processes: 16 chunks dealt 0, 1, 1, 0, 0, 1, 1, 0, ...,
-    # so this process takes chunks 0, 3, 4, 7, ... and the child 1, 2, 5, 6, ...;
-    # from chunk 3 on, every chunk raises in the named process
+def test_a_default_grid_stays_in_this_process(monkeypatch):
+    forked = []
+    fork = os.fork
+    monkeypatch.setattr(verify, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(os, "fork", lambda: forked.append(1) or fork())
+    for suite in SPLIT:
+        run_suite(suite)
+    assert not forked
+
+
+# 40 points over P processes: 8 chunks each, dealt in rounds of P back and
+# forth; the seat of each of the first chunks, by P
+SEATS = {2: [0, 1, 1, 0, 0, 1, 1, 0], 3: [0, 1, 2, 2, 1, 0, 0, 1, 2], 4: [0, 1, 2, 3, 3, 2, 1, 0, 0]}
+
+
+@pytest.mark.parametrize("cpus", [2, 3, 4])
+def test_a_split_grid_returns_every_chunk_in_order(cpus, monkeypatch, forks):
+    monkeypatch.setattr(verify, "_usable_cpus", lambda: cpus)
+    got = verify._in_shares(40, lambda j, chunks: (j, chunks, os.getpid()), 1)
+    assert [(j, chunks) for j, chunks, _ in got] == [(j, 8 * cpus) for j in range(8 * cpus)]
+    assert len(forks) == cpus - 1
+    seats = [os.getpid(), *forks]
+    assert [seats.index(pid) for _, _, pid in got[: len(SEATS[cpus])]] == SEATS[cpus]
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize(
+    "cpus, raising, first",
+    [(2, "child", 5), (2, "parent", 3), (2, "both", 3), (3, "child", 3), (3, "parent", 5), (4, "parent", 7)],
+)
+def test_a_share_that_raises_reaches_the_caller_as_in_one_process(cpus, raising, first, monkeypatch, forks):
+    # from chunk 3 on, every chunk raises in the named processes (SEATS
+    # says which process has which chunk)
+    monkeypatch.setattr(verify, "_usable_cpus", lambda: cpus)
     parent = os.getpid()
 
     def run(j, chunks):
@@ -177,8 +221,8 @@ def test_a_share_that_raises_reaches_the_caller_as_in_one_process(raising, first
         return j
 
     # one loop over the chunks in order would stop at the first that raises
-    with pytest.raises(ValueError, match=f"^chunk {first} of 16$"):
-        verify._in_shares(40, run)
+    with pytest.raises(ValueError, match=f"^chunk {first} of {8 * cpus}$"):
+        verify._in_shares(40, run, 1)
     assert_no_child_left()
 
 
@@ -210,7 +254,7 @@ def test_an_interrupted_split_reaps_its_children(forks):
 
     start = time.perf_counter()
     with pytest.raises(KeyboardInterrupt):
-        verify._in_shares(40, run)
+        verify._in_shares(40, run, 1)
     assert time.perf_counter() - start < 30
     assert_no_child_left()
 
@@ -225,18 +269,63 @@ def test_a_child_that_dies_without_its_results_is_an_error(forks):
 
     # chunk 1 is the child's first
     with pytest.raises(RuntimeError, match="ended without the result of chunk 1$"):
-        verify._in_shares(40, run)
+        verify._in_shares(40, run, 1)
     assert_no_child_left()
 
 
-def test_a_small_grid_or_one_cpu_stays_in_this_process(monkeypatch, forks):
-    assert verify._in_shares(verify._MIN_SPLIT_POINTS - 1, lambda j, c: (j, c)) == [(0, 1)]
+def open_fds() -> list[str]:
+    return sorted(os.listdir("/proc/self/fd"))
+
+
+@pytest.mark.parametrize("failing", ["fork", "pipe"])
+@pytest.mark.parametrize("cpus, started", [(2, 0), (3, 0), (3, 1), (4, 2)])
+def test_a_child_that_cannot_start_leaves_its_chunks_here(failing, cpus, started, monkeypatch, forks):
+    # every fork or pipe past the first `started` fails, as when no process
+    # or file descriptor is left
+    monkeypatch.setattr(verify, "_usable_cpus", lambda: cpus)
+    real = getattr(os, failing)
+    calls = []
+
+    def fails():
+        calls.append(1)
+        if len(calls) > started:
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+        return real()
+
+    monkeypatch.setattr(os, failing, fails)
+    before = open_fds()
+    got = verify._in_shares(40, lambda j, chunks: (j, chunks), 1)
+    assert got == [(j, 8 * cpus) for j in range(8 * cpus)]
+    assert len(forks) == started
+    assert open_fds() == before
+    assert_no_child_left()
+
+
+def test_a_suite_whose_fork_fails_reports_as_in_one_process(monkeypatch, forks):
+    def fails():
+        raise OSError(12, "Cannot allocate memory")
+
+    monkeypatch.setattr(os, "fork", fails)
+    split = run_suite("edges", 5)
     monkeypatch.setattr(verify, "_usable_cpus", lambda: 1)
-    assert verify._in_shares(1000, lambda j, c: (j, c)) == [(0, 1)]
-    assert not forks
+    serial = run_suite("edges", 5)
+    assert (split.checked, split.failures) == (serial.checked, serial.failures)
+    assert_no_child_left()
 
 
-def test_a_split_grid_returns_every_chunk_in_order(forks):
-    assert verify._in_shares(1000, lambda j, c: (j, c)) == [(j, 16) for j in range(16)]
-    assert len(forks) == 1
+def test_no_process_takes_less_than_half_the_smallest_grid_measured_to_split(monkeypatch):
+    real = os.fork
+    forked = []
+    monkeypatch.setattr(os, "fork", lambda: forked.append(1) or real())
+    monkeypatch.setattr(verify, "_usable_cpus", lambda: 4)
+    # 2 * points // min_points processes at most: 1 (no split), 2, 3, and 4 CPUs' worth
+    for points, processes in ((19, 1), (20, 2), (29, 2), (30, 3), (40, 4), (400, 4)):
+        forked.clear()
+        got = verify._in_shares(points, lambda j, chunks: chunks, 20)
+        assert len(forked) == processes - 1, points
+        assert got == ([1] if processes == 1 else [min(points, 8 * processes)] * min(points, 8 * processes))
+    monkeypatch.setattr(verify, "_usable_cpus", lambda: 1)
+    forked.clear()
+    assert verify._in_shares(1000, lambda j, chunks: (j, chunks), 1) == [(0, 1)]
+    assert not forked
     assert_no_child_left()

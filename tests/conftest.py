@@ -1,11 +1,20 @@
-"""Fixtures shared by the proof-kit and verify tests."""
+"""
+Fixtures shared by the proof-kit and verify tests, and the one Hypothesis
+profile of the suite: every property test draws the same examples on
+every run and keeps no example database, so a failure seen once is seen
+on every run.
+"""
 
 from __future__ import annotations
 
 import pytest
+from hypothesis import settings
 
 from qpieri import verify
 from qpieri.proofkit import bijections
+
+settings.register_profile("reproducible", derandomize=True, database=None)
+settings.load_profile("reproducible")
 
 
 @pytest.fixture

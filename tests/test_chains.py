@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import gc
 import itertools
-import math
 
 import pytest
 
@@ -22,7 +21,7 @@ from qpieri.chains import (
     pieri_violation,
 )
 from qpieri.expansion import monk_lhs_expand
-from qpieri.permutations import Permutation, all_permutations, label_precedes
+from qpieri.permutations import Permutation, all_permutations
 from qpieri.qbg import edge_kind_by_length, validate_path
 
 P = Permutation.from_one_line
@@ -165,11 +164,12 @@ def test_monk_chain_shape_validation():
 
 
 def brute_markings(chain, p):
-    return sorted(
-        frozenset(sub)
-        for sub in itertools.combinations(chain.labels, p)
-        if is_marking(chain, frozenset(sub))
-    )
+    """The p-subsets of the chain's labels that `is_marking` accepts, in `itertools.combinations` order."""
+    if p < 0:
+        return []
+    return [
+        frozenset(sub) for sub in itertools.combinations(chain.labels, p) if is_marking(chain, frozenset(sub))
+    ]
 
 
 def _chain(w, labels, k):
@@ -214,67 +214,7 @@ def test_descending_run_forces_every_prefix_end():
     assert enumerate_markings(chain, 2) == [frozenset({(3, 4), (1, 4)})]
 
 
-def test_marking_closed_form_matches_brute_force_s4():
-    for w in all_permutations(4):
-        for k in (1, 2, 3):
-            for chain in enumerate_pieri_chains(w, k):
-                for p in range(0, k + 1):
-                    brute = brute_markings(chain, p)
-                    assert sorted(enumerate_markings(chain, p)) == brute
-                    assert marking_count(chain, p) == len(brute)
-                    if brute:
-                        m0 = len({a for a, _ in chain.labels})
-                        assert p <= m0
-
-
-# --- frozen reference: the markings code before its one-pass derivation ----
-
-
-def frozen_forced_marks(chain):
-    labels = chain.labels
-    forced = set()
-    for t in range(1, len(labels) + 1):
-        head = labels[:t]
-        if all(x[1] == head[0][1] for x in head) and all(
-            head[i][0] > head[i + 1][0] for i in range(t - 1)
-        ):
-            forced.add(head[t - 1])
-        else:
-            break
-    for s in range(len(labels) - 1):
-        if not label_precedes(labels[s], labels[s + 1]):
-            forced.add(labels[s])
-    return forced
-
-
-def frozen_enumerate_markings(chain, p):
-    if p < 0 or p > len(chain):
-        return []
-    forced = frozen_forced_marks(chain)
-    firsts = first_occurrences(chain)
-    if not forced <= firsts:
-        return []
-    free = sorted(firsts - forced, key=lambda lab: chain.labels.index(lab))
-    need = p - len(forced)
-    if need < 0 or need > len(free):
-        return []
-    return [frozenset(forced) | frozenset(extra) for extra in itertools.combinations(free, need)]
-
-
-def frozen_marking_count(chain, p):
-    if p < 0 or p > len(chain):
-        return 0
-    forced = frozen_forced_marks(chain)
-    if not forced <= first_occurrences(chain):
-        return 0
-    m0 = len({a for a, _ in chain.labels})
-    m = len(forced)
-    if p < m or p > m0:
-        return 0
-    return math.comb(m0 - m, p - m)
-
-
-def test_markings_match_the_frozen_reference_in_order():
+def test_markings_match_the_brute_force_in_order():
     # `chains_table`, `markings_table` and `qpieri chains --format json`
     # print markings in list order, so the order is compared too
     cases = 0
@@ -282,11 +222,16 @@ def test_markings_match_the_frozen_reference_in_order():
         for w in all_permutations(n):
             for k in range(5):
                 for chain in enumerate_pieri_chains(w, k):
-                    assert forced_marks(chain) == frozen_forced_marks(chain), chain
+                    smallest = None
                     for p in range(-1, k + 2):
-                        assert enumerate_markings(chain, p) == frozen_enumerate_markings(chain, p), (chain, p)
-                        assert marking_count(chain, p) == frozen_marking_count(chain, p), (chain, p)
+                        brute = brute_markings(chain, p)
+                        assert enumerate_markings(chain, p) == brute, (chain, p)
+                        assert marking_count(chain, p) == len(brute), (chain, p)
+                        if brute and smallest is None:
+                            smallest = brute
                         cases += 1
+                    # the forced labels are the one smallest marking
+                    assert smallest == [forced_marks(chain)], chain
     assert cases == 65077
 
 

@@ -105,24 +105,6 @@ def test_grothendieck_stability():
         assert grothendieck_poly(w, 3) == grothendieck_poly(w, 5)
 
 
-def test_pieri_identity_at_q0_small():
-    for w in all_permutations(3):
-        for k in (1, 2, 3):
-            for p in range(0, k + 1):
-                assert verify_pieri_at_q0(w, k, p)
-
-
-def test_pieri_identity_at_q0_s5_spot():
-    assert verify_pieri_at_q0(P("32514"), 3, 2)
-
-
-def test_monk_identity_at_q0():
-    assert verify_monk_at_q0(P("321"), 1)
-    for x in all_permutations(3):
-        for k in (1, 2):
-            assert verify_monk_at_q0(x, k)
-
-
 def test_pieri_oracle_detects_a_dropped_term(monkeypatch):
     # removing one Q = 0 term of a correct expansion breaks the identity,
     # since the Grothendieck polynomials are linearly independent
@@ -144,12 +126,6 @@ def test_monk_oracle_rejects_the_bare_input_symbol(monkeypatch):
     for x in all_permutations(3):
         for k in (1, 2):
             assert not verify_monk_at_q0(x, k), (x.one_line(), k)
-
-
-def test_recurrence_at_q0():
-    for k in (2, 3, 4):
-        for p in range(1, k + 1):
-            assert verify_recurrence_at_q0(k, p)
 
 
 def test_recurrence_rejects_small_k():

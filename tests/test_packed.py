@@ -10,7 +10,6 @@ JSON forms are the ones `json.dumps` and the parser agree on.
 
 from __future__ import annotations
 
-import itertools
 import json
 
 import pytest
@@ -19,7 +18,7 @@ from hypothesis import strategies as st
 from test_expansion import comma_form_expansions, expansions, qpolynomials
 
 from qpieri.expansion import Expansion, QPolynomial, expand_product_chain, pieri_expand
-from qpieri.permutations import Permutation, all_permutations
+from qpieri.permutations import Permutation
 from qpieri.qbg import Q_EXPONENT_LIMIT, Q_VARIABLES, QMonomial, pack_monomial, unpack_monomial
 
 P = Permutation.from_one_line
@@ -197,18 +196,6 @@ def test_map_basis_matches_plain_dicts(e, factor):
         for (v, m2), c2 in plain(pieri_expand(P(u), k, p)).items()
     )
     assert plain(e.map_basis(lambda u: pieri_expand(u, k, p))) == want
-
-
-def test_product_chain_matches_plain_fold_over_s3():
-    factors = [(k, p) for k in (1, 2, 3) for p in range(k + 1)]
-    for w in all_permutations(3):
-        for f1, f2 in itertools.product(factors, repeat=2):
-            want = plain_sum(
-                ((v, merge(m1, m2)), c1 * c2)
-                for (u, m1), c1 in plain(pieri_expand(w, *f1)).items()
-                for (v, m2), c2 in plain(pieri_expand(P(u), *f2)).items()
-            )
-            assert plain(expand_product_chain(w, [f1, f2])) == want, (w, f1, f2)
 
 
 # --- output paths ----------------------------------------------------------

@@ -9,6 +9,7 @@ import random
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from reference import brute_inversions
 
 import qpieri.permutations
 from qpieri.permutations import (
@@ -19,13 +20,6 @@ from qpieri.permutations import (
     label_precedes,
     label_sort_key,
 )
-
-
-def brute_inversions(window):
-    return sum(
-        1 for i, j in itertools.combinations(range(len(window)), 2)
-        if window[i] > window[j]
-    )
 
 
 def test_count_inversions_matches_the_pair_count_over_s0_to_s7():

@@ -21,6 +21,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference import factor, windows
 
 from qpieri import expansion
 from qpieri.chains import weight_row
@@ -83,11 +84,7 @@ def test_the_s4_grid_matches_the_old_fold_and_walks_the_same_rows(clean_caches):
     assert pieri_expand.cache_info().currsize == 0
 
 
-windows = st.integers(5, 6).flatmap(lambda n: st.permutations(range(1, n + 1))).map(tuple)
-factor = st.integers(1, 3).flatmap(lambda k: st.tuples(st.just(k), st.integers(0, k)))
-
-
-@given(windows, st.lists(factor, min_size=3, max_size=3))
+@given(windows(5, 6), st.lists(factor, min_size=3, max_size=3))
 @settings(max_examples=25, deadline=None)
 def test_three_factor_products_match_the_old_fold(window, factors):
     w = Permutation(window)

@@ -17,7 +17,6 @@ drops to zero marks on a nonempty chain) can land outside the universe.
 from __future__ import annotations
 
 import collections
-import re
 
 import pytest
 

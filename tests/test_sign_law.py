@@ -17,6 +17,7 @@ import itertools
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference import factor, windows
 
 from qpieri.chains import weight_row
 from qpieri.expansion import _pieri_rows, expand_product_chain
@@ -58,20 +59,13 @@ def test_every_two_factor_product_over_s4_obeys_the_sign_law():
             assert_product_obeys_the_sign_law(w, list(pair))
 
 
-long_windows = st.integers(7, 8).flatmap(lambda n: st.permutations(range(1, n + 1))).map(tuple)
-
-
-@given(long_windows, st.integers(1, 5))
+@given(windows(7, 8), st.integers(1, 5))
 @settings(max_examples=40, deadline=None)
 def test_rows_from_s7_and_s8_obey_the_sign_law(window, k):
     assert_rows_obey_the_sign_law(Permutation(window), k)
 
 
-windows = st.integers(4, 5).flatmap(lambda n: st.permutations(range(1, n + 1))).map(tuple)
-factor = st.integers(1, 3).flatmap(lambda k: st.tuples(st.just(k), st.integers(0, k)))
-
-
-@given(windows, st.lists(factor, min_size=3, max_size=3))
+@given(windows(4, 5), st.lists(factor, min_size=3, max_size=3))
 @settings(max_examples=25, deadline=None)
 def test_three_factor_products_obey_the_sign_law(window, factors):
     assert_product_obeys_the_sign_law(Permutation(window), factors)

@@ -28,19 +28,21 @@ from qpieri.permutations import Permutation, all_permutations
 from qpieri.qbg import QMonomial, pack_monomial, q_weight
 
 
-def _grid():
-    # S_5 lies inside S_6, so it adds only its walks at k = 5, 6
-    for w in all_permutations(5):
-        for k in (5, 6):
-            yield w, k
-    for w in all_permutations(6):
-        for k in range(1, 5):
-            yield w, k
-    rng = random.Random(28)
-    for n, size in ((7, 40), (8, 12)):
-        for k in range(3, 6):
-            for _ in range(size):
-                yield Permutation(tuple(rng.sample(range(1, n + 1), n))), k
+# a seeded sample of S_7 and S_8 with k = 3..5: 40 and 12 walks for each k
+_rng = random.Random(28)
+_SAMPLE = [
+    (n, k, Permutation(tuple(_rng.sample(range(1, n + 1), n))))
+    for n, size in ((7, 40), (8, 12))
+    for k in range(3, 6)
+    for _ in range(size)
+]
+del _rng
+
+
+def _walks(n: int, k: int) -> list[Permutation]:
+    if n <= 6:
+        return list(all_permutations(n))
+    return [w for m, j, w in _SAMPLE if (m, j) == (n, k)]
 
 
 def signed_marking_counts(chain, k: int) -> tuple[int, ...]:
@@ -48,22 +50,29 @@ def signed_marking_counts(chain, k: int) -> tuple[int, ...]:
     return tuple((-1) ** (len(chain) - p) * marking_count(chain, p) for p in range(k + 1))
 
 
-def test_each_walk_lists_one_term_per_chain_in_chain_order():
-    checked = 0
-    for w, k in _grid():
+# S_5 lies inside S_6, so it adds only its walks at k = 5, 6
+@pytest.mark.parametrize(
+    "n, k",
+    [(6, 1), (6, 2), (6, 3), (6, 4), (5, 5), (5, 6), (7, 3), (7, 4), (7, 5), (8, 3), (8, 4), (8, 5)],
+)
+def test_each_walk_lists_one_term_per_chain_in_chain_order(n, k):
+    walks = _walks(n, k)
+    assert len(walks) == {5: 120, 6: 720, 7: 40, 8: 12}[n]
+    for w in walks:
         ends, qs, codes = pieri_degree_rows(w, k)
         chains = enumerate_pieri_chains(w, k)
         assert len(set(ends)) == len(ends) == len(qs) == len(codes) == len(chains), (w, k)
         got = [(u, q, weight_row(k, code)) for u, q, code in zip(ends, qs, codes)]
         want = [(c.end, pack_monomial(q_weight(c.path)), signed_marking_counts(c, k)) for c in chains]
         assert got == want, (w, k)
-        checked += 1
-    assert checked == 120 * 2 + 720 * 4 + 3 * (40 + 12)
-    # the longest columns over S_6: the count and the distinct ends only
+
+
+# the longest columns over S_6: the count and the distinct ends only
+@pytest.mark.parametrize("k", [5, 6])
+def test_each_walk_over_s6_has_one_distinct_end_per_chain(k):
     for w in all_permutations(6):
-        for k in (5, 6):
-            ends = pieri_degree_rows(w, k)[0]
-            assert len(set(ends)) == len(ends) == len(enumerate_pieri_chains(w, k)), (w, k)
+        ends = pieri_degree_rows(w, k)[0]
+        assert len(set(ends)) == len(ends) == len(enumerate_pieri_chains(w, k)), (w, k)
 
 
 def test_a_new_end_carries_its_window_and_length():

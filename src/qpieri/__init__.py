@@ -26,9 +26,7 @@ from .qbg import (
     DirectedPath,
     EdgeKind,
     QMonomial,
-    algorithm_skd,
     edge_kind,
-    local_transform,
     q_weight,
     validate_path,
 )
@@ -43,7 +41,6 @@ __all__ = [
     "PieriChain",
     "QMonomial",
     "QPolynomial",
-    "algorithm_skd",
     "clear_caches",
     "cyclic_permutation",
     "edge_kind",
@@ -52,7 +49,6 @@ __all__ = [
     "enumerate_pieri_chains",
     "expand_product_chain",
     "label_precedes",
-    "local_transform",
     "marking_count",
     "monk_lhs_expand",
     "pieri_expand",

@@ -140,14 +140,6 @@ class PieriChain:
             raise ValueError(f"{label} not in its column segment")
         return seg[seg.index(label) + 1 :]
 
-    def columns(self) -> list[int]:
-        """Distinct columns in decreasing order."""
-        out: list[int] = []
-        for _, b in self.labels:
-            if not out or out[-1] != b:
-                out.append(b)
-        return out
-
     def n_row(self, a: int) -> int:
         return sum(1 for x, _ in self.labels if x == a)
 

@@ -24,7 +24,7 @@ from .expansion import Expansion, monk_lhs_expand, pieri_expand
 from .permutations import Permutation
 from .qbg import Q_VARIABLES
 from .render import chain_rows, chains_table, markings_table
-from .verify import SUITES, run_suite
+from .verify import SUITES, bound_error, run_suite
 
 
 def _expansion_output(expansion: Expansion, fmt: str) -> str:
@@ -83,13 +83,12 @@ def cmd_verify(args) -> tuple[str, int]:
     return "\n".join(lines) + "\n", code
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """A fresh parser of the whole command line."""
-    return _build_parsers()[0]
-
-
-def _build_parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    """The top-level parser and each subcommand's own parser, by name."""
+@functools.cache
+def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """
+    The top-level parser and each subcommand's own parser, by name: the
+    parsers `main` uses, built on its first call and kept for the process.
+    """
     parser = argparse.ArgumentParser(
         prog="qpieri",
         description="Quantum Pieri products via chains in the quantum Bruhat graph",
@@ -139,12 +138,6 @@ def _build_parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argume
     return parser, sub.choices
 
 
-@functools.cache
-def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    """The parsers `main` uses, built on its first call and kept for the process."""
-    return _build_parsers()
-
-
 def _validate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
     """
     Check every input before any computation; a bad one is a usage error
@@ -169,12 +162,13 @@ def _validate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None
     p = getattr(args, "p", None)
     if p is not None and not 0 <= p <= k:
         parser.error(f"--p must be in 0..{k}, got {p}")
-    for flag in ("filter_sn", "max_n"):
-        value = getattr(args, flag, None)
-        if value is not None and value < 1:
-            parser.error(f"--{flag.replace('_', '-')} must be >= 1, got {value}")
-    if getattr(args, "max_n", None) is not None and SUITES[args.suite].default_n is None:
-        parser.error(f"suite {args.suite} has a fixed universe and takes no --max-n")
+    filter_sn = getattr(args, "filter_sn", None)
+    if filter_sn is not None and filter_sn < 1:
+        parser.error(f"--filter-sn must be >= 1, got {filter_sn}")
+    if args.command == "verify":
+        error = bound_error(args.suite, args.max_n, "--max-n")
+        if error is not None:
+            parser.error(error)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -24,7 +24,6 @@ __all__ = [
     "MarkedChain",
     "PairedChain",
     "all_scans",
-    "apply_bijection",
     "classify",
     "delete",
     "enumerate_marked",
@@ -35,16 +34,3 @@ __all__ = [
     "sum_weights",
     "weight",
 ]
-
-def apply_bijection(name: str, q, k: int, inverse: bool = False):
-    """
-    Apply one of the matchings of `bijections.MATCHINGS` (pi1..pi8,
-    theta1..theta4, chi1..chi6; an '-inv' suffix or inverse=True for the
-    inverse direction) to an element whose tag lies in the map's domain.
-    """
-    if name.endswith("-inv"):
-        name, inverse = name[:-4], True
-    matching = MATCHINGS.get(name)
-    if matching is None:
-        raise ValueError(f"unknown matching {name!r}")
-    return (matching.inverse if inverse else matching.forward)(q, k)

@@ -31,6 +31,7 @@ from ..chains import MonkChain, PieriChain
 from ..permutations import Label, Permutation
 from ..qbg import DirectedPath, validate_path
 from .classify import (
+    _kk,
     classify,
     f_refinement,
     in_class_e,
@@ -44,10 +45,6 @@ from .surgery import delete, insert_many
 from .universe import MarkedChain, PairedChain, enumerate_marked, enumerate_paired
 
 Element = Union[PairedChain, MarkedChain]
-
-
-def _kk(k: int) -> Label:
-    return (k - 1, k)
 
 
 def _marked(start: Permutation, labels, marking, level: int) -> MarkedChain:
@@ -124,12 +121,15 @@ def _b3_to_d11(q: PairedChain, k: int):
 
 
 def _d11_to_b3(q: PairedChain, k: int):
-    outcome = run_dec_algorithm(q.chain, k)
-    if outcome.kind != "IIA":
+    """D11 (level k-2) -> B3 (level k-1): (k-1,k) commutes through, and the rows after it rise to column k."""
+    if run_dec_algorithm(q.chain, k):
         raise ValueError("chain is not in the commuting class")
-    moved = set(q.chain.segment_labels(k - 1))
+    labels = q.chain.labels
+    seg = q.chain.segment_labels(k - 1)
+    before = labels[: len(labels) - len(seg)]
+    moved = set(seg)
     marking = {(a, k) if (a, b) in moved else (a, b) for a, b in q.marking} | {_kk(k)}
-    return outcome.path.labels, marking, k - 1
+    return before + (_kk(k),) + tuple((a, k) for a, _ in seg), marking, k - 1
 
 
 def _d12_to_d2(q: PairedChain, k: int):
@@ -176,13 +176,13 @@ def _d2_to_d12(q: PairedChain, k: int):
 
 def _absorbed(chain: PieriChain, k: int):
     """(prefix, (*,k)-segment, (*,k-1)-segment, t(p)) of an absorbing-class chain."""
-    outcome = run_dec_algorithm(chain, k)
-    if outcome.kind != "IIB":
+    t_p = run_dec_algorithm(chain, k)
+    if not t_p:
         raise ValueError("chain is not in the absorbing class")
     seg_k = chain.segment_labels(k)
     seg_k1 = chain.segment_labels(k - 1)
     prefix = chain.labels[: len(chain.labels) - len(seg_k1) - len(seg_k)]
-    return prefix, seg_k, seg_k1, outcome.u
+    return prefix, seg_k, seg_k1, t_p
 
 
 def _head_stripped(move) -> Callable[[PairedChain, int], PairedChain]:

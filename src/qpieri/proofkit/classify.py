@@ -9,8 +9,9 @@ stage 1, level k-1:   A   no kk label          B   kk label present
                       B1  kk unmarked          B2  kk marked, final
                       B3  kk marked, not final
          level k-2:   C   no (*,k-1) labels    D   some
-                      D1/D2 by the rewrite pass on the appended kk
-                      (D1 commutes through: IIA; D2 absorbs: IIB),
+                      D1/D2 by the stop position u of the commuting
+                      pass on the appended kk (D1 commutes through:
+                      u = 0; D2 absorbs: u > 0),
                       D11/D12 by disjointness of the (*,k)/(*,k-1) rows
          Monk side:   X   Monk chain starts with kk,   Y otherwise
 
@@ -37,7 +38,7 @@ from __future__ import annotations
 
 from ..chains import PieriChain
 from ..permutations import Label, label_precedes
-from ..qbg import SkdOutcome, algorithm_skd
+from .surgery import algorithm_skd
 from .universe import MarkedChain, PairedChain
 
 
@@ -64,11 +65,11 @@ def dec1_base_top(q: PairedChain, k: int) -> str:
     return "B2" if chain.final_label() == kk else "B3"
 
 
-def run_dec_algorithm(chain: PieriChain, k: int) -> SkdOutcome:
+def run_dec_algorithm(chain: PieriChain, k: int) -> int:
     """
-    Run the rewrite pass that appends (k-1,k) to a level-(k-2) chain and
-    pushes it through the trailing (*,k-1)-segment: kind 'IIA' is class D1,
-    'IIB' is class D2, with u the stop position t(p) within the segment.
+    The stop position t(p) of the commuting pass that appends (k-1,k) to a
+    level-(k-2) chain and pushes it through the trailing (*,k-1)-segment:
+    0 for class D1, the position within the segment for class D2.
     """
     seg = chain.segment_of_b(k - 1)
     if not len(seg):
@@ -81,7 +82,7 @@ def dec1_base_low(q: PairedChain, k: int) -> str:
     chain = q.chain
     if chain.n_col(k - 1) == 0:
         return "C"
-    if run_dec_algorithm(chain, k).kind == "IIB":
+    if run_dec_algorithm(chain, k):
         return "D2"
     rows_k = {a for a, _ in chain.segment_labels(k)}
     rows_k1 = {a for a, _ in chain.segment_labels(k - 1)}

@@ -34,13 +34,16 @@ Insertion of (k,d) requires
   (C3)  if there is no (k,*) label and the (*,k)-segment is nonempty, the
         row of its final label occurs in no (*,l)-segment with k < l <= d.
 
-The insertion runs the rewrite pass on the (*,k)-segment against (k,d) and
-then relocates the rewritten block next to the (*,d)-segment.  The input
-is a `DirectedPath`, so nothing it already holds is walked again: (C1) is
-one edge test from its end, and the pass reads the vertices before the
-run positions from one walk back along the path.  Each relocated result
-is walked once from the start; the local rewrite rules guarantee it, so
-a failure there is a bug, not a data condition.
+The insertion runs the commuting pass (`algorithm_skd`) on the
+(*,k)-segment against (k,d).  The pass returns its stop position u: 0 when
+(k,d) commutes through the whole segment, else the segment position where
+the absorbing rewrite ends it.  The insertion then relocates the segment
+next to the (*,d)-segment as u says.  The input is a `DirectedPath`, so
+nothing it already holds is walked again: (C1) is one edge test from its
+end, and the pass reads the vertices before the run positions from one
+walk back along the path.  Each relocated result is walked once from the
+start; the local rewrite rules (`local_transform`) guarantee it, so a
+failure there is a bug, not a data condition.
 """
 
 from __future__ import annotations
@@ -48,8 +51,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..chains import pieri_violation
-from ..permutations import Label
-from ..qbg import DirectedPath, algorithm_skd, edge_kind, validate_path
+from ..permutations import Label, Permutation
+from ..qbg import DirectedPath, _walk, edge_kind, validate_path
 
 
 class SurgeryError(ValueError):
@@ -101,31 +104,141 @@ def check_insert_conditions(path: DirectedPath, k: int, d: int) -> None:
                 raise SurgeryError("C3", f"row {a} reappears in the (*,{l})-segment")
 
 
+# --- local rewrites and the commuting pass -----------------------------------
+
+
+def _two_step_valid(win: list[int], s: Label, t: Label) -> bool:
+    """Whether (s, t) is a directed path from the vertex with window `win` (left as it is)."""
+    return _walk(win.copy(), (s, t), []) is None
+
+
+def local_transform(v: Permutation, case: int, s: Label, t: Label) -> list[tuple[Label, Label]]:
+    """
+    Local two-edge rewrites: given a directed path (v; s, t) of the shape
+    required by `case`, return the replacement label pairs that themselves
+    form directed paths from v with the same endpoint.
+
+      case 1: s, t have disjoint supports          -> (t, s)
+      case 2: (a,c),(b,c) -> (b,c),(a,b);  (b,c),(a,c) -> (a,b),(b,c)
+      case 3: (a,b),(a,c) -> (b,c),(a,b);  (a,c),(a,b) -> (a,b),(b,c)
+      case 4: (a,b),(b,c) -> (b,c),(a,c) or (a,c),(a,b)
+              (b,c),(a,b) -> (a,c),(b,c) or (a,b),(a,c)
+    with a < b < c throughout.  Cases 1-3 guarantee their single
+    replacement; case 4 guarantees at least one of its two.
+    """
+    win = list(v.window)
+    if not _two_step_valid(win, s, t):
+        raise ValueError(f"({v!r}; {s}, {t}) is not a directed path")
+    candidates = _transform_candidates(case, s, t)
+    valid = [pair for pair in candidates if _two_step_valid(win, *pair)]
+    if not valid:
+        raise RuntimeError(
+            f"local transform case {case} failed on ({v!r}; {s}, {t}): "
+            "the rewrite is guaranteed, so this indicates a bug"
+        )
+    return valid
+
+
+def _transform_candidates(case: int, s: Label, t: Label) -> list[tuple[Label, Label]]:
+    if case == 1:
+        if set(s) & set(t):
+            raise ValueError(f"case 1 needs disjoint supports, got {s}, {t}")
+        return [(t, s)]
+    if case == 2:
+        if s[1] == t[1] and s[0] != t[0]:
+            a, b = sorted((s[0], t[0]))
+            c = s[1]
+            if s[0] == a:  # (a,c),(b,c) -> (b,c),(a,b)
+                return [((b, c), (a, b))]
+            return [((a, b), (b, c))]  # (b,c),(a,c) -> (a,b),(b,c)
+        raise ValueError(f"case 2 needs (a,c),(b,c) or (b,c),(a,c), got {s}, {t}")
+    if case == 3:
+        if s[0] == t[0] and s[1] != t[1]:
+            a = s[0]
+            b, c = sorted((s[1], t[1]))
+            if s[1] == b:  # (a,b),(a,c) -> (b,c),(a,b)
+                return [((b, c), (a, b))]
+            return [((a, b), (b, c))]  # (a,c),(a,b) -> (a,b),(b,c)
+        raise ValueError(f"case 3 needs (a,b),(a,c) or (a,c),(a,b), got {s}, {t}")
+    if case == 4:
+        if s[1] == t[0]:  # (a,b),(b,c)
+            a, b = s
+            c = t[1]
+            return [((b, c), (a, c)), ((a, c), (a, b))]
+        if s[0] == t[1]:  # (b,c),(a,b)
+            b, c = s
+            a = t[0]
+            return [((a, c), (b, c)), ((a, b), (a, c))]
+        raise ValueError(f"case 4 needs (a,b),(b,c) or (b,c),(a,b), got {s}, {t}")
+    raise ValueError(f"case must be 1..4, got {case}")
+
+
+def algorithm_skd(prefix_path: DirectedPath, segment_start: int, k: int, d: int) -> int:
+    """
+    The commuting pass: push (k,d), appended to `prefix_path`, leftward
+    through the run (j_1,k), ..., (j_t,k) that its labels from index
+    `segment_start` on must be, and return the stop position u.
+
+    At run position u the commuting rewrite (j_u,k),(k,d) -> (k,d),(j_u,d)
+    is taken when it is a path; otherwise the absorbing rewrite
+    (j_u,k),(k,d) -> (j_u,d),(j_u,k) must be one, and it ends the pass.
+      u = 0: (k,d) commuted through the whole run, and the rewritten path
+             ends ( ..., (k,d), (j_1,d), ..., (j_t,d) );
+      u > 0: the pass stopped at u (1-based), and the rewritten path ends
+             ( ..., (j_1,k), ..., (j_{u-1},k), (j_u,d), (j_u,k),
+             (j_{u+1},d), ..., (j_t,d) ).
+    """
+    if d <= k:
+        raise ValueError(f"need d > k, got k={k}, d={d}")
+    labels = prefix_path.labels
+    if any(b != k for _, b in labels[segment_start:]):
+        raise ValueError(f"labels from index {segment_start} must all be (*,{k})")
+    if edge_kind(prefix_path.end, (k, d)) is None:
+        raise ValueError("appending (k,d) does not give a directed path")
+    # the vertex before run position u, read by undoing labels from the end:
+    # every rewrite taken so far lies after position u, so the labels before
+    # it are still those of `prefix_path`
+    v = list(prefix_path.end.extended(d))
+    for u in range(len(labels) - segment_start, 0, -1):
+        j_u = labels[segment_start + u - 1][0]
+        v[j_u - 1], v[k - 1] = v[k - 1], v[j_u - 1]
+        commuting, absorbing = _transform_candidates(4, (j_u, k), (k, d))
+        if _two_step_valid(v, *commuting):
+            continue
+        if not _two_step_valid(v, *absorbing):
+            raise RuntimeError(
+                f"neither rewrite validates at run position {u}: "
+                "one alternative is guaranteed to validate, so this indicates a bug"
+            )
+        return u
+    return 0
+
+
 @dataclass(frozen=True)
 class InsertResult:
     path: DirectedPath
-    commuted: bool  # True when the rewrite pass commuted (k,d) fully through
+    commuted: bool  # True when the commuting pass stopped at u = 0
 
 
 def insert(path: DirectedPath, k: int, d: int) -> InsertResult:
     """
-    The path with (k,d) inserted.  When the rewrite pass commutes through
-    ('commuted'), the result keeps (k,d) at the end of its (*,d)-segment
-    and moves the old (*,k)-segment, re-rowed to d, after it; when it
-    absorbs at position t, the (*,k)-suffix from t moves to column d and
-    the label (i_t, k) stays behind as the new final label.
+    The path with (k,d) inserted.  When the commuting pass commutes through
+    (u = 0, 'commuted'), the result keeps (k,d) at the end of its
+    (*,d)-segment and moves the old (*,k)-segment, re-rowed to d, after it;
+    when it absorbs at position u > 0, the (*,k)-suffix from u moves to
+    column d and the label (i_u, k) stays behind as the new final label.
     """
     check_p_conditions(path, k)
     check_insert_conditions(path, k, d)
     labels = path.labels
     kseg = _segment(labels, k)
     seg_start = len(labels) - len(kseg)
-    outcome = algorithm_skd(path, seg_start, k, d)
+    u = algorithm_skd(path, seg_start, k, d)
 
     high = [lab for lab in labels if lab[1] >= d]
     mid = [lab for lab in labels if k < lab[1] < d]
     n_col_before = sum(1 for a, _ in labels if a == k)
-    if outcome.kind == "IIA":
+    if u == 0:
         new_labels = high + [(k, d)] + [(i, d) for i, _ in kseg] + mid
         result = validate_path(path.start, tuple(new_labels))
         _require(result is not None, "relocation after the commuting pass")
@@ -135,9 +248,8 @@ def insert(path: DirectedPath, k: int, d: int) -> InsertResult:
         _require(n_col_after == n_col_before + 1, "column count after commuting insert")
         return InsertResult(result, True)
 
-    t = outcome.u
-    moved = [(i, d) for i, _ in kseg[t - 1 :]]
-    kept = [(i, k) for i, _ in kseg[:t]]
+    moved = [(i, d) for i, _ in kseg[u - 1 :]]
+    kept = [(i, k) for i, _ in kseg[:u]]
     new_labels = high + moved + mid + kept
     result = validate_path(path.start, tuple(new_labels))
     _require(result is not None, "relocation after the absorbing pass")

@@ -1,7 +1,6 @@
 """
 The quantum Bruhat graph on S_oo: edge classification, directed paths,
-quantum weights, and the local path rewrites used throughout the chain
-machinery.
+quantum weights and their packed form.
 
 Vertices are permutations; there is an edge x --(a,b)--> x*(a,b) when
 either ell(x*(a,b)) = ell(x) + 1 (a Bruhat edge) or
@@ -301,151 +300,3 @@ def q_weight(path: DirectedPath) -> QMonomial:
             for v in range(a, b):
                 exps[v] = exps.get(v, 0) + 1
     return QMonomial(tuple(sorted(exps.items())))
-
-
-def _two_step_valid(win: list[int], s: Label, t: Label) -> bool:
-    """Whether (s, t) is a directed path from the vertex with window `win` (left as it is)."""
-    return _walk(win.copy(), (s, t), []) is None
-
-
-def local_transform(v: Permutation, case: int, s: Label, t: Label) -> list[tuple[Label, Label]]:
-    """
-    Local two-edge rewrites: given a directed path (v; s, t) of the shape
-    required by `case`, return the replacement label pairs that themselves
-    form directed paths from v with the same endpoint.
-
-      case 1: s, t have disjoint supports          -> (t, s)
-      case 2: (a,c),(b,c) -> (b,c),(a,b);  (b,c),(a,c) -> (a,b),(b,c)
-      case 3: (a,b),(a,c) -> (b,c),(a,b);  (a,c),(a,b) -> (a,b),(b,c)
-      case 4: (a,b),(b,c) -> (b,c),(a,c) or (a,c),(a,b)
-              (b,c),(a,b) -> (a,c),(b,c) or (a,b),(a,c)
-    with a < b < c throughout.  Cases 1-3 guarantee their single
-    replacement; case 4 guarantees at least one of its two.
-    """
-    win = list(v.window)
-    if not _two_step_valid(win, s, t):
-        raise ValueError(f"({v!r}; {s}, {t}) is not a directed path")
-    candidates = _transform_candidates(case, s, t)
-    valid = [pair for pair in candidates if _two_step_valid(win, *pair)]
-    if not valid:
-        raise RuntimeError(
-            f"local transform case {case} failed on ({v!r}; {s}, {t}): "
-            "the rewrite is guaranteed, so this indicates a bug"
-        )
-    return valid
-
-
-def _transform_candidates(case: int, s: Label, t: Label) -> list[tuple[Label, Label]]:
-    if case == 1:
-        if set(s) & set(t):
-            raise ValueError(f"case 1 needs disjoint supports, got {s}, {t}")
-        return [(t, s)]
-    if case == 2:
-        if s[1] == t[1] and s[0] != t[0]:
-            a, b = sorted((s[0], t[0]))
-            c = s[1]
-            if s[0] == a:  # (a,c),(b,c) -> (b,c),(a,b)
-                return [((b, c), (a, b))]
-            return [((a, b), (b, c))]  # (b,c),(a,c) -> (a,b),(b,c)
-        raise ValueError(f"case 2 needs (a,c),(b,c) or (b,c),(a,c), got {s}, {t}")
-    if case == 3:
-        if s[0] == t[0] and s[1] != t[1]:
-            a = s[0]
-            b, c = sorted((s[1], t[1]))
-            if s[1] == b:  # (a,b),(a,c) -> (b,c),(a,b)
-                return [((b, c), (a, b))]
-            return [((a, b), (b, c))]  # (a,c),(a,b) -> (a,b),(b,c)
-        raise ValueError(f"case 3 needs (a,b),(a,c) or (a,c),(a,b), got {s}, {t}")
-    if case == 4:
-        if s[1] == t[0]:  # (a,b),(b,c)
-            a, b = s
-            c = t[1]
-            return [((b, c), (a, c)), ((a, c), (a, b))]
-        if s[0] == t[1]:  # (b,c),(a,b)
-            b, c = s
-            a = t[0]
-            return [((a, c), (b, c)), ((a, b), (a, c))]
-        raise ValueError(f"case 4 needs (a,b),(b,c) or (b,c),(a,b), got {s}, {t}")
-    raise ValueError(f"case must be 1..4, got {case}")
-
-
-@dataclass(frozen=True)
-class SkdOutcome:
-    """
-    Result of the commuting pass that pushes an appended column edge (k,d)
-    leftward through a trailing run of (j,k) labels.
-
-    kind 'IIA': the (k,d) label commuted all the way through, ending in
-        ( ..., (k,d), (j_1,d), ..., (j_t,d) ).
-    kind 'IIB': the pass stopped at position u (1-based within the run),
-        ending in ( ..., (j_1,k), ..., (j_{u-1},k), (j_u,d), (j_u,k),
-        (j_{u+1},d), ..., (j_t,d) ); the appended label was absorbed.
-
-    `ambiguous_steps` records run positions where both rewrite shapes were
-    simultaneously valid (the pass still takes the commuting one).
-    """
-
-    kind: str
-    u: int
-    path: DirectedPath
-    ambiguous_steps: tuple[int, ...]
-
-
-def algorithm_skd(prefix_path: DirectedPath, segment_start: int, k: int, d: int) -> SkdOutcome:
-    """
-    Run the rewrite pass on `prefix_path` (whose labels from index
-    `segment_start` on are exactly (j_1,k), ..., (j_t,k)) extended by (k,d).
-
-    Deterministic: at each step the commuting rewrite (j_u,k),(k,d) ->
-    (k,d),(j_u,d) is preferred when valid; otherwise the absorbing rewrite
-    (j_u,k),(k,d) -> (j_u,d),(j_u,k) must validate and ends the pass.
-    """
-    if d <= k:
-        raise ValueError(f"need d > k, got k={k}, d={d}")
-    labels = list(prefix_path.labels)
-    segment = labels[segment_start:]
-    if any(b != k for _, b in segment):
-        raise ValueError(f"labels from index {segment_start} must all be (*,{k})")
-    t = len(segment)
-    if edge_kind(prefix_path.end, (k, d)) is None:
-        raise ValueError("appending (k,d) does not give a directed path")
-
-    work = labels + [(k, d)]
-    # the vertex before run position u, read by undoing labels from the end:
-    # the pass rewrites only positions pos, pos+1 while moving left, so
-    # work[:pos] stays labels[:pos]
-    v = list(prefix_path.end.extended(d))
-    ambiguous: list[int] = []
-    u = t
-    while u > 0:
-        # window (j_u,k),(k,d) sits at positions pos, pos+1
-        pos = segment_start + u - 1
-        j_u = labels[pos][0]
-        v[j_u - 1], v[k - 1] = v[k - 1], v[j_u - 1]
-        commuting, absorbing = _transform_candidates(4, (j_u, k), (k, d))
-        can_commute = _two_step_valid(v, *commuting)
-        can_absorb = _two_step_valid(v, *absorbing)
-        if can_commute and can_absorb:
-            ambiguous.append(u)
-        if can_commute:
-            work[pos], work[pos + 1] = commuting
-            u -= 1
-            continue
-        if not can_absorb:
-            raise RuntimeError(
-                f"neither rewrite validates at run position {u}: "
-                "one alternative is guaranteed to validate, so this indicates a bug"
-            )
-        work[pos], work[pos + 1] = absorbing
-        return SkdOutcome("IIB", u, _rewritten(prefix_path.start, work), tuple(ambiguous))
-    return SkdOutcome("IIA", 0, _rewritten(prefix_path.start, work), tuple(ambiguous))
-
-
-def _rewritten(start: Permutation, work: list[Label]) -> DirectedPath:
-    path = validate_path(start, work)
-    if path is None:
-        raise RuntimeError(
-            "the rewritten path is not a directed path: the rewrites are guaranteed, "
-            "so this indicates a bug"
-        )
-    return path

@@ -640,13 +640,29 @@ SUITES = {
 }
 
 
+def bound_error(name: str, max_n: int | None, flag: str = "max_n") -> str | None:
+    """
+    Why `max_n` cannot bound suite `name`, or None if it can: a sized suite
+    takes n >= 1, a fixed suite takes no bound.  `flag` names the bound in
+    the message.
+    """
+    if max_n is None:
+        return None
+    if max_n < 1:
+        return f"{flag} must be >= 1, got {max_n}"
+    if SUITES[name].default_n is None:
+        return f"suite {name} has a fixed universe and takes no {flag}"
+    return None
+
+
 def run_suite(name: str, max_n: int | None = None) -> SuiteReport:
     """Run suite `name`; `max_n` overrides a sized suite's default bound."""
     suite = SUITES.get(name)
     if suite is None:
         raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITES)}")
-    if suite.default_n is None and max_n is not None:
-        raise ValueError(f"suite {name!r} has a fixed universe and takes no max_n")
+    error = bound_error(name, max_n)
+    if error is not None:
+        raise ValueError(f"bad bound for suite {name!r}: {error}")
     start = time.perf_counter()
     report = suite.run() if suite.default_n is None else suite.run(suite.default_n if max_n is None else max_n)
     report.elapsed_s = time.perf_counter() - start

@@ -190,6 +190,19 @@ def test_max_n_on_a_fixed_universe_suite_is_a_usage_error(suite, capsys):
         run_suite(suite, max_n=3)
 
 
+@pytest.mark.parametrize("suite", SIZED_SUITES)
+@pytest.mark.parametrize("max_n", [0, -1])
+def test_a_bound_below_one_is_a_usage_error(suite, max_n, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--suite", suite, "--max-n", str(max_n)])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith(f"error: --max-n must be >= 1, got {max_n}\n")
+    with pytest.raises(ValueError, match=f"suite '{suite}': max_n must be >= 1, got {max_n}$"):
+        run_suite(suite, max_n=max_n)
+
+
 def test_verify_help_names_each_sized_suite_with_its_default(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--help"])
@@ -357,7 +370,5 @@ def test_the_parser_is_built_on_first_use_and_kept():
     assert result.returncode == 0 and result.stdout == "0\n"
     from qpieri import cli
 
-    assert cli.build_parser() is not cli.build_parser()
     main(["verify", "--suite", "appendix-c", "--format", "json"])
     assert cli._parsers()[0] is cli._parsers()[0]
-    assert cli.build_parser() is not cli._parsers()[0]

@@ -22,7 +22,7 @@ import pytest
 
 from qpieri.chains import MonkChain, PieriChain, is_marking
 from qpieri.permutations import Permutation, all_permutations
-from qpieri.proofkit import MATCHINGS, apply_bijection
+from qpieri.proofkit import MATCHINGS
 from qpieri.proofkit import bijections as bij
 from qpieri.proofkit.classify import classify, dec2_base, monk_refinement
 from qpieri.proofkit.universe import MarkedChain, PairedChain, enumerate_marked, enumerate_paired
@@ -228,24 +228,16 @@ def test_registry_names_the_eighteen_matchings():
     assert [name for name, m in MATCHINGS.items() if m.codomain == (m.domain,)] == involutions
 
 
-def test_apply_bijection_dispatcher():
+def test_the_plain_maps_are_the_registry_entries():
     """
-    Every name and its '-inv' form dispatch to the registry entry the
-    suite checks, on one grid element of the map's domain.
+    Each plain map, taking (element, k), and its inverse round-trip one grid
+    element of the map's domain as the registry entry the suite checks
+    does; theta1..theta3 are their own inverses.
     """
     for name in NAMES:
-        m = MATCHINGS[name]
-        k, x, img = _round_trip_element(m)
-        assert apply_bijection(name, x, k) == img, name
-        assert apply_bijection(name + "-inv", img, k) == x, name
-        assert apply_bijection(name, img, k, inverse=True) == x, name
-        # the plain maps take (element, k): the registry adds nothing to
-        # them; theta1..theta3 are their own inverses
+        k, x, img = _round_trip_element(MATCHINGS[name])
         assert getattr(bij, name)(x, k) == img, name
         assert getattr(bij, name + "_inv", getattr(bij, name))(img, k) == x, name
-    for bad in ("pi9", "pi9-inv", "theta", "chi0"):
-        with pytest.raises(ValueError, match="unknown matching"):
-            apply_bijection(bad, None, 2)
 
 
 def test_theta_involutions_on_clean_grid():

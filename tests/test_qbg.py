@@ -1,9 +1,8 @@
-"""Edge classification, path validation, weights, and the local rewrites."""
+"""Edge classification, path validation and weights."""
 
 from __future__ import annotations
 
 import doctest
-import itertools
 
 import pytest
 from hypothesis import given, settings
@@ -15,11 +14,9 @@ from qpieri.qbg import (
     DirectedPath,
     EdgeKind,
     QMonomial,
-    algorithm_skd,
     edge_kind,
     edge_kind_by_length,
     first_invalid_index,
-    local_transform,
     q_weight,
     validate_path,
 )
@@ -126,127 +123,6 @@ def test_path_machine_record():
         "end": "4123",
         "qweight": [[2, 1]],
     }
-
-
-def _two_step_paths(n, max_label, shape):
-    """All (v, s, t) with (v; s, t) a directed path and (s, t) of the given shape."""
-    out = []
-    labels = [(a, b) for a in range(1, max_label) for b in range(a + 1, max_label + 1)]
-    for v in all_permutations(n):
-        for s, t in itertools.product(labels, repeat=2):
-            if not shape(s, t):
-                continue
-            if validate_path(v, [s, t]) is not None:
-                out.append((v, s, t))
-    return out
-
-
-def test_local_transform_case1_disjoint():
-    for v, s, t in _two_step_paths(5, 6, lambda s, t: not set(s) & set(t)):
-        assert local_transform(v, 1, s, t) == [(t, s)]
-
-
-def test_local_transform_case2():
-    def shape(s, t):
-        return s[1] == t[1] and s[0] != t[0]
-
-    for v, s, t in _two_step_paths(5, 6, shape):
-        (pair,) = local_transform(v, 2, s, t)
-        a, b = sorted((s[0], t[0]))
-        c = s[1]
-        assert pair == (((b, c), (a, b)) if s[0] == a else ((a, b), (b, c)))
-
-
-def test_local_transform_case3():
-    def shape(s, t):
-        return s[0] == t[0] and s[1] != t[1]
-
-    for v, s, t in _two_step_paths(5, 6, shape):
-        (pair,) = local_transform(v, 3, s, t)
-        a = s[0]
-        b, c = sorted((s[1], t[1]))
-        assert pair == (((b, c), (a, b)) if s[1] == b else ((a, b), (b, c)))
-
-
-def test_local_transform_case4_at_least_one():
-    def shape(s, t):
-        return s[1] == t[0] or s[0] == t[1]
-
-    for v, s, t in _two_step_paths(5, 6, shape):
-        alts = local_transform(v, 4, s, t)
-        assert 1 <= len(alts) <= 2
-        for pair in alts:
-            assert validate_path(v, list(pair)) is not None
-            end = v.apply(s).apply(t)
-            assert v.apply(pair[0]).apply(pair[1]) == end
-
-
-def test_local_transform_rejects_bad_shape():
-    v = P("321")
-    with pytest.raises(ValueError):
-        local_transform(v, 1, (1, 3), (1, 4))
-    with pytest.raises(ValueError):
-        local_transform(v, 2, (1, 3), (2, 4))
-
-
-def test_algorithm_trivial_empty_segment():
-    path = validate_path(P("321"), [(1, 4)])
-    # no trailing (*,3) run: appending (3,4) ends the pass immediately
-    out = algorithm_skd(path, len(path.labels), 3, 4)
-    assert out.kind == "IIA"
-    assert out.path.labels == path.labels + ((3, 4),)
-
-
-def _skd_universe(n, k, d, max_t):
-    """Inputs (path, segment_start) with a trailing (*,k)-run of length <= max_t."""
-    out = []
-    for w in all_permutations(n):
-        runs = [[]]
-        for t in range(1, max_t + 1):
-            runs += [list(c) for c in itertools.permutations(range(1, k), t)]
-        for run in runs:
-            labels = [(j, k) for j in run]
-            path = validate_path(w, labels)
-            if path is None:
-                continue
-            if validate_path(w, labels + [(k, d)]) is None:
-                continue
-            out.append(path)
-    return out
-
-
-def test_algorithm_both_outcomes_witnessed():
-    kinds = set()
-    for path in _skd_universe(4, 3, 4, 2):
-        out = algorithm_skd(path, 0, 3, 4)
-        kinds.add(out.kind)
-        # the rewritten path keeps the start and the overall endpoint
-        assert out.path.start == path.start
-        assert out.path.end == path.end.apply((3, 4))
-        assert len(out.path) == len(path) + 1
-        if out.kind == "IIA":
-            t = len(path)
-            assert out.path.labels == ((3, 4),) + tuple((j, 4) for j, _ in path.labels)
-        else:
-            u = out.u
-            rows = [j for j, _ in path.labels]
-            expected = (
-                tuple((j, 3) for j in rows[: u - 1])
-                + ((rows[u - 1], 4), (rows[u - 1], 3))
-                + tuple((j, 4) for j in rows[u:])
-            )
-            assert out.path.labels == expected
-    assert kinds == {"IIA", "IIB"}
-
-
-def test_algorithm_ambiguity_scan():
-    # record whether both rewrite shapes ever validate simultaneously
-    ambiguous = []
-    for path in _skd_universe(4, 3, 4, 2):
-        out = algorithm_skd(path, 0, 3, 4)
-        ambiguous.extend(out.ambiguous_steps)
-    # the dichotomy is exclusive on this universe; pin it so a change is visible
-    assert ambiguous == []
 
 
 def test_edge_kind_matches_length_form_past_the_window():
@@ -370,24 +246,3 @@ def test_walk_matches_the_length_oracle_on_larger_windows(walk):
         head = validate_path(start, labels[:-1])
         if head is not None:
             assert head.extend(labels[-1]) == path
-
-
-def _skd_iib_input():
-    for path in _skd_universe(4, 3, 4, 2):
-        if algorithm_skd(path, 0, 3, 4).kind == "IIB":
-            return path
-    raise AssertionError("no absorbing input in the universe")
-
-
-@pytest.mark.parametrize("kind", ["IIA", "IIB"])
-def test_algorithm_raises_when_the_rewritten_path_fails(monkeypatch, kind):
-    # the rewritten path is guaranteed; a failed final walk is reported as a
-    # bug, also under `python -O`, rather than returned as a None path
-    if kind == "IIA":
-        path, segment_start = validate_path(P("321"), [(1, 4)]), 1
-    else:
-        path, segment_start = _skd_iib_input(), 0
-    assert algorithm_skd(path, segment_start, 3, 4).kind == kind
-    monkeypatch.setattr(qpieri.qbg, "validate_path", lambda start, labels: None)
-    with pytest.raises(RuntimeError, match="indicates a bug"):
-        algorithm_skd(path, segment_start, 3, 4)

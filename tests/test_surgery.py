@@ -1,23 +1,30 @@
-"""Insertion/deletion: named preconditions, worked shapes, round trips."""
+"""
+Local rewrites, the commuting pass, and insertion/deletion: named
+preconditions, worked shapes, round trips.
+"""
 
 from __future__ import annotations
 
 import collections
+import itertools
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qpieri.proofkit.surgery
 from qpieri.permutations import Permutation, all_permutations, label_precedes
 from qpieri.proofkit.surgery import (
     SurgeryError,
+    algorithm_skd,
     check_insert_conditions,
     check_p_conditions,
     delete,
     insert,
     insert_many,
+    local_transform,
 )
-from qpieri.qbg import DirectedPath, SkdOutcome, algorithm_skd, validate_path
+from qpieri.qbg import DirectedPath, validate_path
 from qpieri.verify import enumerate_surgery_paths
 
 P = Permutation.from_one_line
@@ -27,6 +34,73 @@ def _path(w, labels):
     path = validate_path(P(w), labels)
     assert path is not None
     return path
+
+
+# --- local rewrites -----------------------------------------------------------
+
+
+def _two_step_paths(n, max_label, shape):
+    """All (v, s, t) with (v; s, t) a directed path and (s, t) of the given shape."""
+    out = []
+    labels = [(a, b) for a in range(1, max_label) for b in range(a + 1, max_label + 1)]
+    for v in all_permutations(n):
+        for s, t in itertools.product(labels, repeat=2):
+            if not shape(s, t):
+                continue
+            if validate_path(v, [s, t]) is not None:
+                out.append((v, s, t))
+    return out
+
+
+def test_local_transform_case1_disjoint():
+    for v, s, t in _two_step_paths(5, 6, lambda s, t: not set(s) & set(t)):
+        assert local_transform(v, 1, s, t) == [(t, s)]
+
+
+def test_local_transform_case2():
+    def shape(s, t):
+        return s[1] == t[1] and s[0] != t[0]
+
+    for v, s, t in _two_step_paths(5, 6, shape):
+        (pair,) = local_transform(v, 2, s, t)
+        a, b = sorted((s[0], t[0]))
+        c = s[1]
+        assert pair == (((b, c), (a, b)) if s[0] == a else ((a, b), (b, c)))
+
+
+def test_local_transform_case3():
+    def shape(s, t):
+        return s[0] == t[0] and s[1] != t[1]
+
+    for v, s, t in _two_step_paths(5, 6, shape):
+        (pair,) = local_transform(v, 3, s, t)
+        a = s[0]
+        b, c = sorted((s[1], t[1]))
+        assert pair == (((b, c), (a, b)) if s[1] == b else ((a, b), (b, c)))
+
+
+def test_local_transform_case4_at_least_one():
+    def shape(s, t):
+        return s[1] == t[0] or s[0] == t[1]
+
+    for v, s, t in _two_step_paths(5, 6, shape):
+        alts = local_transform(v, 4, s, t)
+        assert 1 <= len(alts) <= 2
+        for pair in alts:
+            assert validate_path(v, list(pair)) is not None
+            end = v.apply(s).apply(t)
+            assert v.apply(pair[0]).apply(pair[1]) == end
+
+
+def test_local_transform_rejects_bad_shape():
+    v = P("321")
+    with pytest.raises(ValueError):
+        local_transform(v, 1, (1, 3), (1, 4))
+    with pytest.raises(ValueError):
+        local_transform(v, 2, (1, 3), (2, 4))
+
+
+# --- insertion and deletion ---------------------------------------------------
 
 
 def test_precondition_names():
@@ -102,7 +176,11 @@ def test_insert_many_requires_decreasing_columns():
 
 
 def _rewalking_skd(prefix_path, segment_start, k, d):
-    """The rewrite pass validating each prefix work[:pos] from the start."""
+    """
+    The commuting pass validating each prefix work[:pos] from the start.
+    It also pins that the two rewrites are exclusive: the pass tries the
+    commuting one first, so a step where both are paths would go unseen.
+    """
     if d <= k:
         raise ValueError(f"need d > k, got k={k}, d={d}")
     labels = list(prefix_path.labels)
@@ -112,7 +190,6 @@ def _rewalking_skd(prefix_path, segment_start, k, d):
     if validate_path(prefix_path.start, labels + [(k, d)]) is None:
         raise ValueError("appending (k,d) does not give a directed path")
     work = labels + [(k, d)]
-    ambiguous = []
     u = len(segment)
     while u > 0:
         pos = segment_start + u - 1
@@ -122,16 +199,14 @@ def _rewalking_skd(prefix_path, segment_start, k, d):
         absorbing = ((j_u, d), (j_u, k))
         can_commute = validate_path(v, commuting) is not None
         can_absorb = validate_path(v, absorbing) is not None
-        if can_commute and can_absorb:
-            ambiguous.append(u)
+        assert not (can_commute and can_absorb), ("both rewrites are paths", prefix_path, k, d, u)
         if can_commute:
             work[pos], work[pos + 1] = commuting
             u -= 1
             continue
         assert can_absorb
-        work[pos], work[pos + 1] = absorbing
-        return SkdOutcome("IIB", u, validate_path(prefix_path.start, work), tuple(ambiguous))
-    return SkdOutcome("IIA", 0, validate_path(prefix_path.start, work), tuple(ambiguous))
+        return u
+    return 0
 
 
 def _rewalking_insert_conditions(path, k, d):
@@ -167,15 +242,89 @@ def _surgery_grid():
                     yield path, k, d
 
 
-def test_skd_matches_the_rewalking_pass():
-    kinds = {"IIA": 0, "IIB": 0, "ValueError": 0}
+def _skd_universe(n, k, d, max_t):
+    """Inputs (path, segment_start) with a trailing (*,k)-run of length <= max_t."""
+    out = []
+    for w in all_permutations(n):
+        runs = [[]]
+        for t in range(1, max_t + 1):
+            runs += [list(c) for c in itertools.permutations(range(1, k), t)]
+        for run in runs:
+            labels = [(j, k) for j in run]
+            path = validate_path(w, labels)
+            if path is None:
+                continue
+            if validate_path(w, labels + [(k, d)]) is None:
+                continue
+            out.append(path)
+    return out
+
+
+def _pass_inputs():
+    """(path, segment_start, k, d): the surgery grid, then short (*,3)-runs from S_4 against (3,4)."""
     for path, k, d in _surgery_grid():
-        seg_start = len(path.labels) - sum(1 for _, b in path.labels if b == k)
+        yield path, len(path.labels) - sum(1 for _, b in path.labels if b == k), k, d
+    for path in _skd_universe(4, 3, 4, 2):
+        yield path, 0, 3, 4
+
+
+def _stop_kind(outcome):
+    if isinstance(outcome, int):
+        return "u = 0" if outcome == 0 else "u > 0"
+    return outcome[0].__name__
+
+
+def test_skd_matches_the_rewalking_pass():
+    kinds = collections.Counter()
+    for path, seg_start, k, d in _pass_inputs():
         want = _outcome(_rewalking_skd, path, seg_start, k, d)
         got = _outcome(algorithm_skd, path, seg_start, k, d)
         assert got == want, (path, k, d)
-        kinds[want.kind if isinstance(want, SkdOutcome) else want[0].__name__] += 1
-    assert all(kinds.values()), kinds
+        kinds[_stop_kind(want)] += 1
+    assert set(kinds) == {"u = 0", "u > 0", "ValueError"}, kinds
+
+
+def _rewritten_labels(path, segment_start, k, d, u):
+    """The labels of `path` and (k,d) after the commuting pass that stopped at u."""
+    prefix = path.labels[:segment_start]
+    rows = [j for j, _ in path.labels[segment_start:]]
+    if u == 0:
+        return prefix + ((k, d),) + tuple((j, d) for j in rows)
+    return (
+        prefix
+        + tuple((j, k) for j in rows[: u - 1])
+        + ((rows[u - 1], d), (rows[u - 1], k))
+        + tuple((j, d) for j in rows[u:])
+    )
+
+
+def test_the_stop_position_gives_a_path_to_the_same_end():
+    kinds = collections.Counter()
+    for path, seg_start, k, d in _pass_inputs():
+        try:
+            u = algorithm_skd(path, seg_start, k, d)
+        except ValueError:
+            continue
+        rewritten = validate_path(path.start, _rewritten_labels(path, seg_start, k, d, u))
+        assert rewritten is not None, (path, k, d, u)
+        assert rewritten.end == path.end.apply((k, d))
+        kinds[_stop_kind(u)] += 1
+    assert set(kinds) == {"u = 0", "u > 0"}, kinds
+
+
+def test_the_pass_commutes_through_an_empty_run():
+    path = validate_path(P("321"), [(1, 4)])
+    assert algorithm_skd(path, len(path.labels), 3, 4) == 0
+
+
+def test_the_pass_reports_a_step_where_neither_rewrite_validates(monkeypatch):
+    # one rewrite is guaranteed at every step; a step where neither is a
+    # path is reported as a bug, also under `python -O`
+    path = validate_path(P("321"), [(1, 3)])
+    assert algorithm_skd(path, 0, 3, 4) == 1
+    monkeypatch.setattr(qpieri.proofkit.surgery, "_two_step_valid", lambda win, s, t: False)
+    with pytest.raises(RuntimeError, match="indicates a bug"):
+        algorithm_skd(path, 0, 3, 4)
 
 
 def test_insert_conditions_match_the_rewalking_check():

@@ -35,16 +35,19 @@ occurrences; `enumerate_markings` combines them and `marking_count`
 counts them.  `is_marking` reads (1)-(3) afresh and stays their oracle.
 
 `pieri_degree_rows` turns these counts into one term per chain in one
-walk over the chains, building no chain objects: the chain's end, its
-packed Q-weight, and one small code for (m0, m, parity of the length)
-whose coefficient in each degree `code_weight` gives.  Distinct chains
-from w have distinct ends on every grid measured (all of S_7, k <= 7),
-but no reader relies on it: a repeated end would be one more term to
-sum.  Ends are interned across walks in `_ends`, keyed by the trimmed
-window, so each permutation any walk reaches is built once and shared by
-every row and every expansion that holds it; a new end is built by
-setting its two slots.  `enumerate_pieri_chains` and the marking
-functions stay as the walk's reference.
+walk over the chains, building no chain objects: the window of the
+chain's end, its packed Q-weight, and one small code for (m0, m, parity
+of the length) whose coefficient in each degree `code_weight` gives.
+Distinct chains from w have distinct ends on every grid measured (all of
+S_7, k <= 7), but no reader relies on it: a repeated end would be one
+more term to sum.  Ends are interned across walks in `_ends`, keyed by
+the trimmed window, which the entry wraps: each permutation any walk
+reaches is built once, with the length the walk carried to it, and its
+window is one tuple object shared by the `_ends` key, the entry, every
+row that reaches it and every expansion key built from those rows
+(`expansion` keys its terms by window, so sums hash tuples).  A new end
+is built by setting its two slots.  `enumerate_pieri_chains` and the
+marking functions stay as the walk's reference.
 Every chain walk swaps two entries of one padded window list on the way
 down and back on return, and tests each step with `qbg._window_kind`
 (written out in the hot loop of `pieri_degree_rows`).  The walks read
@@ -74,7 +77,7 @@ induction every coefficient of a product of Pieri factors at G[v] has
 the sign (-1)^(l(v) - l(w) - sum of the p).  `pieri_degree_rows` carries
 the parity of the chain's length in its code.  It and the Monk walk both
 carry the length of the current end, never recounted, for the end they
-intern (`_interned_end`).
+intern (`_interned_window`).
 
 All enumeration runs inside the ambient bound N = max(support, k) + 1: no
 QBG edge usable by these chains has column beyond N, which is re-asserted
@@ -545,9 +548,11 @@ def is_marking(chain: PieriChain, marks: frozenset) -> bool:
 # --- every degree in one walk ---------------------------------------------
 
 # every end that `pieri_degree_rows` or `expansion.monk_lhs_expand` has
-# reached, keyed by its trimmed window (which it shares): built once, by
-# the first walk to reach it, with the length that walk carried to it;
-# `expansion.clear_caches` empties it with the rows
+# reached, keyed by its trimmed window (the very tuple it wraps): built
+# once, by the first walk to reach it, with the length that walk carried
+# to it; the walks hand on the key, and `expansion` turns a key back into
+# this entry at its boundary.  `expansion.clear_caches` empties it with
+# the rows
 _ends: dict[tuple[int, ...], Permutation] = {}
 
 
@@ -558,8 +563,11 @@ _SET_WINDOW = Permutation.window.__set__
 _SET_LENGTH = Permutation._length.__set__
 
 
-def _interned_end(window: list[int], ell: int) -> Permutation:
-    """The `_ends` entry of a walk's padded window, built with length ell if no walk has reached it."""
+def _interned_window(window: list[int], ell: int) -> tuple[int, ...]:
+    """
+    The `_ends` key of a walk's padded window, trimmed, the one tuple its
+    entry wraps; the entry is built with length ell if no walk has reached it.
+    """
     n = len(window)
     while n and window[n - 1] == n:
         n -= 1
@@ -569,10 +577,11 @@ def _interned_end(window: list[int], ell: int) -> Permutation:
         u = _ends[key] = object.__new__(Permutation)
         _SET_WINDOW(u, key)
         _SET_LENGTH(u, ell)
-    return u
+        return key
+    return u.window
 
 
-def pieri_degree_rows(w: Permutation, k: int) -> tuple[tuple[Permutation, ...], tuple[int, ...], tuple[int, ...]]:
+def pieri_degree_rows(w: Permutation, k: int) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...], tuple[int, ...]]:
     """
     Every degree p = 0..k of G[w] * G^k_p from one in-place walk over the
     k-Pieri chains from w (module docstring), with the label pool, label
@@ -584,14 +593,15 @@ def pieri_degree_rows(w: Permutation, k: int) -> tuple[tuple[Permutation, ...], 
     the root stands in column N + 1 with no row left there.
 
     The terms come as three flat columns (ends, qs, codes), one term per
-    chain, in the order the walk reaches them: term i is ends[i] with
-    packed Q-weight qs[i] and coefficient code_weight(k, codes[i], p) in
-    degree p.  Nothing is merged: a reader sums the terms that share an
-    (end, Q-weight), although on every grid measured no end repeats.  Each
-    end is the interned `_ends` entry of its window, built at the first
-    visit of any walk with the length that walk carried to it; an end is a
-    swap of w's window, so it is not re-validated.  No exponent of a chain
-    exceeds its length, so the packed fields never carry.
+    chain, in the order the walk reaches them: term i is the end with
+    window ends[i], packed Q-weight qs[i] and coefficient
+    code_weight(k, codes[i], p) in degree p.  Nothing is merged: a reader
+    sums the terms that share an (end, Q-weight), although on every grid
+    measured no end repeats.  Each window is the key of the end's interned
+    `_ends` entry, the tuple that entry wraps; the entry is built at the
+    first visit of any walk with the length that walk carried to it.  An
+    end is a swap of w's window, so it is not re-validated.  No exponent
+    of a chain exceeds its length, so the packed fields never carry.
 
     A chain with end u, m0 distinct rows and m forced labels adds
     (-1)^(len - p) * C(m0 - m, p - m) in every degree p in m..m0, and
@@ -610,7 +620,9 @@ def pieri_degree_rows(w: Permutation, k: int) -> tuple[tuple[Permutation, ...], 
 
     >>> from qpieri.qbg import unpack_monomial
     >>> ends, qs, codes = pieri_degree_rows(Permutation.from_one_line("321"), 2)
-    >>> for u, q, code in zip(ends, qs, codes):
+    >>> for end, q, code in zip(ends, qs, codes):
+    ...     u = _ends[end]
+    ...     assert u.window is end
     ...     print(u.one_line(), u.length(), unpack_monomial(q).render(), code, weight_row(2, code))
     321 3 1 0 (1, 0, 0)
     4213 4 1 9 (0, 1, 0)
@@ -639,7 +651,7 @@ def pieri_degree_rows(w: Permutation, k: int) -> tuple[tuple[Permutation, ...], 
     window = list(w.extended(bound))
     interned = _ends
     new, set_window, set_length = object.__new__, _SET_WINDOW, _SET_LENGTH
-    ends: list[Permutation] = []
+    ends: list[tuple[int, ...]] = []
     qs: list[int] = []
     codes: list[int] = []
 
@@ -655,7 +667,9 @@ def pieri_degree_rows(w: Permutation, k: int) -> tuple[tuple[Permutation, ...], 
             u = interned[key] = new(Permutation)
             set_window(u, key)
             set_length(u, ell)
-        ends.append(u)
+            ends.append(key)
+        else:
+            ends.append(u.window)
         qs.append(q)
         codes.append(code)
         code ^= 1

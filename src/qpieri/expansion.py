@@ -15,15 +15,15 @@ and the divisor-type product satisfies
         (-1)^(length of the (k,*)-segment) * Q(m) * G[end(m)].
 
 One walk over the k-Pieri chains from w gives every degree p = 0..k of
-the first product at once.  Its terms are cached per (w, k) as three flat
-columns, one term per chain: the ends, their packed Q-weights, and one
-weight code per term, whose degree-p coefficient `chains.code_weight`
-gives; `_weight_column(k, p)` holds it by code, for every code up to
-`_DENSE_COLUMNS` and past it only for the codes read, so no table grows
-with k^3.  The ends are interned across walks
+the first product at once.  Its terms are cached per (window of w, k)
+as three flat columns, one term per chain: the windows of the ends, their
+packed Q-weights, and one weight code per term, whose degree-p
+coefficient `chains.code_weight` gives; `_weight_column(k, p)` holds it
+by code, for every code up to `_DENSE_COLUMNS` and past it only for the
+codes read, so no table grows with k^3.  The ends are interned across walks
 (`chains._ends`), the Monk walk of `monk_lhs_expand` included, so every
-cached row and every Expansion key built from them shares one object per
-permutation.
+cached row and every Expansion key built from them shares one window
+tuple per permutation.
 `pieri_expand(w, k, p)` sums the nonzero degree-p terms into its
 Expansion.  Degree 0 needs no walk: G^k_0 = G[id] = 1, and the first
 label of every nonempty chain is forced, so the degree-0 column is the
@@ -46,20 +46,31 @@ entries, so equality of expansions is structural equality.  Expansions
 and Z[Q]-polynomials are immutable values: `terms` is a read-only view and
 every operation returns a new value.
 
-Representation.  Inside `Expansion` and `QPolynomial` a Z[Q]-polynomial is
-a dict from packed monomials to nonzero ints: the exponent of Q_v sits in
-bits S(v-1) .. Sv-1 of one int, S = `qbg.Q_STRIDE` = 32, so the product of
-two monomials is one integer addition and the monomial 1 is the key 0.
-The chain walk hands its Q-weights over already packed.  `QMonomial` is
-the type of the public boundary: the constructors, `terms`,
-`sorted_terms`, the text and JSON forms pack or unpack there.
+Representation.  Inside `Expansion` a basis term is keyed by the trimmed
+window of its permutation, a plain tuple, so every sum and product hashes
+and compares its keys in C; the rows hand over the windows the walks
+interned, so a key is the very tuple its `chains._ends` entry wraps.
+`Permutation` is the type of the public boundary: the constructor,
+`basis` and `add_term` take the window of the permutation given, and
+`terms`, `at_q0`, `sorted_terms` and the argument of `map_basis`'s
+callback give, for each window, its `_ends` entry, so a caller gets the
+object the walks built.  Only a window no walk reached (of a parsed or
+loaded expansion, say) gets a fresh permutation, built unvalidated from
+the window, which came from a validated one; it is not added to `_ends`.
+A Z[Q]-polynomial is a dict from packed monomials to nonzero ints: the
+exponent of Q_v sits in bits S(v-1) .. Sv-1 of one int,
+S = `qbg.Q_STRIDE` = 32, so the product of two monomials is one integer
+addition and the monomial 1 is the key 0.  The chain walk hands its
+Q-weights over already packed.  `QMonomial` is the type of the public
+boundary: the constructors, `terms`, `sorted_terms`, the text and JSON
+forms pack or unpack there.
 
 Arithmetic.  Two primitives take every sum and product that can cancel.
-`_fold(pairs)` sums (basis, packed polynomial) pairs and drops zero
+`_fold(pairs)` sums (window, packed polynomial) pairs and drops zero
 coefficients: sums and differences of expansions, `add_term`,
 `map_basis`, parsing, and every sum of single terms, each a one-term
-pair (u, {key: c}).  `_product(f, g)` is the one overflow-checked product
-of two packed polynomials: `QPolynomial.__mul__`, the scalings of an
+pair (window, {key: c}).  `_product(f, g)` is the one overflow-checked
+product of two packed polynomials: `QPolynomial.__mul__`, the scalings of an
 expansion (`_times`, one product per basis term, so nothing to sum) and
 each image of `map_basis` take it.  A product chain takes its products in
 its own block step (`_add_rows`), one per (u, k), with the same guard
@@ -77,12 +88,13 @@ and the invariant holds for the next product.
 
 Text form: "G[4312] - Q1*Q2*G[1342] + 2*Q3*G[431625]", terms ordered by
 (length, window) of the basis permutation.  Machine form (JSON):
-[{"perm": "4312", "terms": [{"q": [[1,1],[2,1]], "c": -1}]}].  Both
-`render` and `to_json` take the basis terms in one sorted pass
-(`Expansion._ordered`) and format each as it is reached.  The sort reads
-the length an end already carries and counts only a missing one (a
-parsed expansion's, say); a one-monomial coefficient needs no sort, and
-each distinct monomial is formatted once per call.  The window text comes from
+[{"perm": "4312", "terms": [{"q": [[1,1],[2,1]], "c": -1}]}].  `render`,
+`to_json` and `sorted_terms` take the basis terms in output order
+(`_in_output_order`): two sorts in C, of the windows and then, stably, of
+their lengths.  A length is read from the window's `_ends` entry, and
+only a window no walk reached has its length counted, for that call
+alone.  A one-monomial coefficient needs no sort, and each distinct
+monomial is formatted once per call.  The window text comes from
 `Permutation.one_line`, which translates the bytes of a window of at most
 9 entries through a digit table.
 """
@@ -93,14 +105,19 @@ import json
 import re
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from functools import lru_cache
+from operator import attrgetter
 from types import MappingProxyType
 
-from .chains import _ends, _interned_end, _monk_walk, code_weight, pieri_degree_rows
-from .permutations import Permutation
+from .chains import _ends, _interned_window, _monk_walk, code_weight, pieri_degree_rows
+from .permutations import Permutation, count_inversions
 from .qbg import Q_HIGH_BITS, QMonomial, pack_monomial, unpack_monomial
 
 # a Z[Q]-polynomial as packed monomial -> nonzero coefficient
 _Packed = dict[int, int]
+# a basis term inside the engine: the trimmed window of its permutation
+_Window = tuple[int, ...]
+# the stored length of a permutation the walks built, read in C
+_LENGTH = attrgetter("_length")
 
 
 class QPolynomial:
@@ -140,8 +157,7 @@ class QPolynomial:
 
     def __add__(self, other: QPolynomial) -> QPolynomial:
         # the coefficient of G[id] in the fold of self * G[id] + other * G[id]
-        one = Permutation.identity()
-        return QPolynomial._of(_fold([(one, self._terms), (one, other._terms)])._terms.get(one, {}))
+        return QPolynomial._of(_fold([((), self._terms), ((), other._terms)])._terms.get((), {}))
 
     def __sub__(self, other: QPolynomial) -> QPolynomial:
         return self + other.scaled(-1)
@@ -190,12 +206,12 @@ class Expansion:
     __slots__ = ("_terms",)
 
     def __init__(self, terms: Mapping[Permutation, QPolynomial] | None = None):
-        self._terms: dict[Permutation, _Packed] = {
-            u: c._terms for u, c in (terms or {}).items() if c._terms
+        self._terms: dict[_Window, _Packed] = {
+            u.window: c._terms for u, c in (terms or {}).items() if c._terms
         }
 
     @classmethod
-    def _of(cls, packed: dict[Permutation, _Packed]) -> Expansion:
+    def _of(cls, packed: dict[_Window, _Packed]) -> Expansion:
         """Wrap packed coefficients (no zeros; shared, never mutated)."""
         out = cls.__new__(cls)
         out._terms = packed
@@ -204,7 +220,7 @@ class Expansion:
     @property
     def terms(self) -> Mapping[Permutation, QPolynomial]:
         """Read-only view of the nonzero coefficients."""
-        return MappingProxyType({u: QPolynomial._of(poly) for u, poly in self._terms.items()})
+        return MappingProxyType({_basis(u): QPolynomial._of(poly) for u, poly in self._terms.items()})
 
     @classmethod
     def zero(cls) -> Expansion:
@@ -212,7 +228,7 @@ class Expansion:
 
     @classmethod
     def basis(cls, u: Permutation) -> Expansion:
-        return cls._of({u: {0: 1}})
+        return cls._of({u.window: {0: 1}})
 
     def _times(self, factor: _Packed) -> Expansion:
         # each basis term is scaled once, so there is nothing to sum
@@ -236,7 +252,7 @@ class Expansion:
 
     def add_term(self, u: Permutation, sign: int, mono: QMonomial, mult: int = 1) -> Expansion:
         """This expansion plus sign * mult * mono * G[u], as a new value."""
-        return _fold([*self._terms.items(), (u, {pack_monomial(mono): sign * mult})])
+        return _fold([*self._terms.items(), (u.window, {pack_monomial(mono): sign * mult})])
 
     def is_zero(self) -> bool:
         return not self._terms
@@ -249,31 +265,30 @@ class Expansion:
 
     def filter_s_n(self, n: int) -> Expansion:
         """Quotient-ring reduction: drop basis terms outside S_n."""
-        return Expansion._of({u: c for u, c in self._terms.items() if u.in_s_n(n)})
+        return Expansion._of({u: c for u, c in self._terms.items() if len(u) <= n})
 
     def at_q0(self) -> dict[Permutation, int]:
-        out = {u: c.get(0, 0) for u, c in self._terms.items()}
-        return {u: c for u, c in out.items() if c != 0}
+        return {_basis(u): c[0] for u, c in self._terms.items() if c.get(0)}
 
     def sorted_terms(self) -> list[tuple[Permutation, QPolynomial]]:
-        return sorted(self.terms.items(), key=lambda uc: uc[0].sort_key())
+        return [(u, QPolynomial._of(poly)) for u, poly in _in_output_order(self._terms)]
 
     def map_basis(self, fn) -> Expansion:
         """Replace every G[u] by fn(u) (an Expansion), keeping coefficients."""
         return _fold(
             (v, _product(image, coeff))
             for u, coeff in self._terms.items()
-            for v, image in fn(u)._terms.items()
+            for v, image in fn(_basis(u))._terms.items()
         )
 
     def _ordered(self) -> Iterator[tuple[Permutation, Iterable[tuple[int, int]]]]:
         """
         (u, (packed monomial, c) pairs) in output order, one basis term at a
-        time: basis terms by (length, window), monomials by (degree,
-        exponents).  The sort reads each basis term's stored length and
-        counts only a missing one; a one-monomial coefficient is not sorted.
+        time: basis terms by (length, window) (`_in_output_order`),
+        monomials by (degree, exponents); a one-monomial coefficient is not
+        sorted.
         """
-        for u, poly in sorted(self._terms.items(), key=_basis_order):
+        for u, poly in _in_output_order(self._terms):
             yield u, poly.items() if len(poly) == 1 else sorted(poly.items(), key=_monomial_order)
 
     def render(self) -> str:
@@ -314,10 +329,10 @@ class Expansion:
         if not isinstance(obj, list):
             raise ValueError(f"an expansion is a JSON list of records, not {type(obj).__name__}")
 
-        def pairs() -> Iterable[tuple[Permutation, _Packed]]:
+        def pairs() -> Iterable[tuple[_Window, _Packed]]:
             for rec in obj:
                 try:
-                    u = Permutation.from_one_line(rec["perm"])
+                    u = Permutation.from_one_line(rec["perm"]).window
                     terms = [(_json_key(tr["q"]), _json_int(tr["c"])) for tr in rec["terms"]]
                 except (KeyError, TypeError, AttributeError, ValueError) as exc:
                     raise ValueError(
@@ -346,11 +361,34 @@ class Expansion:
         return f"Expansion({self.render()})"
 
 
-def _basis_order(item: tuple[Permutation, _Packed]) -> tuple[int, tuple[int, ...]]:
-    """(length, window) of a basis term, its place in the output: the stored length, counted if missing."""
-    u = item[0]
-    ell = u._length
-    return (u.length() if ell is None else ell, u.window)
+def _basis(window: _Window) -> Permutation:
+    """The permutation of a basis window: its `_ends` entry, or a fresh unvalidated one if no walk reached it."""
+    u = _ends.get(window)
+    return Permutation._from_swapped(window) if u is None else u
+
+
+def _in_output_order(terms: dict[_Window, _Packed]) -> list[tuple[Permutation, _Packed]]:
+    """
+    (permutation, packed coefficient) of every basis term, by (length,
+    window): the term positions sorted by window, then stably by length,
+    both sorts in C with C key functions.  Lengths come from the `_ends`
+    entries; a window no walk reached gets a fresh permutation with its
+    length counted, kept for this call only and not added to `_ends`.
+    """
+    windows = list(terms)
+    bases = list(map(_ends.get, windows))
+    try:
+        lengths = list(map(_LENGTH, bases))
+    except AttributeError:  # None, for a window no walk reached
+        bases = [
+            Permutation._from_swapped(win, count_inversions(win)) if u is None else u
+            for win, u in zip(windows, bases)
+        ]
+        lengths = list(map(_LENGTH, bases))
+    order = sorted(range(len(windows)), key=windows.__getitem__)
+    order.sort(key=lengths.__getitem__)
+    polys = list(terms.values())
+    return [(bases[i], polys[i]) for i in order]
 
 
 def _monomial_order(item: tuple[int, int]) -> tuple[int, tuple[tuple[int, int], ...]]:
@@ -409,13 +447,13 @@ def _product(f: _Packed, g: _Packed) -> _Packed:
     return _drop_zeros(out)
 
 
-def _fold(pairs: Iterable[tuple[Permutation, _Packed]]) -> Expansion:
+def _fold(pairs: Iterable[tuple[_Window, _Packed]]) -> Expansion:
     """
-    The sum of f * G[u] over (u, f) pairs of packed coefficients, in one
-    dict pass, with zero coefficients dropped.  Every sum that can cancel
-    is built here; no f is changed.
+    The sum of f * G[u] over (window of u, f) pairs of packed
+    coefficients, in one dict pass, with zero coefficients dropped.  Every
+    sum that can cancel is built here; no f is changed.
     """
-    acc: dict[Permutation, _Packed] = {}
+    acc: dict[_Window, _Packed] = {}
     for u, f in pairs:
         poly = acc.get(u)
         if poly is None:
@@ -432,7 +470,7 @@ def _fold(pairs: Iterable[tuple[Permutation, _Packed]]) -> Expansion:
     return Expansion._of(acc)
 
 
-def _parse_term(sign: int, body: str) -> tuple[Permutation, _Packed]:
+def _parse_term(sign: int, body: str) -> tuple[_Window, _Packed]:
     mult = 1
     mono = QMonomial.one()
     perm: Permutation | None = None
@@ -450,7 +488,7 @@ def _parse_term(sign: int, body: str) -> tuple[Permutation, _Packed]:
             raise ValueError(f"cannot parse factor {factor!r}")
     if perm is None:
         raise ValueError(f"term without basis symbol: {body!r}")
-    return perm, {pack_monomial(mono): sign * mult}
+    return perm.window, {pack_monomial(mono): sign * mult}
 
 
 def _split_signed_terms(text: str) -> list[tuple[int, str]]:
@@ -461,9 +499,14 @@ def _split_signed_terms(text: str) -> list[tuple[int, str]]:
     return [(1 if sign == "+" else -1, term.strip()) for sign, term in zip(signs, pieces[::2])]
 
 
-# the terms of G[w] * G^k_p for every degree p = 0..k as the walk's three
-# flat columns (`chains.pieri_degree_rows`), walked once per (w, k)
-_pieri_rows = lru_cache(maxsize=None)(pieri_degree_rows)
+@lru_cache(maxsize=None)
+def _pieri_rows(window: _Window, k: int) -> tuple[tuple[_Window, ...], tuple[int, ...], tuple[int, ...]]:
+    """
+    The terms of G[w] * G^k_p for every degree p = 0..k, w the permutation
+    of this window, as the walk's three flat columns
+    (`chains.pieri_degree_rows`), walked once per (window, k).
+    """
+    return pieri_degree_rows(_basis(window), k)
 
 
 def clear_caches() -> None:
@@ -537,11 +580,11 @@ def pieri_expand(w: Permutation, k: int, p: int) -> Expansion:
         # G^k_0 = G[id] = 1: the first label of every nonempty chain is
         # forced, so the degree-0 column of a walk is its empty chain alone
         return Expansion.basis(w)
-    ends, qs, codes = _pieri_rows(w, k)
+    ends, qs, codes = _pieri_rows(w.window, k)
     column = _weight_column(k, p)
     # terms of one (end, q) share a sign (the sign law), so no sum is zero;
     # each end is hashed once
-    terms: dict[Permutation, _Packed] = {}
+    terms: dict[_Window, _Packed] = {}
     for u, q, code in zip(ends, qs, codes):
         c = column[code]
         if c:
@@ -554,18 +597,18 @@ def pieri_expand(w: Permutation, k: int, p: int) -> Expansion:
 def monk_lhs_expand(x: Permutation, k: int) -> Expansion:
     """
     Expand (1 - Q_k)(1 - x_k) G[x] via k-Monk chains from x, read straight
-    from their walk; each end is the interned `_ends` entry of its window,
-    built with the length its walk carried.
+    from their walk; each end is keyed by its interned `_ends` window, the
+    entry built with the length its walk carried.
     """
     return _fold(_monk_walk(
-        x, k, lambda window, labels, kinds, t, q, ell: (_interned_end(window, ell), {q: -1 if t % 2 else 1})
+        x, k, lambda window, labels, kinds, t, q, ell: (_interned_window(window, ell), {q: -1 if t % 2 else 1})
     ))
 
 
 def _add_rows(
-    acc: dict[Permutation, _Packed],
+    acc: dict[_Window, _Packed],
     g: _Packed,
-    rows: tuple[tuple[Permutation, ...], tuple[int, ...], tuple[int, ...]],
+    rows: tuple[tuple[_Window, ...], tuple[int, ...], tuple[int, ...]],
     column: Sequence[int] | _SparseColumn,
 ) -> None:
     """
@@ -616,7 +659,7 @@ def expand_product_chain(w: Permutation, factors: list[tuple[int, int]]) -> Expa
         if not p:
             continue
         column = _weight_column(k, p)
-        acc: dict[Permutation, _Packed] = {}
+        acc: dict[_Window, _Packed] = {}
         for u, g in out._terms.items():
             _add_rows(acc, g, _pieri_rows(u, k), column)
         out = Expansion._of(acc)

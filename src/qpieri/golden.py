@@ -158,7 +158,7 @@ EX1_UNLISTED_CHAINS = (((2, 4),), ((2, 4), (2, 3)))
 
 def expected_expansion(ex: WorkedExample) -> Expansion:
     return _fold(
-        (Permutation.from_one_line(perm), {pack_monomial(QMonomial.from_dict(dict(qexp))): coeff})
+        (Permutation.from_one_line(perm).window, {pack_monomial(QMonomial.from_dict(dict(qexp))): coeff})
         for coeff, qexp, perm in ex.terms
     )
 

@@ -90,7 +90,7 @@ def weight(x: PairedChain | MarkedChain) -> tuple[int, int, Permutation]:
 
 
 def sum_weights(elements) -> Expansion:
-    return _fold((basis, {q: sign}) for sign, q, basis in map(weight, elements))
+    return _fold((basis.window, {q: sign}) for sign, q, basis in map(weight, elements))
 
 
 def enumerate_marked(w: Permutation, h: int, g: int) -> tuple[MarkedChain, ...]:

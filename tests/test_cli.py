@@ -138,7 +138,7 @@ def test_expand_at_the_largest_column_keeps_weights_of_the_codes_seen_only(capsy
     try:
         # the one term: 21 times the Bruhat edge (1024,1025)
         assert code == 0 and out == f"G[{','.join(map(str, [2, 1, *range(3, 1024), 1025, 1024]))}]\n"
-        codes = expansion._pieri_rows(Permutation.from_one_line("21"), 1024)[2]
+        codes = expansion._pieri_rows(Permutation.from_one_line("21").window, 1024)[2]
         assert set(expansion._weight_column(1024, 1)) == set(codes)
     finally:
         expansion.clear_caches()

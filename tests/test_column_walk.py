@@ -2,8 +2,8 @@
 The Pieri rows walk against the chain enumerator and the marking counts.
 
 `pieri_degree_rows` keeps one term per k-Pieri chain, in the order
-`enumerate_pieri_chains` lists the chains: the chain's end, its packed
-Q-weight and a code whose `weight_row` holds the chain's signed marking
+`enumerate_pieri_chains` lists the chains: the window of the chain's end,
+its packed Q-weight and a code whose `weight_row` holds the chain's signed marking
 count in every degree.  The tables the walk reads are checked here too:
 the candidate rows of a column against the pool filtered by the same
 mask and floor, and the Q-weights against `qbg.pack_monomial`.
@@ -15,6 +15,7 @@ import random
 
 import pytest
 
+from qpieri import chains as engine
 from qpieri.chains import (
     _column_rows,
     _walk_tables,
@@ -63,7 +64,7 @@ def test_each_walk_lists_one_term_per_chain_in_chain_order(n, k):
         chains = enumerate_pieri_chains(w, k)
         assert len(set(ends)) == len(ends) == len(qs) == len(codes) == len(chains), (w, k)
         got = [(u, q, weight_row(k, code)) for u, q, code in zip(ends, qs, codes)]
-        want = [(c.end, pack_monomial(q_weight(c.path)), signed_marking_counts(c, k)) for c in chains]
+        want = [(c.end.window, pack_monomial(q_weight(c.path)), signed_marking_counts(c, k)) for c in chains]
         assert got == want, (w, k)
 
 
@@ -79,10 +80,11 @@ def test_a_new_end_carries_its_window_and_length():
     clear_caches()
     try:
         for w in all_permutations(4):
-            for u in pieri_degree_rows(w, 3)[0]:
-                assert u._length is not None
-                assert u == Permutation(u.window) and u.length() == Permutation(u.window).length()
-                assert not u.window or u.window[-1] != len(u.window)
+            for end in pieri_degree_rows(w, 3)[0]:
+                u = engine._ends[end]
+                assert u.window is end and u._length is not None
+                assert u == Permutation(end) and u.length() == Permutation(end).length()
+                assert not end or end[-1] != len(end)
     finally:
         clear_caches()
 

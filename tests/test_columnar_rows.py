@@ -3,8 +3,9 @@
 
 Every degree of a (w, k) comes from one cached walk (`_pieri_rows`),
 whatever order the degrees are asked in.  Ends are interned across
-walks, the Monk walk of `monk_lhs_expand` included, and emptied with the
-other caches by `clear_caches`.  The walk's terms themselves are checked
+walks, the Monk walk of `monk_lhs_expand` included, each window one tuple
+that the rows hold and the `chains._ends` entry wraps, and emptied with
+the other caches by `clear_caches`.  The walk's terms themselves are checked
 against the chains in `tests/test_column_walk.py`.
 """
 
@@ -51,15 +52,16 @@ def test_the_per_degree_cache_stays_bounded_and_recomputes_what_it_evicts():
 
 def test_walks_reaching_one_window_share_one_end_with_its_length():
     clear_caches()
-    first: dict[tuple[int, ...], Permutation] = {}
+    first: dict[tuple[int, ...], tuple[int, ...]] = {}
     reached = 0
     # starts of several sizes and bounds: k = 5 pads every window of S_3 to 6
     for w in all_permutations(3):
         for k in (1, 2, 3, 5):
-            for u in pieri_degree_rows(w, k)[0]:
+            for end in pieri_degree_rows(w, k)[0]:
                 reached += 1
-                assert u is first.setdefault(u.window, u) is chains._ends[u.window], (w, k, u)
-                assert u.length() == Permutation(u.window).length(), (w, k, u)
+                u = chains._ends[end]
+                assert end is first.setdefault(end, end) is u.window, (w, k, u)
+                assert u.length() == Permutation(end).length(), (w, k, u)
     assert len(first) == len(chains._ends) < reached
 
 

@@ -96,7 +96,7 @@ def old_monk_chains(x: Permutation, k: int) -> list[MonkChain]:
 
 
 def old_monk_lhs_expand(x: Permutation, k: int) -> Expansion:
-    return _fold((m.end, {pack_monomial(q_weight(m.path)): (-1) ** m.t}) for m in old_monk_chains(x, k))
+    return _fold((m.end.window, {pack_monomial(q_weight(m.path)): (-1) ** m.t}) for m in old_monk_chains(x, k))
 
 
 def _pieri_rows(chains):
@@ -152,4 +152,4 @@ def test_the_walks_take_chains_deeper_than_the_recursion_limit():
     finally:
         sys.setrecursionlimit(limit)
     assert max(len(c.labels) for c in chains) == 200 and max(len(m.labels) for m in monk) == 199
-    assert [c.end for c in chains] == list(rows[0])
+    assert [c.end.window for c in chains] == list(rows[0])

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 
+from qpieri import chains
 from qpieri.expansion import Expansion, clear_caches, expand_product_chain, pieri_expand
 from qpieri.permutations import Permutation, all_permutations
 
@@ -62,7 +63,7 @@ def test_a_three_factor_product_prints_the_pinned_bytes():
 
 def test_ends_of_ten_or_more_entries_print_in_the_comma_form():
     e = pieri_expand(*WIDE)
-    widths = {len(u.window) for u in e._terms}
+    widths = {len(u.window) for u in e.terms}
     assert max(widths) >= 10 and min(widths) <= 9
     assert _digests([e]) == (
         "dd5278ad11d68b0541ddc390beb76adba95641ca5e882b61e594282f4893e01f",
@@ -77,23 +78,25 @@ def test_the_identity_prints_as_g1():
     assert Expansion.zero().render() == "0" and Expansion.zero().to_json() == "[]"
 
 
-def test_parsed_expansions_print_the_same_bytes_without_stored_lengths():
+def test_parsed_expansions_print_the_same_bytes_without_interned_ends():
     clear_caches()
     try:
         sources = [pieri_expand(w, k, p) for w in all_permutations(4) for k in (2, 3) for p in range(1, k + 1)]
         sources += [expand_product_chain(*THREE_FACTORS), pieri_expand(*WIDE)]
         texts = [e.render() for e in sources]
         jsons = [e.to_json() for e in sources]
-        # parsing builds fresh permutations: their lengths are not yet counted
+        # no walk reached the windows of a parsed expansion: printing counts
+        # their lengths for itself and interns none of them
         clear_caches()
         parsed = [Expansion.parse(t) for t in texts]
         loaded = [Expansion.from_json(j) for j in jsons]
-        assert all(u._length is None for e in parsed + loaded for u in e._terms)
         assert [e.render() for e in parsed] == texts
         assert [e.to_json() for e in loaded] == jsons
+        assert not chains._ends
         assert _digests(parsed) == _digests(sources) == (
             "c79d18ece87f2cb74b22e2d2c2acd1ad8cc965e1c3522963e03b322fad9ff82a",
             "2d6936423c43f559ce4328271de75e24e9f86dbcbd6c031e9e2ace98c6a905dc",
         )
+        assert not chains._ends
     finally:
         clear_caches()

@@ -5,7 +5,10 @@ Packing round-trips and refuses what it cannot hold; a product whose
 exponent would reach the packed limit raises instead of carrying into the
 next variable; every ring operation agrees with a fold over plain
 {(window, exponents): coefficient} dicts written here; and the text and
-JSON forms are the ones `json.dumps` and the parser agree on.
+JSON forms are the ones `json.dumps` and the parser agree on.  The
+boundary of `Expansion`, where the windows that key its terms turn back
+into permutations, agrees with the same plain dicts and hands out the
+permutations the walks interned (`chains._ends`).
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_expansion import comma_form_expansions, expansions, qpolynomials
 
+from qpieri import chains
 from qpieri.expansion import Expansion, QPolynomial, expand_product_chain, pieri_expand
 from qpieri.permutations import Permutation
 from qpieri.qbg import Q_EXPONENT_LIMIT, Q_VARIABLES, QMonomial, pack_monomial, unpack_monomial
@@ -146,6 +150,30 @@ def plain_poly(f: QPolynomial) -> dict[tuple, int]:
     return {m.exponents: c for m, c in f.terms.items()}
 
 
+def assert_boundary_matches_plain_dicts(e: Expansion) -> None:
+    """`terms`, `at_q0`, `sorted_terms` and `filter_s_n` against `plain(e)`, and `Expansion(e.terms) == e`."""
+    a = plain(e)
+    assert Expansion(e.terms) == e
+    assert all(type(u) is Permutation and type(f) is QPolynomial for u, f in e.terms.items())
+    assert {u.one_line() for u in e.terms} == {u for u, _ in a}
+    assert {u.one_line(): c for u, c in e.at_q0().items()} == {u: c for (u, m), c in a.items() if m == ()}
+    ordered = sorted({u for u, _ in a}, key=lambda u: P(u).sort_key())
+    assert [(u.one_line(), plain_poly(f)) for u, f in e.sorted_terms()] == [
+        (u, {m: c for (v, m), c in a.items() if v == u}) for u in ordered
+    ]
+    for n in (0, 2, 3, 4):
+        assert plain(e.filter_s_n(n)) == {(u, m): c for (u, m), c in a.items() if P(u).in_s_n(n)}
+
+
+def assert_walked_keys_are_interned(e: Expansion) -> None:
+    """Every permutation `e` hands out is the `chains._ends` entry of its window."""
+    keys = [*e.terms, *e.at_q0(), *(u for u, _ in e.sorted_terms())]
+    assert keys and all(u is chains._ends[u.window] for u in keys)
+    seen: list = []
+    e.map_basis(lambda u: seen.append(u) or Expansion.basis(u))
+    assert seen and all(u is chains._ends[u.window] for u in seen)
+
+
 def merge(x: tuple, y: tuple) -> tuple:
     exps = dict(x)
     for v, e in y:
@@ -165,6 +193,7 @@ def plain_sum(*pieces) -> dict:
 @settings(max_examples=80, deadline=None)
 def test_module_operations_match_plain_dicts(e1, e2, c):
     a, b = plain(e1), plain(e2)
+    assert_boundary_matches_plain_dicts(e1)
     assert plain(e1 + e2) == plain_sum(a.items(), b.items())
     assert plain(e1 - e2) == plain_sum(a.items(), ((k, -v) for k, v in b.items()))
     assert plain(e1.scaled_int(c)) == plain_sum((k, c * v) for k, v in a.items())
@@ -195,7 +224,15 @@ def test_map_basis_matches_plain_dicts(e, factor):
         for (u, m1), c1 in plain(e).items()
         for (v, m2), c2 in plain(pieri_expand(P(u), k, p)).items()
     )
-    assert plain(e.map_basis(lambda u: pieri_expand(u, k, p))) == want
+    called: list = []
+    got = e.map_basis(lambda u: called.append(u) or pieri_expand(u, k, p))
+    assert plain(got) == want
+    # the callback takes each basis term once, as a Permutation
+    assert sorted(u.one_line() for u in called) == sorted({u for u, _ in plain(e)})
+    assert all(type(u) is Permutation for u in called)
+    assert_boundary_matches_plain_dicts(got)
+    if not got.is_zero():
+        assert_walked_keys_are_interned(got)
 
 
 # --- output paths ----------------------------------------------------------
@@ -229,3 +266,5 @@ def test_output_of_products_is_byte_identical():
         e = expand_product_chain(P(w), [(2, 1), (3, 2)])
         assert e.to_json() == json.dumps(old_json_obj(e))
         assert Expansion.parse(e.render()) == e
+        assert_boundary_matches_plain_dicts(e)
+        assert_walked_keys_are_interned(e)

@@ -10,6 +10,8 @@ reads no rows, in a product or in `pieri_expand`.  Fake rows
 (`_pieri_rows` patched) reach a case that no real product of the grids
 here shows: a zero column entry with a Q-weight the guard would refuse.
 No term of a product cancels (the sign law, `tests/test_sign_law.py`).
+Inside the engine a basis term is keyed by its window, so once the rows
+are cached a product or a Pieri sum hashes no `Permutation`.
 """
 
 from __future__ import annotations
@@ -37,14 +39,14 @@ Q2 = pack_monomial(QMonomial.variable(2))
 def old_fold(w: Permutation, factors, walks: list | None = None) -> Expansion:
     """
     The fold as it was: each factor maps every basis term through
-    pieri_expand.  `walks` lists the (u, k) of every p >= 1 factor, the
-    only ones whose rows the column pass reads.
+    pieri_expand.  `walks` lists the (window of u, k) of every p >= 1
+    factor, the only ones whose rows the column pass reads.
     """
     out = Expansion.basis(w)
     for k, p in factors:
         def image(u, k=k, p=p):
             if walks is not None and p:
-                walks.append((u, k))
+                walks.append((u.window, k))
             return pieri_expand(u, k, p)
 
         out = out.map_basis(image)
@@ -84,6 +86,30 @@ def test_the_s4_grid_matches_the_old_fold_and_walks_the_same_rows(clean_caches):
     assert pieri_expand.cache_info().currsize == 0
 
 
+def test_cached_products_and_pieri_sums_hash_no_permutation(clean_caches, monkeypatch):
+    factors = [(k, p) for k in range(1, 5) for p in range(k + 1)]
+    s4 = all_permutations(4)
+    grid = [(w, list(pair)) for w in s4 for pair in itertools.product(factors, repeat=2)]
+    sums = [(w, k, p) for w in s4 for k, p in factors]
+    # the first pass caches the rows; the uncached body of pieri_expand,
+    # since its per-degree cache is keyed by the Permutation it is given
+    want = [expand_product_chain(w, fs) for w, fs in grid], [pieri_expand.__wrapped__(*s) for s in sums]
+    hashed: list[Permutation] = []
+    original = Permutation.__hash__
+
+    def counted(self):
+        hashed.append(self)
+        return original(self)
+
+    monkeypatch.setattr(Permutation, "__hash__", counted)
+    assert hash(P("21")) == hash((2, 1)) and hashed == [P("21")]
+    hashed.clear()
+    got = [expand_product_chain(w, fs) for w, fs in grid], [pieri_expand.__wrapped__(*s) for s in sums]
+    assert hashed == []
+    monkeypatch.undo()
+    assert got == want
+
+
 @given(windows(5, 6), st.lists(factor, min_size=3, max_size=3))
 @settings(max_examples=25, deadline=None)
 def test_three_factor_products_match_the_old_fold(window, factors):
@@ -106,7 +132,7 @@ def test_degree_0_factors_read_no_rows(clean_caches):
                 assert expand_product_chain(w, [(k, 0), (1, 0)]) == Expansion.basis(w)
         assert walks == []
         got = expand_product_chain(P("321"), [(2, 0), (1, 1), (3, 0)])
-    assert walks == [(P("321"), 1)]
+    assert walks == [(P("321").window, 1)]
     assert got == pieri_expand(P("321"), 1, 1)
 
 
@@ -126,14 +152,14 @@ def test_bad_factors_are_refused_as_pieri_expand_refuses_them(bad, position):
 def fake_rows(table):
     """
     `_pieri_rows` reading {(window, k): [(end window, packed q, row), ...]},
-    each row given as the `weight_row` of its term's code (the least code
-    with that row).
+    each end window validated and trimmed, each row given as the
+    `weight_row` of its term's code (the least code with that row).
     """
 
-    def rows(u, k):
-        terms = table.get((u.window, k), [])
+    def rows(window, k):
+        terms = table.get((window, k), [])
         return (
-            tuple(Permutation(end) for end, _, _ in terms),
+            tuple(Permutation(end).window for end, _, _ in terms),
             tuple(q for _, q, _ in terms),
             tuple(next(c for c in range(2 * (k + 1) ** 2) if weight_row(k, c) == row) for _, _, row in terms),
         )
@@ -145,7 +171,7 @@ def test_the_overflow_guard_fires_through_products(clean_caches, monkeypatch):
     monkeypatch.setattr(expansion, "_pieri_rows", fake_rows({
         ((2, 1), 1): [((2, 1), HALF, (0, 1))],
     }))
-    assert expand_product_chain(P("21"), [(1, 1)]) == Expansion._of({P("21"): {HALF: 1}})
+    assert expand_product_chain(P("21"), [(1, 1)]) == Expansion._of({(2, 1): {HALF: 1}})
     message = f"exponent past the packed range in Q1^{2 * (Q_EXPONENT_LIMIT // 2)}"
     with pytest.raises(OverflowError) as chained:
         expand_product_chain(P("21"), [(1, 1), (1, 1)])
@@ -161,7 +187,7 @@ def test_a_zero_column_entry_is_skipped_not_multiplied(clean_caches, monkeypatch
         ((2, 1), 1): [((2, 1), HALF, (0, 1))],
         ((2, 1), 2): [((2, 1), HALF, (1, -1, 0)), ((2, 1), Q2, (0, 0, 1))],
     }))
-    want = Expansion._of({P("21"): {HALF + Q2: 1}})
+    want = Expansion._of({(2, 1): {HALF + Q2: 1}})
     assert old_fold(P("21"), [(1, 1), (2, 2)]) == want
     assert expand_product_chain(P("21"), [(1, 1), (2, 2)]) == want
 
@@ -172,7 +198,7 @@ def test_every_monomial_of_a_coefficient_is_carried(clean_caches, monkeypatch):
     monkeypatch.setattr(expansion, "_pieri_rows", fake_rows({
         ((2, 1), 1): [((2, 1), Q2, (0, 1)), ((2, 1), 0, (0, 1))],
     }))
-    want = Expansion._of({P("21"): {2 * Q2: 1, Q2: 2, 0: 1}})
+    want = Expansion._of({(2, 1): {2 * Q2: 1, Q2: 2, 0: 1}})
     assert old_fold(P("21"), [(1, 1), (1, 1)]) == want
     assert expand_product_chain(P("21"), [(1, 1), (1, 1)]) == want
 
@@ -182,6 +208,6 @@ def test_terms_that_share_an_end_are_summed(clean_caches, monkeypatch):
     monkeypatch.setattr(expansion, "_pieri_rows", fake_rows({
         ((2, 1), 1): [((2, 1), Q2, (0, 1)), ((1,), 0, (1, -1)), ((2, 1), Q2, (0, 1))],
     }))
-    want = Expansion._of({P("21"): {Q2: 2}, P("1"): {0: -1}})
+    want = Expansion._of({(2, 1): {Q2: 2}, (): {0: -1}})
     assert pieri_expand(P("21"), 1, 1) == want
     assert expand_product_chain(P("21"), [(1, 1)]) == want

@@ -4,8 +4,9 @@
 Ends of the chain walk and results of `Permutation.apply` are built by a
 constructor that trims but does not validate, and the walk hands each end
 it builds the length it carried along; ends are interned across walks,
-Monk and Pieri alike.  These tests hold both against the validated
-constructor and a brute-force inversion count.
+Monk and Pieri alike, and the rows hold the window each interned end
+wraps.  These tests hold both against the validated constructor and a
+brute-force inversion count, read through `chains._ends`.
 """
 
 from __future__ import annotations
@@ -25,12 +26,14 @@ from qpieri.qbg import QMonomial
 
 def assert_walk_ends_match_validated(w: Permutation, k: int) -> None:
     # the uncached function; an interned end holds the length of the walk that built it
-    ends, _qs, _codes = _pieri_rows.__wrapped__(w, k)
-    for u in ends:
-        assert u._length == brute_inversions(u.window), (w, k, u)
-        fresh = Permutation(u.window)
+    ends, _qs, _codes = _pieri_rows.__wrapped__(w.window, k)
+    for end in ends:
+        u = chains._ends[end]
+        assert u.window is end, (w, k, u)
+        assert u._length == brute_inversions(end), (w, k, u)
+        fresh = Permutation(end)
         assert u == fresh and hash(u) == hash(fresh), (w, k, u)
-        assert u.window == fresh.window
+        assert end == fresh.window
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
@@ -56,8 +59,8 @@ def test_ends_a_monk_walk_interns_first_carry_their_length():
                 monk_lhs_expand(x, k)
     for w in all_permutations(3):
         for k in (1, 2, 3):
-            for u in _pieri_rows.__wrapped__(w, k)[0]:
-                assert u._length == brute_inversions(u.window), (w, k, u)
+            for end in _pieri_rows.__wrapped__(w.window, k)[0]:
+                assert chains._ends[end]._length == brute_inversions(end), (w, k, end)
     for window, u in chains._ends.items():
         assert u.window == window and u._length == brute_inversions(window), u
 

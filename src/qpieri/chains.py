@@ -50,9 +50,9 @@ is built by setting its two slots.  `enumerate_pieri_chains` and the
 marking functions stay as the walk's reference.
 Every chain walk swaps two entries of one padded window list on the way
 down and back on return, and tests each step with `qbg._window_kind`
-(written out in the hot loop of `pieri_degree_rows`).  The walks read
-their tables from `_walk_tables`, built once per (k, N) and shared
-read-only, and carry the packed Q-weight of the path, adding the tabled
+(written out once, in the one candidate loop of `pieri_degree_rows`).
+The walks read their tables from `_walk_tables`, built once per (k, N)
+and shared, and carry the packed Q-weight of the path, adding the tabled
 weight of each quantum edge.
 
 Candidates.  The reference walk tries every label of the pool in a later
@@ -60,11 +60,13 @@ or the same column and skips a label already used and, by (P2), one that
 does not follow a repeated row.  `pieri_degree_rows` tries no label it
 would skip.  By (P1) a used label of the current column b is in the
 b-segment, and no label of a later column is used yet, so a node's
-candidates are two lists: the rows of column b that the segment has not
-taken, above the last row if that row repeats (P2), read from the per-k
-table `_column_rows` by a row bitmask; then `tail_from[b - 1]`, whole.
-Only the edge test is left per candidate.  A second bitmask, of the rows
-of the whole chain, tells whether a row is used for the first time.
+candidates are one tuple, read from the table `candidates[b]` by a row
+bitmask: the labels of column b that the segment has not taken, above
+the last row if that row repeats (P2), then `tail_from[b - 1]`, whole.
+Only the edge test is left per candidate; whether the label's column is
+b tells a label that extends the segment from one that starts the next.
+A second bitmask, of the rows of the whole chain, tells whether a row is
+used for the first time.
 
 Sign law.  Each QBG edge changes the length by an odd amount: +1 for a
 Bruhat edge, -2(b-a)+1 for a quantum edge (a,b).  So a chain from w to u
@@ -194,22 +196,46 @@ def _assert_root_bound(x: Permutation, k: int, bound: int) -> None:
             )
 
 
+class _Candidates(dict):
+    """One column of `_walk_tables`' candidates, filled on first use of each mask."""
+
+    __slots__ = ("column", "tail")
+
+    def __init__(self, column: tuple[Label, ...], tail: tuple[Label, ...]) -> None:
+        self.column = column
+        self.tail = tail
+
+    def __missing__(self, mask: int) -> tuple[Label, ...]:
+        found = self[mask] = tuple(lab for lab in self.column if not mask >> lab[0] & 1) + self.tail
+        return found
+
+
 @lru_cache(maxsize=32)
-def _walk_tables(k: int, bound: int) -> tuple[tuple[tuple[Label, ...], ...], dict[Label, int]]:
+def _walk_tables(
+    k: int, bound: int
+) -> tuple[tuple[tuple[Label, ...], ...], dict[Label, int], tuple[_Candidates | None, ...]]:
     """
-    The read-only tables of the walks over k-Pieri and k-Monk chains inside
-    bound N, shared by every walk with the same (k, N); none may change them.
+    The tables of the walks over k-Pieri and k-Monk chains inside bound N,
+    shared by every walk with the same (k, N), which only reads them.
 
-      tail_from  tail_from[b] = the labels (a,c), a <= k < c <= b, in label
-                 order (empty for b <= k), the continuations of a chain
-                 that ends in column b by (P1); tail_from[N] is the whole
-                 label pool;
-      qstep      the packed Q-weight Q_a * ... * Q_(b-1) of every label a
-                 walk can take, added when it is a quantum edge: the pool
-                 and the Monk row labels (a,k), a < k.
+      tail_from   tail_from[b] = the labels (a,c), a <= k < c <= b, in label
+                  order (empty for b <= k), the continuations of a chain
+                  that ends in column b by (P1); tail_from[N] is the whole
+                  label pool;
+      qstep       the packed Q-weight Q_a * ... * Q_(b-1) of every label a
+                  walk can take, added when it is a quantum edge: the pool
+                  and the Monk row labels (a,k), a < k;
+      candidates  candidates[b][mask], for b in k+1..N+1, = the labels (a,b)
+                  of the pool whose bit 1 << a is clear in mask, in label
+                  order, then tail_from[b - 1]: what a node of
+                  `pieri_degree_rows` in column b tries when mask holds
+                  the rows it may not take there.  Column N + 1 has no
+                  label, so the root reads the whole pool.
 
-    Packing accepts Q_1 .. Q_1024 only (`qbg.pack_monomial`), so a bound
-    past 1025 is refused with a ValueError.
+    Each `candidates[b]` fills lazily, one entry on the first use of each
+    mask: the only state a walk adds to these tables.  Packing accepts
+    Q_1 .. Q_1024 only (`qbg.pack_monomial`), so a bound past 1025 is
+    refused with a ValueError.
     """
     if bound - 1 > Q_VARIABLES:
         raise ValueError(f"labels up to column {bound} reach Q{bound - 1}; packing accepts Q1..Q{Q_VARIABLES}")
@@ -225,30 +251,10 @@ def _walk_tables(k: int, bound: int) -> tuple[tuple[tuple[Label, ...], ...], dic
         (a, b): ((1 << Q_STRIDE * (b - 1)) - (1 << Q_STRIDE * (a - 1))) // field
         for a, b in [*pool, *((a, k) for a in range(1, k))]
     }
-    return tail_from, qstep
-
-
-class _RowsLeft(dict):
-    """
-    The rows of one column a k-Pieri walk may still take, by the mask of
-    rows it may not: `_RowsLeft(k)[mask]` lists the rows a in 1..k whose
-    bit 1 << a is clear in mask, in increasing order (the label order
-    within a column).  Filled on first use of each mask.
-    """
-
-    __slots__ = ("k",)
-
-    def __init__(self, k: int) -> None:
-        super().__init__()
-        self.k = k
-
-    def __missing__(self, mask: int) -> tuple[int, ...]:
-        rows = self[mask] = tuple(a for a in range(1, self.k + 1) if not mask >> a & 1)
-        return rows
-
-
-# the column candidates of the k-Pieri walk, one table per k shared by every walk
-_column_rows = lru_cache(maxsize=32)(_RowsLeft)
+    candidates = (None,) * (k + 1) + tuple(
+        _Candidates(tuple(lab for lab in pool if lab[1] == b), tail_from[b - 1]) for b in range(k + 1, bound + 2)
+    )
+    return tail_from, qstep, candidates
 
 
 def _walk_from(visit: Callable[..., None], labels: int, *root) -> None:
@@ -577,11 +583,12 @@ def pieri_degree_rows(w: Permutation, k: int) -> tuple[tuple[tuple[int, ...], ..
     Every degree p = 0..k of G[w] * G^k_p from one in-place walk over the
     k-Pieri chains from w (module docstring), with the label pool, label
     order and chains of `enumerate_pieri_chains` but no chain objects.
-    A node in column b tries the rows of column b left to its segment
-    (`_column_rows`, by the mask of the segment's rows and, when the last
-    row repeats, of every row up to it: (P2)) and then every label of
-    `tail_from[b - 1]`, so no candidate is a used label or breaks (P2);
-    the root stands in column N + 1 with no row left there.
+    A node in column b tries, in one loop, the tuple `candidates[b][mask]`
+    of `_walk_tables`, mask holding the rows of its segment and, when the
+    last row repeats, every row up to it (P2): the labels of column b left
+    to the segment, then every label of `tail_from[b - 1]`.  So no
+    candidate is a used label or breaks (P2).  The root stands in column
+    N + 1, which holds no label, so it tries the whole pool.
 
     The terms come as three flat columns (ends, qs, codes), one term per
     chain, in the order the walk reaches them: term i is the end with
@@ -601,8 +608,8 @@ def pieri_degree_rows(w: Permutation, k: int) -> tuple[tuple[tuple[int, ...], ..
     every edge flips the parity bit, a row used for the first time (its bit
     clear in the mask of the chain's rows) adds 2 * (k + 1), and a forced
     label adds 2.  The first label, the one that follows the root, is
-    forced by condition (3).  Every later
-    label (a,b) that follows (c,b) with c > a forces one more: the new
+    forced by condition (3), so the root adds its 2 before its loop.
+    Every later label (a,b) that follows (c,b) with c > a forces one more: the new
     label if the initial run is still unbroken (condition (3)), otherwise
     (c,b) itself (condition (2)); a label that does not descend this way
     follows its predecessor in the label order and forces nothing.  Forced
@@ -634,8 +641,7 @@ def pieri_degree_rows(w: Permutation, k: int) -> tuple[tuple[tuple[int, ...], ..
         raise ValueError(f"k must be >= 1, got {k}")
     bound = max(w.support, k) + 1
     _assert_root_bound(w, k, bound)
-    tail_from, qstep = _walk_tables(k, bound)
-    column_rows = _column_rows(k)
+    tail_from, qstep, candidates = _walk_tables(k, bound)
     # below[f]: the bits of rows 1..f, the rows a repeated row f excludes by (P2)
     below = [(2 << f) - 2 for f in range(k + 1)]
     row_step = 2 * (k + 1)
@@ -664,35 +670,15 @@ def pieri_degree_rows(w: Permutation, k: int) -> tuple[tuple[tuple[int, ...], ..
         qs.append(q)
         codes.append(code)
         code ^= 1
-        # the labels (a,b) of the b-segment not taken yet, above the floor
-        # of (P2); a label below the last row descends and forces one label
-        for a in column_rows[seg | below[floor]]:
-            # the window criterion of `edge_kind`, on the list in place: the
-            # positions strictly between a and b hold no value in (lo, hi)
-            # for a Bruhat edge, and only such values for a quantum edge
-            xa, xb = window[a - 1], window[b - 1]
-            quantum = xa > xb
-            lo, hi = (xb, xa) if quantum else (xa, xb)
-            for c in range(a, b - 1):
-                if (lo < window[c] < hi) is not quantum:
-                    break
-            else:
-                window[a - 1], window[b - 1] = xb, xa
-                bit = 1 << a
-                first = not rows & bit
-                visit(
-                    b, seg | bit, a, 0 if first else a, rows | bit,
-                    code + row_step * first + 2 * (a < last_a),
-                    ell + (2 * (a - b) + 1 if quantum else 1),
-                    q + qstep[a, b] if quantum else q,
-                )
-                window[a - 1], window[b - 1] = xa, xb
-        # the labels of later columns: none is taken yet, and only the
-        # first label of a chain (the root's last_a is 0) is forced here
-        if not last_a:
+        if not last_a:  # the root: the first label of a chain is forced
             code += 2
-        for label in tail_from[b - 1]:
+        # the labels of the b-segment not taken yet, above the floor of
+        # (P2), then those of later columns, none of them taken yet
+        for label in candidates[b][seg | below[floor]]:
             a, c_b = label
+            # the window criterion of `edge_kind`, on the list in place: the
+            # positions strictly between a and c_b hold no value in (lo, hi)
+            # for a Bruhat edge, and only such values for a quantum edge
             xa, xb = window[a - 1], window[c_b - 1]
             quantum = xa > xb
             lo, hi = (xb, xa) if quantum else (xa, xb)
@@ -703,18 +689,21 @@ def pieri_degree_rows(w: Permutation, k: int) -> tuple[tuple[tuple[int, ...], ..
                 window[a - 1], window[c_b - 1] = xb, xa
                 bit = 1 << a
                 first = not rows & bit
+                # a label of the b-segment joins it, and forces one label
+                # if it descends below the last row; a later one starts a segment
+                same = c_b == b
                 visit(
-                    c_b, bit, a, 0 if first else a, rows | bit,
-                    code + row_step * first,
+                    c_b, seg | bit if same else bit, a, 0 if first else a, rows | bit,
+                    code + row_step * first + 2 * (same and a < last_a),
                     ell + (2 * (a - c_b) + 1 if quantum else 1),
                     q + qstep[label] if quantum else q,
                 )
                 window[a - 1], window[c_b - 1] = xa, xb
 
     try:
-        # the root stands in column N + 1 with every row of that column
-        # taken, so its only candidates are the whole pool, tail_from[N];
-        # a chain takes each label of the pool at most once
+        # the root stands in column N + 1, which holds no label of the
+        # pool, so its candidates are the whole pool, tail_from[N]; a
+        # chain takes each label of the pool at most once
         _walk_from(visit, len(tail_from[bound]), bound + 1, below[k], 0, 0, 0, 0, w.length(), 0)
     finally:
         # a recursive closure holds itself through its own cell; emptying

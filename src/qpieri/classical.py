@@ -52,10 +52,6 @@ class XPolynomial:
         return cls()
 
     @classmethod
-    def from_int(cls, c: int) -> XPolynomial:
-        return cls({(): c})
-
-    @classmethod
     def variable(cls, i: int) -> XPolynomial:
         expo = [0] * i
         expo[i - 1] = 1

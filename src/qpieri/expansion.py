@@ -633,10 +633,11 @@ def _add_rows(
                     poly[key] = poly.get(key, 0) + gc * c
 
 
-def expand_product_chain(w: Permutation, factors: list[tuple[int, int]]) -> Expansion:
+def expand_product_chain(w: Permutation, factors: Iterable[tuple[int, int]]) -> Expansion:
     """
     Left-fold expansion of G[w] * prod of column factors, coefficients
-    carried through exactly.  Every factor is checked first.  A factor
+    carried through exactly.  The factors are read once, from any iterable,
+    and every factor is checked before any walk.  A factor
     (k, 0) is G^k_0 = 1 (`pieri_expand`) and is skipped.  For every other
     factor (k, p), each term g * G[u] adds g * c * Q^q * G[end] for each
     term (end, q, code) of u's cached (u, k) rows with
@@ -652,6 +653,7 @@ def expand_product_chain(w: Permutation, factors: list[tuple[int, int]]) -> Expa
     >>> expand_product_chain(w, [(1, 1), (1, 1)]).render()
     'Q1*G[1] - Q1*G[132] + G[312]'
     """
+    factors = tuple(factors)
     for k, p in factors:
         _check_factor(k, p)
     out = Expansion.basis(w)

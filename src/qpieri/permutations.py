@@ -144,9 +144,6 @@ class Permutation:
         """The window padded with fixed points up to length n."""
         return tuple(self.window) + tuple(range(len(self.window) + 1, n + 1))
 
-    def in_s_n(self, n: int) -> bool:
-        return len(self.window) <= n
-
     def sort_key(self) -> tuple[int, tuple[int, ...]]:
         """(length, window): the canonical output order for basis elements."""
         return (self.length(), self.window)

@@ -21,14 +21,14 @@ only the end vertex is built as a `Permutation` (`validate_path` and
 one through `validate_path`).  This walk, `edge_kind` and the chain walks
 of `chains` call the one test of the criterion above, `_window_kind`,
 except the hot loop of `chains.pieri_degree_rows`, which writes the same
-test out inline.
+test out once, inline in its one candidate loop.
 """
 
 from __future__ import annotations
 
 import enum
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .permutations import Label, Permutation, count_inversions
 
@@ -117,8 +117,6 @@ class QMonomial:
     """A monomial in Q_1, Q_2, ...; exponents stored sparsely, no zeros."""
 
     exponents: tuple[tuple[int, int], ...] = ()
-    # the total degree, filled on first use
-    _degree: int | None = field(default=None, init=False, compare=False, hash=False, repr=False)
 
     @classmethod
     def one(cls) -> QMonomial:
@@ -155,11 +153,7 @@ class QMonomial:
         return not self.exponents
 
     def degree(self) -> int:
-        d = self._degree
-        if d is None:
-            d = sum(e for _, e in self.exponents)
-            object.__setattr__(self, "_degree", d)
-        return d
+        return sum(e for _, e in self.exponents)
 
     def sort_key(self) -> tuple[int, tuple[tuple[int, int], ...]]:
         return (self.degree(), self.exponents)

@@ -5,8 +5,8 @@ The Pieri rows walk against the chain enumerator and the marking counts.
 `enumerate_pieri_chains` lists the chains: the window of the chain's end,
 its packed Q-weight and a code whose `weight_row` holds the chain's signed marking
 count in every degree.  The tables the walk reads are checked here too:
-the candidate rows of a column against the pool filtered by the same
-mask and floor, and the Q-weights against `qbg.pack_monomial`.
+the candidates of a column against the pool filtered by the same mask
+and floor, and the Q-weights against `qbg.pack_monomial`.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ import pytest
 
 from qpieri import chains as engine
 from qpieri.chains import (
-    _column_rows,
     _walk_tables,
     enumerate_pieri_chains,
     marking_count,
@@ -92,19 +91,22 @@ def test_a_new_end_carries_its_window_and_length():
 @pytest.mark.parametrize("k", range(1, 7))
 def test_column_candidates_are_the_filtered_pool(k):
     bound = k + 2
-    pool = _walk_tables(k, bound)[0][bound]
-    table = _column_rows(k)
+    tail_from, _, candidates = _walk_tables(k, bound)
+    pool = tail_from[bound]
     for seg in range(0, 2 << k, 2):
         for floor in range(k + 1):
             mask = seg | ((2 << floor) - 2)
             for b in range(k + 1, bound + 1):
-                want = tuple(a for a, c in pool if c == b and not seg >> a & 1 and a > floor)
-                assert table[mask] == want, (k, seg, floor, b)
+                want = tuple((a, c) for a, c in pool if c == b and not seg >> a & 1 and a > floor)
+                want += tuple((a, c) for a, c in pool if c < b)
+                assert candidates[b][mask] == want, (k, seg, floor, b)
+    # the root stands in column N + 1 with every row taken
+    assert candidates[bound + 1][(2 << k) - 2] == pool
 
 
 @pytest.mark.parametrize("k, bound", [(1, 2), (1, 5), (3, 4), (3, 9), (5, 6), (6, 12)])
 def test_qstep_holds_the_labels_a_walk_can_take(k, bound):
-    tail_from, qstep = _walk_tables(k, bound)
+    tail_from, qstep, _ = _walk_tables(k, bound)
     pool = tail_from[bound]
     assert len(qstep) == len(pool) + k - 1
     assert set(qstep) == set(pool) | {(a, k) for a in range(1, k)}

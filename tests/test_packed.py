@@ -162,7 +162,7 @@ def assert_boundary_matches_plain_dicts(e: Expansion) -> None:
         (u, {m: c for (v, m), c in a.items() if v == u}) for u in ordered
     ]
     for n in (0, 2, 3, 4):
-        assert plain(e.filter_s_n(n)) == {(u, m): c for (u, m), c in a.items() if P(u).in_s_n(n)}
+        assert plain(e.filter_s_n(n)) == {(u, m): c for (u, m), c in a.items() if len(P(u).window) <= n}
 
 
 def assert_walked_keys_are_interned(e: Expansion) -> None:

@@ -149,6 +149,19 @@ def test_bad_factors_are_refused_as_pieri_expand_refuses_them(bad, position):
     assert str(chained.value) == str(direct.value)
 
 
+def test_factors_may_come_from_any_iterable(clean_caches):
+    w = P("21")
+    want = expand_product_chain(w, [(1, 1)])
+    assert want.render() == "Q1*G[1] - Q1*G[132] + G[312]"
+    assert expand_product_chain(w, (f for f in [(1, 1)])) == want
+    assert expand_product_chain(w, iter([(1, 1)])) == want
+    walks: list = []
+    with mock.patch.object(expansion, "_pieri_rows", recording(walks, expansion._pieri_rows)):
+        with pytest.raises(ValueError, match="p must be in 0..1"):
+            expand_product_chain(w, iter([(2, 1), (1, 2)]))
+    assert walks == []
+
+
 def fake_rows(table):
     """
     `_pieri_rows` reading {(window, k): [(end window, packed q, row), ...]},

@@ -549,7 +549,7 @@ def is_marking(chain: PieriChain, marks: frozenset) -> bool:
 # once, by the first walk to reach it, with the length that walk carried
 # to it; the walks hand on the key, and `expansion` turns a key back into
 # this entry at its boundary.  `expansion.clear_caches` empties it with
-# the rows
+# the rows and `_walk_tables`
 _ends: dict[tuple[int, ...], Permutation] = {}
 
 

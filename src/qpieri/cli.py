@@ -21,33 +21,29 @@ import json
 import sys
 
 from .expansion import Expansion, monk_lhs_expand, pieri_expand
-from .permutations import Permutation
+from .permutations import Permutation, check_factor
 from .qbg import Q_VARIABLES
 from .render import chain_rows, chains_table, markings_table
 from .verify import SUITES, bound_error, run_suite
 
 
-def _expansion_output(expansion: Expansion, fmt: str) -> str:
-    if fmt == "json":
-        return expansion.to_json() + "\n"
-    return expansion.render() + "\n"
+def _expansion_output(expansion: Expansion, args) -> tuple[str, int]:
+    """The output of `expand` or `monk`: `--filter-sn` applied, in `--format`."""
+    if args.filter_sn is not None:
+        expansion = expansion.filter_s_n(args.filter_sn)
+    text = expansion.to_json() if args.format == "json" else expansion.render()
+    return text + "\n", 0
 
 
 # each command returns (output text, exit code); `main` writes the text
 
 
 def cmd_expand(args) -> tuple[str, int]:
-    expansion = pieri_expand(args.w, args.k, args.p)
-    if args.filter_sn is not None:
-        expansion = expansion.filter_s_n(args.filter_sn)
-    return _expansion_output(expansion, args.format), 0
+    return _expansion_output(pieri_expand(args.w, args.k, args.p), args)
 
 
 def cmd_monk(args) -> tuple[str, int]:
-    expansion = monk_lhs_expand(args.x, args.k)
-    if args.filter_sn is not None:
-        expansion = expansion.filter_s_n(args.filter_sn)
-    return _expansion_output(expansion, args.format), 0
+    return _expansion_output(monk_lhs_expand(args.x, args.k), args)
 
 
 def cmd_chains(args) -> tuple[str, int]:
@@ -152,16 +148,19 @@ def _validate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None
             except ValueError as exc:
                 parser.error(f"bad permutation --{flag} {text!r}: {exc}")
     k = getattr(args, "k", None)
-    if k is not None and k < 1:
-        parser.error(f"--k must be >= 1, got {k}")
+    if k is not None:
+        p = getattr(args, "p", None)
+        try:
+            # without --p (monk, and chains by default) only k is checked:
+            # p = k is in range whenever k is
+            check_factor(k, k if p is None else p)
+        except ValueError as exc:
+            parser.error(f"--{exc}")
     # a walk from the permutation reaches Q_max(support, k), in a product
     # or a chain's weight; the engine packs Q_1 .. Q_1024 only
     perm = getattr(args, "w", None) or getattr(args, "x", None)
     if perm is not None and max(perm.support, k) > Q_VARIABLES:
         parser.error(f"--k and the permutation's size must be at most {Q_VARIABLES}")
-    p = getattr(args, "p", None)
-    if p is not None and not 0 <= p <= k:
-        parser.error(f"--p must be in 0..{k}, got {p}")
     filter_sn = getattr(args, "filter_sn", None)
     if filter_sn is not None and filter_sn < 1:
         parser.error(f"--filter-sn must be >= 1, got {filter_sn}")

@@ -38,7 +38,8 @@ coefficient of such a product at G[v] has the sign
 (-1)^(l(v) - l(w) - sum of the p), so no term cancels and the
 accumulator is wrapped as it stands; this holds whether or not two
 chains share an end.  `clear_caches` empties the rows, both per-call
-caches and the interned ends together.
+caches, the weight columns, the walks' tables and the interned ends
+together.
 
 Coefficient arithmetic is exact integer throughout; an Expansion is a
 finite map from basis permutations to Z[Q]-polynomials with no zero
@@ -108,8 +109,8 @@ from functools import lru_cache
 from operator import attrgetter
 from types import MappingProxyType
 
-from .chains import _ends, _interned_window, _monk_walk, code_weight, pieri_degree_rows
-from .permutations import Permutation, count_inversions
+from .chains import _ends, _interned_window, _monk_walk, _walk_tables, code_weight, pieri_degree_rows
+from .permutations import Permutation, check_factor, count_inversions
 from .qbg import Q_HIGH_BITS, QMonomial, pack_monomial, unpack_monomial
 
 # a Z[Q]-polynomial as packed monomial -> nonzero coefficient
@@ -512,13 +513,15 @@ def _pieri_rows(window: _Window, k: int) -> tuple[tuple[_Window, ...], tuple[int
 def clear_caches() -> None:
     """
     Empty the engine's caches together: the Pieri rows, the per-degree
-    and Monk expansions, the weight columns, and the ends the walks
-    interned, so no interned end outlives the rows that hold it.
+    and Monk expansions, the weight columns, the walks' tables, and the
+    ends the walks interned, so no interned end outlives the rows that
+    hold it.
     """
     _pieri_rows.cache_clear()
     pieri_expand.cache_clear()
     monk_lhs_expand.cache_clear()
     _weight_column.cache_clear()
+    _walk_tables.cache_clear()
     _ends.clear()
 
 
@@ -561,21 +564,13 @@ def _weight_column(k: int, p: int) -> Sequence[int] | _SparseColumn:
     return _SparseColumn(k, p)
 
 
-def _check_factor(k: int, p: int) -> None:
-    """Refuse a column factor G^k_p outside k >= 1, p in 0..k."""
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    if not 0 <= p <= k:
-        raise ValueError(f"p must be in 0..{k}, got {p}")
-
-
 @lru_cache(maxsize=8)
 def pieri_expand(w: Permutation, k: int, p: int) -> Expansion:
     """
     Expand G[w] * G^k_p in the formal basis: the signed, marking-counted,
     Q-weighted sum over k-Pieri chains from w carrying a p-marking.
     """
-    _check_factor(k, p)
+    check_factor(k, p)
     if not p:
         # G^k_0 = G[id] = 1: the first label of every nonempty chain is
         # forced, so the degree-0 column of a walk is its empty chain alone
@@ -655,7 +650,7 @@ def expand_product_chain(w: Permutation, factors: Iterable[tuple[int, int]]) -> 
     """
     factors = tuple(factors)
     for k, p in factors:
-        _check_factor(k, p)
+        check_factor(k, p)
     out = Expansion.basis(w)
     for k, p in factors:
         if not p:

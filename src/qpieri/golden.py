@@ -1,24 +1,25 @@
 """
-Frozen reference data for the two bundled worked examples.
+Frozen reference data for the two bundled worked examples: the one copy
+that the `appendix-c` suite and the tests compare against.
 
-Each example records its full chain table (labels, edge kinds, markings,
-end permutation) and its expansion, as plain data.  The tables were
-transcribed from the source worked examples and then cross-corrected
-against the executable definitions: every marking cell is forced by the
-marking conditions, every coefficient by the chain sum, and the
-corrections are pinned by the classical polynomial oracle at Q = 0 and by
-commutativity of double expansions (see tests/test_marking_rule.py and
-tests/test_chain_completeness.py for the differences against the original
-tables).
+Each example records its full chain table once, as `rows` (labels, edge
+kinds, markings, end permutation), which `expected_table` renders as
+`qpieri chains` prints it, and its expansion once, as `expansion_text`,
+the text `qpieri expand` prints, which `expected_expansion` parses.  The
+tables were transcribed from the source worked examples and then
+cross-corrected against the executable definitions: every marking cell
+is forced by the marking conditions, every coefficient by the chain sum,
+and the corrections are pinned by the classical polynomial oracle at
+Q = 0 and by commutativity of double expansions (see
+tests/test_marking_rule.py and tests/test_chain_completeness.py for the
+differences against the original tables).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .expansion import Expansion, _fold
-from .permutations import Permutation
-from .qbg import QMonomial, pack_monomial
+from .expansion import Expansion
 
 
 @dataclass(frozen=True)
@@ -29,10 +30,8 @@ class WorkedExample:
     p: int
     # rows: (labels, kind string like "BQ", markings (tuples of labels), end)
     rows: tuple
-    # expansion terms: (coefficient, Q-variable exponent pairs, end permutation)
-    terms: tuple
     published_rows: int  # row count in the original table
-    expansion_text: str  # canonical rendering of `terms`
+    expansion_text: str  # the expansion as `qpieri expand` prints it, without the newline
 
 
 EX1 = WorkedExample(
@@ -57,15 +56,6 @@ EX1 = WorkedExample(
         (((1, 3),), "Q", (), "1"),
         (((1, 3), (2, 3)), "QB", (((1, 3), (2, 3)),), "132"),
         (((2, 3),), "Q", (), "312"),
-    ),
-    terms=(
-        (1, (), "4312"),
-        (-1, ((1, 1), (2, 1)), "1342"),
-        (1, ((1, 1), (2, 1)), "1432"),
-        (-1, ((2, 1),), "4132"),
-        (-1, ((1, 1), (2, 1)), "1423"),
-        (1, ((2, 1),), "4123"),
-        (1, ((1, 1), (2, 1)), "132"),
     ),
     published_rows=12,
     expansion_text=(
@@ -115,28 +105,6 @@ EX2 = WorkedExample(
         (((3, 4), (1, 4), (2, 4)), "QBB", (((3, 4), (1, 4)),), "53124"),
         (((3, 4), (2, 4)), "QB", (((3, 4), (2, 4)),), "35124"),
     ),
-    terms=(
-        (1, (), "426135"),
-        (-2, (), "436125"),
-        (2, ((3, 1),), "431625"),
-        (-1, ((3, 1),), "421635"),
-        (1, (), "346125"),
-        (-1, ((3, 1),), "341625"),
-        (1, (), "43512"),
-        (-2, ((3, 1),), "43152"),
-        (1, ((3, 1),), "53142"),
-        (-1, ((3, 1),), "54132"),
-        (1, ((3, 1),), "45132"),
-        (1, ((3, 1),), "42153"),
-        (-1, ((3, 1),), "52143"),
-        (1, ((3, 1),), "54123"),
-        (-1, ((3, 1),), "45123"),
-        (1, ((3, 1),), "34152"),
-        (-1, ((3, 1),), "35142"),
-        (1, ((3, 1),), "52134"),
-        (-1, ((3, 1),), "53124"),
-        (1, ((3, 1),), "35124"),
-    ),
     published_rows=26,
     expansion_text=(
         "Q3*G[34152] + Q3*G[35124] + Q3*G[42153] + Q3*G[52134] - Q3*G[341625]"
@@ -157,10 +125,7 @@ EX1_UNLISTED_CHAINS = (((2, 4),), ((2, 4), (2, 3)))
 
 
 def expected_expansion(ex: WorkedExample) -> Expansion:
-    return _fold(
-        (Permutation.from_one_line(perm).window, {pack_monomial(QMonomial.from_dict(dict(qexp))): coeff})
-        for coeff, qexp, perm in ex.terms
-    )
+    return Expansion.parse(ex.expansion_text)
 
 
 def expected_table(ex: WorkedExample) -> str:

@@ -66,9 +66,9 @@ class Permutation:
         n = len(win)
         if sorted(win) != list(range(1, n + 1)):
             raise ValueError(f"not a permutation window: {win}")
-        while win and win[-1] == len(win):
-            win = win[:-1]
-        object.__setattr__(self, "window", win)
+        while n and win[n - 1] == n:
+            n -= 1
+        object.__setattr__(self, "window", win[:n])
 
     @classmethod
     def _from_swapped(cls, values: Sequence[int], length: int | None = None) -> Permutation:
@@ -168,6 +168,14 @@ def all_permutations(n: int) -> list[Permutation]:
     return [Permutation(p) for p in itertools.permutations(range(1, n + 1))]
 
 
+def check_factor(k: int, p: int) -> None:
+    """Refuse a column factor G^k_p outside k >= 1, p in 0..k."""
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    if not 0 <= p <= k:
+        raise ValueError(f"p must be in 0..{k}, got {p}")
+
+
 def cyclic_permutation(k: int, p: int) -> Permutation:
     """
     The cycle c[k,p] mapping k-p+1 -> k-p+2 -> ... -> k+1 -> k-p+1;
@@ -178,10 +186,7 @@ def cyclic_permutation(k: int, p: int) -> Permutation:
     >>> cyclic_permutation(5, 0).is_identity()
     True
     """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    if not 0 <= p <= k:
-        raise ValueError(f"p must be in 0..k, got p={p}, k={k}")
+    check_factor(k, p)
     if p == 0:
         return Permutation.identity()
     values = list(range(1, k + 2))

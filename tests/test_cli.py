@@ -1,4 +1,4 @@
-"""Command-line surface: golden snapshots, JSON round trips, exit codes."""
+"""Command-line surface: the worked examples, JSON round trips, exit codes."""
 
 from __future__ import annotations
 
@@ -14,10 +14,10 @@ import qpieri
 from qpieri import expansion
 from qpieri.cli import main
 from qpieri.expansion import Expansion
+from qpieri.golden import EX1, EX2, expected_table
 from qpieri.permutations import Permutation
 from qpieri.verify import SUITES, run_suite
 
-DATA = pathlib.Path(__file__).parent / "data"
 # the directory that holds the imported package, for child interpreters
 SRC = str(pathlib.Path(qpieri.__file__).parents[1])
 
@@ -40,22 +40,22 @@ def run_cli(args, capsys):
 def test_expand_ex1_matches_golden(capsys):
     code, out = run_cli(["expand", "--w", "321", "--k", "2", "--p", "2"], capsys)
     assert code == 0
-    assert out == (DATA / "ex1_expand.txt").read_text()
+    assert out == EX1.expansion_text + "\n"
 
 
 def test_expand_ex2_matches_golden(capsys):
     code, out = run_cli(["expand", "--w", "32514", "--k", "3", "--p", "2"], capsys)
     assert code == 0
-    assert out == (DATA / "ex2_expand.txt").read_text()
+    assert out == EX2.expansion_text + "\n"
 
 
 def test_chains_tables_match_goldens(capsys):
     code, out = run_cli(["chains", "--w", "321", "--k", "2", "--p", "2"], capsys)
     assert code == 0
-    assert out == (DATA / "ex1_chains.txt").read_text()
+    assert out == expected_table(EX1)
     code, out = run_cli(["chains", "--w", "32514", "--k", "3", "--p", "2"], capsys)
     assert code == 0
-    assert out == (DATA / "ex2_chains.txt").read_text()
+    assert out == expected_table(EX2)
 
 
 def test_expand_degree_zero(capsys):
@@ -71,26 +71,33 @@ def test_expand_rejects_bad_degree(capsys):
 
 
 @pytest.mark.parametrize(
-    "args",
+    "args, last_line",
     [
-        ["expand", "--w", "321", "--k", "0", "--p", "0"],
-        ["monk", "--x", "321", "--k", "0"],
-        ["expand", "--w", "3x1", "--k", "2", "--p", "1"],
-        ["expand", "--w", "331", "--k", "2", "--p", "1"],
-        ["monk", "--x", "0", "--k", "1"],
-        ["chains", "--w", "321", "--k", "2", "--p", "5"],
-        ["markings", "--w", "321", "--k", "2", "--p", "-1"],
-        ["expand", "--w", "321", "--k", "2", "--p", "2", "--filter-sn", "0"],
-        ["verify", "--suite", "edges", "--max-n", "0"],
+        (["expand", "--w", "321", "--k", "0", "--p", "0"], "qpieri expand: error: --k must be >= 1, got 0"),
+        (["monk", "--x", "321", "--k", "0"], "qpieri monk: error: --k must be >= 1, got 0"),
+        (["expand", "--w", "3x1", "--k", "2", "--p", "1"], None),
+        (["expand", "--w", "331", "--k", "2", "--p", "1"], None),
+        (["monk", "--x", "0", "--k", "1"], None),
+        (["chains", "--w", "321", "--k", "2", "--p", "5"], "qpieri chains: error: --p must be in 0..2, got 5"),
+        (["markings", "--w", "321", "--k", "2", "--p", "-1"], "qpieri markings: error: --p must be in 0..2, got -1"),
+        (["expand", "--w", "321", "--k", "2", "--p", "2", "--filter-sn", "0"], None),
+        (["verify", "--suite", "edges", "--max-n", "0"], None),
+        # the factor is checked before the permutation's size
+        (["expand", "--w", ",".join(map(str, [*range(2, 1027), 1])), "--k", "1", "--p", "2"],
+         "qpieri expand: error: --p must be in 0..1, got 2"),
     ],
+    ids=["expand-k", "monk-k", "letter", "repeat", "zero", "chains-p", "markings-p", "filter-sn",
+         "max-n", "p-before-size"],
 )
-def test_bad_input_is_a_usage_error(args, capsys):
+def test_bad_input_is_a_usage_error(args, last_line, capsys):
     with pytest.raises(SystemExit) as exc:
         main(args)
     assert exc.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "error:" in captured.err
+    if last_line is not None:
+        assert captured.err.splitlines()[-1] == last_line
 
 
 @pytest.mark.parametrize(
@@ -306,7 +313,7 @@ def test_out_file(tmp_path, capsys):
         ["expand", "--w", "321", "--k", "2", "--p", "2", "--out", str(target)], capsys
     )
     assert code == 0
-    assert target.read_text() == (DATA / "ex1_expand.txt").read_text()
+    assert target.read_text() == EX1.expansion_text + "\n"
 
 
 @pytest.mark.parametrize(
@@ -328,7 +335,7 @@ def test_an_unwritable_out_path_is_a_usage_error(args, tmp_path, capsys):
 def test_console_entry_point():
     result = run_python("-m", "qpieri.cli", "expand", "--w", "321", "--k", "2", "--p", "2")
     assert result.returncode == 0
-    assert result.stdout == (DATA / "ex1_expand.txt").read_text()
+    assert result.stdout == EX1.expansion_text + "\n"
 
 
 def test_usage_error_exit_code():

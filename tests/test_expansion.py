@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import pathlib
 import re
 
 import pytest
@@ -18,11 +17,10 @@ from qpieri.expansion import (
     pieri_expand,
 )
 from qpieri.golden import EX1, EX2, expected_expansion
-from qpieri.permutations import Permutation, all_permutations
+from qpieri.permutations import Permutation, all_permutations, cyclic_permutation
 from qpieri.qbg import EdgeKind, QMonomial
 
 P = Permutation.from_one_line
-DATA = pathlib.Path(__file__).parent / "data"
 
 
 def test_ex1_expansion_terms():
@@ -30,6 +28,22 @@ def test_ex1_expansion_terms():
     assert got == expected_expansion(EX1)
     assert len(got) == 7
     assert got.render() == EX1.expansion_text
+
+
+@pytest.mark.parametrize(
+    "k, p, message",
+    [(0, 0, "k must be >= 1, got 0"), (2, 3, "p must be in 0..2, got 3"), (2, -1, "p must be in 0..2, got -1")],
+)
+def test_every_entry_refuses_a_bad_factor_alike(k, p, message):
+    w = P("321")
+    for call in (
+        lambda: cyclic_permutation(k, p),
+        lambda: pieri_expand(w, k, p),
+        lambda: expand_product_chain(w, [(k, p)]),
+    ):
+        with pytest.raises(ValueError) as exc:
+            call()
+        assert str(exc.value) == message
 
 
 def test_ex2_expansion_terms():
@@ -235,7 +249,7 @@ def test_cached_expansion_cannot_be_mutated():
     bigger = got.add_term(P("21"), 1, QMonomial.one())
     assert bigger is not got
     assert len(bigger) == len(got) + 1
-    assert pieri_expand(P("321"), 2, 2).render() + "\n" == (DATA / "ex1_expand.txt").read_text()
+    assert pieri_expand(P("321"), 2, 2).render() == EX1.expansion_text
 
 
 @given(expansions())

@@ -5,6 +5,7 @@ from __future__ import annotations
 import doctest
 import itertools
 import random
+import time
 
 import pytest
 from hypothesis import given
@@ -133,6 +134,11 @@ def test_canonicalization_trims_identity_tail():
     assert Permutation((2, 1, 3, 4)).window == (2, 1)
     assert Permutation((1, 2, 3)).window == ()
     assert Permutation((1, 2, 3)).support == 1
+    # a long tail is trimmed by index, not re-sliced once per entry
+    window = (2, 1, *range(3, 50001))
+    start = time.perf_counter()
+    assert Permutation(window).window == (2, 1)
+    assert time.perf_counter() - start < 1
 
 
 def test_all_permutations_count():

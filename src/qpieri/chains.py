@@ -46,8 +46,11 @@ reaches is built once, with the length the walk carried to it, and its
 window is one tuple object shared by the `_ends` key, the entry, every
 row that reaches it and every expansion key built from those rows
 (`expansion` keys its terms by window, so sums hash tuples).  A new end
-is built by setting its two slots.  `enumerate_pieri_chains` and the
-marking functions stay as the walk's reference.
+is built by setting its two slots.  A window that no walk reached, of a
+parsed expansion say, gets its entry when `expansion` first reads it at
+its boundary, with its length counted once (`_interned_end`).
+`enumerate_pieri_chains` and the marking functions stay as the walk's
+reference.
 Every chain walk swaps two entries of one padded window list on the way
 down and back on return, and tests each step with `qbg._window_kind`
 (written out once, in the one candidate loop of `pieri_degree_rows`).
@@ -95,7 +98,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from math import comb
 
-from .permutations import Label, Permutation, label_precedes, label_sort_key
+from .permutations import Label, Permutation, count_inversions, label_precedes, label_sort_key
 from .qbg import Q_STRIDE, Q_VARIABLES, DirectedPath, EdgeKind, _window_kind, edge_kind
 
 
@@ -123,38 +126,6 @@ class PieriChain:
 
     def __len__(self) -> int:
         return len(self.path.labels)
-
-    def segment_of_b(self, m: int) -> range:
-        """Index range of the (*,m)-segment (contiguous by (P1))."""
-        lo = 0
-        while lo < len(self.labels) and self.labels[lo][1] > m:
-            lo += 1
-        hi = lo
-        while hi < len(self.labels) and self.labels[hi][1] == m:
-            hi += 1
-        return range(lo, hi)
-
-    def segment_labels(self, m: int) -> tuple[Label, ...]:
-        rng = self.segment_of_b(m)
-        return self.labels[rng.start : rng.stop]
-
-    def segment_after(self, label: Label) -> tuple[Label, ...]:
-        """Labels of the (*,m)-segment strictly after `label` (same column m)."""
-        seg = self.segment_labels(label[1])
-        if label not in seg:
-            raise ValueError(f"{label} not in its column segment")
-        return seg[seg.index(label) + 1 :]
-
-    def n_row(self, a: int) -> int:
-        return sum(1 for x, _ in self.labels if x == a)
-
-    def n_col(self, b: int) -> int:
-        return sum(1 for _, y in self.labels if y == b)
-
-    def final_label(self) -> Label:
-        if not self.labels:
-            raise ValueError("empty chain has no final label")
-        return self.labels[-1]
 
     def __repr__(self) -> str:
         return f"PieriChain(k={self.k}, {self.path.render()})"
@@ -392,16 +363,6 @@ class MonkChain:
     def end(self) -> Permutation:
         return self.path.end
 
-    def row_segment(self) -> tuple[Label, ...]:
-        """The (*,k)-segment."""
-        return self.path.labels[: self.s]
-
-    def is_empty(self) -> bool:
-        return not self.path.labels
-
-    def initial_label(self) -> Label | None:
-        return self.path.labels[0] if self.path.labels else None
-
     def __repr__(self) -> str:
         return f"MonkChain(k={self.k}, {self.path.render()})"
 
@@ -545,11 +506,13 @@ def is_marking(chain: PieriChain, marks: frozenset) -> bool:
 # --- every degree in one walk ---------------------------------------------
 
 # every end that `pieri_degree_rows` or `expansion.monk_lhs_expand` has
-# reached, keyed by its trimmed window (the very tuple it wraps): built
-# once, by the first walk to reach it, with the length that walk carried
-# to it; the walks hand on the key, and `expansion` turns a key back into
-# this entry at its boundary.  `expansion.clear_caches` empties it with
-# the rows and `_walk_tables`
+# reached, and every window that `expansion` has read at its boundary,
+# keyed by its trimmed window (the very tuple it wraps): built once
+# (`_interned_end`), by the first walk to reach it with the length that
+# walk carried to it, or by the boundary with its length counted; the
+# walks hand on the key, and `expansion` turns a key back into this entry
+# at its boundary.  `expansion.clear_caches` empties it with the rows and
+# `_walk_tables`
 _ends: dict[tuple[int, ...], Permutation] = {}
 
 
@@ -560,22 +523,28 @@ _SET_WINDOW = Permutation.window.__set__
 _SET_LENGTH = Permutation._length.__set__
 
 
-def _interned_window(window: list[int], ell: int) -> tuple[int, ...]:
+def _interned_end(key: tuple[int, ...], ell: int | None = None) -> Permutation:
     """
-    The `_ends` key of a walk's padded window, trimmed, the one tuple its
-    entry wraps; the entry is built with length ell if no walk has reached it.
+    The `_ends` entry of a trimmed window, built around `key` on first use
+    with length ell, or with its inversions counted if ell is None.
     """
-    n = len(window)
-    while n and window[n - 1] == n:
-        n -= 1
-    key = tuple(window[:n])
     u = _ends.get(key)
     if u is None:
         u = _ends[key] = object.__new__(Permutation)
         _SET_WINDOW(u, key)
-        _SET_LENGTH(u, ell)
-        return key
-    return u.window
+        _SET_LENGTH(u, count_inversions(key) if ell is None else ell)
+    return u
+
+
+def _interned_window(window: list[int], ell: int) -> tuple[int, ...]:
+    """
+    The `_ends` key of a walk's padded window, trimmed, the one tuple its
+    entry wraps; the entry is built with length ell if it is new.
+    """
+    n = len(window)
+    while n and window[n - 1] == n:
+        n -= 1
+    return _interned_end(tuple(window[:n]), ell).window
 
 
 def pieri_degree_rows(w: Permutation, k: int) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...], tuple[int, ...]]:

@@ -55,9 +55,10 @@ interned, so a key is the very tuple its `chains._ends` entry wraps.
 `basis` and `add_term` take the window of the permutation given, and
 `terms`, `at_q0`, `sorted_terms` and the argument of `map_basis`'s
 callback give, for each window, its `_ends` entry, so a caller gets the
-object the walks built.  Only a window no walk reached (of a parsed or
-loaded expansion, say) gets a fresh permutation, built unvalidated from
-the window, which came from a validated one; it is not added to `_ends`.
+object the walks built.  A window no walk reached (of a parsed or loaded
+expansion, say) gets its entry when it is first read there, built
+unvalidated around the window, which came from a validated one, with its
+length counted once (`chains._interned_end`).
 A Z[Q]-polynomial is a dict from packed monomials to nonzero ints: the
 exponent of Q_v sits in bits S(v-1) .. Sv-1 of one int,
 S = `qbg.Q_STRIDE` = 32, so the product of two monomials is one integer
@@ -92,12 +93,13 @@ Text form: "G[4312] - Q1*Q2*G[1342] + 2*Q3*G[431625]", terms ordered by
 [{"perm": "4312", "terms": [{"q": [[1,1],[2,1]], "c": -1}]}].  `render`,
 `to_json` and `sorted_terms` take the basis terms in output order
 (`_in_output_order`): two sorts in C, of the windows and then, stably, of
-their lengths.  A length is read from the window's `_ends` entry, and
-only a window no walk reached has its length counted, for that call
-alone.  A one-monomial coefficient needs no sort, and each distinct
-monomial is formatted once per call.  The window text comes from
-`Permutation.one_line`, which translates the bytes of a window of at most
-9 entries through a digit table.
+their lengths.  A length is read from the window's `_ends` entry; a
+window no walk reached has its length counted when its entry is built,
+at its first read, so a second render counts none.  A one-monomial
+coefficient needs no sort, and each distinct monomial is formatted once
+per call.  The window text comes from `Permutation.one_line`, which
+translates the bytes of a window of at most 9 entries through a digit
+table.
 """
 
 from __future__ import annotations
@@ -109,8 +111,8 @@ from functools import lru_cache
 from operator import attrgetter
 from types import MappingProxyType
 
-from .chains import _ends, _interned_window, _monk_walk, _walk_tables, code_weight, pieri_degree_rows
-from .permutations import Permutation, check_factor, count_inversions
+from .chains import _ends, _interned_end, _interned_window, _monk_walk, _walk_tables, code_weight, pieri_degree_rows
+from .permutations import Permutation, check_factor
 from .qbg import Q_HIGH_BITS, QMonomial, pack_monomial, unpack_monomial
 
 # a Z[Q]-polynomial as packed monomial -> nonzero coefficient
@@ -363,9 +365,8 @@ class Expansion:
 
 
 def _basis(window: _Window) -> Permutation:
-    """The permutation of a basis window: its `_ends` entry, or a fresh unvalidated one if no walk reached it."""
-    u = _ends.get(window)
-    return Permutation._from_swapped(window) if u is None else u
+    """The permutation of a basis window: its `_ends` entry, built unvalidated on first use (`chains._interned_end`)."""
+    return _interned_end(window)
 
 
 def _in_output_order(terms: dict[_Window, _Packed]) -> list[tuple[Permutation, _Packed]]:
@@ -373,18 +374,15 @@ def _in_output_order(terms: dict[_Window, _Packed]) -> list[tuple[Permutation, _
     (permutation, packed coefficient) of every basis term, by (length,
     window): the term positions sorted by window, then stably by length,
     both sorts in C with C key functions.  Lengths come from the `_ends`
-    entries; a window no walk reached gets a fresh permutation with its
-    length counted, kept for this call only and not added to `_ends`.
+    entries; a window with no entry yet gets one (`_basis`), its length
+    counted once for every later call.
     """
     windows = list(terms)
     bases = list(map(_ends.get, windows))
     try:
         lengths = list(map(_LENGTH, bases))
-    except AttributeError:  # None, for a window no walk reached
-        bases = [
-            Permutation._from_swapped(win, count_inversions(win)) if u is None else u
-            for win, u in zip(windows, bases)
-        ]
+    except AttributeError:  # None, for a window with no entry yet
+        bases = list(map(_basis, windows))
         lengths = list(map(_LENGTH, bases))
     order = sorted(range(len(windows)), key=windows.__getitem__)
     order.sort(key=lengths.__getitem__)

@@ -41,7 +41,7 @@ from .classify import (
     kappa_prime,
     run_dec_algorithm,
 )
-from .surgery import delete, insert_many
+from .surgery import delete, insert_many, segment
 from .universe import MarkedChain, PairedChain, enumerate_marked, enumerate_paired
 
 Element = Union[PairedChain, MarkedChain]
@@ -62,9 +62,9 @@ def _monk(start: Permutation, labels, k: int) -> MonkChain:
 
 
 def _pop_monk_head(q: PairedChain, expect: Label | None = None) -> tuple[Label, tuple[Label, ...]]:
-    head = q.monk.initial_label()
-    if head is None:
+    if not q.monk.labels:
         raise ValueError("Monk chain is empty")
+    head = q.monk.labels[0]
     if expect is not None and head != expect:
         raise ValueError(f"Monk chain starts with {head}, expected {expect}")
     return head, q.monk.labels[1:]
@@ -94,7 +94,7 @@ def _append_kk(q: PairedChain, k: int):
 
 
 def _drop_kk(q: PairedChain, k: int):
-    if q.chain.final_label() != _kk(k):
+    if q.chain.labels[-1:] != (_kk(k),):
         raise ValueError("chain does not end with (k-1,k)")
     return q.chain.labels[:-1], q.marking, k - 1
 
@@ -125,7 +125,7 @@ def _d11_to_b3(q: PairedChain, k: int):
     if run_dec_algorithm(q.chain, k):
         raise ValueError("chain is not in the commuting class")
     labels = q.chain.labels
-    seg = q.chain.segment_labels(k - 1)
+    seg = segment(labels, k - 1)
     before = labels[: len(labels) - len(seg)]
     moved = set(seg)
     marking = {(a, k) if (a, b) in moved else (a, b) for a, b in q.marking} | {_kk(k)}
@@ -139,8 +139,8 @@ def _d12_to_d2(q: PairedChain, k: int):
     (*,k)-labels from (a,k) on drop to column k-1 behind the (*,k-1)-segment.
     """
     chain = q.chain
-    seg_k = chain.segment_labels(k)
-    seg_k1 = chain.segment_labels(k - 1)
+    seg_k = segment(chain.labels, k)
+    seg_k1 = segment(chain.labels, k - 1)
     rows_k1 = {a for a, _ in seg_k1}
     shared = [i for i, (a, _) in enumerate(seg_k) if a in rows_k1]
     if not shared:
@@ -179,8 +179,8 @@ def _absorbed(chain: PieriChain, k: int):
     t_p = run_dec_algorithm(chain, k)
     if not t_p:
         raise ValueError("chain is not in the absorbing class")
-    seg_k = chain.segment_labels(k)
-    seg_k1 = chain.segment_labels(k - 1)
+    seg_k = segment(chain.labels, k)
+    seg_k1 = segment(chain.labels, k - 1)
     prefix = chain.labels[: len(chain.labels) - len(seg_k1) - len(seg_k)]
     return prefix, seg_k, seg_k1, t_p
 
@@ -258,7 +258,7 @@ def theta4_inv(q: PairedChain, k: int) -> PairedChain:
     chain = q.chain
     head, m_tail = _pop_monk_head(q)
     c1 = head[0]
-    seg_k = chain.segment_labels(k)
+    seg_k = segment(chain.labels, k)
     kk_pos = seg_k.index(_kk(k))
     i_part, j_part = seg_k[:kk_pos], seg_k[kk_pos + 1 :]
     matches = [idx for idx, (a, _) in enumerate(i_part) if a == c1]
@@ -337,16 +337,15 @@ def _chi_insert(q: PairedChain, k: int, mark_kappa: bool) -> Element:
     """
     cols = _monk_columns(q)  # decreasing d_r > ... > d_1
     chain = q.chain
-    kappa = chain.final_label()
+    kappa = chain.labels[-1]
     result, steps = insert_many(chain.path, k, cols)
     # index u in 1..r, counted from the smallest column, of the first commuting step
     first_commuted = next((len(cols) - idx for idx, step in enumerate(steps) if step.commuted), 0)
     # rows moved out of the original (*,k)-segment, by column
     new_at: dict[int, list[Label]] = {}
-    old_segments = {d: set(chain.segment_labels(d)) for d in cols}
+    old_segments = {d: set(segment(chain.labels, d)) for d in cols}
     for d in cols:
-        seg = [lab for lab in result.labels if lab[1] == d]
-        new_at[d] = [lab for lab in seg if lab not in old_segments[d] and lab[0] != k]
+        new_at[d] = [lab for lab in segment(result.labels, d) if lab not in old_segments[d] and lab[0] != k]
     moved_rows = {a for labs in new_at.values() for a, _ in labs}
     k1 = {lab for lab in q.marking if lab[1] == k and lab[0] in moved_rows}
     if kappa not in k1:
@@ -357,8 +356,7 @@ def _chi_insert(q: PairedChain, k: int, mark_kappa: bool) -> Element:
             continue
         hits = []
         for t, d in enumerate(reversed(cols), start=1):  # t=1 is the smallest column
-            seg = [x for x in result.labels if x[1] == d]
-            if (lab[0], d) in new_at[d] and seg[-1] != (lab[0], d):
+            if (lab[0], d) in new_at[d] and segment(result.labels, d)[-1] != (lab[0], d):
                 hits.append((t, d))
         if len(hits) != 1:
             raise RuntimeError(f"moved mark {lab} has {len(hits)} landing spots")
@@ -398,13 +396,13 @@ def _chi_preimage(x: Element, k: int, s_side_marks_final: bool) -> PairedChain:
         columns, u, new_only = ds + chase[1:], len(ds), False
         marking, mark_final = x.marking - {(k, ds[-1])}, s_side_marks_final
     else:  # F side: the chase only; pull back only labels absent from the input
-        if not x.monk.is_empty():
+        if x.monk.labels:
             raise ValueError("class-F elements have empty Monk part")
         kp, _, chase = kappa_prime(chain, k)
         columns, u, new_only = chase[1:], 0, True
         marking, mark_final = x.marking - {kp}, True
     path = _delete_columns(chain, k, columns)
-    kseg = [lab for lab in path.labels if lab[1] == k]
+    kseg = segment(path.labels, k)
     kappa_xi = path.labels[-1]
     if not kseg or kappa_xi[1] != k:
         raise RuntimeError("deletion chase must end in the (*,k)-segment")
@@ -421,7 +419,7 @@ def _chi_preimage(x: Element, k: int, s_side_marks_final: bool) -> PairedChain:
             for d in candidates:
                 if (i, d) not in chain.labels:
                     continue
-                if chain.segment_labels(d)[-1] != (i, d):
+                if segment(chain.labels, d)[-1] != (i, d):
                     hits.append(d)
         if len(hits) != 1:
             raise RuntimeError(f"chased row {i} has {len(hits)} source columns")
@@ -442,7 +440,7 @@ def chi6_inv(x: Element, k: int) -> PairedChain:
 
 def chi3(q: PairedChain, k: int) -> MarkedChain:
     """A1 with empty Monk part (level k-1, p marks) -> R (level k): relabel."""
-    if not q.monk.is_empty():
+    if q.monk.labels:
         raise ValueError("chi3 needs an empty Monk part")
     return _marked(q.chain.start, q.chain.labels, q.marking, k)
 
@@ -453,16 +451,16 @@ def chi3_inv(mc: MarkedChain, k: int) -> PairedChain:
 
 def chi4(q: PairedChain, k: int) -> PairedChain:
     """G (level k-1, p marks) -> F1 (level k-1, p-1 marks): unmark the final label."""
-    if not q.monk.is_empty():
+    if q.monk.labels:
         raise ValueError("chi4 needs an empty Monk part")
     return _with_empty_monk(
-        _marked(q.chain.start, q.chain.labels, q.marking - {q.chain.final_label()}, k - 1), k
+        _marked(q.chain.start, q.chain.labels, q.marking - {q.chain.labels[-1]}, k - 1), k
     )
 
 
 def chi4_inv(q: PairedChain, k: int) -> PairedChain:
     return _with_empty_monk(
-        _marked(q.chain.start, q.chain.labels, q.marking | {q.chain.final_label()}, k - 1), k
+        _marked(q.chain.start, q.chain.labels, q.marking | {q.chain.labels[-1]}, k - 1), k
     )
 
 

@@ -38,7 +38,7 @@ from __future__ import annotations
 
 from ..chains import PieriChain
 from ..permutations import Label, label_precedes
-from .surgery import algorithm_skd
+from .surgery import algorithm_skd, segment
 from .universe import MarkedChain, PairedChain
 
 
@@ -51,7 +51,7 @@ def _kk(k: int) -> Label:
 
 def monk_side(q: PairedChain, k: int) -> str:
     """'X' iff the Monk chain starts with the adjacent label (k-1,k)."""
-    return "X" if q.monk.initial_label() == _kk(k) else "Y"
+    return "X" if q.monk.labels[:1] == (_kk(k),) else "Y"
 
 
 def dec1_base_top(q: PairedChain, k: int) -> str:
@@ -62,7 +62,7 @@ def dec1_base_top(q: PairedChain, k: int) -> str:
         return "A"
     if kk not in marking:
         return "B1"
-    return "B2" if chain.final_label() == kk else "B3"
+    return "B2" if chain.labels[-1] == kk else "B3"
 
 
 def run_dec_algorithm(chain: PieriChain, k: int) -> int:
@@ -71,21 +71,23 @@ def run_dec_algorithm(chain: PieriChain, k: int) -> int:
     level-(k-2) chain and pushes it through the trailing (*,k-1)-segment:
     0 for class D1, the position within the segment for class D2.
     """
-    seg = chain.segment_of_b(k - 1)
-    if not len(seg):
+    labels = chain.labels
+    seg = segment(labels, k - 1)
+    if not seg:
         raise ValueError("chain has no (*,k-1)-segment")
-    return algorithm_skd(chain.path, seg.start, k - 1, k)
+    # no column of a level-(k-2) chain is below k-1: the segment ends the chain
+    return algorithm_skd(chain.path, len(labels) - len(seg), k - 1, k)
 
 
 def dec1_base_low(q: PairedChain, k: int) -> str:
     """C/D11/D12/D2 for a level-(k-2) element."""
     chain = q.chain
-    if chain.n_col(k - 1) == 0:
+    if not segment(chain.labels, k - 1):
         return "C"
     if run_dec_algorithm(chain, k):
         return "D2"
-    rows_k = {a for a, _ in chain.segment_labels(k)}
-    rows_k1 = {a for a, _ in chain.segment_labels(k - 1)}
+    rows_k = {a for a, _ in segment(chain.labels, k)}
+    rows_k1 = {a for a, _ in segment(chain.labels, k - 1)}
     return "D11" if not (rows_k & rows_k1) else "D12"
 
 
@@ -97,41 +99,38 @@ def dec2_base(q: PairedChain, k: int) -> str:
     base = dec1_base_top(q, k)
     chain, marking = q.chain, q.marking
     if base == "A":
-        seg = chain.segment_labels(k)
-        if not seg:
+        if not segment(chain.labels, k):
             return "A1"
-        return "A2" if chain.final_label() not in marking else "A3"
+        return "A2" if chain.labels[-1] not in marking else "A3"
     if base == "B1":
         return "B1"
     # B2 + B3: exactly one (k-1,*) label, namely (k-1,k), inside the
-    # (*,k)-segment; the run after it decides the refinement
-    after = chain.segment_after(_kk(k))
-    if not after:
+    # (*,k)-segment, which ends a level-(k-1) chain; the run after it
+    # decides the refinement, and it is empty when (k-1,k) is final
+    if chain.labels[-1] == _kk(k):
         return "Bns1"
-    return "Bns2" if chain.final_label() not in marking else "Bns3"
+    return "Bns2" if chain.labels[-1] not in marking else "Bns3"
 
 
 def monk_refinement(q: PairedChain, k: int) -> str:
     """'empty' / 'Y2' / 'Y3' for a Y-side element ('Y1' = 'empty' or 'Y2')."""
-    if q.monk.is_empty():
+    if not q.monk.labels:
         return "empty"
     return "Y3" if q.monk.s else "Y2"
 
 
 def y3_detail(q: PairedChain, k: int) -> str:
     """'(1)' / '(2)' by intersection of the two (*,k)-segments (as labels)."""
-    p_seg = set(q.chain.segment_labels(k))
-    m_seg = set(q.monk.row_segment())
-    return "(1)" if p_seg & m_seg else "(2)"
+    return "(1)" if set(segment(q.chain.labels, k)) & set(q.monk.labels[: q.monk.s]) else "(2)"
 
 
 def y3_circle(q: PairedChain, k: int) -> str:
     """'c1' / 'c2' refinement of the '(1)' part."""
     base = dec2_base(q, k)
-    iota = q.monk.initial_label()
-    in_seg = iota in set(q.chain.segment_labels(k))
+    iota = q.monk.labels[0]
+    in_seg = iota in segment(q.chain.labels, k)
     if base == "Bns2":
-        if in_seg and label_precedes(q.chain.final_label(), iota):
+        if in_seg and label_precedes(q.chain.labels[-1], iota):
             return "c1"
         return "c2"
     return "c1" if in_seg else "c2"
@@ -139,23 +138,17 @@ def y3_circle(q: PairedChain, k: int) -> str:
 
 def in_class_e(q: PairedChain, k: int) -> bool:
     """Nonempty (*,k)-segment, final label marked, Monk part pure-column."""
-    chain, marking = q.chain, q.marking
-    seg = chain.segment_labels(k)
-    return bool(seg) and chain.final_label() in marking and q.monk.s == 0 and q.monk.t > 0
+    return bool(segment(q.chain.labels, k)) and q.chain.labels[-1] in q.marking and q.monk.s == 0 and q.monk.t > 0
 
 
 def in_class_f(q: PairedChain, k: int) -> bool:
     """Empty Monk part, nonempty (*,k)-segment, final label unmarked."""
-    chain, marking = q.chain, q.marking
-    seg = chain.segment_labels(k)
-    return q.monk.is_empty() and bool(seg) and chain.final_label() not in marking
+    return not q.monk.labels and bool(segment(q.chain.labels, k)) and q.chain.labels[-1] not in q.marking
 
 
 def in_class_g(q: PairedChain, k: int) -> bool:
     """Empty Monk part, nonempty (*,k)-segment, final label marked."""
-    chain, marking = q.chain, q.marking
-    seg = chain.segment_labels(k)
-    return q.monk.is_empty() and bool(seg) and chain.final_label() in marking
+    return not q.monk.labels and bool(segment(q.chain.labels, k)) and q.chain.labels[-1] in q.marking
 
 
 # --- stage 3: kappa' / kappa'' and the F/S refinements ----------------------
@@ -170,7 +163,7 @@ def _chase(chain: PieriChain, start: int) -> tuple[Label, int, list[int]]:
     """
     cols = [start]
     while True:
-        seg = chain.segment_labels(cols[-1])
+        seg = segment(chain.labels, cols[-1])
         if not seg:
             raise AssertionError(f"visited column {cols[-1]} has empty segment")
         a = seg[-1][0]
@@ -182,7 +175,7 @@ def _chase(chain: PieriChain, start: int) -> tuple[Label, int, list[int]]:
 
 def kappa_prime(chain: PieriChain, k: int) -> tuple[Label, int, list[int]]:
     """The final-label chase started at column k."""
-    if not chain.segment_labels(k):
+    if not segment(chain.labels, k):
         raise ValueError("kappa' needs a nonempty (*,k)-segment")
     return _chase(chain, k)
 
@@ -200,8 +193,8 @@ def f_refinement(q: PairedChain, k: int) -> str:
     if not in_class_f(q, k):
         raise ValueError("element is not in class F")
     chain, marking = q.chain, q.marking
-    a = chain.final_label()[0]
-    if chain.n_row(a) == 1:
+    a = chain.labels[-1][0]
+    if [x for x, _ in chain.labels].count(a) == 1:
         return "F1"
     kp, _, _ = kappa_prime(chain, k)
     return "F21" if kp in marking else "F22"
@@ -216,7 +209,7 @@ def s_refinement(mc: MarkedChain, k: int) -> str:
     bp = max(tops)
     if (k, bp) not in marking:
         return "S2"
-    if chain.segment_labels(bp)[-1] == (k, bp):
+    if segment(chain.labels, bp)[-1] == (k, bp):
         return "S11"
     kpp, _, _ = kappa_double_prime(chain, k)
     return "S12a" if kpp in marking else "S12b"
@@ -254,7 +247,7 @@ def classify(q: PairedChain | MarkedChain, level: int, k: int) -> tuple:
         return (base, "Y3", detail, y3_circle(q, k))
     if level == 3:
         bare = isinstance(q, MarkedChain)
-        if q.chain.k == k and (bare or q.monk.is_empty()):
+        if q.chain.k == k and (bare or not q.monk.labels):
             return (s_refinement(q if bare else q.marked, k),)
         if not bare and q.chain.k == k - 1 and in_class_f(q, k):
             return (f_refinement(q, k),)

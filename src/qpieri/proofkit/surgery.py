@@ -44,6 +44,11 @@ end, and the pass reads the vertices before the run positions from one
 walk back along the path.  Each relocated result is walked once from the
 start; the local rewrite rules (`local_transform`) guarantee it, so a
 failure there is a bug, not a data condition.
+
+`segment(labels, col)` reads a (*,col)-segment off any path's labels.  It
+is the proof kit's one reader of a column segment: `classify` and
+`bijections` read theirs here, and every other fact of a chain's shape
+straight from its labels.
 """
 
 from __future__ import annotations
@@ -83,8 +88,13 @@ def check_p_conditions(path: DirectedPath, k: int, require_p3: bool = False) -> 
             raise SurgeryError("P3'", f"final row {a} occurs only once")
 
 
-def _segment(labels: tuple[Label, ...], col: int) -> list[Label]:
-    return [lab for lab in labels if lab[1] == col]
+def segment(labels: tuple[Label, ...], col: int) -> tuple[Label, ...]:
+    """
+    The (*,col)-segment: the labels of column `col`, in path order.  The
+    proof kit reads every column segment here.  On a path with weakly
+    decreasing columns, a chain's by (P1), they are one contiguous run.
+    """
+    return tuple([lab for lab in labels if lab[1] == col])
 
 
 def check_insert_conditions(path: DirectedPath, k: int, d: int) -> None:
@@ -96,11 +106,11 @@ def check_insert_conditions(path: DirectedPath, k: int, d: int) -> None:
     cols = [b for (a, b) in labels if a == k]
     if cols and d >= min(cols):
         raise SurgeryError("C2", f"d={d} not below existing columns {sorted(cols)}")
-    kseg = _segment(labels, k)
+    kseg = segment(labels, k)
     if not cols and kseg:
         a = kseg[-1][0]
         for l in range(k + 1, d + 1):
-            if any(lab == (a, l) for lab in _segment(labels, l)):
+            if (a, l) in labels:
                 raise SurgeryError("C3", f"row {a} reappears in the (*,{l})-segment")
 
 
@@ -231,7 +241,7 @@ def insert(path: DirectedPath, k: int, d: int) -> InsertResult:
     check_p_conditions(path, k)
     check_insert_conditions(path, k, d)
     labels = path.labels
-    kseg = _segment(labels, k)
+    kseg = segment(labels, k)
     seg_start = len(labels) - len(kseg)
     u = algorithm_skd(path, seg_start, k, d)
 
@@ -243,7 +253,7 @@ def insert(path: DirectedPath, k: int, d: int) -> InsertResult:
         result = validate_path(path.start, tuple(new_labels))
         _require(result is not None, "relocation after the commuting pass")
         _require(_violation(result.labels, k) is None, "(P0)'-(P2)' after commuting insert")
-        _require(not _segment(result.labels, k), "no (*,k) labels after commuting insert")
+        _require(not segment(result.labels, k), "no (*,k) labels after commuting insert")
         n_col_after = sum(1 for a, _ in result.labels if a == k)
         _require(n_col_after == n_col_before + 1, "column count after commuting insert")
         return InsertResult(result, True)
@@ -275,15 +285,15 @@ def delete(path: DirectedPath, k: int) -> tuple[DirectedPath, int]:
     # every label of a (P0)'-(P2)' path has column >= k, so one move serves both rows
     row = k if any(a == k for a, _ in labels) else labels[-1][0]
     d = min(b for a, b in labels if a == row and b > k)
-    dseg = _segment(labels, d)
+    dseg = segment(labels, d)
     pos = dseg.index((row, d))
     new_labels = (
-        [lab for lab in labels if lab[1] > d]
-        + dseg[:pos]
-        + [lab for lab in labels if lab[1] < d]
-        + [(i, k) for i, _ in dseg[pos + 1 :]]
+        *(lab for lab in labels if lab[1] > d),
+        *dseg[:pos],
+        *(lab for lab in labels if lab[1] < d),
+        *((i, k) for i, _ in dseg[pos + 1 :]),
     )
-    result = validate_path(path.start, tuple(new_labels))
+    result = validate_path(path.start, new_labels)
     _require(result is not None, "relocation during deletion")
     _require(_violation(result.labels, k) is None, "(P0)'-(P2)' after deletion")
     return result, d

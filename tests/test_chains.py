@@ -22,6 +22,7 @@ from qpieri.chains import (
 )
 from qpieri.expansion import monk_lhs_expand
 from qpieri.permutations import Permutation, all_permutations
+from qpieri.proofkit.surgery import segment
 from qpieri.qbg import edge_kind_by_length, validate_path
 
 P = Permutation.from_one_line
@@ -93,17 +94,21 @@ def test_chain_invariants_over_s4():
                 cols = [b for _, b in labels]
                 assert cols == sorted(cols, reverse=True)
                 for m in set(cols):
-                    seg = chain.segment_of_b(m)
-                    assert [i for i, b in enumerate(cols) if b == m] == list(seg)
+                    # contiguity: the segment is one run of the labels
+                    seg = segment(labels, m)
+                    start = labels.index(seg[0])
+                    assert labels[start : start + len(seg)] == seg
+                    assert [i for i, b in enumerate(cols) if b == m] == list(range(start, start + len(seg)))
 
 
 def test_segments_example():
     path = validate_path(P("321"), [(1, 4), (2, 4), (1, 3)])
-    chain = PieriChain(path, 2)
-    assert chain.segment_of_b(4) == range(0, 2)
-    assert chain.segment_of_b(3) == range(2, 3)
-    assert len(chain.segment_of_b(5)) == 0
-    assert chain.segment_after((1, 4)) == ((2, 4),)
+    labels = PieriChain(path, 2).labels
+    assert segment(labels, 4) == labels[0:2]
+    assert segment(labels, 3) == labels[2:3]
+    assert len(segment(labels, 5)) == 0
+    seg = segment(labels, 4)
+    assert seg[seg.index((1, 4)) + 1 :] == ((2, 4),)
 
 
 def test_monk_chain_examples():
@@ -253,7 +258,7 @@ def test_b_class_chains_have_single_small_row_occurrence():
                     continue
                 for m in enumerate_markings(chain, min(2, len(chain))):
                     if (k - 1, k) in m:
-                        assert chain.n_row(k - 1) == 1
+                        assert [a for a, _ in chain.labels].count(k - 1) == 1
 
 
 @pytest.mark.parametrize(

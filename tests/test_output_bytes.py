@@ -78,25 +78,47 @@ def test_the_identity_prints_as_g1():
     assert Expansion.zero().render() == "0" and Expansion.zero().to_json() == "[]"
 
 
-def test_parsed_expansions_print_the_same_bytes_without_interned_ends():
+def test_parsed_expansions_print_the_same_bytes_with_one_entry_per_window():
     clear_caches()
     try:
         sources = [pieri_expand(w, k, p) for w in all_permutations(4) for k in (2, 3) for p in range(1, k + 1)]
         sources += [expand_product_chain(*THREE_FACTORS), pieri_expand(*WIDE)]
         texts = [e.render() for e in sources]
         jsons = [e.to_json() for e in sources]
-        # no walk reached the windows of a parsed expansion: printing counts
-        # their lengths for itself and interns none of them
+        # no walk reached the windows of a parsed expansion: the first
+        # render gives each window its one `_ends` entry, and a second
+        # render adds none
         clear_caches()
         parsed = [Expansion.parse(t) for t in texts]
         loaded = [Expansion.from_json(j) for j in jsons]
         assert [e.render() for e in parsed] == texts
         assert [e.to_json() for e in loaded] == jsons
-        assert not chains._ends
+        assert set(chains._ends) == {u for e in parsed + loaded for u in e._terms}
+        first = dict(chains._ends)
         assert _digests(parsed) == _digests(sources) == (
             "c79d18ece87f2cb74b22e2d2c2acd1ad8cc965e1c3522963e03b322fad9ff82a",
             "2d6936423c43f559ce4328271de75e24e9f86dbcbd6c031e9e2ace98c6a905dc",
         )
-        assert not chains._ends
+        assert chains._ends.keys() == first.keys()
+        assert all(chains._ends[u] is entry for u, entry in first.items())
+    finally:
+        clear_caches()
+
+
+def test_a_second_render_of_a_parsed_expansion_counts_no_length(monkeypatch):
+    clear_caches()
+    try:
+        source = expand_product_chain(*THREE_FACTORS)
+        text, machine = source.render(), source.to_json()
+        clear_caches()
+        parsed = Expansion.parse(text)
+        counted = []
+        count_inversions = chains.count_inversions
+        monkeypatch.setattr(chains, "count_inversions", lambda w: counted.append(w) or count_inversions(w))
+        assert parsed.render() == text
+        assert sorted(counted) == sorted(parsed._terms)
+        counted.clear()
+        assert (parsed.render(), parsed.to_json()) == (text, machine)
+        assert counted == []
     finally:
         clear_caches()

@@ -25,6 +25,7 @@ from qpieri.permutations import Permutation, all_permutations
 from qpieri.proofkit import MATCHINGS
 from qpieri.proofkit import bijections as bij
 from qpieri.proofkit.classify import classify, dec2_base, monk_refinement
+from qpieri.proofkit.surgery import segment
 from qpieri.proofkit.universe import MarkedChain, PairedChain, enumerate_marked, enumerate_paired
 from qpieri.qbg import validate_path
 from qpieri.verify import SuiteReport, check_bijections_grid, run_suite
@@ -267,13 +268,15 @@ def test_theta_involutions_on_clean_grid():
 
 
 def _old_border_rows(q, k, after_kk):
-    seg = q.chain.segment_after((k - 1, k)) if after_kk else q.chain.segment_labels(k)
+    seg = segment(q.chain.labels, k)
+    if after_kk:
+        seg = seg[seg.index((k - 1, k)) + 1 :]
     return (seg[-1][0] if seg else 0), (q.monk.labels[0][0] if q.monk.s else 0)
 
 
 def _old_swap_border(q, k, move_to_monk, row):
     if move_to_monk:
-        if q.chain.final_label() != (row, k):
+        if q.chain.labels[-1:] != ((row, k),):
             raise ValueError("chain does not end with the border label")
         return bij._repair(q, q.chain.labels[:-1], q.marking, k - 1, ((row, k),) + q.monk.labels, k)
     _, m_tail = bij._pop_monk_head(q, (row, k))

@@ -22,6 +22,7 @@ from qpieri.proofkit.classify import (
     y3_circle,
     y3_detail,
 )
+from qpieri.proofkit.surgery import segment
 from qpieri.proofkit.universe import enumerate_marked, enumerate_paired
 from qpieri.qbg import validate_path
 
@@ -50,13 +51,14 @@ def test_stage1_low_partition():
         for q in enumerate_paired(w, k - 2, g - 1, k):
             base = dec1_base_low(q, k)
             assert base in ("C", "D11", "D12", "D2")
+            n_col = [b for _, b in q.chain.labels].count(k - 1)
             if base == "C":
-                assert q.chain.n_col(k - 1) == 0
+                assert n_col == 0
             else:
-                assert q.chain.n_col(k - 1) >= 1
+                assert n_col >= 1
             if base in ("D11", "D12"):
-                rows_k = {a for a, _ in q.chain.segment_labels(k)}
-                rows_k1 = {a for a, _ in q.chain.segment_labels(k - 1)}
+                rows_k = {a for a, _ in segment(q.chain.labels, k)}
+                rows_k1 = {a for a, _ in segment(q.chain.labels, k - 1)}
                 assert (not rows_k & rows_k1) == (base == "D11")
 
 
@@ -126,11 +128,11 @@ def test_intersecting_border_class_reduces_to_prefix_rows():
                 continue
             if monk_refinement(q, k) != "Y3" or y3_detail(q, k) != "(1)":
                 continue
-            seg = q.chain.segment_labels(k)
+            seg = segment(q.chain.labels, k)
             pos = seg.index(kk)
             before = {a for a, _ in seg[:pos]}
             after = {a for a, _ in seg[pos + 1 :]}
-            monk_rows = {a for a, _ in q.monk.row_segment()}
+            monk_rows = {a for a, _ in q.monk.labels[: q.monk.s]}
             full = before | {k - 1} | after
             assert full & monk_rows == before & monk_rows
 

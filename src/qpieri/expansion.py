@@ -16,30 +16,25 @@ and the divisor-type product satisfies
 
 One walk over the k-Pieri chains from w gives every degree p = 0..k of
 the first product at once.  Its terms are cached per (window of w, k)
-as three flat columns, one term per chain: the windows of the ends, their
-packed Q-weights, and one weight code per term, whose degree-p
-coefficient `chains.code_weight` gives; `_weight_column(k, p)` holds it
-by code, for every code up to `_DENSE_COLUMNS` and past it only for the
-codes read, so no table grows with k^3.  The ends are interned across walks
+(`_pieri_rows`) as three flat columns, one term per chain: the windows of
+the ends, their packed Q-weights, and one weight code per term, whose
+degree-p coefficient `chains.weight_column(k, p)` holds; the code layout
+is known to `chains` alone.  The ends are interned across walks
 (`chains._ends`), the Monk walk of `monk_lhs_expand` included, so every
 cached row and every Expansion key built from them shares one window
 tuple per permutation.
-`pieri_expand(w, k, p)` sums the nonzero degree-p terms into its
-Expansion.  Degree 0 needs no walk: G^k_0 = G[id] = 1, and the first
-label of every nonempty chain is forced, so the degree-0 column is the
-empty chain alone and `pieri_expand(w, k, 0)` is G[w].  A product of
-factors (`expand_product_chain`) skips every factor (k, 0) and reads the
-same columns for the others: each term g * G[u] adds g times the
-degree-p terms of u's rows into the next factor's accumulator, in one
-block step per (u, k) (`_add_rows`).  It never reads `pieri_expand`'s
-per-degree cache, so that cache keeps only the 8 latest (w, k, p).  By
-the sign law (`chains` module docstring) every
-coefficient of such a product at G[v] has the sign
-(-1)^(l(v) - l(w) - sum of the p), so no term cancels and the
-accumulator is wrapped as it stands; this holds whether or not two
-chains share an end.  `clear_caches` empties the rows, both per-call
-caches, the weight columns, the walks' tables and the interned ends
-together.
+One Pieri step, `_times_factor(terms, k, p)`, is the only reader of the
+rows: it multiplies packed terms by G^k_p, adding g times each term of
+u's rows with a nonzero degree-p weight for each term g * G[u].  Degree 0
+reads no rows: G^k_0 = G[id] = 1, since the first label of every
+nonempty chain is forced, so the step returns its terms as they are.
+`pieri_expand(w, k, p)` is the step on G[w] alone, and a product of
+factors (`expand_product_chain`) takes it once per factor, never reading
+`pieri_expand`'s per-degree cache, so that cache keeps only the 8 latest
+(w, k, p).  By the sign law (`chains` module docstring) no coefficient
+the step sums cancels, so its accumulator is wrapped as it stands.
+`clear_caches` empties the rows, both per-call caches, the weight
+columns, the walks' tables and the interned ends together.
 
 Coefficient arithmetic is exact integer throughout; an Expansion is a
 finite map from basis permutations to Z[Q]-polynomials with no zero
@@ -74,19 +69,20 @@ coefficients: sums and differences of expansions, `add_term`,
 pair (window, {key: c}).  `_product(f, g)` is the one overflow-checked
 product of two packed polynomials: `QPolynomial.__mul__`, the scalings of an
 expansion (`_times`, one product per basis term, so nothing to sum) and
-each image of `map_basis` take it.  A product chain takes its products in
-its own block step (`_add_rows`), one per (u, k), with the same guard
-inline; both raise the one error `_overflow` builds.  A single Pieri
-product adds its same-signed terms with no product to take.
+each image of `map_basis` take it.  The Pieri step multiplies g's
+monomials into the rows' Q-weights inline, under the same guard; both
+raise the one error `_overflow` builds.  A term of g with monomial 1
+keeps the row's own Q-weight as its key, the very int the walk stored.
 
 Overflow guard.  Packing accepts Q_1 .. Q_1024 only, with exponents below
 2^(S-1) (`qbg.pack_monomial`, ValueError otherwise).  Invariant: every
 field of every stored key is below 2^(S-1).  Then each field of the sum of
 two keys is below 2^S, so no carry crosses a field boundary, and the sum
 is the product monomial exactly when no field has reached 2^(S-1), that is
-when `key & qbg.Q_HIGH_BITS` is 0.  Both products test this and
-raise OverflowError otherwise, so a carried monomial is never returned
-and the invariant holds for the next product.
+when `key & qbg.Q_HIGH_BITS` is 0.  Every key made by an addition is
+tested, and OverflowError raised otherwise, so a carried monomial is
+never returned and the invariant holds for the next product; a row's own
+Q-weight is a stored key, so it needs no test.
 
 Text form: "G[4312] - Q1*Q2*G[1342] + 2*Q3*G[431625]", terms ordered by
 (length, window) of the basis permutation.  Machine form (JSON):
@@ -106,12 +102,12 @@ from __future__ import annotations
 
 import json
 import re
-from collections.abc import Iterable, Iterator, Mapping, Sequence
+from collections.abc import Iterable, Iterator, Mapping
 from functools import lru_cache
 from operator import attrgetter
 from types import MappingProxyType
 
-from .chains import _ends, _interned_end, _interned_window, _monk_walk, _walk_tables, code_weight, pieri_degree_rows
+from .chains import _ends, _interned_end, _interned_window, _monk_walk, _walk_tables, pieri_degree_rows, weight_column
 from .permutations import Permutation, check_factor
 from .qbg import Q_HIGH_BITS, QMonomial, pack_monomial, unpack_monomial
 
@@ -518,72 +514,51 @@ def clear_caches() -> None:
     _pieri_rows.cache_clear()
     pieri_expand.cache_clear()
     monk_lhs_expand.cache_clear()
-    _weight_column.cache_clear()
+    weight_column.cache_clear()
     _walk_tables.cache_clear()
     _ends.clear()
 
 
-class _SparseColumn(dict):
+def _times_factor(terms: dict[_Window, _Packed], k: int, p: int) -> Expansion:
     """
-    `_SparseColumn(k, p)[code]` = `chains.code_weight(k, code, p)`, kept
-    for each code on its first use.
+    The Pieri step: the sum of g * G[u] * G^k_p over the (window of u,
+    packed g) pairs of terms, the one reader of the cached rows.  For each
+    monomial gc * Q^gk of g, one pass over u's rows adds
+    gc * c * Q^(gk + q) * G[end] for each term (end, q, code) whose weight
+    c = `chains.weight_column(k, p)[code]` is nonzero.  A sum gk + q is
+    tested by the overflow guard; for gk = 0 the row's own q is the key.
+    Degree 0 is G^k_0 = 1: terms come back as they are, reading no rows.
+    No sum cancels (the sign law, `chains` module docstring), so the
+    accumulator is wrapped as it stands.
     """
-
-    __slots__ = ("k", "p")
-
-    def __init__(self, k: int, p: int) -> None:
-        super().__init__()
-        self.k, self.p = k, p
-
-    def __missing__(self, code: int) -> int:
-        c = self[code] = code_weight(self.k, code, self.p)
-        return c
-
-
-# Columns k up to this are tuples over all 2(k+1)^2 codes: 2,178 entries
-# at k = 32, built in under 1 ms.  A tuple subscript costs least in the
-# loops of `pieri_expand` and `_add_rows`: over 30 terms a plain dict took
-# 25% and a dict with __missing__ 150% longer (Python 3.11), and with a
-# plain dict the benchmark's commute-s4 ran 3% and sweep-s6's median
-# operation 5% slower.
-_DENSE_COLUMNS = 32
-
-
-@lru_cache(maxsize=64)
-def _weight_column(k: int, p: int) -> Sequence[int] | _SparseColumn:
-    """
-    column[code] = `chains.code_weight(k, code, p)` for every code of a
-    k-Pieri walk: a tuple of every code while k <= `_DENSE_COLUMNS`, and
-    past it a `_SparseColumn` of the codes read (101 codes instead of
-    2 * 101^2 at k = 100).
-    """
-    if k <= _DENSE_COLUMNS:
-        return tuple(code_weight(k, code, p) for code in range(2 * (k + 1) ** 2))
-    return _SparseColumn(k, p)
+    if not p:
+        return Expansion._of(terms)
+    column = weight_column(k, p)
+    acc: dict[_Window, _Packed] = {}
+    for u, g in terms.items():
+        ends, qs, codes = _pieri_rows(u, k)
+        for gk, gc in g.items():
+            for v, q, code in zip(ends, qs, codes):
+                c = column[code]
+                if c:
+                    if gk:
+                        q += gk
+                        if q & Q_HIGH_BITS:
+                            raise _overflow(q)
+                    poly = acc.setdefault(v, {})
+                    poly[q] = poly.get(q, 0) + gc * c
+    return Expansion._of(acc)
 
 
 @lru_cache(maxsize=8)
 def pieri_expand(w: Permutation, k: int, p: int) -> Expansion:
     """
     Expand G[w] * G^k_p in the formal basis: the signed, marking-counted,
-    Q-weighted sum over k-Pieri chains from w carrying a p-marking.
+    Q-weighted sum over k-Pieri chains from w carrying a p-marking, the
+    Pieri step (`_times_factor`) on G[w] alone.
     """
     check_factor(k, p)
-    if not p:
-        # G^k_0 = G[id] = 1: the first label of every nonempty chain is
-        # forced, so the degree-0 column of a walk is its empty chain alone
-        return Expansion.basis(w)
-    ends, qs, codes = _pieri_rows(w.window, k)
-    column = _weight_column(k, p)
-    # terms of one (end, q) share a sign (the sign law), so no sum is zero;
-    # each end is hashed once
-    terms: dict[_Window, _Packed] = {}
-    for u, q, code in zip(ends, qs, codes):
-        c = column[code]
-        if c:
-            poly = terms.setdefault(u, {})
-            poly[q] = poly.get(q, 0) + c
-    return Expansion._of(terms)
+    return _times_factor({w.window: {0: 1}}, k, p)
 
 
 @lru_cache(maxsize=None)
@@ -598,49 +573,13 @@ def monk_lhs_expand(x: Permutation, k: int) -> Expansion:
     ))
 
 
-def _add_rows(
-    acc: dict[_Window, _Packed],
-    g: _Packed,
-    rows: tuple[tuple[_Window, ...], tuple[int, ...], tuple[int, ...]],
-    column: Sequence[int] | _SparseColumn,
-) -> None:
-    """
-    acc += g * (the degree-p terms of one (u, k) rows), in place: for each
-    monomial gc * Q^gk of g, one pass over the rows adds
-    gc * c * Q^(gk + q) * G[end] for each term (end, q, code) whose weight
-    c = column[code] is nonzero, column being `_weight_column(k, p)`.  The
-    overflow guard of `_product` is tested inline.
-    """
-    ends, qs, codes = rows
-    for gk, gc in g.items():
-        for v, q, code in zip(ends, qs, codes):
-            c = column[code]
-            if c:
-                key = gk + q
-                if key & Q_HIGH_BITS:
-                    raise _overflow(key)
-                poly = acc.get(v)
-                if poly is None:
-                    acc[v] = {key: gc * c}
-                else:
-                    poly[key] = poly.get(key, 0) + gc * c
-
-
 def expand_product_chain(w: Permutation, factors: Iterable[tuple[int, int]]) -> Expansion:
     """
     Left-fold expansion of G[w] * prod of column factors, coefficients
-    carried through exactly.  The factors are read once, from any iterable,
-    and every factor is checked before any walk.  A factor
-    (k, 0) is G^k_0 = 1 (`pieri_expand`) and is skipped.  For every other
-    factor (k, p), each term g * G[u] adds g * c * Q^q * G[end] for each
-    term (end, q, code) of u's cached (u, k) rows with
-    c = code_weight(k, code, p) nonzero, in one block step per (u, k)
-    (`_add_rows`); zero entries are skipped.  The factors are taken in
-    the order given.  By the sign law (`chains` module docstring) every
-    contribution to the coefficient of Q^a * G[v] has the sign
-    (-1)^(l(v) - l(w) - sum of the p), so no term cancels and each
-    accumulator is wrapped as it stands.  `pieri_expand`'s per-degree
-    cache is neither read nor filled.
+    carried through exactly: every factor is checked before any walk, then
+    the Pieri step (`_times_factor`) is taken once per factor, in the
+    order given.  The factors are read once, from any iterable.
+    `pieri_expand`'s per-degree cache is neither read nor filled.
 
     >>> w = Permutation.identity()
     >>> expand_product_chain(w, [(1, 1), (1, 1)]).render()
@@ -651,11 +590,5 @@ def expand_product_chain(w: Permutation, factors: Iterable[tuple[int, int]]) -> 
         check_factor(k, p)
     out = Expansion.basis(w)
     for k, p in factors:
-        if not p:
-            continue
-        column = _weight_column(k, p)
-        acc: dict[_Window, _Packed] = {}
-        for u, g in out._terms.items():
-            _add_rows(acc, g, _pieri_rows(u, k), column)
-        out = Expansion._of(acc)
+        out = _times_factor(out._terms, k, p)
     return out

@@ -15,10 +15,11 @@ import random
 
 from reference import reference_expansions
 
-from qpieri import chains, expansion
+from qpieri import chains
 from qpieri.chains import code_weight, pieri_degree_rows
 from qpieri.expansion import _pieri_rows, clear_caches, expand_product_chain, monk_lhs_expand, pieri_expand
 from qpieri.permutations import Permutation, all_permutations
+from qpieri.qbg import Q_STRIDE
 
 
 def test_degrees_requested_in_any_order_agree():
@@ -76,6 +77,24 @@ def test_monk_expansion_keys_are_the_interned_ends():
     assert len(chains._ends) < keys == 528
 
 
+def test_keys_of_monomial_1_terms_are_the_q_weights_of_the_rows():
+    # a one-factor product and a Pieri sum key each term by its row's own
+    # Q-weight, the int object the walk stored, not a copy built by adding 0
+    clear_caches()
+    wide = 0
+    for w in all_permutations(4):
+        for k in range(1, 5):
+            stored = {id(q): q for q in _pieri_rows(w.window, k)[1]}
+            wide += any(q >> Q_STRIDE for q in stored.values())
+            for p in range(1, k + 1):
+                for got in (expand_product_chain(w, [(k, p)]), pieri_expand(w, k, p)):
+                    for poly in got._terms.values():
+                        for key in poly:
+                            assert stored.get(id(key)) is key, (w, k, p, key)
+    # some Q-weights hold Q_2 or later: ints past those CPython shares
+    assert wide
+
+
 def test_a_product_after_clear_caches_equals_the_one_before():
     factors = [(2, 1), (3, 2), (1, 1)]
     for w in all_permutations(4):
@@ -83,7 +102,7 @@ def test_a_product_after_clear_caches_equals_the_one_before():
         assert chains._walk_tables.cache_info().currsize > 0
         clear_caches()
         assert not chains._ends and _pieri_rows.cache_info().currsize == chains._walk_tables.cache_info().currsize == 0
-        assert pieri_expand.cache_info().currsize == expansion._weight_column.cache_info().currsize == 0
+        assert pieri_expand.cache_info().currsize == chains.weight_column.cache_info().currsize == 0
         assert (pieri_expand(w, 3, 2), expand_product_chain(w, factors)) == before, w
 
 
@@ -91,13 +110,13 @@ def test_a_column_of_the_codes_read_weighs_as_a_column_of_every_code(monkeypatch
     factors = [(2, 1), (3, 2), (3, 3)]
     clear_caches()
     dense = {w: (pieri_expand(w, 3, 2), expand_product_chain(w, factors)) for w in all_permutations(4)}
-    assert type(expansion._weight_column(3, 2)) is tuple
-    monkeypatch.setattr(expansion, "_DENSE_COLUMNS", 0)
+    assert type(chains.weight_column(3, 2)) is tuple
+    monkeypatch.setattr(chains, "_DENSE_COLUMNS", 0)
     clear_caches()
     try:
         for w, want in dense.items():
             assert (pieri_expand(w, 3, 2), expand_product_chain(w, factors)) == want, w
-        column = expansion._weight_column(3, 2)
+        column = chains.weight_column(3, 2)
         assert isinstance(column, dict) and 0 < len(column) < 2 * 4**2
         assert all(c == code_weight(3, code, 2) for code, c in column.items())
     finally:

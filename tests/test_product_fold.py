@@ -2,10 +2,10 @@
 `expand_product_chain` against a frozen copy of the fold it replaced.
 
 The old fold replaced every basis term by the `pieri_expand` of each
-factor in turn (`map_basis`).  The column pass reads each term's cached
-(u, k) rows instead; it must give the same expansions, walk the same
-(u, k) for every factor of positive degree, refuse the same factors, and
-keep the overflow guard with its message.  A degree-0 factor is 1: it
+factor in turn (`map_basis`).  The Pieri step (`_times_factor`) reads
+each term's cached (u, k) rows instead; it must give the same
+expansions, walk the same (u, k) for every factor of positive degree,
+refuse the same factors, and keep the overflow guard with its message.  A degree-0 factor is 1: it
 reads no rows, in a product or in `pieri_expand`.  Fake rows
 (`_pieri_rows` patched) reach a case that no real product of the grids
 here shows: a zero column entry with a Q-weight the guard would refuse.
@@ -40,7 +40,7 @@ def old_fold(w: Permutation, factors, walks: list | None = None) -> Expansion:
     """
     The fold as it was: each factor maps every basis term through
     pieri_expand.  `walks` lists the (window of u, k) of every p >= 1
-    factor, the only ones whose rows the column pass reads.
+    factor, the only ones whose rows the Pieri step reads.
     """
     out = Expansion.basis(w)
     for k, p in factors:
